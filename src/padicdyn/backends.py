@@ -1,45 +1,26 @@
-"""Array kernels for the heavy sweeps, in two interchangeable backends.
+"""Array kernels for the heavy sweeps, as vectorized numpy passes.
 
-The numba backend JIT-compiles the hot loops; the numpy backend expresses
-the same computations as vectorized array passes.  Selection is automatic
-(numba when importable) and can be forced with PADIC_DYN_BACKEND=numba or
-PADIC_DYN_BACKEND=numpy.  Every kernel computes exact modular integer
-results; the two backends are interchangeable bit for bit.
+Every kernel computes exact modular integer results in int64.
 """
 
 from __future__ import annotations
 
-import os
+import importlib.util
+from math import comb
 
 import numpy as np
 
 from .errors import InputError, InternalCheckError
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# Whether numba is importable; nothing here uses it.  The benchmark
+# (perfbench/worker.py) records this flag in its environment report.
+HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
 
 def current_backend() -> str:
-    env = os.environ.get("PADIC_DYN_BACKEND")
-    if env is None:
-        return "numba" if HAVE_NUMBA else "numpy"
-    if env not in ("numba", "numpy"):
-        raise InputError(f"PADIC_DYN_BACKEND must be 'numba' or 'numpy', got {env!r}")
-    if env == "numba" and not HAVE_NUMBA:
-        raise InputError("PADIC_DYN_BACKEND=numba but numba is not importable")
-    return env
+    """Name of the array backend.  `verify --suite bipro` reports it as
+    params.backend, and the benchmark records it in its environment report."""
+    return "numpy"
 
 
 def _check_modulus(modulus: int) -> None:
@@ -51,20 +32,11 @@ def _check_modulus(modulus: int) -> None:
 # -- polynomial value tables ------------------------------------------
 
 
-@njit(cache=False)
-def _poly_tables_numba(coeffs, npoints, modulus):  # pragma: no cover - jit
-    count, ncoef = coeffs.shape
-    out = np.empty((count, npoints), dtype=np.int64)
-    for i in range(count):
-        for x in range(npoints):
-            acc = 0
-            for d in range(ncoef - 1, -1, -1):
-                acc = (acc * x + coeffs[i, d]) % modulus
-            out[i, x] = acc
-    return out
-
-
-def _poly_tables_numpy(coeffs, npoints, modulus):
+def poly_tables(coeffs, npoints: int, modulus: int) -> np.ndarray:
+    """Values of each integer polynomial (rows of coeffs, constant first)
+    at x = 0..npoints-1, mod modulus."""
+    _check_modulus(modulus)
+    coeffs = np.asarray(coeffs, dtype=np.int64) % modulus
     xs = np.arange(npoints, dtype=np.int64)
     out = np.zeros((coeffs.shape[0], npoints), dtype=np.int64)
     for d in range(coeffs.shape[1] - 1, -1, -1):
@@ -72,39 +44,16 @@ def _poly_tables_numpy(coeffs, npoints, modulus):
     return out
 
 
-def poly_tables(coeffs, npoints: int, modulus: int) -> np.ndarray:
-    """Values of each integer polynomial (rows of coeffs, constant first)
-    at x = 0..npoints-1, mod modulus."""
-    _check_modulus(modulus)
-    coeffs = np.ascontiguousarray(
-        np.asarray(coeffs, dtype=np.int64) % modulus
-    )
-    if current_backend() == "numba":
-        return _poly_tables_numba(coeffs, npoints, modulus)
-    return _poly_tables_numpy(coeffs, npoints, modulus)
-
-
 # -- batched Mahler coefficients (difference tables) ------------------
 
 
-@njit(cache=False)
-def _mahler_batch_numba(values, modulus):  # pragma: no cover - jit
-    count, n = values.shape
+def mahler_batch(values, modulus: int) -> np.ndarray:
+    """Iterated forward differences along axis 1: column n holds the n-th
+    Mahler coefficient of each row's value sequence, mod modulus."""
+    _check_modulus(modulus)
+    work = np.asarray(values, dtype=np.int64) % modulus
+    count, n = work.shape
     out = np.empty((count, n), dtype=np.int64)
-    work = values.copy()
-    for step in range(n):
-        for i in range(count):
-            out[i, step] = work[i, step]
-        for i in range(count):
-            for j in range(n - 1, step, -1):
-                work[i, j] = (work[i, j] - work[i, j - 1]) % modulus
-    return out
-
-
-def _mahler_batch_numpy(values, modulus):
-    count, n = values.shape
-    out = np.empty((count, n), dtype=np.int64)
-    work = values.copy()
     for step in range(n):
         out[:, step] = work[:, step]
         if step < n - 1:
@@ -112,37 +61,16 @@ def _mahler_batch_numpy(values, modulus):
     return out
 
 
-def mahler_batch(values, modulus: int) -> np.ndarray:
-    """Iterated forward differences along axis 1: column n holds the n-th
-    Mahler coefficient of each row's value sequence, mod modulus."""
-    _check_modulus(modulus)
-    values = np.ascontiguousarray(np.asarray(values, dtype=np.int64) % modulus)
-    if current_backend() == "numba":
-        return _mahler_batch_numba(values, modulus)
-    return _mahler_batch_numpy(values, modulus)
-
-
 # -- transitivity scans ----------------------------------------------
 
 
-@njit(cache=False)
-def _transitive_scan_numba(tables):  # pragma: no cover - jit
-    count, size = tables.shape
-    out = np.zeros(count, dtype=np.uint8)
-    for i in range(count):
-        x = 0
-        steps = 0
-        for _ in range(size):
-            x = tables[i, x]
-            steps += 1
-            if x == 0:
-                break
-        if steps == size and x == 0:
-            out[i] = 1
-    return out
+def transitive_scan(tables) -> np.ndarray:
+    """1 where a row, read as a self-map of 0..size-1, is a single cycle.
 
-
-def _transitive_scan_numpy(tables):
+    A map is a full cycle exactly when the orbit of 0 first returns to 0
+    after size steps, so no explicit permutation check is needed.
+    """
+    tables = np.asarray(tables, dtype=np.int64)
     count, size = tables.shape
     x = np.zeros(count, dtype=np.int64)
     first_return = np.zeros(count, dtype=np.int64)
@@ -152,18 +80,6 @@ def _transitive_scan_numpy(tables):
         hit = (x == 0) & (first_return == 0)
         first_return[hit] = step
     return (first_return == size).astype(np.uint8)
-
-
-def transitive_scan(tables) -> np.ndarray:
-    """1 where a row, read as a self-map of 0..size-1, is a single cycle.
-
-    A map is a full cycle exactly when the orbit of 0 first returns to 0
-    after size steps, so no explicit permutation check is needed.
-    """
-    tables = np.ascontiguousarray(np.asarray(tables, dtype=np.int64))
-    if current_backend() == "numba":
-        return _transitive_scan_numba(tables)
-    return _transitive_scan_numpy(tables)
 
 
 def batch_transitive_polys(coeffs, p: int, k: int) -> np.ndarray:
@@ -235,196 +151,45 @@ def ud1_table_scan(tables: np.ndarray, p: int, depth: int, s_max: int | None = N
 # digit-shift families; the full range is checked.
 
 
-def _bipro_tables(p: int, s: int):
-    q = p * p
-    nmax = 2 * p**s + 1
-    v = np.zeros(nmax, dtype=np.int64)
-    u = np.zeros(nmax, dtype=np.int64)
-    inv_u = np.zeros(nmax, dtype=np.int64)
-    for t in range(1, nmax):
-        tt = t
-        vv = 0
-        while tt % p == 0:
-            tt //= p
-            vv += 1
-        v[t] = vv
-        u[t] = tt % q
-        inv_u[t] = pow(tt % q, -1, q)
-    cp = np.array([0] * (p + 1), dtype=np.int64)
-    from math import comb
-
-    for j in range(p + 1):
-        cp[j] = comb(p, j) % q
-    return v, u, inv_u, cp
-
-
-@njit(cache=False)
-def _bipro_scan_numba(p, s, v, u, inv_u, cp, witness):  # pragma: no cover - jit
-    q = p * p
-    delta = p ** (s - 1)
-    ps = p**s
-    base = np.zeros((p, ps), dtype=np.int64)
-    pairs = 0
-    for alpha in range(delta):
-        # base rows C(alpha + r*delta, k) mod p^2
-        for r in range(p):
-            m = alpha + r * delta
-            val = 0
-            unit = 1
-            for k in range(m + 1):
-                if k > 0:
-                    num = m - k + 1
-                    den = k
-                    val += v[num] - v[den]
-                    unit = (unit * u[num]) % q
-                    unit = (unit * inv_u[den]) % q
-                if val >= 2:
-                    base[r, k] = 0
-                elif val == 1:
-                    base[r, k] = (unit * p) % q
-                else:
-                    base[r, k] = unit
-            for k in range(m + 1, ps):
-                base[r, k] = 0
-        # target rows C(alpha + r*delta + p^s, k) checked against the taps
-        for r in range(p):
-            n = alpha + r * delta + ps
-            val = 0
-            unit = 1
-            for k in range(n + 1):
-                if k > 0:
-                    num = n - k + 1
-                    den = k
-                    val += v[num] - v[den]
-                    unit = (unit * u[num]) % q
-                    unit = (unit * inv_u[den]) % q
-                if val >= 2:
-                    lhs = 0
-                elif val == 1:
-                    lhs = (unit * p) % q
-                else:
-                    lhs = unit
-                rhs = 0
-                for j in range(p + 1):
-                    kk = k - j * delta
-                    if 0 <= kk < ps:
-                        rhs += cp[j] * base[r, kk]
-                rhs %= q
-                pairs += 1
-                if lhs != rhs:
-                    witness[0] = 1
-                    witness[1] = n
-                    witness[2] = k
-                    witness[3] = lhs
-                    witness[4] = rhs
-                    return pairs
-    return pairs
-
-
-def _binomial_row_mod_q(n, v, u, inv_u, dlog, powtab, order, p, q):
-    """C(n, k) mod q = p^2 for k = 0..n as one vectorized pass."""
-    if n == 0:
-        return np.ones(1, dtype=np.int64)
-    ks = np.arange(1, n + 1)
-    dv = np.cumsum(v[n - ks + 1] - v[ks])
-    de = np.cumsum(dlog[u[n - ks + 1]] - dlog[u[ks]]) % order
-    row = np.empty(n + 1, dtype=np.int64)
-    row[0] = 1
-    vals = powtab[de]
-    vals = np.where(dv == 1, (vals * p) % q, vals)
-    vals = np.where(dv >= 2, 0, vals)
-    row[1:] = vals
-    return row
-
-
-def _bipro_scan_numpy(p, s, v, u, inv_u, cp, witness):
-    q = p * p
-    delta = p ** (s - 1)
-    ps = p**s
-    order = p * (p - 1)
-    # discrete logs in the cyclic unit group mod p^2
-    g = None
-    for cand in range(2, q):
-        if cand % p == 0:
-            continue
-        seen = 1
-        x = cand % q
-        k = 1
-        while x != 1:
-            x = (x * cand) % q
-            k += 1
-        if k == order:
-            g = cand
-            break
-    dlog = np.zeros(q, dtype=np.int64)
-    powtab = np.ones(order, dtype=np.int64)
-    x = 1
-    for e in range(order):
-        powtab[e] = x
-        dlog[x] = e
-        x = (x * g) % q
-    pairs = 0
-    for alpha in range(delta):
-        rows = {}
-        for r in range(p):
-            m = alpha + r * delta
-            rows[r] = _binomial_row_mod_q(m, v, u, inv_u, dlog, powtab, order, p, q)
-        for r in range(p):
-            n = alpha + r * delta + ps
-            lhs = _binomial_row_mod_q(n, v, u, inv_u, dlog, powtab, order, p, q)
-            base = rows[r]
-            rhs = np.zeros(n + 1, dtype=np.int64)
-            for j in range(p + 1):
-                off = j * delta
-                if off > n:
-                    break
-                take = min(len(base), n + 1 - off)
-                rhs[off : off + take] += cp[j] * base[:take]
-            rhs %= q
-            pairs += n + 1
-            if not np.array_equal(lhs, rhs):
-                k = int(np.nonzero(lhs != rhs)[0][0])
-                witness[0] = 1
-                witness[1] = n
-                witness[2] = k
-                witness[3] = int(lhs[k])
-                witness[4] = int(rhs[k])
-                return pairs
-    return pairs
+def _pascal_step(row: np.ndarray, m: int, q: int) -> None:
+    """Advance row C(m, .) mod q to C(m + 1, .) in place; row[m + 1] is 0."""
+    row[1 : m + 2] = (row[1 : m + 2] + row[: m + 1]) % q
 
 
 def bipro_scan(p: int, s: int):
     """Exhaustive digit-shift binomial congruence check mod p^2.
 
-    Returns (pairs_checked, witness_or_None).
+    Rows C(m, .) and C(m + p^s, .) mod p^2 advance in lockstep by Pascal's
+    rule for m = 0..p^s-1; at each step the second row is compared with the
+    (p+1)-tap sum over the first.  Returns (pairs_checked, witness_or_None),
+    the witness being the first failing (n, k) in ascending n, then k.
     """
     if p < 3 or p % 2 == 0:
         raise InputError("bipro_scan needs an odd prime")
     if s < 2:
         raise InputError("bipro_scan needs s >= 2")
-    v, u, inv_u, cp = _bipro_tables(p, s)
-    witness = np.zeros(5, dtype=np.int64)
-    if current_backend() == "numba":
-        pairs = _bipro_scan_numba(p, s, v, u, inv_u, cp, witness)
-    else:
-        pairs = _bipro_scan_numpy(p, s, v, u, inv_u, cp, witness)
-    if witness[0]:
-        return int(pairs), {
-            "n": int(witness[1]),
-            "k": int(witness[2]),
-            "lhs": int(witness[3]),
-            "rhs": int(witness[4]),
-        }
-    return int(pairs), None
-
-
-def warmup() -> None:
-    """Force JIT compilation of the numba kernels on tiny inputs."""
-    if current_backend() != "numba":
-        return
-    c = np.array([[1, 1]], dtype=np.int64)
-    _poly_tables_numba(c, 4, 4)
-    _mahler_batch_numba(np.array([[0, 1, 2, 3]], dtype=np.int64), 4)
-    _transitive_scan_numba(np.array([[1, 2, 3, 0]], dtype=np.int64))
-    v, u, inv_u, cp = _bipro_tables(3, 2)
-    _bipro_scan_numba(3, 2, v, u, inv_u, cp, np.zeros(5, dtype=np.int64))
+    q = p * p
+    ps = p**s
+    delta = p ** (s - 1)
+    taps = [comb(p, j) % q for j in range(p + 1)]
+    low = np.zeros(ps + 1, dtype=np.int64)
+    high = np.zeros(2 * ps + 1, dtype=np.int64)
+    low[0] = high[0] = 1
+    # C(p^s, .) from C(0, .) by Pascal's rule alone, so no row relies on the taps
+    for m in range(ps):
+        _pascal_step(high, m, q)
+    pairs = 0
+    for m in range(ps):
+        n = m + ps
+        rhs = np.zeros(n + 1, dtype=np.int64)
+        for j, tap in enumerate(taps):
+            rhs[j * delta : j * delta + m + 1] += tap * low[: m + 1]
+        rhs %= q
+        pairs += n + 1
+        bad = np.flatnonzero(high[: n + 1] != rhs)
+        if bad.size:
+            k = int(bad[0])
+            return pairs, {"n": n, "k": k, "lhs": int(high[k]), "rhs": int(rhs[k])}
+        _pascal_step(low, m, q)
+        _pascal_step(high, n, q)
+    return pairs, None

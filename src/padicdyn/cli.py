@@ -35,10 +35,12 @@ def parse_polynomial_text(text: str) -> list[int]:
         raise InputError("empty polynomial")
     if "x" not in text:
         try:
-            return [int(part) for part in text.replace(",", " ").split()]
+            return [int(part) for part in text.split(",")]
         except ValueError as exc:
             raise InputError(f"bad coefficient list: {exc}") from None
     chunks = re.findall(r"[+-]?[^+-]+", text)
+    if "".join(chunks) != text:
+        raise InputError(f"empty term in polynomial {text!r}")
     coeffs: dict[int, int] = {}
     for chunk in chunks:
         m = _TERM_RE.match(chunk)
@@ -87,12 +89,15 @@ def function_from_json(data: dict, depth: int | None) -> PadicFunction:
 def resolve_function(args, default_depth: int = 4) -> PadicFunction:
     text = args.function
     depth = getattr(args, "depth", None)
-    if text == "-":
-        data = json.load(sys.stdin)
-        return function_from_json(data, depth)
-    if text.startswith("@"):
-        with open(text[1:]) as fh:
-            data = json.load(fh)
+    if text == "-" or text.startswith("@"):
+        try:
+            if text == "-":
+                data = json.load(sys.stdin)
+            else:
+                with open(text[1:]) as fh:
+                    data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise InputError(f"cannot read function {text!r}: {exc}") from None
         return function_from_json(data, depth)
     if args.prime is None:
         raise InputError("-p/--prime is required for inline polynomial input")
@@ -243,6 +248,8 @@ def cmd_generate(args) -> int:
     p = args.prime
     if p is None:
         raise InputError("-p/--prime is required")
+    if args.count < 1:
+        raise InputError("count must be >= 1")
     rng = random.Random(args.seed)
     instances = []
     explicit = args.phi is not None or args.bvec is not None or args.lift is not None
@@ -311,6 +318,8 @@ def cmd_verify(args) -> int:
         reports = []
         for name in names:
             report = identities.verify_identity_suite(name, **overrides)
+            if report.checked == 0:
+                raise InputError(f"suite {name!r} checks nothing in this range")
             reports.append(report.to_json_dict())
             ok = ok and report.passed
         out["suites"] = reports
@@ -375,12 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="padic-dyn",
         description="exact coefficient-based analysis of 1-Lipschitz dynamics "
         "on the p-adic integers",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="reserved for compatibility; computations run in-process",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -10,74 +10,34 @@ from padicdyn.dynamics import transitive_mod
 from padicdyn.errors import InputError
 from padicdyn.funcspace import PadicFunction, mahler_coefficients
 
-HAVE_NUMBA = backends.HAVE_NUMBA
 
-
-def _both_backends(monkeypatch, fn):
-    outputs = {}
-    for name in ("numpy", "numba"):
-        if name == "numba" and not HAVE_NUMBA:
-            continue
-        monkeypatch.setenv("PADIC_DYN_BACKEND", name)
-        outputs[name] = fn()
-    monkeypatch.delenv("PADIC_DYN_BACKEND", raising=False)
-    return outputs
-
-
-def test_current_backend_env(monkeypatch):
-    monkeypatch.setenv("PADIC_DYN_BACKEND", "numpy")
-    assert backends.current_backend() == "numpy"
-    monkeypatch.setenv("PADIC_DYN_BACKEND", "bogus")
-    with pytest.raises(InputError):
-        backends.current_backend()
-
-
-def test_poly_tables_matches_scalar(monkeypatch):
+def test_poly_tables_matches_scalar():
     rng = random.Random(71)
     coeffs = [[rng.randrange(27) for _ in range(4)] for _ in range(20)]
-    arr = np.array(coeffs, dtype=np.int64)
-
-    outs = _both_backends(
-        monkeypatch, lambda: backends.poly_tables(arr, 27, 27).copy()
-    )
-    for tables in outs.values():
-        for row, cs in zip(tables, coeffs):
-            f = PadicFunction.from_polynomial(cs, 3, 3)
-            assert list(row) == f.value_table(3)
-    if len(outs) == 2:
-        assert np.array_equal(outs["numpy"], outs["numba"])
+    tables = backends.poly_tables(np.array(coeffs, dtype=np.int64), 27, 27)
+    for row, cs in zip(tables, coeffs):
+        f = PadicFunction.from_polynomial(cs, 3, 3)
+        assert list(row) == f.value_table(3)
 
 
-def test_mahler_batch_matches_extraction(monkeypatch):
+def test_mahler_batch_matches_extraction():
     rng = random.Random(72)
     coeffs = [[rng.randrange(16) for _ in range(3)] for _ in range(10)]
-    arr = np.array(coeffs, dtype=np.int64)
-    tables = backends.poly_tables(arr, 16, 16)
-    outs = _both_backends(
-        monkeypatch, lambda: backends.mahler_batch(tables, 16).copy()
-    )
-    for out in outs.values():
-        for row, cs in zip(out, coeffs):
-            f = PadicFunction.from_polynomial(cs, 2, 4)
-            series = mahler_coefficients(f, count=16)
-            assert list(row) == [series.term(i) for i in range(16)]
-    if len(outs) == 2:
-        assert np.array_equal(outs["numpy"], outs["numba"])
+    tables = backends.poly_tables(np.array(coeffs, dtype=np.int64), 16, 16)
+    out = backends.mahler_batch(tables, 16)
+    for row, cs in zip(out, coeffs):
+        f = PadicFunction.from_polynomial(cs, 2, 4)
+        series = mahler_coefficients(f, count=16)
+        assert list(row) == [series.term(i) for i in range(16)]
 
 
-def test_transitive_scan_matches_cycle_check(monkeypatch):
+def test_transitive_scan_matches_cycle_check():
     rng = random.Random(73)
     coeffs = [[rng.randrange(8) for _ in range(4)] for _ in range(50)]
-    arr = np.array(coeffs, dtype=np.int64)
-    outs = _both_backends(
-        monkeypatch, lambda: backends.batch_transitive_polys(arr, 2, 3).copy()
-    )
-    for flags in outs.values():
-        for bit, cs in zip(flags, coeffs):
-            f = PadicFunction.from_polynomial(cs, 2, 3)
-            assert bool(bit) == transitive_mod(f, 3).passed
-    if len(outs) == 2:
-        assert np.array_equal(outs["numpy"], outs["numba"])
+    flags = backends.batch_transitive_polys(np.array(coeffs, dtype=np.int64), 2, 3)
+    for bit, cs in zip(flags, coeffs):
+        f = PadicFunction.from_polynomial(cs, 2, 3)
+        assert bool(bit) == transitive_mod(f, 3).passed
 
 
 def test_binomial_matrix_mod():
@@ -102,7 +62,7 @@ def test_mahler_value_matrix_matches_evaluate():
         assert list(row) == f.value_table(3)
 
 
-def test_ud1_table_scan_matches_direct(monkeypatch):
+def test_ud1_table_scan_matches_direct():
     rng = random.Random(75)
     p, depth = 2, 4
     window = p**depth + p ** (depth - 1) * (p - 1)
@@ -121,24 +81,45 @@ def test_ud1_table_scan_matches_direct(monkeypatch):
         g = PadicFunction.from_mahler(CoefficientSeries("mahler", p, depth, terms))
         funcs.append(g)
         rows.append([g.evaluate(x) for x in range(window)])
-    tables = np.array(rows, dtype=np.int64)
-    outs = _both_backends(
-        monkeypatch, lambda: backends.ud1_table_scan(tables, p, depth).copy()
-    )
-    for flags in outs.values():
-        for bit, f in zip(flags, funcs):
-            assert bool(bit) == ud1_check(f).verdict.passed
-    if len(outs) == 2:
-        assert np.array_equal(outs["numpy"], outs["numba"])
+    flags = backends.ud1_table_scan(np.array(rows, dtype=np.int64), p, depth)
+    for bit, f in zip(flags, funcs):
+        assert bool(bit) == ud1_check(f).verdict.passed
 
 
-def test_bipro_scan_backend_parity(monkeypatch):
-    outs = _both_backends(monkeypatch, lambda: backends.bipro_scan(5, 2))
-    for pairs, witness in outs.values():
-        assert witness is None
-        assert pairs == sum(n + 1 for n in range(25, 50))
-    if len(outs) == 2:
-        assert outs["numpy"] == outs["numba"]
+def _bipro_brute_force(p, s, comb=math.comb):
+    """(pairs, first failing (n, k) witness or None) by direct enumeration."""
+    q, ps, delta = p * p, p**s, p ** (s - 1)
+    pairs = 0
+    for n in range(ps, 2 * ps):
+        for k in range(n + 1):
+            pairs += 1
+            lhs = math.comb(n, k) % q
+            rhs = sum(
+                comb(p, j) * math.comb(n - ps, k - j * delta)
+                for j in range(p + 1)
+                if 0 <= k - j * delta <= n - ps
+            ) % q
+            if lhs != rhs:
+                return pairs, {"n": n, "k": k, "lhs": lhs, "rhs": rhs}
+    return pairs, None
+
+
+def test_bipro_scan_matches_brute_force():
+    for p, s in ((3, 2), (5, 2), (3, 3)):
+        assert backends.bipro_scan(p, s) == _bipro_brute_force(p, s)
+    assert backends.bipro_scan(5, 2) == (sum(n + 1 for n in range(25, 50)), None)
+
+
+def test_bipro_scan_reports_perturbed_tap(monkeypatch):
+    def perturbed(n, k):
+        return math.comb(n, k) + (n == 5 and k == 2)
+
+    monkeypatch.setattr(backends, "comb", perturbed)
+    _, witness = backends.bipro_scan(5, 2)
+    assert witness == {"n": 25, "k": 10, "lhs": 10, "rhs": 11}
+    assert witness["lhs"] == math.comb(witness["n"], witness["k"]) % 25
+    assert witness["rhs"] != witness["lhs"]
+    assert witness == _bipro_brute_force(5, 2, comb=perturbed)[1]
 
 
 def test_poly_tables_rejects_ragged():

@@ -49,7 +49,7 @@ def test_parse_polynomial_text():
 
 
 def test_parse_polynomial_errors():
-    for bad in ("", "2y+1", "x^", "1,two,3"):
+    for bad in ("", "2y+1", "x^", "1,two,3", "x+", "x++x", "1,,2", "1,2,"):
         with pytest.raises(InputError):
             cli.parse_polynomial_text(bad)
 
@@ -145,6 +145,18 @@ def test_classify_stdin(capsys, monkeypatch):
     assert payload["depth"] == 4
 
 
+@pytest.mark.parametrize("source", ["stdin", "bad-file", "missing-file"])
+def test_classify_rejects_unreadable_input(capsys, monkeypatch, tmp_path, source):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("{not json"))
+    path = tmp_path / "f.json"
+    if source == "bad-file":
+        path.write_text("[1, 2")
+    arg = "-" if source == "stdin" else f"@{path}"
+    code, out, err = _run(capsys, ["classify", arg])
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
 def test_classify_rejects_shallow_depth(capsys):
     code, _, err = _run(capsys, ["classify", "x+1", "-p", "2", "--depth", "1"])
     assert code == 2
@@ -223,6 +235,13 @@ def test_generate_needs_prime(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_generate_rejects_count_below_one(capsys, count):
+    code, out, err = _run(capsys, ["generate", "-p", "5", "--count", count])
+    assert code == 2
+    assert out == "" and "count must be >= 1" in err
+
+
 def test_verify_single_suite(capsys):
     code, payload, _ = _run_json(
         capsys,
@@ -258,6 +277,26 @@ def test_verify_counterexamples(capsys):
     assert {c["p"] for c in families} == {2, 3, 5, 7, 11, 13}
     polys = [c for c in payload["counterexamples"] if "checks" in c]
     assert all(all(c["checks"].values()) for c in polys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "valpro", "--s-max", "0"],
+        ["--suite", "bipro", "--p-max", "2"],
+        ["--suite", "bipro", "--s-max", "1"],
+    ],
+)
+def test_verify_refuses_empty_range(capsys, argv):
+    code, out, err = _run(capsys, ["verify", *argv])
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+def test_global_jobs_flag_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--jobs", "2", "expand", "x+1", "-p", "3"])
+    assert exc.value.code == 2
 
 
 def test_verify_without_flags(capsys):

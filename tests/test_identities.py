@@ -114,16 +114,3 @@ def test_dispatcher_and_overrides():
     with pytest.raises(InputError):
         verify_identity_suite("nope")
 
-
-def test_bipro_backend_equivalence(monkeypatch):
-    results = {}
-    for backend in ("numpy", "numba"):
-        monkeypatch.setenv("PADIC_DYN_BACKEND", backend)
-        try:
-            report = bipro_suite(p_max=5, s_max=3)
-        except InputError:
-            continue  # backend unavailable in this environment
-        results[backend] = (report.checked, report.passed)
-    assert len(results) >= 1
-    if len(results) == 2:
-        assert results["numpy"] == results["numba"]
