@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import backends
 from .arith import p_digits
 from .errors import InputError, NormalizationError
 from .funcspace import (
     CoefficientSeries,
     PadicFunction,
-    floor_log,
     mahler_coefficients,
     vdp_coefficients,
 )
@@ -48,12 +48,18 @@ class UD1Report:
         return self.verdict.passed
 
 
+def ud1_window(p: int, depth: int) -> int:
+    """Points the direct sweep reads: u + p^s h reaches p^depth + (p-1)p^(depth-1)."""
+    return p**depth + (p - 1) * p ** (depth - 1)
+
+
 def ud1_check(f: PadicFunction, s_max: int | None = None) -> UD1Report:
     """Definition sweep over the full depth window.
 
     The candidate derivative at u is forced by the s = 1, h = 1 congruence;
-    the sweep then verifies every (u, s, h) against it.  Arguments u + p^s h
-    are evaluated exactly (no folding), so a non-Lipschitz input fails here
+    the sweep then verifies every (u, s, h) against it and reports the first
+    failure in u-major, then s, then h order.  Arguments u + p^s h are
+    evaluated exactly (no folding), so a non-Lipschitz input fails here
     rather than being masked.
     """
     if f.depth < 2:
@@ -64,44 +70,35 @@ def ud1_check(f: PadicFunction, s_max: int | None = None) -> UD1Report:
         raise InputError(f"s_max {s_max} outside 1..{f.depth - 1}")
     p = f.prime
     window = p**f.depth
-    derived = []
-    for u in range(window):
-        base = f.evaluate(u)
-        diff = f.evaluate(u + p) - base
-        if diff % p != 0:
-            return UD1Report(
-                failing(
-                    "ud1-direct",
-                    "derivative-integrality",
-                    witness={"u": u, "difference": diff % window},
-                    depth=f.depth,
-                ),
-                None,
-            )
-        derived.append((diff // p) % p)
-    for u in range(window):
-        base = f.evaluate(u)
-        d = derived[u]
-        for s in range(1, s_max + 1):
-            mod = p ** (s + 1)
-            step = p**s
-            for h in range(1, p):
-                lhs = f.evaluate(u + step * h) % mod
-                rhs = (base + step * h * d) % mod
-                if lhs != rhs:
-                    return UD1Report(
-                        failing(
-                            "ud1-direct",
-                            "congruence",
-                            witness={"u": u, "s": s, "h": h, "lhs": lhs, "rhs": rhs},
-                            depth=f.depth,
-                        ),
-                        DerivedFunction(p, 1, tuple(derived)),
-                    )
-    return UD1Report(
-        passing("ud1-direct", depth=f.depth, s_max=s_max),
-        DerivedFunction(p, 1, tuple(derived)),
-    )
+    values = f.value_array(ud1_window(p, f.depth))
+    _, first, derived = backends.ud1_table_scan(values[None, :], p, f.depth, s_max)
+    u, s, h = first[0].tolist()
+    if s == 0:
+        return UD1Report(
+            failing(
+                "ud1-direct",
+                "derivative-integrality",
+                witness={"u": u, "difference": int(values[u + p] - values[u]) % window},
+                depth=f.depth,
+            ),
+            None,
+        )
+    derived = DerivedFunction(p, 1, tuple(derived[0].tolist()))
+    if u >= 0:
+        mod = p ** (s + 1)
+        shift = p**s * h
+        lhs = int(values[u + shift]) % mod
+        rhs = (int(values[u]) + shift * derived.values[u]) % mod
+        return UD1Report(
+            failing(
+                "ud1-direct",
+                "congruence",
+                witness={"u": u, "s": s, "h": h, "lhs": lhs, "rhs": rhs},
+                depth=f.depth,
+            ),
+            derived,
+        )
+    return UD1Report(passing("ud1-direct", depth=f.depth, s_max=s_max), derived)
 
 
 def vdp_ud1_relations_check(
@@ -175,12 +172,13 @@ def mahler_ud1_predicate(series: CoefficientSeries) -> CriterionVerdict:
         raise InputError("mahler_ud1_predicate expects a mahler series")
     p = series.prime
     name = "ud1-mahler-predicate"
+    s, power = 0, 1  # p^s <= n < p^(s+1)
     for n, term in enumerate(series.terms):
+        if n == power * p:
+            s, power = s + 1, power * p
         if n < p:
             continue
-        digits = p_digits(n, p)
-        s = len(digits) - 1
-        lead = digits[-1]
+        lead = n // power
         if s >= 2 or (p > 2 and lead >= 2):
             required = s + 1
         else:
@@ -197,15 +195,22 @@ def mahler_ud1_predicate(series: CoefficientSeries) -> CriterionVerdict:
     return passing(name, depth=series.exponent, checked_terms=len(series))
 
 
-def ud1_equivalence_crosscheck(f: PadicFunction, s_max: int | None = None) -> dict:
+def ud1_equivalence_crosscheck(
+    f: PadicFunction, s_max: int | None = None, vdp: CoefficientSeries | None = None
+) -> dict:
     """Run all three routes and report whether they agree.
 
     Also checks that the direct-sweep derivative residues match the
-    normalized level-1 van der Put terms class by class.
+    normalized level-1 van der Put terms class by class.  vdp, when given,
+    is f's full-length van der Put series, so a caller that already holds
+    it does not extract it again.
     """
     report = ud1_check(f, s_max=s_max)
     count = f.prime**f.depth
-    vdp = vdp_coefficients(f, count=count)
+    if vdp is None:
+        vdp = vdp_coefficients(f, count=count)
+    elif (vdp.kind, vdp.prime, vdp.exponent, len(vdp)) != ("vdp", f.prime, f.depth, count):
+        raise InputError("vdp must be the full-length van der Put series of f")
     mahler = mahler_coefficients(f, count=count)
     vdp_verdict = vdp_ud1_relations_check(vdp, s_max=s_max)
     mahler_verdict = mahler_ud1_predicate(mahler)
@@ -213,8 +218,12 @@ def ud1_equivalence_crosscheck(f: PadicFunction, s_max: int | None = None) -> di
     derived_consistent = None
     if report.verdict.passed and report.derived is not None:
         derived_consistent = True
+        branch: dict[int, int] = {}  # residue class r -> normalized B_{r+p}
         for u, d in enumerate(report.derived.values):
-            if d != vdp.normalized((u % f.prime) + f.prime, 1):
+            r = u % f.prime
+            if r not in branch:
+                branch[r] = vdp.normalized(r + f.prime, 1)
+            if d != branch[r]:
                 derived_consistent = False
                 break
     return {

@@ -1,6 +1,7 @@
 """Array kernels for the heavy sweeps, as vectorized numpy passes.
 
-Every kernel computes exact modular integer results in int64.
+Every kernel computes exact modular integer results: in int64, or in object
+arrays of Python integers where a modulus is too large for int64.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import InputError, InternalCheckError
+from .errors import InputError
 
 # Whether numba is importable; nothing here uses it.  The benchmark
 # (perfbench/worker.py) records this flag in its environment report.
@@ -23,10 +24,25 @@ def current_backend() -> str:
     return "numpy"
 
 
-def _check_modulus(modulus: int) -> None:
-    # products (modulus-1)^2 and row sums must stay inside int64
-    if modulus <= 0 or modulus > 1 << 31:
-        raise InputError(f"modulus {modulus} outside the supported int64-safe range")
+def int_dtype(modulus: int, npoints: int):
+    """int64 when a residue times npoints + 1 fits in it, else object.
+
+    Every kernel here keeps its intermediates below that product (a Horner
+    step, a running sum over npoints residues, a difference of residues),
+    so an object array runs the same code on exact Python integers.
+    """
+    return np.int64 if modulus * (npoints + 1) < 1 << 63 else object
+
+
+def _reduced(rows, modulus: int, npoints: int) -> np.ndarray:
+    """2-D array of integer rows mod modulus, reduced before any narrowing,
+    so integers beyond int64 stay exact."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2:
+        raise InputError("expected a 2-D array of integer rows")
+    if rows.dtype.kind != "i":  # integers beyond int64 arrive as object or uint64
+        rows = rows.astype(object) % modulus
+    return rows.astype(int_dtype(modulus, npoints)) % modulus
 
 
 # -- polynomial value tables ------------------------------------------
@@ -35,10 +51,9 @@ def _check_modulus(modulus: int) -> None:
 def poly_tables(coeffs, npoints: int, modulus: int) -> np.ndarray:
     """Values of each integer polynomial (rows of coeffs, constant first)
     at x = 0..npoints-1, mod modulus."""
-    _check_modulus(modulus)
-    coeffs = np.asarray(coeffs, dtype=np.int64) % modulus
-    xs = np.arange(npoints, dtype=np.int64)
-    out = np.zeros((coeffs.shape[0], npoints), dtype=np.int64)
+    coeffs = _reduced(coeffs, modulus, npoints)
+    xs = np.arange(npoints).astype(coeffs.dtype)
+    out = np.zeros((coeffs.shape[0], npoints), dtype=coeffs.dtype)
     for d in range(coeffs.shape[1] - 1, -1, -1):
         out = (out * xs + coeffs[:, d : d + 1]) % modulus
     return out
@@ -49,16 +64,28 @@ def poly_tables(coeffs, npoints: int, modulus: int) -> np.ndarray:
 
 def mahler_batch(values, modulus: int) -> np.ndarray:
     """Iterated forward differences along axis 1: column n holds the n-th
-    Mahler coefficient of each row's value sequence, mod modulus."""
-    _check_modulus(modulus)
-    work = np.asarray(values, dtype=np.int64) % modulus
+    Mahler coefficient of each row's value sequence, mod modulus.
+
+    Differences are taken between two alternating buffers and reduced only
+    when the next one could leave int64: entries stay below a bound that
+    doubles with each difference.
+    """
+    work = _reduced(values, modulus, 1)
     count, n = work.shape
-    out = np.empty((count, n), dtype=np.int64)
+    out = np.empty((count, n), dtype=work.dtype)
+    spare = np.empty_like(work)
+    bound = modulus  # |entries of work| < bound
     for step in range(n):
-        out[:, step] = work[:, step]
-        if step < n - 1:
-            work[:, step + 1 :] = (work[:, step + 1 :] - work[:, step:-1]) % modulus
-    return out
+        out[:, step] = work[:, 0]
+        live = n - step  # work[:, :live] holds the step-th differences
+        if live > 1:
+            if bound > 1 << 61:
+                work[:, :live] %= modulus
+                bound = modulus
+            np.subtract(work[:, 1:live], work[:, : live - 1], out=spare[:, : live - 1])
+            work, spare = spare, work
+            bound *= 2
+    return out % modulus
 
 
 # -- transitivity scans ----------------------------------------------
@@ -91,36 +118,41 @@ def batch_transitive_polys(coeffs, p: int, k: int) -> np.ndarray:
 # -- exact value matrices for batched UD1 sweeps ----------------------
 
 
-def binomial_matrix_mod(nrows: int, ncols: int, modulus: int) -> np.ndarray:
-    """Pascal matrix C(x, n) mod modulus for x < nrows, n < ncols."""
-    _check_modulus(modulus)
-    out = np.zeros((nrows, ncols), dtype=np.int64)
-    out[:, 0] = 1
-    for x in range(1, nrows):
-        upto = min(x + 1, ncols)
-        out[x, 1:upto] = (out[x - 1, 1:upto] + out[x - 1, 0 : upto - 1]) % modulus
-    return out
-
-
 def mahler_value_matrix(terms, p: int, depth: int, npoints: int) -> np.ndarray:
     """Exact values of finite Mahler sums at x = 0..npoints-1, mod p^depth.
 
     terms is (count, length); row i holds the coefficients of one function.
+    By the hockey-stick identity C(x, r) = sum_{y<x} C(y, r-1), the tail
+    sums g_n(x) = sum_{j>=n} a_j C(x, j-n) obey g_n(x) = a_n + sum_{y<x}
+    g_{n+1}(y), so f = g_0 follows from the last term back to the first
+    with one running sum per term and O(npoints) memory per row.
     """
     mod = p**depth
-    _check_modulus(mod)
-    terms = np.asarray(terms, dtype=np.int64) % mod
-    pascal = binomial_matrix_mod(npoints, terms.shape[1], mod)
-    if terms.shape[1] * (mod - 1) * (mod - 1) > (1 << 62):
-        raise InternalCheckError("mahler_value_matrix would overflow int64")
-    return (pascal @ terms.T).T % mod
+    terms = _reduced(terms, mod, npoints)
+    g = np.empty((terms.shape[0], npoints), dtype=terms.dtype)
+    g[:] = terms[:, -1:]
+    for n in range(terms.shape[1] - 2, -1, -1):
+        running = np.cumsum(g, axis=1)
+        g[:, 1:] = running[:, :-1]
+        g[:, 0] = 0
+        g += terms[:, n : n + 1]
+        g %= mod
+    return g
 
 
 def ud1_table_scan(tables: np.ndarray, p: int, depth: int, s_max: int | None = None):
     """Vectorized differentiability-mod-p sweep over exact value tables.
 
     tables[:, x] = f(x) mod p^depth for x = 0..W-1 with
-    W >= p^depth + p^(depth-1)*(p-1); returns a boolean array (True = passes).
+    W >= p^depth + p^(depth-1)*(p-1).  Returns (ok, first, derived):
+
+    - ok[i] is True when row i passes;
+    - first[i] is the first failing (u, s, h) of row i in u-major, then s,
+      then h order, or (-1, -1, -1) when it passes.  (u, 0, 0) means
+      f(u + p) - f(u) is not divisible by p; that test covers every u
+      before any congruence is tried;
+    - derived[i, u] is the derivative residue d(u) = (f(u + p) - f(u))/p
+      mod p forced by s = 1, h = 1.
     """
     if s_max is None:
         s_max = depth - 1
@@ -129,17 +161,26 @@ def ud1_table_scan(tables: np.ndarray, p: int, depth: int, s_max: int | None = N
     if tables.shape[1] < need:
         raise InputError(f"value window {tables.shape[1]} < required {need}")
     window = tables[:, :size]
-    diff = (tables[:, p : p + size] - window) % (p**depth)
-    ok = (diff % p == 0).all(axis=1)
-    delta = (diff // p) % p
-    for s in range(1, s_max + 1):
-        step = p**s
+    diff = (tables[:, p : p + size] - window) % size
+    derived = (diff // p) % p
+    pairs = np.array([(s, h) for s in range(1, s_max + 1) for h in range(1, p)])
+    none = size * len(pairs)
+    best = np.full(tables.shape[0], none, dtype=np.int64)  # u * len(pairs) + pair
+    for j, (s, h) in enumerate(pairs.tolist()):
+        shift = p**s * h
         mod = p ** (s + 1)
-        for h in range(1, p):
-            lhs = tables[:, step * h : step * h + size] % mod
-            rhs = (window + step * h * delta) % mod
-            ok &= (lhs == rhs).all(axis=1)
-    return ok
+        bad = tables[:, shift : shift + size] % mod != (window + shift * derived) % mod
+        hit = bad.any(axis=1)
+        best[hit] = np.minimum(best[hit], bad[hit].argmax(axis=1) * len(pairs) + j)
+    first = np.full((tables.shape[0], 3), -1, dtype=np.int64)
+    found = best < none
+    u, j = np.divmod(best[found], len(pairs))
+    first[found] = np.column_stack([u, pairs[j]])
+    integral = diff % p == 0
+    broken = ~integral.all(axis=1)
+    first[broken] = 0
+    first[broken, 0] = integral[broken].argmin(axis=1)
+    return first[:, 0] < 0, first, derived
 
 
 # -- exhaustive binomial congruence scan ------------------------------

@@ -11,12 +11,15 @@ precondition, 3 internal cross-check breach.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import re
 import sys
 
-from . import analysis, criteria, dynamics, funcspace, identities
+import numpy as np
+
+from . import analysis, backends, criteria, dynamics, funcspace, identities
 from .errors import InputError, InternalCheckError, PreconditionError
 from .funcspace import CoefficientSeries, PadicFunction
 
@@ -29,7 +32,13 @@ _TERM_RE = re.compile(r"^([+-]?)(\d*)(?:x(?:\^(\d+))?)?$")
 
 
 def parse_polynomial_text(text: str) -> list[int]:
-    """Coefficients, constant first, from forms like '1+3x+2x^3' or '1,3,0,2'."""
+    """Coefficients, constant first, from forms like '1+3x+2x^3' or '1,3,0,2'.
+
+    Spaces around operators and commas are ignored; a space between two
+    digits is refused rather than read as one number.
+    """
+    if re.search(r"\d\s+\d", text):
+        raise InputError(f"whitespace between digits in {text!r}")
     text = text.replace(" ", "").replace("**", "^")
     if not text:
         raise InputError("empty polynomial")
@@ -138,15 +147,16 @@ def cmd_classify(args) -> int:
     f = resolve_function(args, default_depth=min(4, funcspace.max_depth()))
     if f.depth < 2:
         raise InputError("classification needs depth >= 2")
+    # every route reads the UD1 window; refuse it up front when too large
+    f.value_array(analysis.ud1_window(f.prime, f.depth))
     report: dict = {
         "p": f.prime,
         "depth": f.depth,
         "kind": f.kind,
     }
-    report["lipschitz"] = funcspace.lipschitz_check(
-        funcspace.vdp_coefficients(f)
-    ).to_json_dict()
-    ud1 = analysis.ud1_equivalence_crosscheck(f)
+    vdp = funcspace.vdp_coefficients(f)
+    report["lipschitz"] = funcspace.lipschitz_check(vdp).to_json_dict()
+    ud1 = analysis.ud1_equivalence_crosscheck(f, vdp=vdp)
     if not ud1["agree"]:
         raise InternalCheckError("differentiability routes disagree")
     if ud1["derived_consistent"] is False:
@@ -158,9 +168,7 @@ def cmd_classify(args) -> int:
         "mahler": ud1["mahler"].to_json_dict(),
         "agree": ud1["agree"],
     }
-    report["measure_preserving"] = dynamics.measure_preserving_vdp(
-        funcspace.vdp_coefficients(f)
-    ).to_json_dict()
+    report["measure_preserving"] = dynamics.measure_preserving_vdp(vdp).to_json_dict()
 
     decision = None
     closed = None
@@ -195,37 +203,41 @@ def cmd_enumerate(args) -> int:
     for entry in catalog:
         g = PadicFunction.from_polynomial(entry, 2, 3)
         catalog_tables[tuple(g.value_table(3))] = entry
+    if args.crosscheck:
+        # all 4096 cubics at x = 0..3 mod 8 in one pass, rows in loop order;
+        # their first four Mahler terms, and vdp terms B_m = f(m) - f(m - 2)
+        # for m = 2, 3
+        cubics = np.indices((8, 8, 8, 8), dtype=np.int8).reshape(4, -1)[::-1].T
+        values = backends.poly_tables(cubics, 4, 8)
+        mahler = backends.mahler_batch(values, 8)
+        vdp = values.copy()
+        vdp[:, 2:] = (values[:, 2:] - values[:, :2]) % 8
     classes: dict[tuple, list] = {}
-    total = ergodic_count = 0
-    for a in range(8):
-        for b in range(8):
-            for c in range(8):
-                for d in range(8):
-                    total += 1
-                    coeffs = (d, c, b, a)
-                    verdict = criteria.larin_transitive_mod8(coeffs)
-                    if args.crosscheck:
-                        g = PadicFunction.from_polynomial(coeffs, 2, 3)
-                        mv = criteria.mahler_ergodic_p2(
-                            funcspace.mahler_coefficients(g, 4)
-                        )
-                        vv = criteria.vdp_ergodic_p2(funcspace.vdp_coefficients(g, 4))
-                        if not (verdict.passed == mv.passed == vv.passed):
-                            raise InternalCheckError(
-                                f"criteria disagree on {coeffs}"
-                            )
-                    if not verdict.passed:
-                        continue
-                    ergodic_count += 1
-                    g = PadicFunction.from_polynomial(coeffs, 2, 3)
-                    classes.setdefault(tuple(g.value_table(3)), []).append(coeffs)
+    ergodic_count = 0
+    for i, (a, b, c, d) in enumerate(itertools.product(range(8), repeat=4)):
+        coeffs = (d, c, b, a)
+        verdict = criteria.larin_transitive_mod8(coeffs)
+        if args.crosscheck:
+            mv = criteria.mahler_ergodic_p2(
+                CoefficientSeries("mahler", 2, 3, tuple(mahler[i].tolist()))
+            )
+            vv = criteria.vdp_ergodic_p2(
+                CoefficientSeries("vdp", 2, 3, tuple(vdp[i].tolist()))
+            )
+            if not (verdict.passed == mv.passed == vv.passed):
+                raise InternalCheckError(f"criteria disagree on {coeffs}")
+        if not verdict.passed:
+            continue
+        ergodic_count += 1
+        g = PadicFunction.from_polynomial(coeffs, 2, 3)
+        classes.setdefault(tuple(g.value_table(3)), []).append(coeffs)
     if set(classes) != set(catalog_tables):
         raise InternalCheckError("ergodic map classes do not match the catalog")
     out = {
         "p": 2,
         "degree": 3,
         "modulus": 8,
-        "total": total,
+        "total": 8**4,
         "ergodic": ergodic_count,
         "classes": [
             {

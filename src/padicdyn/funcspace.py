@@ -4,22 +4,25 @@ A function is carried in one of four interchangeable forms: integer
 polynomial, value table mod p^depth, Mahler coefficient series, or van der
 Put coefficient series.  Coefficient series live mod p^k; conversions
 between the bases are exact modular identities and are cross-checked in
-both directions.
+both directions.  Each form also yields one exact value array over a
+window of arguments, from which both series are derived; `evaluate` stays
+the scalar oracle.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
+from . import backends
 from .arith import (
     binomial,
     m_minus,
     require_nonnegative,
     require_prime,
-    valuation,
 )
 from .errors import InputError, NormalizationError, PreconditionError
 from .verdict import CriterionVerdict, failing, passing
@@ -50,17 +53,23 @@ def _check_depth(depth: int) -> None:
         raise InputError(f"depth {depth} exceeds the configured ceiling {max_depth()}")
 
 
-def _check_table_size(p: int, k: int) -> None:
-    if p**k > _TABLE_LIMIT:
-        raise InputError(f"table of size {p}^{k} exceeds the materialization limit")
+def _check_window(p: int, depth: int, npoints: int) -> None:
+    if npoints > _TABLE_LIMIT:
+        raise InputError(
+            f"a window of {npoints} values at p={p}, depth {depth} exceeds "
+            f"the materialization limit of {_TABLE_LIMIT} points"
+        )
 
 
 def floor_log(m: int, p: int) -> int:
     """Exponent e(m) of the leading base-p digit of m, with e(0) = 0."""
     require_prime(p)
     require_nonnegative(m, "m")
-    if m == 0:
-        return 0
+    return _lead_exponent(m, p)
+
+
+def _lead_exponent(m: int, p: int) -> int:
+    """floor_log without re-validating p and m, for per-term loops."""
     e = 0
     while m >= p:
         m //= p
@@ -116,7 +125,7 @@ class CoefficientSeries:
         p^e(i), and InputError when more precision is requested than the
         series carries.
         """
-        e = floor_log(i, self.prime)
+        e = _lead_exponent(i, self.prime)
         avail = self.exponent - e
         if avail < 1:
             raise InputError(
@@ -180,6 +189,7 @@ class PadicFunction:
         self.depth = depth
         self.payload = payload
         self._tables: dict[int, list[int]] = {}
+        self._values: np.ndarray | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -274,13 +284,52 @@ class PadicFunction:
             rest //= p
         return total % mod
 
+    def value_array(self, npoints: int) -> np.ndarray:
+        """Exact values f(0..npoints-1) mod p^depth as one read-only array.
+
+        int64, or Python integers (dtype object) where p^depth * npoints
+        would overflow int64.  Built once per form by a vectorized pass and
+        cached; a shorter window is a prefix of a longer one.  Windows above
+        the materialization limit are refused.
+        """
+        _check_window(self.prime, self.depth, npoints)
+        if self._values is None or len(self._values) < npoints:
+            self._values = self._compute_values(npoints)
+            self._values.flags.writeable = False
+        return self._values[:npoints]
+
+    def _compute_values(self, npoints: int) -> np.ndarray:
+        p, mod = self.prime, self.prime**self.depth
+        if self.kind == "polynomial":
+            return backends.poly_tables([self.payload], npoints, mod)[0]
+        if self.kind == "table":
+            return np.asarray(self.payload, dtype=np.int64)[np.arange(npoints) % mod]
+        terms = self.payload.terms
+        if self.kind == "mahler":
+            return backends.mahler_value_matrix([terms], p, self.depth, npoints)[0]
+        # vdp: add B_m over the digit chain m = x mod p^(j+1), one gather per
+        # level j; a level j >= 1 counts when its digit is nonzero (m >= p^j)
+        coeffs = np.array([t % mod for t in terms], dtype=backends.int_dtype(mod, npoints))
+        xs = np.arange(npoints)
+        total = np.zeros(npoints, dtype=coeffs.dtype)
+        m = xs % p
+        use = m < len(terms)
+        total[use] = coeffs[m[use]]
+        power = p
+        while power < min(npoints, len(terms)):
+            m = xs % (power * p)
+            use = (m >= power) & (m < len(terms))
+            total[use] += coeffs[m[use]]
+            power *= p
+        return total % mod
+
     def value_table(self, k: int | None = None) -> list[int]:
         """Values at 0..p^depth-1, reduced mod p^k."""
         if k is None:
             k = self.depth
         if not 1 <= k <= self.depth:
             raise InputError(f"table depth {k} outside 1..{self.depth}")
-        _check_table_size(self.prime, self.depth)
+        _check_window(self.prime, self.depth, self.prime**self.depth)
         if k not in self._tables:
             size = self.prime**self.depth
             self._tables[k] = [self.evaluate(x, k) for x in range(size)]
@@ -297,7 +346,7 @@ class PadicFunction:
         """
         if not 1 <= k <= self.depth:
             raise InputError(f"reduction depth {k} outside 1..{self.depth}")
-        _check_table_size(self.prime, k)
+        _check_window(self.prime, self.depth, self.prime**k)
         mod = self.prime**k
         if self.kind == "polynomial":
             return [self.evaluate(x, k) for x in range(mod)]
@@ -351,16 +400,19 @@ def _coefficient_window(f: PadicFunction, count, k):
 def vdp_coefficients(
     f: PadicFunction, count: int | None = None, k: int | None = None
 ) -> CoefficientSeries:
-    """B_m: f(m) for m < p, else f(m) - f(m with leading digit removed)."""
+    """B_m: f(m) for m < p, else f(m) - f(m^-), where m^- is m with its
+    leading digit removed; one gather over the value array."""
     count, k = _coefficient_window(f, count, k)
     p = f.prime
-    out = []
-    for m in range(count):
-        if m < p:
-            out.append(f.evaluate(m, k))
-        else:
-            out.append((f.evaluate(m, k) - f.evaluate(m_minus(m, p), k)))
-    return CoefficientSeries("vdp", p, k, tuple(out))
+    values = f.value_array(count)
+    ms = np.arange(count)
+    lead = np.ones(count, dtype=np.int64)  # p^e(m)
+    power = p
+    while power < count:
+        lead[power:] = power
+        power *= p
+    terms = values - np.where(ms >= p, values[ms % lead], 0)
+    return CoefficientSeries("vdp", p, k, tuple((terms % p**k).tolist()))
 
 
 def mahler_coefficients(
@@ -368,13 +420,8 @@ def mahler_coefficients(
 ) -> CoefficientSeries:
     """a_n by iterated forward differences of the value sequence at 0,1,2,..."""
     count, k = _coefficient_window(f, count, k)
-    mod = f.prime**k
-    diffs = [f.evaluate(x, k) for x in range(count)]
-    out = []
-    for n in range(count):
-        out.append(diffs[0])
-        diffs = [(diffs[i + 1] - diffs[i]) % mod for i in range(len(diffs) - 1)]
-    return CoefficientSeries("mahler", f.prime, k, tuple(out))
+    terms = backends.mahler_batch(f.value_array(count)[None, :], f.prime**k)[0]
+    return CoefficientSeries("mahler", f.prime, k, tuple(terms.tolist()))
 
 
 def indicator_mahler_coefficient(n: int, m: int, p: int) -> int:
@@ -466,8 +513,11 @@ def lipschitz_check(
         raise InputError("lipschitz_check expects a function or a series")
     p = series.prime
     name = f"lipschitz-{series.kind}"
+    e, next_power = 0, p  # e(i), with p^e(i) <= i < next_power
     for i, t in enumerate(series.terms):
-        need = min(floor_log(i, p), series.exponent)
+        if i == next_power:
+            e, next_power = e + 1, next_power * p
+        need = min(e, series.exponent)
         if t % p**need != 0:
             return failing(
                 name,
@@ -484,7 +534,7 @@ def lipschitz_direct_check(f: PadicFunction, k: int | None = None) -> CriterionV
         k = f.depth
     if not 1 <= k <= f.depth:
         raise InputError(f"depth {k} outside 1..{f.depth}")
-    _check_table_size(f.prime, k)
+    _check_window(f.prime, f.depth, f.prime**k)
     values = [f.evaluate(x, k) for x in range(f.prime**k)]
     size = len(values)
     for s in range(1, k):

@@ -1,0 +1,167 @@
+"""Write the frozen CLI corpus that tests/test_corpus.py replays.
+
+Each case is the argv (and optional stdin) of one `padic-dyn` call together
+with the stdout and exit code the program gave when the corpus was frozen.
+The replay test requires both to stay byte-identical, so a refactor of the
+numeric core cannot change any answer unnoticed.
+
+Regenerate only on purpose, when an output is meant to change:
+
+    PYTHONPATH=src python3 tests/data/make_corpus.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import random
+import sys
+from pathlib import Path
+
+from padicdyn import cli
+
+OUT = Path(__file__).with_name("cli_corpus.json")
+
+PRIMES_DEPTHS = ((2, 6), (3, 4), (5, 3), (7, 3))
+
+
+def _poly_table(coeffs, p, depth):
+    mod = p**depth
+    out = []
+    for x in range(mod):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        out.append(acc % mod)
+    return out
+
+
+def _vdp_terms(table, p):
+    terms = []
+    for m, value in enumerate(table):
+        if m < p:
+            terms.append(value)
+            continue
+        top = p
+        while top * p <= m:
+            top *= p
+        terms.append(value - table[m % top])  # m % top drops the leading digit
+    return terms
+
+
+def _digits(n, p):
+    out = []
+    while n:
+        out.append(n % p)
+        n //= p
+    return out
+
+
+def _cases(rng: random.Random) -> list[dict]:
+    cases = []
+
+    def add(argv, stdin=None):
+        cases.append({"argv": argv, "stdin": stdin})
+
+    for p, depth in PRIMES_DEPTHS:
+        mod = p**depth
+        top = p ** (depth - 1)
+        ergodic = [1 + p * rng.randrange(mod), 1 + p * rng.randrange(mod)]
+        ergodic += [p * rng.randrange(mod) for _ in range(3)]
+        other = [rng.randrange(mod) for _ in range(5)]
+        for coeffs in (ergodic, other):
+            text = "+".join(f"{c}x^{i}" if i else str(c) for i, c in enumerate(coeffs))
+            add(["classify", text, "-p", str(p), "--depth", str(depth)])
+        add(["classify", ",".join(map(str, other)), "-p", str(p), "--depth", "2"])
+
+        ud1_table = _poly_table(ergodic, p, depth)
+        # 1-Lipschitz but not UD1: perturb the top digit only
+        lip_table = [(v + top * rng.randrange(p)) % mod for v in ud1_table]
+        wild_table = [rng.randrange(mod) for _ in range(mod)]
+        for table in (ud1_table, lip_table, wild_table):
+            blob = {"kind": "table", "p": p, "depth": depth, "values": table}
+            add(["classify", "-"], json.dumps(blob))
+        for table in (ud1_table, lip_table, wild_table):
+            terms = [str(t) for t in _vdp_terms(table, p)]
+            blob = {"kind": "vdp", "p": p, "k": depth, "terms": terms}
+            add(["classify", "-"], json.dumps(blob))
+            short = {"kind": "vdp", "p": p, "k": depth, "terms": terms[: p * p]}
+            add(["classify", "-"], json.dumps(short))
+
+        # Mahler series: the UD1 divisibility profile, the 1-Lipschitz floor
+        # v_p(a_n) >= e(n) only, and unconstrained terms
+        admissible = []
+        for n in range(p * p):
+            need = 0 if n < p else (2 if p > 2 and n // p >= 2 else 1)
+            admissible.append(p**need * rng.randrange(mod) % mod)
+        admissible[0], admissible[1] = 1, 1 + p * admissible[1] % mod
+        floor = [p ** (len(_digits(n, p)) - 1 if n else 0) * rng.randrange(mod) % mod
+                 for n in range(p**3)]
+        free = [rng.randrange(mod) for _ in range(p * p)]
+        for terms in (admissible, floor, free):
+            blob = {"kind": "mahler", "p": p, "k": depth, "terms": [str(t) for t in terms]}
+            add(["classify", "-"], json.dumps(blob))
+
+        for basis in ("mahler", "vdp"):
+            add(["expand", ",".join(map(str, other)), "-p", str(p), "--depth", str(depth),
+                 "--basis", basis, "--count", str(mod), "--normalized"])
+            add(["expand", "x^3+x+1", "-p", str(p), "--depth", "2", "--basis", basis,
+                 "--count", str(3 * p * p)])
+            for table in (lip_table, wild_table):
+                blob = {"kind": "table", "p": p, "depth": depth, "values": table}
+                add(["expand", "-", "--basis", basis, "--count", str(mod), "--normalized"],
+                    json.dumps(blob))
+            blob = {"kind": "mahler", "p": p, "k": depth,
+                    "terms": [str(t) for t in admissible]}
+            add(["expand", "-", "--basis", basis, "--count", str(2 * p * p),
+                 "--normalized"], json.dumps(blob))
+
+    add(["classify", "x+1", "-p", "3"])
+    add(["classify", "x+1", "-p", "5", "--depth", "3"])
+    add(["classify", "x+1", "-p", "7", "--depth", "3"])
+    add(["classify", "1+3x+2x^3", "-p", "2"])
+    add(["classify", "x+1", "-p", "2", "--depth", "5", "--mu", "4"])
+    add(["classify", "1+x-12345678901234567890123x^2", "-p", "3", "--depth", "5"])
+    add(["expand", "x+1", "-p", "2147483647", "--depth", "2", "--count", "3",
+         "--basis", "mahler"])
+    add(["expand", "x^2+x+1", "-p", "2147483647", "--depth", "2", "--count", "4"])
+    add(["expand", "x^2+7x+1", "-p", "65521", "--depth", "2", "--count", "4",
+         "--basis", "mahler", "--normalized"])
+    add(["expand", "x^2+7x+1", "-p", "65521", "--depth", "2", "--count", "4"])
+    add(["expand", "99999999999999999999999x^3+x", "-p", "5", "--depth", "3",
+         "--basis", "mahler", "--count", "6"])
+    add(["enumerate", "--crosscheck"])
+    add(["enumerate"])
+    return cases
+
+
+def run_case(case: dict) -> tuple[int, str]:
+    """Exit code and stdout of one in-process CLI call."""
+    out = io.StringIO()
+    stdin = io.StringIO(case["stdin"] or "")
+    saved = sys.stdin
+    sys.stdin = stdin
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(case["argv"])
+            except SystemExit as exc:  # argparse refusals
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
+
+
+def main() -> None:
+    cases = _cases(random.Random("padicdyn-corpus"))
+    for case in cases:
+        case["exit"], case["stdout"] = run_case(case)
+    OUT.write_text(json.dumps(cases, indent=1) + "\n")
+    codes = [c["exit"] for c in cases]
+    print(f"{len(cases)} cases, exit codes {sorted(set(codes))}: "
+          + ", ".join(f"{k}x{codes.count(k)}" for k in sorted(set(codes))))
+
+
+if __name__ == "__main__":
+    main()

@@ -255,7 +255,7 @@ def test_c07_differentiability_divisibility():
         vals = backends.mahler_value_matrix(
             np.array(rows, dtype=np.int64), p, 4, p ** 4 + p ** 3 * (p - 1)
         )
-        passed = backends.ud1_table_scan(vals, p, 4)
+        passed, _, _ = backends.ud1_table_scan(vals, p, 4)
         sufficiency_bad += 500 - int(passed.sum())
     elapsed = time.perf_counter() - t0
     _report(7, "differentiability divisibility",

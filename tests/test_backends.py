@@ -40,13 +40,6 @@ def test_transitive_scan_matches_cycle_check():
         assert bool(bit) == transitive_mod(f, 3).passed
 
 
-def test_binomial_matrix_mod():
-    M = backends.binomial_matrix_mod(10, 6, 1000)
-    for n in range(10):
-        for k in range(6):
-            assert M[n, k] == math.comb(n, k) % 1000
-
-
 def test_mahler_value_matrix_matches_evaluate():
     rng = random.Random(74)
     terms = np.array(
@@ -81,7 +74,7 @@ def test_ud1_table_scan_matches_direct():
         g = PadicFunction.from_mahler(CoefficientSeries("mahler", p, depth, terms))
         funcs.append(g)
         rows.append([g.evaluate(x) for x in range(window)])
-    flags = backends.ud1_table_scan(np.array(rows, dtype=np.int64), p, depth)
+    flags, _, _ = backends.ud1_table_scan(np.array(rows, dtype=np.int64), p, depth)
     for bit, f in zip(flags, funcs):
         assert bool(bit) == ud1_check(f).verdict.passed
 
@@ -127,12 +120,25 @@ def test_poly_tables_rejects_ragged():
         backends.poly_tables([[1, 2], [1, 2, 3]], 8, 8)
 
 
-def test_modulus_and_overflow_guards():
-    from padicdyn.errors import InternalCheckError
+def _differences(values, mod):
+    out = []
+    while values:
+        out.append(values[0] % mod)
+        values = [b - a for a, b in zip(values, values[1:])]
+    return out
 
-    # modulus beyond the int64-safe cap
-    with pytest.raises(InputError):
-        backends.mahler_value_matrix(np.ones((1, 2), dtype=np.int64), 2, 40, 4)
-    # modulus allowed but the accumulated product would not fit
-    with pytest.raises(InternalCheckError):
-        backends.mahler_value_matrix(np.ones((1, 2), dtype=np.int64), 2, 31, 4)
+
+def test_wide_modulus_stays_exact():
+    # where int64 could overflow, the kernels run the same code on Python ints
+    for p, depth in ((2, 31), (2, 40), (2147483647, 2), (3, 60)):
+        mod = p**depth
+        terms = [1, mod - 1, 3, 10**40]
+        values = backends.mahler_value_matrix([terms], p, depth, 6)
+        assert values.tolist() == [
+            [sum(t * math.comb(x, n) for n, t in enumerate(terms)) % mod for x in range(6)]
+        ]
+        coeffs = [mod - 1, -(10**30), 1]
+        table = backends.poly_tables([coeffs], 6, mod)
+        exact = [sum(c * x**i for i, c in enumerate(coeffs)) % mod for x in range(6)]
+        assert table.tolist() == [exact]
+        assert backends.mahler_batch(table, mod).tolist() == [_differences(exact, mod)]

@@ -46,10 +46,13 @@ def test_parse_polynomial_text():
     assert cli.parse_polynomial_text("1, -3, 0, 2") == [1, -3, 0, 2]
     assert cli.parse_polynomial_text("x") == [0, 1]
     assert cli.parse_polynomial_text("-x^2+x") == [0, 1, -1]
+    assert cli.parse_polynomial_text("1 + 2x") == [1, 2]
+    assert cli.parse_polynomial_text(" 12 x ^ 2 - 3 ") == [-3, 0, 12]
 
 
 def test_parse_polynomial_errors():
-    for bad in ("", "2y+1", "x^", "1,two,3", "x+", "x++x", "1,,2", "1,2,"):
+    for bad in ("", "2y+1", "x^", "1,two,3", "x+", "x++x", "1,,2", "1,2,",
+                "1 2 3", "1 2+x", "x^1 0"):
         with pytest.raises(InputError):
             cli.parse_polynomial_text(bad)
 
@@ -100,6 +103,39 @@ def test_expand_vdp(capsys):
     assert code == 0
     assert payload["kind"] == "vdp"
     assert payload["terms"] == ["1", "6", "22", "58"]
+
+
+@pytest.mark.parametrize("p", [2147483647, 65521])
+def test_expand_wide_modulus_is_exact(capsys, p):
+    # p^2 is beyond 2^31; at p = 2^31 - 1, p^2 times the count is beyond int64
+    for text, basis, terms in (
+        ("x+1", "mahler", ["1", "1", "0"]),
+        ("x+1", "vdp", ["1", "2", "3"]),
+        ("x^2+7x+1", "mahler", ["1", "8", "2"]),
+    ):
+        code, payload, _ = _run_json(
+            capsys,
+            ["expand", text, "-p", str(p), "--depth", "2", "--count", "3",
+             "--basis", basis],
+            schema="series.schema.json",
+        )
+        assert code == 0
+        assert payload["terms"] == terms
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["expand", "x+1", "-p", "3", "--count", "100000000"],
+         "window of 100000000 values at p=3, depth 6"),
+        (["classify", "x+1", "-p", "5", "--depth", "12"],
+         "window of 439453125 values at p=5, depth 12"),
+    ],
+)
+def test_oversized_window_refused(capsys, argv, message):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and message in err
 
 
 def test_classify_not_ergodic(capsys):

@@ -1,0 +1,28 @@
+"""Replay the frozen CLI corpus: stdout and exit codes must stay byte-identical.
+
+The corpus (tests/data/cli_corpus.json, written by tests/data/make_corpus.py)
+covers classify on all four input kinds at p in {2, 3, 5, 7}, UD1-passing
+and UD1-failing, non-Lipschitz inputs that exit 2, expand in both bases,
+moduli beyond int64 products, and enumerate with and without --crosscheck.
+"""
+
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from padicdyn import cli
+
+CORPUS = json.loads((Path(__file__).parent / "data" / "cli_corpus.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", CORPUS, ids=[f"{i:03d}-{c['argv'][0]}" for i, c in enumerate(CORPUS)]
+)
+def test_corpus_replays_byte_identically(case, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(case["stdin"] or ""))
+    code = cli.main(case["argv"])
+    out = capsys.readouterr().out
+    assert (code, out) == (case["exit"], case["stdout"])
