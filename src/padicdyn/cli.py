@@ -30,12 +30,23 @@ from .funcspace import CoefficientSeries, PadicFunction
 
 _TERM_RE = re.compile(r"^([+-]?)(\d*)(?:x(?:\^(\d+))?)?$")
 
+# polynomial input of this degree or more is refused before any table is built
+_DEGREE_LIMIT = 1 << 16
+
+
+def _check_degree(degree: int) -> None:
+    if degree >= _DEGREE_LIMIT:
+        raise InputError(
+            f"polynomial degree {degree} is not below the degree bound {_DEGREE_LIMIT}"
+        )
+
 
 def parse_polynomial_text(text: str) -> list[int]:
     """Coefficients, constant first, from forms like '1+3x+2x^3' or '1,3,0,2'.
 
     Spaces around operators and commas are ignored; a space between two
-    digits is refused rather than read as one number.
+    digits is refused rather than read as one number.  Degrees at or above
+    the degree bound are refused.
     """
     if re.search(r"\d\s+\d", text):
         raise InputError(f"whitespace between digits in {text!r}")
@@ -43,10 +54,9 @@ def parse_polynomial_text(text: str) -> list[int]:
     if not text:
         raise InputError("empty polynomial")
     if "x" not in text:
-        try:
-            return [int(part) for part in text.split(",")]
-        except ValueError as exc:
-            raise InputError(f"bad coefficient list: {exc}") from None
+        parts = text.split(",")
+        _check_degree(len(parts) - 1)
+        return _ints(parts)
     chunks = re.findall(r"[+-]?[^+-]+", text)
     if "".join(chunks) != text:
         raise InputError(f"empty term in polynomial {text!r}")
@@ -56,20 +66,28 @@ def parse_polynomial_text(text: str) -> list[int]:
         if not m or (not m.group(2) and "x" not in chunk):
             raise InputError(f"cannot parse term {chunk!r}")
         sign = -1 if m.group(1) == "-" else 1
-        coef = int(m.group(2)) if m.group(2) else 1
+        coef = _int(m.group(2)) if m.group(2) else 1
         if "x" not in chunk:
             exp = 0
         elif m.group(3) is not None:
-            exp = int(m.group(3))
+            exp = _int(m.group(3))
         else:
             exp = 1
+        _check_degree(exp)
         coeffs[exp] = coeffs.get(exp, 0) + sign * coef
     top = max(coeffs)
     return [coeffs.get(i, 0) for i in range(top + 1)]
 
 
+def _int(value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad integer: {exc}") from None
+
+
 def _ints(seq) -> list[int]:
-    return [int(x) for x in seq]
+    return [_int(x) for x in seq]
 
 
 def function_from_json(data: dict, depth: int | None) -> PadicFunction:
@@ -79,8 +97,9 @@ def function_from_json(data: dict, depth: int | None) -> PadicFunction:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed function object: {exc}") from None
     if kind == "polynomial":
-        if "coeffs" not in data:
-            raise InputError("polynomial object needs 'coeffs'")
+        if not isinstance(data.get("coeffs"), list):
+            raise InputError("polynomial object needs a 'coeffs' list")
+        _check_degree(len(data["coeffs"]) - 1)
         return PadicFunction.from_polynomial(
             _ints(data["coeffs"]), p, depth or funcspace.max_depth()
         )
@@ -147,8 +166,10 @@ def cmd_classify(args) -> int:
     f = resolve_function(args, default_depth=min(4, funcspace.max_depth()))
     if f.depth < 2:
         raise InputError("classification needs depth >= 2")
-    # every route reads the UD1 window; refuse it up front when too large
+    # every route reads the UD1 window and the full Mahler series; refuse
+    # either up front when too large
     f.value_array(analysis.ud1_window(f.prime, f.depth))
+    funcspace.check_mahler_length(f.prime, f.depth, f.prime**f.depth)
     report: dict = {
         "p": f.prime,
         "depth": f.depth,

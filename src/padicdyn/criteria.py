@@ -12,6 +12,7 @@ prescribed reductions and a linear form predicts the third condition.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -571,11 +572,14 @@ def p5_instance(
     )
 
 
-def _mahler_derivative_residue(terms: Sequence[int], x: int, p: int) -> int:
-    """Formal derivative of a finite Mahler sum at an integer, mod p.
+def _mahler_derivative_residues(
+    terms: Sequence[int], xs: Sequence[int], p: int
+) -> list[int]:
+    """Formal derivative of a finite Mahler sum at each integer of xs, mod p.
 
-    The sum is converted to the power basis over exact rationals; the
-    denominators are prime to p for the lengths used here (< 2p).
+    The sum is converted to the power basis over exact rationals once; the
+    denominators are prime to p for the lengths used here (< 2p), and each
+    value is checked for that.
     """
     coeffs: list[Fraction] = [Fraction(0)] * (len(terms) + 1)
     binom_poly = [Fraction(1)]  # C(x, 0)
@@ -589,12 +593,20 @@ def _mahler_derivative_residue(terms: Sequence[int], x: int, p: int) -> int:
             binom_poly = new
         for i, coef in enumerate(binom_poly):
             coeffs[i] += a * coef
-    value = Fraction(0)
-    for i in range(1, len(coeffs)):
-        value += i * coeffs[i] * x ** (i - 1)
-    if value.denominator % p == 0:
-        raise InternalCheckError("derivative residue has p in the denominator")
-    return value.numerator * inverse_mod(value.denominator % p, p) % p
+    # the derivative as integer numerators over one common denominator
+    deriv = [i * coeffs[i] for i in range(1, len(coeffs))]
+    den = math.lcm(*(c.denominator for c in deriv))
+    nums = [c.numerator * (den // c.denominator) for c in reversed(deriv)]
+    out = []
+    for x in xs:
+        acc = 0
+        for c in nums:
+            acc = acc * x + c
+        value = Fraction(acc, den)
+        if value.denominator % p == 0:
+            raise InternalCheckError("derivative residue has p in the denominator")
+        out.append(value.numerator * inverse_mod(value.denominator % p, p) % p)
+    return out
 
 
 def p5_linear_form(
@@ -622,9 +634,9 @@ def p5_linear_form(
     for _ in range(p - 1):
         orbit.append(g0.evaluate(orbit[-1], 1))
     deriv = []
-    for x in orbit:
+    formal = _mahler_derivative_residues(g0.payload.terms, orbit, p)
+    for x, via_formal in zip(orbit, formal):
         via_branch = series.normalized((x % p) + p, 1)
-        via_formal = _mahler_derivative_residue(list(g0.payload.terms), x, p)
         if via_branch != via_formal:
             raise InternalCheckError(
                 f"derivative routes disagree at x={x}: {via_branch} vs {via_formal}"

@@ -29,6 +29,9 @@ from .verdict import CriterionVerdict, failing, passing
 
 _TABLE_LIMIT = 1 << 26
 
+# the Mahler difference table is quadratic in the series length
+_MAHLER_LIMIT = 1 << 18
+
 DEFAULT_MAX_DEPTH = 12
 
 
@@ -58,6 +61,15 @@ def _check_window(p: int, depth: int, npoints: int) -> None:
         raise InputError(
             f"a window of {npoints} values at p={p}, depth {depth} exceeds "
             f"the materialization limit of {_TABLE_LIMIT} points"
+        )
+
+
+def check_mahler_length(p: int, depth: int, count: int) -> None:
+    """Refuse a Mahler series longer than the Mahler length limit."""
+    if count > _MAHLER_LIMIT:
+        raise InputError(
+            f"a Mahler series of {count} terms at p={p}, depth {depth} exceeds "
+            f"the Mahler length limit of {_MAHLER_LIMIT} terms"
         )
 
 
@@ -188,7 +200,7 @@ class PadicFunction:
         self.prime = prime
         self.depth = depth
         self.payload = payload
-        self._tables: dict[int, list[int]] = {}
+        self._scalar: list[int] = []
         self._values: np.ndarray | None = None
 
     # -- constructors -------------------------------------------------
@@ -323,6 +335,18 @@ class PadicFunction:
             power *= p
         return total % mod
 
+    def _scalar_values(self, npoints: int) -> list[int]:
+        """evaluate(x) for x = 0..npoints-1, each point evaluated once.
+
+        The scalar oracle's own cache, grown on demand and independent of
+        the value array; lower levels are derived by reduction, since
+        evaluate(x, k) == evaluate(x) % p^k.
+        """
+        done = len(self._scalar)
+        if done < npoints:
+            self._scalar.extend(self.evaluate(x) for x in range(done, npoints))
+        return self._scalar[:npoints]
+
     def value_table(self, k: int | None = None) -> list[int]:
         """Values at 0..p^depth-1, reduced mod p^k."""
         if k is None:
@@ -330,10 +354,11 @@ class PadicFunction:
         if not 1 <= k <= self.depth:
             raise InputError(f"table depth {k} outside 1..{self.depth}")
         _check_window(self.prime, self.depth, self.prime**self.depth)
-        if k not in self._tables:
-            size = self.prime**self.depth
-            self._tables[k] = [self.evaluate(x, k) for x in range(size)]
-        return list(self._tables[k])
+        top = self._scalar_values(self.prime**self.depth)
+        if k == self.depth:
+            return top
+        mod = self.prime**k
+        return [v % mod for v in top]
 
     # -- reductions and conversions -----------------------------------
 
@@ -349,10 +374,10 @@ class PadicFunction:
         _check_window(self.prime, self.depth, self.prime**k)
         mod = self.prime**k
         if self.kind == "polynomial":
-            return [self.evaluate(x, k) for x in range(mod)]
+            return [v % mod for v in self._scalar_values(mod)]
         values = self.value_table(k)
         table = values[:mod]
-        if check:
+        if check and values[mod:] != table * (self.prime ** (self.depth - k) - 1):
             for x in range(mod, len(values)):
                 if values[x] != table[x % mod]:
                     verdict = failing(
@@ -420,6 +445,8 @@ def mahler_coefficients(
 ) -> CoefficientSeries:
     """a_n by iterated forward differences of the value sequence at 0,1,2,..."""
     count, k = _coefficient_window(f, count, k)
+    _check_window(f.prime, f.depth, count)  # an oversized window is named first
+    check_mahler_length(f.prime, f.depth, count)
     terms = backends.mahler_batch(f.value_array(count)[None, :], f.prime**k)[0]
     return CoefficientSeries("mahler", f.prime, k, tuple(terms.tolist()))
 

@@ -133,6 +133,18 @@ def _cases(rng: random.Random) -> list[dict]:
          "--basis", "mahler", "--count", "6"])
     add(["enumerate", "--crosscheck"])
     add(["enumerate"])
+
+    # generate on both routes (fixed seeds, several instances per call), the
+    # explicit Mahler-route data, and the counterexample catalog
+    for p in (5, 7, 11, 13):
+        for route in ("mahler", "poly"):
+            for seed in (1, 2):
+                add(["generate", "-p", str(p), "--route", route, "--seed", str(seed),
+                     "--count", "3"])
+    add(["generate", "-p", "5", "--phi", "1,2,3,4,0", "--bvec", "2,3,1,1,1",
+         "--lift", "1,0,2,0,3,0,4,1,0,2"])
+    add(["generate", "-p", "7", "--lift", "1,2,3,4,5,6,0,1,2,3,4,5,6,0", "--seed", "3"])
+    add(["verify", "--counterexamples"])
     return cases
 
 

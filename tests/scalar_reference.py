@@ -1,13 +1,18 @@
 """Scalar reference oracles for the array value core.
 
 These are the point-by-point computations the package used before its
-series and the direct UD1 sweep were derived from one value array: every
-value comes from `PadicFunction.evaluate`, every loop is plain Python.  They
-are slow on purpose and serve only as independent references in tests.
+series and the direct UD1 sweep were derived from one value array, and
+before the formal derivative of a Mahler sum was converted to the power
+basis once for all points: every value comes from `PadicFunction.evaluate`
+or from exact rationals, every loop is plain Python.  They are slow on
+purpose and serve only as independent references in tests.
 """
 
+from fractions import Fraction
+
 from padicdyn.analysis import DerivedFunction, UD1Report
-from padicdyn.arith import m_minus
+from padicdyn.arith import inverse_mod, m_minus
+from padicdyn.errors import InternalCheckError
 from padicdyn.funcspace import CoefficientSeries, PadicFunction
 from padicdyn.verdict import failing, passing
 
@@ -81,3 +86,30 @@ def ud1_reference(f: PadicFunction, s_max: int | None = None) -> UD1Report:
         passing("ud1-direct", depth=f.depth, s_max=s_max),
         DerivedFunction(p, 1, tuple(derived)),
     )
+
+
+def mahler_derivative_residue_reference(terms, x: int, p: int) -> int:
+    """Formal derivative of a finite Mahler sum at one integer, mod p.
+
+    The sum is converted to the power basis over exact rationals for this
+    one point; the denominators are prime to p for the lengths used here
+    (< 2p).
+    """
+    coeffs: list[Fraction] = [Fraction(0)] * (len(terms) + 1)
+    binom_poly = [Fraction(1)]  # C(x, 0)
+    for m, a in enumerate(terms):
+        if m > 0:
+            # C(x, m) = C(x, m-1) * (x - m + 1) / m
+            new = [Fraction(0)] * (len(binom_poly) + 1)
+            for i, coef in enumerate(binom_poly):
+                new[i + 1] += coef / m
+                new[i] += coef * Fraction(-(m - 1), m)
+            binom_poly = new
+        for i, coef in enumerate(binom_poly):
+            coeffs[i] += a * coef
+    value = Fraction(0)
+    for i in range(1, len(coeffs)):
+        value += i * coeffs[i] * x ** (i - 1)
+    if value.denominator % p == 0:
+        raise InternalCheckError("derivative residue has p in the denominator")
+    return value.numerator * inverse_mod(value.denominator % p, p) % p

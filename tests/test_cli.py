@@ -52,9 +52,31 @@ def test_parse_polynomial_text():
 
 def test_parse_polynomial_errors():
     for bad in ("", "2y+1", "x^", "1,two,3", "x+", "x++x", "1,,2", "1,2,",
-                "1 2 3", "1 2+x", "x^1 0"):
+                "1 2 3", "1 2+x", "x^1 0", "x^" + "9" * 5000, "9" * 5000 + "x"):
         with pytest.raises(InputError):
             cli.parse_polynomial_text(bad)
+
+
+def test_polynomial_degree_bound():
+    assert len(cli.parse_polynomial_text("x^65535")) == 65536
+    with pytest.raises(InputError, match="degree 65536 is not below the degree bound 65536"):
+        cli.parse_polynomial_text("x^65536")
+    with pytest.raises(InputError, match="degree 65536 "):
+        cli.parse_polynomial_text(",".join(["0"] * 65537))
+
+
+def test_classify_refuses_huge_degree_text(capsys):
+    code, out, err = _run(capsys, ["classify", "x^100000000", "-p", "2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "degree 100000000" in err and "65536" in err
+
+
+def test_classify_refuses_huge_degree_json(capsys, monkeypatch):
+    blob = {"kind": "polynomial", "p": 2, "coeffs": [0] * 65536 + [1]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(blob)))
+    code, out, err = _run(capsys, ["classify", "-"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "degree 65536" in err and "65536" in err
 
 
 def test_function_from_json_kinds():
@@ -79,6 +101,9 @@ def test_function_from_json_malformed():
         cli.function_from_json({"kind": "table", "p": 2, "values": [0, 1]}, None)
     with pytest.raises(InputError):
         cli.function_from_json({"kind": "spline", "p": 2}, 3)
+    for coeffs in ("1,2", 5, ["1", "two"], [[1]]):
+        with pytest.raises(InputError):
+            cli.function_from_json({"kind": "polynomial", "p": 2, "coeffs": coeffs}, 3)
 
 
 def test_expand_mahler(capsys):
@@ -133,6 +158,22 @@ def test_expand_wide_modulus_is_exact(capsys, p):
     ],
 )
 def test_oversized_window_refused(capsys, argv, message):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "x+1", "-p", "3", "--depth", "12"],
+         "Mahler series of 531441 terms at p=3, depth 12 exceeds the Mahler "
+         "length limit of 262144 terms"),
+        (["expand", "x+1", "-p", "3", "--basis", "mahler", "--count", "262145"],
+         "Mahler series of 262145 terms at p=3, depth 6 exceeds"),
+    ],
+)
+def test_oversized_mahler_series_refused(capsys, argv, message):
     code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == "" and err.startswith("error:") and message in err

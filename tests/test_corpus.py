@@ -3,7 +3,9 @@
 The corpus (tests/data/cli_corpus.json, written by tests/data/make_corpus.py)
 covers classify on all four input kinds at p in {2, 3, 5, 7}, UD1-passing
 and UD1-failing, non-Lipschitz inputs that exit 2, expand in both bases,
-moduli beyond int64 products, and enumerate with and without --crosscheck.
+moduli beyond int64 products, enumerate with and without --crosscheck,
+generate on both routes at p in {5, 7, 11, 13} (seeded and with explicit
+--phi/--bvec/--lift data), and verify --counterexamples.
 """
 
 import io

@@ -4,20 +4,35 @@ Random polynomial, table, Mahler and van der Put functions at p in
 {2, 3, 5, 7} and depth 2-5.  Hypothesis runs derandomized with a bounded
 number of examples, so the suite stays deterministic and fast; a failure
 shrinks to a small disagreeing function.
+
+Also pinned here: the scalar orbit oracle evaluates each point of a function
+once and derives every level's table by reduction, and the formal derivative
+of a generated Mahler sum, converted to the power basis once, matches the
+per-point reference.
 """
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from padicdyn.analysis import ud1_check, ud1_window
+from padicdyn.criteria import _mahler_derivative_residues, random_p5_instance
+from padicdyn.dynamics import ergodic_oracle
+from padicdyn.errors import PreconditionError
 from padicdyn.funcspace import (
     CoefficientSeries,
     PadicFunction,
     mahler_coefficients,
     vdp_coefficients,
 )
-from scalar_reference import mahler_reference, ud1_reference, vdp_reference
+from scalar_reference import (
+    mahler_derivative_residue_reference,
+    mahler_reference,
+    ud1_reference,
+    vdp_reference,
+)
 
 # deepest level per prime, so the quadratic scalar references stay quick
 MAX_DEPTH = {2: 5, 3: 5, 5: 4, 7: 3}
@@ -118,3 +133,97 @@ def test_ud1_witness_order(values, witness):
     report = ud1_check(f)
     assert report.verdict.witness == witness
     assert report.verdict == ud1_reference(f).verdict
+
+
+def _every_level_matches_evaluate(f):
+    window = f.prime**f.depth
+    for k in range(1, f.depth + 1):
+        assert f.value_table(k) == [f.evaluate(x, k) for x in range(window)]
+
+
+@core_settings
+@given(functions())
+def test_value_table_reduces_to_every_level(f):
+    _every_level_matches_evaluate(f)
+
+
+def _x_plus_one(p, depth):
+    """x + 1 in all four forms: ergodic, so the oracle walks every level."""
+    mod = p**depth
+    poly = PadicFunction.from_polynomial([1, 1], p, depth)
+    return [
+        poly,
+        PadicFunction.from_table([(x + 1) % mod for x in range(mod)], p, depth),
+        PadicFunction.from_mahler(CoefficientSeries("mahler", p, depth, (1, 1))),
+        PadicFunction.from_vdp(vdp_coefficients(poly)),  # from the value array
+    ]
+
+
+def _ill_defined(p, depth):
+    """A table, a Mahler sum and a vdp sum that are not 1-Lipschitz."""
+    values = [(x + 1) % p**depth for x in range(p**depth)]
+    values[-1] = (values[-1] + 1) % p**depth
+    return [
+        PadicFunction.from_table(values, p, depth),
+        PadicFunction.from_mahler(CoefficientSeries("mahler", p, depth, (0, 0, 0, 1))),
+        PadicFunction.from_vdp(CoefficientSeries("vdp", p, depth, (0, 1, 2, 1))),
+    ]
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_value_table_levels_of_ill_defined_maps(index):
+    f = _ill_defined(3, 4)[index]
+    with pytest.raises(PreconditionError):
+        f.reduce_map(1)
+    _every_level_matches_evaluate(f)
+
+
+@pytest.mark.parametrize("p, depth", [(2, 6), (3, 4), (5, 3)])
+def test_oracle_evaluates_each_point_once(monkeypatch, p, depth):
+    calls = []
+    evaluate = PadicFunction.evaluate
+
+    def counting(self, x, k=None):
+        calls.append(x)
+        return evaluate(self, x, k)
+
+    for f in _x_plus_one(p, depth):
+        monkeypatch.setattr(PadicFunction, "evaluate", counting)
+        calls.clear()
+        assert ergodic_oracle(f).passed
+        monkeypatch.undo()
+        assert len(calls) <= p**depth, f.kind
+        assert sorted(calls) == list(range(p**depth)), f.kind
+
+
+def _first_mismatch(f, k):
+    """The per-x well-definedness loop: first x >= p^k whose value differs
+    from its representative's."""
+    mod = f.prime**k
+    values = [f.evaluate(x, k) for x in range(f.prime**f.depth)]
+    for x in range(mod, len(values)):
+        if values[x] != values[x % mod]:
+            return {"x": x, "x_mod": x % mod, "fx": values[x], "fx_mod": values[x % mod]}
+    return None
+
+
+def test_reduce_map_witness_is_first_late_mismatch():
+    # x + 1 mod 81 with two late entries moved by 3: well defined mod 3 only
+    values = [(x + 1) % 81 for x in range(81)]
+    values[70] = (values[70] + 3) % 81
+    values[80] = (values[80] + 3) % 81
+    f = PadicFunction.from_table(values, 3, 4)
+    assert f.reduce_map(1) == [1, 2, 0]
+    for k, witness in ((2, {"x": 70, "x_mod": 7, "fx": 2, "fx_mod": 8}),
+                       (3, {"x": 70, "x_mod": 16, "fx": 20, "fx_mod": 17})):
+        with pytest.raises(PreconditionError) as info:
+            f.reduce_map(k)
+        assert info.value.verdict.witness == witness == _first_mismatch(f, k)
+
+
+@settings(core_settings, max_examples=60)
+@given(st.sampled_from([5, 7, 11]), st.integers(0, 2**32), st.booleans())
+def test_mahler_derivative_residues_match_reference(p, seed, with_lift):
+    terms = random_p5_instance(p, random.Random(seed), with_lift).series.terms
+    want = [mahler_derivative_residue_reference(terms, x, p) for x in range(p)]
+    assert _mahler_derivative_residues(terms, range(p), p) == want
