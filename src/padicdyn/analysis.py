@@ -11,13 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import backends
 from .arith import p_digits
-from .errors import InputError, NormalizationError
+from .errors import InputError
 from .funcspace import (
     CoefficientSeries,
     PadicFunction,
+    index_levels,
     mahler_coefficients,
+    powers_of,
     vdp_coefficients,
 )
 from .verdict import CriterionVerdict, failing, passing
@@ -124,41 +128,44 @@ def vdp_ud1_relations_check(
     if p ** (s_max + 1) > len(series) or s_max + 1 > series.exponent:
         raise InputError(f"s_max {s_max} exceeds what the series supports")
     name = "ud1-vdp-relations"
-    for s in range(1, s_max + 1):
-        mod = p ** (s + 1)
-        step = p**s
-        for r in range(step):
-            try:
-                ref_norm = series.normalized(r + step, 1)
-            except NormalizationError:
-                return failing(
-                    name,
-                    "normalization",
-                    witness={"index": r + step, "term": series.term(r + step)},
-                    depth=series.exponent,
-                )
-            ref = series.term(r + step)
-            for ell in range(2, p):
-                idx = r + ell * step
-                if (series.term(idx) - ell * ref) % mod != 0:
-                    return failing(
-                        name,
-                        "level-linearity",
-                        witness={"r": r, "s": s, "l": ell,
-                                 "term": series.term(idx), "reference": ref},
-                        depth=series.exponent,
-                    )
-            if s >= 2:
-                base_norm = series.normalized((r % p) + p, 1)
-                if ref_norm != base_norm:
-                    return failing(
-                        name,
-                        "cross-level",
-                        witness={"r": r, "s": s,
-                                 "normalized": ref_norm, "base": base_norm},
-                        depth=series.exponent,
-                    )
-    return passing(name, depth=series.exponent, s_max=s_max)
+    # one row per (s, r), in that order: the reference index q = r + p^s
+    # runs over the indices p <= q < p^(s_max+1) whose leading digit is 1
+    level, lead = index_levels(p ** (s_max + 1), p)
+    q = np.flatnonzero((level >= 1) & (np.arange(len(level)) < 2 * lead))
+    levels, steps = level[q], lead[q]
+    bases = q - steps
+    terms = series.terms
+    refs = terms[q]
+    ells = np.arange(2, p)
+    ref_norms = (refs // steps) % p
+    base_norms = (terms[bases % p + p] // p) % p
+    # columns in the order the conditions are tried: normalization of the
+    # reference, level-linearity for l = 2..p-1, cross-level
+    fails = np.column_stack([
+        refs % steps != 0,
+        (terms[bases[:, None] + ells * steps[:, None]] - ells * refs[:, None])
+        % (steps * p)[:, None] != 0,
+        (levels >= 2) & (ref_norms != base_norms),
+    ])
+    bad = fails.any(axis=1)
+    if not bad.any():
+        return passing(name, depth=series.exponent, s_max=s_max)
+    row = int(bad.argmax())
+    column = int(fails[row].argmax())
+    r, s, ref = int(bases[row]), int(levels[row]), int(refs[row])
+    if column == 0:
+        condition = "normalization"
+        witness = {"index": r + int(steps[row]), "term": ref}
+    elif column < p - 1:
+        ell = column + 1
+        condition = "level-linearity"
+        witness = {"r": r, "s": s, "l": ell,
+                   "term": series.term(r + ell * int(steps[row])), "reference": ref}
+    else:
+        condition = "cross-level"
+        witness = {"r": r, "s": s,
+                   "normalized": int(ref_norms[row]), "base": int(base_norms[row])}
+    return failing(name, condition, witness=witness, depth=series.exponent)
 
 
 def mahler_ud1_predicate(series: CoefficientSeries) -> CriterionVerdict:
@@ -172,27 +179,21 @@ def mahler_ud1_predicate(series: CoefficientSeries) -> CriterionVerdict:
         raise InputError("mahler_ud1_predicate expects a mahler series")
     p = series.prime
     name = "ud1-mahler-predicate"
-    s, power = 0, 1  # p^s <= n < p^(s+1)
-    for n, term in enumerate(series.terms):
-        if n == power * p:
-            s, power = s + 1, power * p
-        if n < p:
-            continue
-        lead = n // power
-        if s >= 2 or (p > 2 and lead >= 2):
-            required = s + 1
-        else:
-            required = s
-        required = min(required, series.exponent)
-        if term % p**required != 0:
-            condition = "lipschitz" if required <= s else "leading-digit"
-            return failing(
-                name,
-                condition,
-                witness={"n": n, "term": term, "required_valuation": required},
-                depth=series.exponent,
-            )
-    return passing(name, depth=series.exponent, checked_terms=len(series))
+    s, power = index_levels(len(series), p)  # p^s <= n < p^(s+1)
+    digit = np.arange(len(series)) // power
+    required = np.minimum(s + ((s >= 2) | ((p > 2) & (digit >= 2))), series.exponent)
+    bad = series.terms % powers_of(p, required, series.terms.dtype) != 0
+    bad[:p] = False
+    if not bad.any():
+        return passing(name, depth=series.exponent, checked_terms=len(series))
+    n = int(bad.argmax())
+    need = int(required[n])
+    return failing(
+        name,
+        "lipschitz" if need <= s[n] else "leading-digit",
+        witness={"n": n, "term": series.term(n), "required_valuation": need},
+        depth=series.exponent,
+    )
 
 
 def ud1_equivalence_crosscheck(
@@ -217,15 +218,7 @@ def ud1_equivalence_crosscheck(
     agree = report.verdict.passed == vdp_verdict.passed == mahler_verdict.passed
     derived_consistent = None
     if report.verdict.passed and report.derived is not None:
-        derived_consistent = True
-        branch: dict[int, int] = {}  # residue class r -> normalized B_{r+p}
-        for u, d in enumerate(report.derived.values):
-            r = u % f.prime
-            if r not in branch:
-                branch[r] = vdp.normalized(r + f.prime, 1)
-            if d != branch[r]:
-                derived_consistent = False
-                break
+        derived_consistent = _derived_matches_branches(report.derived, vdp)
     return {
         "direct": report,
         "vdp": vdp_verdict,
@@ -233,6 +226,25 @@ def ud1_equivalence_crosscheck(
         "agree": agree,
         "derived_consistent": derived_consistent,
     }
+
+
+def _derived_matches_branches(derived: DerivedFunction, vdp: CoefficientSeries) -> bool:
+    """Whether d(u) equals the normalized branch term B_{(u mod p) + p}/p
+    mod p for every u.  Branch r is normalized when class r is first
+    compared (at u = r), so a term not divisible by p raises there unless
+    an earlier class already disagreed."""
+    p = vdp.prime
+    d = np.asarray(derived.values)
+    branch_terms = vdp.terms[p : 2 * p]
+    unnormal = branch_terms % p != 0
+    branch = (branch_terms // p) % p
+    first = unnormal | (d[:p] != branch)
+    if first.any():
+        r = int(first.argmax())
+        if unnormal[r]:
+            raise vdp.normalization_error(r + p)
+        return False
+    return bool((d == branch[np.arange(len(d)) % p]).all())
 
 
 def required_ud1_valuation(n: int, p: int) -> int:

@@ -34,15 +34,17 @@ def int_dtype(modulus: int, npoints: int):
     return np.int64 if modulus * (npoints + 1) < 1 << 63 else object
 
 
-def _reduced(rows, modulus: int, npoints: int) -> np.ndarray:
+def reduced_rows(rows, modulus: int, npoints: int) -> np.ndarray:
     """2-D array of integer rows mod modulus, reduced before any narrowing,
     so integers beyond int64 stay exact."""
-    rows = np.asarray(rows)
-    if rows.ndim != 2:
+    array = np.asarray(rows)
+    if array.ndim != 2:
         raise InputError("expected a 2-D array of integer rows")
-    if rows.dtype.kind != "i":  # integers beyond int64 arrive as object or uint64
-        rows = rows.astype(object) % modulus
-    return rows.astype(int_dtype(modulus, npoints)) % modulus
+    if array.dtype.kind != "i":
+        # integers beyond int64 are inferred as object, as uint64, or (mixed
+        # with smaller ones) as float64, so they are read again as Python ints
+        array = np.array(rows, dtype=object) % modulus
+    return array.astype(int_dtype(modulus, npoints), copy=False) % modulus
 
 
 # -- polynomial value tables ------------------------------------------
@@ -51,7 +53,7 @@ def _reduced(rows, modulus: int, npoints: int) -> np.ndarray:
 def poly_tables(coeffs, npoints: int, modulus: int) -> np.ndarray:
     """Values of each integer polynomial (rows of coeffs, constant first)
     at x = 0..npoints-1, mod modulus."""
-    coeffs = _reduced(coeffs, modulus, npoints)
+    coeffs = reduced_rows(coeffs, modulus, npoints)
     xs = np.arange(npoints).astype(coeffs.dtype)
     out = np.zeros((coeffs.shape[0], npoints), dtype=coeffs.dtype)
     for d in range(coeffs.shape[1] - 1, -1, -1):
@@ -70,7 +72,7 @@ def mahler_batch(values, modulus: int) -> np.ndarray:
     when the next one could leave int64: entries stay below a bound that
     doubles with each difference.
     """
-    work = _reduced(values, modulus, 1)
+    work = reduced_rows(values, modulus, 1)
     count, n = work.shape
     out = np.empty((count, n), dtype=work.dtype)
     spare = np.empty_like(work)
@@ -128,7 +130,7 @@ def mahler_value_matrix(terms, p: int, depth: int, npoints: int) -> np.ndarray:
     with one running sum per term and O(npoints) memory per row.
     """
     mod = p**depth
-    terms = _reduced(terms, mod, npoints)
+    terms = reduced_rows(terms, mod, npoints)
     g = np.empty((terms.shape[0], npoints), dtype=terms.dtype)
     g[:] = terms[:, -1:]
     for n in range(terms.shape[1] - 2, -1, -1):

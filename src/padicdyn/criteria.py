@@ -76,50 +76,75 @@ def larin_transitive_mod8(coeffs: Sequence[int]) -> CriterionVerdict:
     return passing(name)
 
 
-_MERG_P2 = (("a0-mod2", 0, 2, 1), ("a1-mod4", 1, 4, 1),
-            ("a2-mod4", 2, 4, 0), ("a3-mod8", 3, 8, 0))
+# The two p = 2 criteria in row-wise form: each row of terms is the first
+# four terms of one series (values mod 8 suffice), and each criterion is a
+# list of checks, tried in order, of a value computed from the row against
+# the value it must take.  Returns (first, values): first[i] is the index of
+# row i's first failing check, or -1 when every check holds.
+
+_MERG_P2 = (("a0-mod2", 1), ("a1-mod4", 1), ("a2-mod4", 0), ("a3-mod8", 0))
+
+_VERG_P2 = (("normalization", 0), ("b0-mod2", 1), ("b0+b1-mod4", 3),
+            ("b2-mod2", 1), ("b2+b3-mod4", 2))
+
+
+def _first_failing(values: np.ndarray, checks) -> np.ndarray:
+    bad = values != np.array([want for _, want in checks])
+    return np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
+
+
+def mahler_ergodic_p2_rows(terms) -> tuple[np.ndarray, np.ndarray]:
+    """a_0 = 1 (2), a_1 = 1 (4), a_2 = 0 (4), a_3 = 0 (8), row by row."""
+    values = np.asarray(terms)[:, :4] % np.array([2, 4, 4, 8])
+    return _first_failing(values, _MERG_P2), values
+
+
+def vdp_ergodic_p2_rows(terms) -> tuple[np.ndarray, np.ndarray]:
+    """b_0 = 1 (2), b_0 + b_1 = 3 (4), b_2 = 1 (2), b_2 + b_3 = 2 (4) on
+    normalized terms b_m = B_m / 2^e(m), row by row; the first check is that
+    B_2 and B_3 are even, so that b_2 and b_3 exist."""
+    terms = np.asarray(terms)[:, :4]
+    b = (terms // np.array([1, 1, 2, 2])) % 4
+    values = np.column_stack([
+        (terms[:, 2:] % 2 != 0).any(axis=1),
+        b[:, 0] % 2,
+        (b[:, 0] + b[:, 1]) % 4,
+        b[:, 2] % 2,
+        (b[:, 2] + b[:, 3]) % 4,
+    ])
+    return _first_failing(values, _VERG_P2), values
+
+
+def _p2_verdict(kind, series, rows, checks) -> CriterionVerdict:
+    """The verdict on one series: the one-row case of a row-wise criterion."""
+    if series.kind != kind or series.prime != 2:
+        raise InputError(f"{kind}_ergodic_p2 expects a {kind} series over p=2")
+    name = f"{kind}-ergodic-p2"
+    if len(series) < 4 or series.exponent < 3:
+        raise InputError("need at least 4 terms at precision 2^3")
+    first, values = rows(series.terms[None, :4])
+    check = int(first[0])
+    if check < 0:
+        return passing(name, depth=series.exponent)
+    label, want = checks[check]
+    if label == "normalization":
+        m = 2 if series.term(2) % 2 else 3
+        witness = {"error": str(series.normalization_error(m))}
+    else:
+        witness = {"value": int(values[0, check]), "expected": want}
+    return failing(name, label, witness=witness, depth=series.exponent)
 
 
 def mahler_ergodic_p2(series: CoefficientSeries) -> CriterionVerdict:
     """Ergodicity on Z_2 from raw Mahler terms:
     a_0 = 1 (2), a_1 = 1 (4), a_2 = 0 (4), a_3 = 0 (8)."""
-    if series.kind != "mahler" or series.prime != 2:
-        raise InputError("mahler_ergodic_p2 expects a mahler series over p=2")
-    if len(series) < 4 or series.exponent < 3:
-        raise InputError("need at least 4 terms at precision 2^3")
-    name = "mahler-ergodic-p2"
-    for label, idx, mod, want in _MERG_P2:
-        got = series.term(idx) % mod
-        if got != want:
-            return failing(name, label, witness={"value": got, "expected": want},
-                           depth=series.exponent)
-    return passing(name, depth=series.exponent)
+    return _p2_verdict("mahler", series, mahler_ergodic_p2_rows, _MERG_P2)
 
 
 def vdp_ergodic_p2(series: CoefficientSeries) -> CriterionVerdict:
     """Ergodicity on Z_2 from normalized van der Put terms:
     b_0 = 1 (2), b_0 + b_1 = 3 (4), b_2 = 1 (2), b_2 + b_3 = 2 (4)."""
-    if series.kind != "vdp" or series.prime != 2:
-        raise InputError("vdp_ergodic_p2 expects a vdp series over p=2")
-    if len(series) < 4 or series.exponent < 3:
-        raise InputError("need at least 4 terms at precision 2^3")
-    name = "vdp-ergodic-p2"
-    try:
-        b = [series.normalized(m, 2) for m in range(4)]
-    except NormalizationError as exc:
-        return failing(name, "normalization", witness={"error": str(exc)},
-                       depth=series.exponent)
-    checks = [
-        ("b0-mod2", b[0] % 2, 1),
-        ("b0+b1-mod4", (b[0] + b[1]) % 4, 3),
-        ("b2-mod2", b[2] % 2, 1),
-        ("b2+b3-mod4", (b[2] + b[3]) % 4, 2),
-    ]
-    for label, got, want in checks:
-        if got != want:
-            return failing(name, label, witness={"value": got, "expected": want},
-                           depth=series.exponent)
-    return passing(name, depth=series.exponent)
+    return _p2_verdict("vdp", series, vdp_ergodic_p2_rows, _VERG_P2)
 
 
 def vdp_from_mahler_p2(c: Sequence[int]) -> tuple[int, int, int, int]:
@@ -540,6 +565,16 @@ def p5_instance(
     the differentiable class, and the built-in targets are re-extracted and
     cross-checked.
     """
+    phi, bvec, lift, series, f = _p5_function(p, phi, bvec, lift)
+    conditions = p5_conditions(f)
+    return P5Instance(
+        p, phi, bvec, lift, series, f, conditions, conditions["combined"].passed
+    )
+
+
+def _p5_function(p, phi, bvec, lift):
+    """The validated data, the Mahler series and the function of p5_instance,
+    with phi and bvec re-extracted from the function and cross-checked."""
     require_prime(p)
     if p < 5:
         raise InputError("p5_instance needs p >= 5")
@@ -566,10 +601,7 @@ def p5_instance(
     for i in range(p):
         if check.normalized(i + p, 1) != bvec[i]:
             raise InternalCheckError(f"instance missed branch residue at {i}")
-    conditions = p5_conditions(f)
-    return P5Instance(
-        p, phi, bvec, lift, series, f, conditions, conditions["combined"].passed
-    )
+    return phi, bvec, lift, series, f
 
 
 def _mahler_derivative_residues(
@@ -592,7 +624,7 @@ def _mahler_derivative_residues(
                 new[i] += coef * Fraction(-(m - 1), m)
             binom_poly = new
         for i, coef in enumerate(binom_poly):
-            coeffs[i] += a * coef
+            coeffs[i] += int(a) * coef
     # the derivative as integer numerators over one common denominator
     deriv = [i * coeffs[i] for i in range(1, len(coeffs))]
     den = math.lcm(*(c.denominator for c in deriv))
@@ -624,8 +656,7 @@ def p5_linear_form(
     with the two level-1 conditions.  Derivative residues are computed both
     from branch terms and from the formal derivative, and must agree.
     """
-    base = p5_instance(p, phi, bvec)
-    g0 = base.function
+    *_, g0 = _p5_function(p, phi, bvec, None)  # unlifted, without its conditions
     lift = tuple(int(x) % p for x in lift)
     lifted = p5_instance(p, phi, bvec, lift)
     series = vdp_coefficients(g0, count=2 * p)
@@ -634,7 +665,7 @@ def p5_linear_form(
     for _ in range(p - 1):
         orbit.append(g0.evaluate(orbit[-1], 1))
     deriv = []
-    formal = _mahler_derivative_residues(g0.payload.terms, orbit, p)
+    formal = _mahler_derivative_residues(g0.payload.term_list, orbit, p)
     for x, via_formal in zip(orbit, formal):
         via_branch = series.normalized((x % p) + p, 1)
         if via_branch != via_formal:

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from .arith import binomial
 from .errors import InputError, InternalCheckError, PreconditionError
 from .funcspace import CoefficientSeries, PadicFunction, vdp_coefficients, mahler_coefficients
@@ -92,13 +94,6 @@ def orbit_of(f: PadicFunction, k: int, start: int = 0) -> tuple[int, ...]:
     return tuple(orbit)
 
 
-def bijective_mod(f: PadicFunction, k: int) -> CriterionVerdict:
-    report = cycle_structure(f, k)
-    if report.is_permutation:
-        return passing("bijective-mod", depth=k)
-    return failing("bijective-mod", "collision", witness=report.collision, depth=k)
-
-
 def transitive_mod(f: PadicFunction, k: int) -> CriterionVerdict:
     report = cycle_structure(f, k)
     if report.transitive:
@@ -148,13 +143,10 @@ def measure_preserving_vdp(
     name = "measure-preserving-vdp"
     if len(series) < p:
         raise InputError("series too short for the level-0 residue test")
-    base = sorted(series.normalized(m, 1) for m in range(p))
-    if base != list(range(p)):
+    base = (series.terms[:p] % p).tolist()
+    if sorted(base) != list(range(p)):
         return failing(
-            name,
-            "complete-residues",
-            witness={"residues": [series.normalized(m, 1) for m in range(p)]},
-            depth=series.exponent,
+            name, "complete-residues", witness={"residues": base}, depth=series.exponent
         )
     limit = 0
     while p ** (limit + 2) <= len(series) and limit + 2 <= series.exponent:
@@ -165,15 +157,23 @@ def measure_preserving_vdp(
         raise InputError(f"s_max {s_max} exceeds what the series supports ({limit})")
     for s in range(1, s_max + 1):
         step = p**s
-        for k in range(step):
-            residues = [series.normalized(k + ell * step, 1) for ell in range(1, p)]
-            if 0 in residues or len(set(residues)) != p - 1:
-                return failing(
-                    name,
-                    "branch-residues",
-                    witness={"s": s, "k": k, "residues": residues},
-                    depth=series.exponent,
-                )
+        # block[k, l - 1] = B_{k + l p^s}: row k holds base k's branch terms
+        block = series.terms[step : p * step].reshape(p - 1, step).T
+        unnormal = block % step != 0
+        residues = (block // step) % p
+        ordered = np.sort(residues, axis=1)
+        broken = (ordered[:, 0] == 0) | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        bad = unnormal.any(axis=1) | broken
+        if bad.any():
+            k = int(bad.argmax())
+            if unnormal[k].any():  # normalized(k + l p^s, 1) refuses the first such l
+                raise series.normalization_error(k + (int(unnormal[k].argmax()) + 1) * step)
+            return failing(
+                name,
+                "branch-residues",
+                witness={"s": s, "k": k, "residues": residues[k].tolist()},
+                depth=series.exponent,
+            )
     return passing(name, depth=series.exponent, s_max=s_max)
 
 
@@ -230,7 +230,7 @@ def measure_preserving_ud_p2_mahler(
     if bad is not None:
         return bad
     series = mahler_coefficients(f, count=4)
-    a = list(series.terms)
+    a = series.term_list
     checks = [
         ("a1-odd", a[1] % 2, 1),
         ("a2-mod4", a[2] % 4, 0),
@@ -282,7 +282,7 @@ def measure_preserving_ud_odd(
         )
     vdp = vdp_coefficients(f, count=2 * p)
     mahler = mahler_coefficients(f, count=2 * p)
-    c = [mahler.terms[n] for n in range(p)]
+    c = mahler.term_list[:p]
     cp = [mahler.normalized(n + p, 1) for n in range(p)]
     for i in range(p):
         b = vdp.normalized(i + p, 1)

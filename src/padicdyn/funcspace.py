@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +32,11 @@ _TABLE_LIMIT = 1 << 26
 
 # the Mahler difference table is quadratic in the series length
 _MAHLER_LIMIT = 1 << 18
+
+# a van der Put series is linear work, but expand holds it several times over
+# (value array, terms, JSON text); at or above the Mahler limit, so it never
+# binds classify
+_VDP_LIMIT = 1 << 20
 
 DEFAULT_MAX_DEPTH = 12
 
@@ -73,6 +79,15 @@ def check_mahler_length(p: int, depth: int, count: int) -> None:
         )
 
 
+def check_vdp_length(p: int, depth: int, count: int) -> None:
+    """Refuse a van der Put series longer than the vdp length limit."""
+    if count > _VDP_LIMIT:
+        raise InputError(
+            f"a van der Put series of {count} terms at p={p}, depth {depth} exceeds "
+            f"the van der Put length limit of {_VDP_LIMIT} terms"
+        )
+
+
 def floor_log(m: int, p: int) -> int:
     """Exponent e(m) of the leading base-p digit of m, with e(0) = 0."""
     require_prime(p)
@@ -95,19 +110,40 @@ def chi(m: int, x: int, p: int) -> int:
     return 1 if (x - m) % p ** (floor_log(m, p) + 1) == 0 else 0
 
 
-@dataclass(frozen=True)
+def index_levels(count: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """e(i) and p^e(i) for i = 0..count-1, as two int64 arrays."""
+    level = np.zeros(count, dtype=np.int64)
+    lead = np.ones(count, dtype=np.int64)
+    power = p
+    while power < count:
+        level[power:] += 1
+        lead[power:] = power
+        power *= p
+    return level, lead
+
+
+def powers_of(p: int, exponents: np.ndarray, dtype) -> np.ndarray:
+    """p^exponents elementwise, in dtype (exact Python integers for object)."""
+    table = np.array([p**k for k in range(int(exponents.max(initial=0)) + 1)], dtype=dtype)
+    return table[exponents]
+
+
+@dataclass(frozen=True, eq=False)
 class CoefficientSeries:
     """A finite run of basis coefficients known mod p^exponent.
 
     kind is "mahler" (terms[n] = a_n) or "vdp" (terms[m] = B_m).  Terms are
-    stored canonically in [0, p^exponent).  Absent terms mean exact zero: a
-    series of length L denotes the finite sum over indices < L.
+    stored canonically in [0, p^exponent) as one read-only 1-D array: int64,
+    or Python integers (dtype object) where p^exponent times the length
+    would overflow int64.  Absent terms mean exact zero: a series of length
+    L denotes the finite sum over indices < L.  Series compare and hash by
+    value.
     """
 
     kind: str
     prime: int
     exponent: int
-    terms: tuple[int, ...]
+    terms: np.ndarray
 
     def __post_init__(self):
         if self.kind not in ("mahler", "vdp"):
@@ -117,18 +153,43 @@ class CoefficientSeries:
             raise InputError(f"series exponent must be >= 1, got {self.exponent}")
         if len(self.terms) < 1:
             raise InputError("series needs at least one term")
-        mod = self.prime**self.exponent
-        object.__setattr__(self, "terms", tuple(t % mod for t in self.terms))
+        if np.ndim(self.terms) != 1:
+            raise InputError("series terms must be one flat sequence")
+        terms = backends.reduced_rows([self.terms], self.modulus, len(self.terms))[0]
+        terms.flags.writeable = False
+        object.__setattr__(self, "terms", terms)
 
     def __len__(self) -> int:
         return len(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CoefficientSeries):
+            return NotImplemented
+        return (self.kind, self.prime, self.exponent) == (
+            other.kind, other.prime, other.exponent
+        ) and np.array_equal(self.terms, other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.prime, self.exponent, self.term_list))
 
     @property
     def modulus(self) -> int:
         return self.prime**self.exponent
 
+    @cached_property
+    def term_list(self) -> tuple[int, ...]:
+        """The terms as Python integers, for scalar arithmetic."""
+        return tuple(self.terms.tolist())
+
     def term(self, i: int) -> int:
-        return self.terms[i]
+        return int(self.terms[i])
+
+    def normalization_error(self, i: int) -> NormalizationError:
+        """What normalized(i) raises when term i is not divisible by p^e(i)."""
+        e = _lead_exponent(i, self.prime)
+        return NormalizationError(
+            f"{self.kind} term {i} = {self.term(i)} is not divisible by {self.prime}^{e}"
+        )
 
     def normalized(self, i: int, exponent: int | None = None) -> int:
         """Term i divided by p^e(i), as a residue mod p^(self.exponent - e(i)).
@@ -149,18 +210,31 @@ class CoefficientSeries:
             raise InputError(
                 f"requested precision p^{exponent} for term {i}, only p^{avail} known"
             )
-        t = self.terms[i]
+        t = self.term(i)
         scale = self.prime**e
         if t % scale != 0:
-            raise NormalizationError(
-                f"{self.kind} term {i} = {t} is not divisible by {self.prime}^{e}"
-            )
+            raise self.normalization_error(i)
         return (t // scale) % self.prime**exponent
 
     def normalized_terms(self, count: int | None = None) -> list[int]:
+        """normalized(i) for i = 0..count-1, raising at the first index that
+        normalized(i) would refuse."""
         if count is None:
             count = len(self.terms)
-        return [self.normalized(i) for i in range(count)]
+        level, lead = index_levels(count, self.prime)
+        terms = self.terms[:count]
+        coarse = level >= self.exponent
+        refused = coarse | (terms % np.where(coarse, 1, lead) != 0)
+        if refused.any():
+            i = int(refused.argmax())
+            if coarse[i]:
+                raise InputError(
+                    f"term {i} has no residual precision at exponent {self.exponent}"
+                )
+            raise self.normalization_error(i)
+        # a canonical term divisible by p^e(i) is below p^exponent, so its
+        # quotient is already reduced mod p^(exponent - e(i))
+        return (terms // lead).tolist()
 
     def to_json_dict(self) -> dict:
         return {
@@ -168,7 +242,7 @@ class CoefficientSeries:
             "p": self.prime,
             "k": self.exponent,
             "length": len(self.terms),
-            "terms": [str(t) for t in self.terms],
+            "terms": [str(t) for t in self.terms.tolist()],
         }
 
     @classmethod
@@ -273,7 +347,7 @@ class PadicFunction:
         if self.kind == "mahler":
             total = 0
             binom = 1
-            for n, a in enumerate(self.payload.terms):
+            for n, a in enumerate(self.payload.term_list):
                 if n > 0:
                     if x < n:
                         break
@@ -281,7 +355,7 @@ class PadicFunction:
                 total += a * binom
             return total % mod
         # vdp: walk the digit chain m_j = x mod p^(j+1), skipping zero digits
-        terms = self.payload.terms
+        terms = self.payload.term_list
         p = self.prime
         total = terms[x % p] if x % p < len(terms) else 0
         power = p
@@ -321,7 +395,7 @@ class PadicFunction:
             return backends.mahler_value_matrix([terms], p, self.depth, npoints)[0]
         # vdp: add B_m over the digit chain m = x mod p^(j+1), one gather per
         # level j; a level j >= 1 counts when its digit is nonzero (m >= p^j)
-        coeffs = np.array([t % mod for t in terms], dtype=backends.int_dtype(mod, npoints))
+        coeffs = backends.reduced_rows(terms[None, :], mod, npoints)[0]
         xs = np.arange(npoints)
         total = np.zeros(npoints, dtype=coeffs.dtype)
         m = xs % p
@@ -392,16 +466,6 @@ class PadicFunction:
                     )
         return table
 
-    def reduce(self, k: int) -> "PadicFunction":
-        """Table-backed copy of this function at a shallower depth."""
-        return PadicFunction.from_table(self.reduce_map(k), self.prime, k)
-
-    def mahler_series(self, count: int | None = None, k: int | None = None):
-        return mahler_coefficients(self, count, k)
-
-    def vdp_series(self, count: int | None = None, k: int | None = None):
-        return vdp_coefficients(self, count, k)
-
     def __repr__(self):
         return f"PadicFunction({self.kind}, p={self.prime}, depth={self.depth})"
 
@@ -428,16 +492,13 @@ def vdp_coefficients(
     """B_m: f(m) for m < p, else f(m) - f(m^-), where m^- is m with its
     leading digit removed; one gather over the value array."""
     count, k = _coefficient_window(f, count, k)
+    _check_window(f.prime, f.depth, count)  # an oversized window is named first
+    check_vdp_length(f.prime, f.depth, count)
     p = f.prime
     values = f.value_array(count)
     ms = np.arange(count)
-    lead = np.ones(count, dtype=np.int64)  # p^e(m)
-    power = p
-    while power < count:
-        lead[power:] = power
-        power *= p
-    terms = values - np.where(ms >= p, values[ms % lead], 0)
-    return CoefficientSeries("vdp", p, k, tuple((terms % p**k).tolist()))
+    _, lead = index_levels(count, p)
+    return CoefficientSeries("vdp", p, k, values - np.where(ms >= p, values[ms % lead], 0))
 
 
 def mahler_coefficients(
@@ -448,7 +509,7 @@ def mahler_coefficients(
     _check_window(f.prime, f.depth, count)  # an oversized window is named first
     check_mahler_length(f.prime, f.depth, count)
     terms = backends.mahler_batch(f.value_array(count)[None, :], f.prime**k)[0]
-    return CoefficientSeries("mahler", f.prime, k, tuple(terms.tolist()))
+    return CoefficientSeries("mahler", f.prime, k, terms)
 
 
 def indicator_mahler_coefficient(n: int, m: int, p: int) -> int:
@@ -494,7 +555,7 @@ def vdp_to_mahler(
         for m in range(min(n, len(series) - 1) + 1):
             c = indicator_mahler_coefficient(n, m, series.prime)
             if c:
-                acc += c * series.terms[m]
+                acc += c * series.term_list[m]
         out.append(acc % mod)
     return CoefficientSeries("mahler", series.prime, series.exponent, tuple(out))
 
@@ -514,7 +575,7 @@ def mahler_to_vdp(
         for n in range(min(m, len(series) - 1) + 1):
             c = binomial_vdp_coefficient(m, n, series.prime)
             if c:
-                acc += c * series.terms[n]
+                acc += c * series.term_list[n]
         out.append(acc % mod)
     return CoefficientSeries("vdp", series.prime, series.exponent, tuple(out))
 
@@ -538,20 +599,18 @@ def lipschitz_check(
         series = obj
     else:
         raise InputError("lipschitz_check expects a function or a series")
-    p = series.prime
     name = f"lipschitz-{series.kind}"
-    e, next_power = 0, p  # e(i), with p^e(i) <= i < next_power
-    for i, t in enumerate(series.terms):
-        if i == next_power:
-            e, next_power = e + 1, next_power * p
-        need = min(e, series.exponent)
-        if t % p**need != 0:
-            return failing(
-                name,
-                "coefficient-valuation",
-                witness={"index": i, "term": t, "required_valuation": need},
-                depth=series.exponent,
-            )
+    level, _ = index_levels(len(series), series.prime)
+    need = np.minimum(level, series.exponent)
+    bad = series.terms % powers_of(series.prime, need, series.terms.dtype) != 0
+    if bad.any():
+        i = int(bad.argmax())
+        return failing(
+            name,
+            "coefficient-valuation",
+            witness={"index": i, "term": series.term(i), "required_valuation": int(need[i])},
+            depth=series.exponent,
+        )
     return passing(name, depth=series.exponent, checked_terms=len(series))
 
 

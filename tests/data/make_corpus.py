@@ -145,7 +145,74 @@ def _cases(rng: random.Random) -> list[dict]:
          "--lift", "1,0,2,0,3,0,4,1,0,2"])
     add(["generate", "-p", "7", "--lift", "1,2,3,4,5,6,0,1,2,3,4,5,6,0", "--seed", "3"])
     add(["verify", "--counterexamples"])
+    _late_witness_cases(add)
     return cases
+
+
+def _series_blob(kind, p, k, terms):
+    return json.dumps({"kind": kind, "p": p, "k": k, "terms": [str(t) for t in terms]})
+
+
+def _late_witness_cases(add) -> None:
+    """Inputs on which each coefficient route fails only at a late witness,
+    so a route that scans in the wrong order or stops early is seen; and
+    series carried beyond int64, which classify must reduce exactly."""
+    p, depth = 3, 5
+    mod = p**depth
+    ud1 = _vdp_terms(_poly_table([1, 1, 3, 9], p, depth), p)
+    # vdp relations at the top level s = 4 (step 81): level-linearity at
+    # r = 60, l = 2; cross-level at r = 77 with linearity kept; the
+    # normalization of B_{80 + 81}, which is not 1-Lipschitz (exit 2)
+    linear = list(ud1)
+    linear[60 + 162] = (linear[60 + 162] + 81) % mod
+    cross = list(ud1)
+    cross[77 + 81] = (cross[77 + 81] + 81) % mod
+    cross[77 + 162] = (cross[77 + 162] + 162) % mod
+    unnormal = list(ud1)
+    unnormal[80 + 81] = (unnormal[80 + 81] + 1) % mod
+    # measure preservation: equal branch residues at s = 4, k = 70
+    branch = list(ud1)
+    branch[70 + 162] = branch[70 + 81]
+    for terms in (linear, cross, unnormal, branch):
+        add(["classify", "-"], _series_blob("vdp", p, depth, terms))
+    # p = 2 has no level-linearity; cross-level at s = 5, r = 29
+    two = _vdp_terms(_poly_table([1, 5, 2, 4], 2, 6), 2)
+    two[29 + 32] = (two[29 + 32] + 32) % 64
+    add(["classify", "-"], _series_blob("vdp", 2, 6, two))
+
+    # Mahler predicate: the UD1 profile except one late term one digit short,
+    # at a leading digit >= 2 (p = 5, n = 24) and at level s = 2 (p = 3, n = 25)
+    for p, depth, bad in ((5, 3, 24), (3, 4, 25)):
+        mod = p**depth
+        terms = [p ** required_valuation(n, p) * (n + 1) % mod for n in range(p * p * 3)]
+        terms[:2] = [1, 1]
+        terms[bad] = p ** (required_valuation(bad, p) - 1) * 2 % mod
+        add(["classify", "-"], _series_blob("mahler", p, depth, terms[: bad + 2]))
+
+    # 1-Lipschitz test failing first at index 61 in both bases (without
+    # --normalized, which would refuse the series)
+    table = _poly_table([1, 5, 2, 4], 2, 6)
+    table[61] = (table[61] + 1) % 64
+    blob = json.dumps({"kind": "table", "p": 2, "depth": 6, "values": table})
+    for basis in ("vdp", "mahler"):
+        add(["expand", "-", "--basis", basis, "--count", "64"], blob)
+
+    # series known mod 3^45 > 2^63, classified at depth 4
+    wide = 3**45
+    mahler = [1, 1 + 3 * 10**20] + [3 ** required_valuation(n, 3) * (7**n + 10**19) % wide
+                                    for n in range(2, 9)]
+    add(["classify", "-", "--depth", "4"], _series_blob("mahler", 3, 45, mahler))
+    vdp = [(t + 81 * 10**19 * (m + 1)) % wide
+           for m, t in enumerate(_vdp_terms(_poly_table([2, 4, 3], 3, 4), 3))]
+    add(["classify", "-", "--depth", "4"], _series_blob("vdp", 3, 45, vdp))
+
+
+def required_valuation(n: int, p: int) -> int:
+    """v_p(a_n) that the Mahler UD1 predicate demands at index n."""
+    if n < p:
+        return 0
+    s = len(_digits(n, p)) - 1
+    return s + 1 if s >= 2 or (p > 2 and n // p**s >= 2) else s
 
 
 def run_case(case: dict) -> tuple[int, str]:

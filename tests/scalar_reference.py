@@ -1,18 +1,20 @@
 """Scalar reference oracles for the array value core.
 
 These are the point-by-point computations the package used before its
-series and the direct UD1 sweep were derived from one value array, and
-before the formal derivative of a Mahler sum was converted to the power
-basis once for all points: every value comes from `PadicFunction.evaluate`
-or from exact rationals, every loop is plain Python.  They are slow on
-purpose and serve only as independent references in tests.
+series and the direct UD1 sweep were derived from one value array, before
+the formal derivative of a Mahler sum was converted to the power basis once
+for all points, and before the coefficient routes became mask passes over
+a term array: every value comes from `PadicFunction.evaluate`, from exact
+rationals or from one term at a time (`CoefficientSeries.term` and
+`normalized`), every loop is plain Python.  They are slow on purpose and
+serve only as independent references in tests.
 """
 
 from fractions import Fraction
 
 from padicdyn.analysis import DerivedFunction, UD1Report
 from padicdyn.arith import inverse_mod, m_minus
-from padicdyn.errors import InternalCheckError
+from padicdyn.errors import InputError, InternalCheckError, NormalizationError
 from padicdyn.funcspace import CoefficientSeries, PadicFunction
 from padicdyn.verdict import failing, passing
 
@@ -113,3 +115,181 @@ def mahler_derivative_residue_reference(terms, x: int, p: int) -> int:
     if value.denominator % p == 0:
         raise InternalCheckError("derivative residue has p in the denominator")
     return value.numerator * inverse_mod(value.denominator % p, p) % p
+
+
+# -- coefficient routes, one term at a time --------------------------
+
+
+def normalized_terms_reference(series: CoefficientSeries, count: int) -> list[int]:
+    return [series.normalized(i) for i in range(count)]
+
+
+def lipschitz_reference(series: CoefficientSeries):
+    """v_p(term_i) >= min(e(i), k) for every i, first failure reported."""
+    p = series.prime
+    name = f"lipschitz-{series.kind}"
+    e, next_power = 0, p  # e(i), with p^e(i) <= i < next_power
+    for i in range(len(series)):
+        t = series.term(i)
+        if i == next_power:
+            e, next_power = e + 1, next_power * p
+        need = min(e, series.exponent)
+        if t % p**need != 0:
+            return failing(
+                name,
+                "coefficient-valuation",
+                witness={"index": i, "term": t, "required_valuation": need},
+                depth=series.exponent,
+            )
+    return passing(name, depth=series.exponent, checked_terms=len(series))
+
+
+def vdp_relations_reference(series: CoefficientSeries, s_max: int):
+    """The van der Put relation route at levels 1..s_max, in (s, r) order and,
+    per pair, normalization, level-linearity for each l, then cross-level."""
+    p = series.prime
+    name = "ud1-vdp-relations"
+    for s in range(1, s_max + 1):
+        mod = p ** (s + 1)
+        step = p**s
+        for r in range(step):
+            try:
+                ref_norm = series.normalized(r + step, 1)
+            except NormalizationError:
+                return failing(
+                    name,
+                    "normalization",
+                    witness={"index": r + step, "term": series.term(r + step)},
+                    depth=series.exponent,
+                )
+            ref = series.term(r + step)
+            for ell in range(2, p):
+                idx = r + ell * step
+                if (series.term(idx) - ell * ref) % mod != 0:
+                    return failing(
+                        name,
+                        "level-linearity",
+                        witness={"r": r, "s": s, "l": ell,
+                                 "term": series.term(idx), "reference": ref},
+                        depth=series.exponent,
+                    )
+            if s >= 2:
+                base_norm = series.normalized((r % p) + p, 1)
+                if ref_norm != base_norm:
+                    return failing(
+                        name,
+                        "cross-level",
+                        witness={"r": r, "s": s,
+                                 "normalized": ref_norm, "base": base_norm},
+                        depth=series.exponent,
+                    )
+    return passing(name, depth=series.exponent, s_max=s_max)
+
+
+def mahler_predicate_reference(series: CoefficientSeries):
+    """v_p(a_n) >= e(n) + 1 where the leading digit is >= 2 (odd p) or
+    e(n) >= 2, else >= e(n); indices below p are free."""
+    p = series.prime
+    name = "ud1-mahler-predicate"
+    s, power = 0, 1  # p^s <= n < p^(s+1)
+    for n in range(len(series)):
+        term = series.term(n)
+        if n == power * p:
+            s, power = s + 1, power * p
+        if n < p:
+            continue
+        lead = n // power
+        if s >= 2 or (p > 2 and lead >= 2):
+            required = s + 1
+        else:
+            required = s
+        required = min(required, series.exponent)
+        if term % p**required != 0:
+            condition = "lipschitz" if required <= s else "leading-digit"
+            return failing(
+                name,
+                condition,
+                witness={"n": n, "term": term, "required_valuation": required},
+                depth=series.exponent,
+            )
+    return passing(name, depth=series.exponent, checked_terms=len(series))
+
+
+def measure_preserving_reference(series: CoefficientSeries, s_max: int):
+    """Complete residues at level 0, then distinct nonzero branch residues for
+    each base k at levels 1..s_max; normalized() raises on the way."""
+    p = series.prime
+    name = "measure-preserving-vdp"
+    base = sorted(series.normalized(m, 1) for m in range(p))
+    if base != list(range(p)):
+        return failing(
+            name,
+            "complete-residues",
+            witness={"residues": [series.normalized(m, 1) for m in range(p)]},
+            depth=series.exponent,
+        )
+    for s in range(1, s_max + 1):
+        step = p**s
+        for k in range(step):
+            residues = [series.normalized(k + ell * step, 1) for ell in range(1, p)]
+            if 0 in residues or len(set(residues)) != p - 1:
+                return failing(
+                    name,
+                    "branch-residues",
+                    witness={"s": s, "k": k, "residues": residues},
+                    depth=series.exponent,
+                )
+    return passing(name, depth=series.exponent, s_max=s_max)
+
+
+def derived_consistent_reference(derived: DerivedFunction, vdp: CoefficientSeries) -> bool:
+    """d(u) against the normalized branch term of its class, u by u, each
+    branch normalized when its class is first met."""
+    branch: dict[int, int] = {}  # residue class r -> normalized B_{r+p}
+    for u, d in enumerate(derived.values):
+        r = u % vdp.prime
+        if r not in branch:
+            branch[r] = vdp.normalized(r + vdp.prime, 1)
+        if d != branch[r]:
+            return False
+    return True
+
+
+def mahler_ergodic_p2_reference(series: CoefficientSeries):
+    name = "mahler-ergodic-p2"
+    for label, idx, mod, want in (("a0-mod2", 0, 2, 1), ("a1-mod4", 1, 4, 1),
+                                  ("a2-mod4", 2, 4, 0), ("a3-mod8", 3, 8, 0)):
+        got = series.term(idx) % mod
+        if got != want:
+            return failing(name, label, witness={"value": got, "expected": want},
+                           depth=series.exponent)
+    return passing(name, depth=series.exponent)
+
+
+def vdp_ergodic_p2_reference(series: CoefficientSeries):
+    name = "vdp-ergodic-p2"
+    try:
+        b = [series.normalized(m, 2) for m in range(4)]
+    except NormalizationError as exc:
+        return failing(name, "normalization", witness={"error": str(exc)},
+                       depth=series.exponent)
+    checks = [
+        ("b0-mod2", b[0] % 2, 1),
+        ("b0+b1-mod4", (b[0] + b[1]) % 4, 3),
+        ("b2-mod2", b[2] % 2, 1),
+        ("b2+b3-mod4", (b[2] + b[3]) % 4, 2),
+    ]
+    for label, got, want in checks:
+        if got != want:
+            return failing(name, label, witness={"value": got, "expected": want},
+                           depth=series.exponent)
+    return passing(name, depth=series.exponent)
+
+
+def outcome(call, *args):
+    """A route's result, or the type and message of what it raised, so that
+    a route and its reference can be compared exception for exception."""
+    try:
+        return call(*args)
+    except (InputError, InternalCheckError) as exc:
+        return type(exc), str(exc)

@@ -340,12 +340,12 @@ def test_c10_round_trips_and_indicator_valuations():
             m = CoefficientSeries(
                 "mahler", p, 3, tuple(rng.randrange(mod) for _ in range(length))
             )
-            if funcspace.vdp_to_mahler(funcspace.mahler_to_vdp(m)).terms != m.terms:
+            if funcspace.vdp_to_mahler(funcspace.mahler_to_vdp(m)) != m:
                 trip_bad += 1
             v = CoefficientSeries(
                 "vdp", p, 3, tuple(rng.randrange(mod) for _ in range(length))
             )
-            if funcspace.mahler_to_vdp(funcspace.vdp_to_mahler(v)).terms != v.terms:
+            if funcspace.mahler_to_vdp(funcspace.vdp_to_mahler(v)) != v:
                 trip_bad += 1
     bound_bad = 0
     for p in (2, 3, 5):

@@ -142,3 +142,11 @@ def test_wide_modulus_stays_exact():
         exact = [sum(c * x**i for i, c in enumerate(coeffs)) % mod for x in range(6)]
         assert table.tolist() == [exact]
         assert backends.mahler_batch(table, mod).tolist() == [_differences(exact, mod)]
+
+
+def test_integers_past_int64_beside_small_ones_stay_exact():
+    # numpy reads [5, 2^63 + 1] as float64; such rows are read again as Python ints
+    coeffs = [5, 2**63 + 1, 3]
+    table = backends.poly_tables([coeffs], 9, 27)
+    assert table.tolist() == [[sum(c * x**i for i, c in enumerate(coeffs)) % 27
+                               for x in range(9)]]

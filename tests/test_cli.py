@@ -179,6 +179,16 @@ def test_oversized_mahler_series_refused(capsys, argv, message):
     assert out == "" and err.startswith("error:") and message in err
 
 
+def test_oversized_vdp_series_refused(capsys):
+    # the default basis of expand; the window check (2^26) still comes first
+    code, out, err = _run(capsys, ["expand", "x+1", "-p", "3", "--count", "1048577"])
+    assert code == 2 and out == ""
+    assert ("van der Put series of 1048577 terms at p=3, depth 6 exceeds the van der "
+            "Put length limit of 1048576 terms") in err
+    code, _, err = _run(capsys, ["expand", "x+1", "-p", "3", "--count", "100000000"])
+    assert code == 2 and "window of 100000000 values" in err
+
+
 def test_classify_not_ergodic(capsys):
     code, payload, _ = _run_json(
         capsys,

@@ -245,6 +245,17 @@ def test_p5_linear_form_agreement():
             assert (rep["formula"] != 0) == cond3
 
 
+def test_p5_linear_form_skips_the_base_conditions(monkeypatch):
+    # the unlifted base instance feeds the formula only; the three-part
+    # conditions are evaluated for the lifted instance alone
+    calls = []
+    conditions = cr.p5_conditions
+    monkeypatch.setattr(cr, "p5_conditions", lambda f: calls.append(f) or conditions(f))
+    rep = cr.p5_linear_form(7, (1, 2, 3, 4, 5, 6, 0), (1,) * 7, (1,) * 14)
+    assert calls == [rep["instance"].function]
+    assert rep["agree"]
+
+
 def test_p5_fiber_structure_in_z0():
     # l is affine in z_0 with a unit coefficient: scanning z_0 with all other
     # lift entries fixed hits l = 0 exactly once

@@ -99,10 +99,10 @@ def test_round_trip_exact():
             terms = tuple(rng.randrange(mod) for _ in range(count))
             series = CoefficientSeries("vdp", p, k, terms)
             back = mahler_to_vdp(vdp_to_mahler(series, count), count)
-            assert back.terms == series.terms
+            assert back == series
             mseries = CoefficientSeries("mahler", p, k, terms)
             mback = vdp_to_mahler(mahler_to_vdp(mseries, count), count)
-            assert mback.terms == mseries.terms
+            assert mback == mseries
 
 
 def test_indicator_mahler_small_values():

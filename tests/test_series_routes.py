@@ -1,0 +1,274 @@
+"""Differential tests of the coefficient routes against their scalar loops.
+
+Each route of `classify` that reads a coefficient series (the 1-Lipschitz
+test, the van der Put relations, the Mahler UD1 predicate, measure
+preservation, the derivative consistency check, normalized terms and the
+p = 2 criteria) is a mask pass over the series' term array.  Here each must
+give the same verdict, the same first witness and the same exception as the
+term-by-term loop in `tests/scalar_reference.py`.
+
+Series come from random polynomials at p in {2, 3, 5, 7} (half of them
+measure-preserving), lifted to a precision of depth, depth + 1, or beyond
+int64 (object dtype).  A few random terms are then moved by multiples of
+random powers of p, and the branch terms of one random base at one random
+level are moved together, so that every condition of every route fails
+somewhere, often late, while UD1 series still pass.
+Hypothesis runs derandomized with a bounded number of examples.
+
+Also pinned here: series compare and hash by value, their term array is
+read-only, and terms and witnesses are Python integers.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from padicdyn import criteria
+from padicdyn.analysis import (
+    DerivedFunction,
+    _derived_matches_branches,
+    mahler_ud1_predicate,
+    ud1_check,
+    vdp_ud1_relations_check,
+)
+from padicdyn.dynamics import measure_preserving_vdp
+from padicdyn.errors import NormalizationError
+from padicdyn.funcspace import (
+    CoefficientSeries,
+    PadicFunction,
+    lipschitz_check,
+    mahler_coefficients,
+    vdp_coefficients,
+)
+from scalar_reference import (
+    derived_consistent_reference,
+    lipschitz_reference,
+    mahler_ergodic_p2_reference,
+    mahler_predicate_reference,
+    measure_preserving_reference,
+    normalized_terms_reference,
+    outcome,
+    vdp_ergodic_p2_reference,
+    vdp_relations_reference,
+)
+
+MAX_DEPTH = {2: 6, 3: 5, 5: 4, 7: 3}
+
+route_settings = settings(
+    derandomize=True,
+    database=None,
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _wide_exponent(p):
+    """Smallest exponent whose modulus alone leaves int64."""
+    k = 1
+    while p**k < 1 << 63:
+        k += 1
+    return k
+
+
+@st.composite
+def polynomial_series(draw, kind):
+    """(series, depth, function): a polynomial's full-window series, lifted
+    and hit at a few indices."""
+    p = draw(st.sampled_from(sorted(MAX_DEPTH)))
+    depth = draw(st.integers(2, MAX_DEPTH[p]))
+    coeffs = draw(st.lists(st.integers(-(10**6), 10**6), min_size=2, max_size=5))
+    if draw(st.booleans()):  # c + x mod p with a unit derivative: measure-preserving
+        coeffs = coeffs[:1] + [1 + p * coeffs[1]] + [p * c for c in coeffs[2:]]
+    f = PadicFunction.from_polynomial(coeffs, p, depth)
+    extract = vdp_coefficients if kind == "vdp" else mahler_coefficients
+    terms = list(extract(f).term_list)
+    exponent = draw(st.sampled_from([depth, depth + 1, _wide_exponent(p)]))
+    # a multiple of p^depth changes nothing the routes read below p^depth
+    rng = draw(st.randoms(use_true_random=False))
+    lift = p ** (exponent - depth)
+    terms = [t + p**depth * rng.randrange(lift) for t in terms]
+    hits = st.tuples(st.integers(0, len(terms) - 1), st.integers(0, depth),
+                     st.integers(1, p - 1))
+    for index, level, unit in draw(st.lists(hits, max_size=3)):
+        terms[index] += p**level * unit
+    # l * unit * p^s added to B_{r + l p^s} for every leading digit l keeps
+    # level-linearity and moves the branch residues of base r at level s
+    branches = st.tuples(st.integers(1, depth - 1), st.integers(0, p**depth), st.integers(1, p - 1))
+    for s, r, unit in draw(st.lists(branches, max_size=1)):
+        r %= p**s
+        for ell in range(1, p):
+            terms[r + ell * p**s] += ell * unit * p**s
+    return CoefficientSeries(kind, p, exponent, tuple(terms)), depth, f
+
+
+def _ints_only(verdict):
+    """Every number in a verdict's witness and details is a Python int."""
+    def walk(obj):
+        if isinstance(obj, dict):
+            return all(walk(v) for v in obj.values())
+        if isinstance(obj, (list, tuple)):
+            return all(walk(v) for v in obj)
+        return isinstance(obj, (bool, str)) or type(obj) is int
+
+    json.dumps(verdict.to_json_dict())
+    return walk(verdict.witness or {}) and walk(verdict.details)
+
+
+@route_settings
+@given(st.sampled_from(["vdp", "mahler"]).flatmap(polynomial_series), st.data())
+def test_lipschitz_check_matches_reference(case, data):
+    series, _, _ = case
+    length = data.draw(st.integers(1, len(series)))
+    series = CoefficientSeries(series.kind, series.prime, series.exponent,
+                               series.terms[:length])
+    got = lipschitz_check(series)
+    assert got == lipschitz_reference(series)
+    assert _ints_only(got)
+
+
+@route_settings
+@given(polynomial_series("vdp"), st.data())
+def test_vdp_relations_match_reference(case, data):
+    series, depth, _ = case
+    s_max = data.draw(st.integers(1, depth - 1))
+    got = outcome(vdp_ud1_relations_check, series, s_max)
+    assert got == outcome(vdp_relations_reference, series, s_max)
+    assert _ints_only(got)
+
+
+@route_settings
+@given(polynomial_series("mahler"), st.data())
+def test_mahler_predicate_matches_reference(case, data):
+    series, _, _ = case
+    length = data.draw(st.integers(1, len(series)))
+    series = CoefficientSeries("mahler", series.prime, series.exponent,
+                               series.terms[:length])
+    got = mahler_ud1_predicate(series)
+    assert got == mahler_predicate_reference(series)
+    assert _ints_only(got)
+
+
+@route_settings
+@given(polynomial_series("vdp"), st.data())
+def test_measure_preserving_matches_reference(case, data):
+    series, depth, _ = case
+    s_max = data.draw(st.integers(0, depth - 1))
+    got = outcome(measure_preserving_vdp, series, s_max)
+    assert got == outcome(measure_preserving_reference, series, s_max)
+    if not isinstance(got, tuple):
+        assert _ints_only(got)
+
+
+@route_settings
+@given(polynomial_series("vdp"), st.data())
+def test_normalized_terms_match_reference(case, data):
+    series, _, _ = case
+    count = data.draw(st.integers(1, len(series)))
+    got = outcome(series.normalized_terms, count)
+    assert got == outcome(normalized_terms_reference, series, count)
+    if not isinstance(got, tuple):
+        assert all(type(t) is int for t in got)
+
+
+@route_settings
+@given(polynomial_series("vdp"), st.data())
+def test_derived_consistency_matches_reference(case, data):
+    series, depth, f = case
+    p = f.prime
+    # one branch term B_{r+p} moved by 1 (not normalizable) or by p (a
+    # different branch residue)
+    for r, level in data.draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, 1)),
+                                       max_size=2)):
+        terms = list(series.term_list)
+        terms[r + p] += p**level
+        series = CoefficientSeries("vdp", p, series.exponent, tuple(terms))
+    if not ud1_check(f).verdict.passed:
+        values = tuple(data.draw(st.lists(st.integers(0, f.prime - 1),
+                                          min_size=f.prime**depth,
+                                          max_size=f.prime**depth)))
+    else:
+        values = list(ud1_check(f).derived.values)
+        for u in data.draw(st.lists(st.integers(0, len(values) - 1), max_size=2)):
+            values[u] = (values[u] + 1) % f.prime
+    derived = DerivedFunction(f.prime, 1, tuple(values))
+    got = outcome(_derived_matches_branches, derived, series)
+    assert got == outcome(derived_consistent_reference, derived, series)
+    assert isinstance(got, (bool, tuple))
+
+
+@route_settings
+@given(st.sampled_from(["vdp", "mahler"]), st.integers(3, 70),
+       st.lists(st.integers(-(10**21), 10**21), min_size=4, max_size=6))
+def test_p2_criteria_match_reference(kind, exponent, terms):
+    series = CoefficientSeries(kind, 2, exponent, tuple(terms))
+    route, reference = {
+        "mahler": (criteria.mahler_ergodic_p2, mahler_ergodic_p2_reference),
+        "vdp": (criteria.vdp_ergodic_p2, vdp_ergodic_p2_reference),
+    }[kind]
+    got = route(series)
+    assert got == reference(series)
+    assert _ints_only(got)
+
+
+def test_p2_criteria_rows_are_the_verdicts():
+    rows = np.indices((8, 8, 8, 8)).reshape(4, -1).T
+    for kind, check, verdict in (
+        ("mahler", criteria.mahler_ergodic_p2_rows, criteria.mahler_ergodic_p2),
+        ("vdp", criteria.vdp_ergodic_p2_rows, criteria.vdp_ergodic_p2),
+    ):
+        passed = check(rows)[0] < 0
+        assert [verdict(CoefficientSeries(kind, 2, 3, row)).passed for row in rows] == (
+            passed.tolist()
+        )
+        assert 0 < passed.sum() < len(rows)
+
+
+def test_series_compare_and_hash_by_value():
+    a = CoefficientSeries("vdp", 3, 2, (1, 5, -1, 12))
+    b = CoefficientSeries("vdp", 3, 2, np.array([10, 5, 8, 3]))
+    c = CoefficientSeries("vdp", 3, 2, [1, 5, 8, 4])
+    assert a == b and hash(a) == hash(b)
+    assert a != c and a != CoefficientSeries("mahler", 3, 2, (1, 5, 8, 3))
+    assert a != CoefficientSeries("vdp", 3, 3, (1, 5, 8, 3))
+    assert len({a: 1, b: 2, c: 3}) == 2
+    assert a.terms.tolist() == [1, 5, 8, 3] and a.terms.dtype == np.int64
+    with pytest.raises(ValueError):
+        a.terms[0] = 2
+    assert all(type(a.term(i)) is int for i in range(len(a)))
+    assert a.term_list == (1, 5, 8, 3)
+
+
+def test_wide_series_are_exact_python_integers():
+    k = _wide_exponent(3)
+    big = 3 ** (k + 2) + 7
+    series = CoefficientSeries("mahler", 3, k, (big, -1, 3 * big))
+    assert series.terms.dtype == object
+    assert series.term_list == (7, 3**k - 1, 21)
+    assert all(type(series.term(i)) is int for i in range(3))
+    assert series == CoefficientSeries("mahler", 3, k, (7, -1, 21))
+    f = PadicFunction.from_mahler(series, 4)
+    assert all(type(f.evaluate(x)) is int for x in range(5))
+    verdict = lipschitz_check(CoefficientSeries("vdp", 3, k, (0, 0, 0, 1)))
+    assert verdict.witness == {"index": 3, "term": 1, "required_valuation": 1}
+    assert _ints_only(verdict)
+
+
+def test_late_normalization_error_names_the_index():
+    # x + 1 at p = 3, depth 4, with B_{79} = B_{25 + 2 * 27} set to 28: its
+    # branch residue would repeat B_52's, but the term is not divisible by
+    # 27, and measure preservation raises on that before judging the branch;
+    # the relation route names it as a level-linearity witness
+    f = PadicFunction.from_polynomial([1, 1], 3, 4)
+    terms = list(vdp_coefficients(f).term_list)
+    terms[79] = 28
+    series = CoefficientSeries("vdp", 3, 4, tuple(terms))
+    with pytest.raises(NormalizationError, match="vdp term 79 = 28 is not divisible by 3"):
+        measure_preserving_vdp(series)
+    assert outcome(measure_preserving_vdp, series, 3) == outcome(
+        measure_preserving_reference, series, 3
+    )
+    assert vdp_ud1_relations_check(series).condition == "level-linearity"
