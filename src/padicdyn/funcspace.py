@@ -38,6 +38,12 @@ _MAHLER_LIMIT = 1 << 18
 # binds classify
 _VDP_LIMIT = 1 << 20
 
+# the value array of a polynomial costs one Horner pass over the window per
+# degree (`backends.poly_tables`): about 6 ns a point in int64, about 30
+# times that on Python integers, where p^depth times the window passes int64
+_HORNER_LIMIT = 10**8
+_WIDE_HORNER_LIMIT = 1 << 22
+
 DEFAULT_MAX_DEPTH = 12
 
 
@@ -67,6 +73,19 @@ def _check_window(p: int, depth: int, npoints: int) -> None:
         raise InputError(
             f"a window of {npoints} values at p={p}, depth {depth} exceeds "
             f"the materialization limit of {_TABLE_LIMIT} points"
+        )
+
+
+def _check_horner_work(p: int, depth: int, degree: int, npoints: int) -> None:
+    """Refuse a polynomial whose degree times its value window exceeds the
+    Horner budget."""
+    wide = backends.int_dtype(p**depth, npoints) is object
+    limit = _WIDE_HORNER_LIMIT if wide else _HORNER_LIMIT
+    if degree * npoints > limit:
+        raise InputError(
+            f"a polynomial of degree {degree} over a window of {npoints} values "
+            f"at p={p}, depth {depth} exceeds the degree x window budget of "
+            f"{limit}" + (" for residues beyond int64" if wide else "")
         )
 
 
@@ -338,10 +357,12 @@ class PadicFunction:
             raise InputError(f"evaluation depth {k} outside 1..{self.depth}")
         mod = self.prime**k
         if self.kind == "polynomial":
+            # Horner mod p^k: the accumulator stays below p^(2k) + |c|
             acc = 0
+            x %= mod
             for c in reversed(self.payload):
-                acc = acc * x + c
-            return acc % mod
+                acc = (acc * x + c) % mod
+            return acc
         if self.kind == "table":
             return self.payload[x % self.prime**self.depth] % mod
         if self.kind == "mahler":
@@ -376,9 +397,12 @@ class PadicFunction:
         int64, or Python integers (dtype object) where p^depth * npoints
         would overflow int64.  Built once per form by a vectorized pass and
         cached; a shorter window is a prefix of a longer one.  Windows above
-        the materialization limit are refused.
+        the materialization limit, and polynomials over the degree x window
+        budget, are refused.
         """
         _check_window(self.prime, self.depth, npoints)
+        if self.kind == "polynomial":
+            _check_horner_work(self.prime, self.depth, len(self.payload) - 1, npoints)
         if self._values is None or len(self._values) < npoints:
             self._values = self._compute_values(npoints)
             self._values.flags.writeable = False

@@ -1,9 +1,22 @@
 """Exhaustive finite verification of the binomial congruence identities.
 
 Each suite sweeps a stated parameter range and reports the number of
-instances checked plus any counterexamples found (expected: none).  The
-heavy digit-shift scan is a numpy Pascal-row kernel; everything else is
-exact integer arithmetic.
+instances checked plus any counterexamples found (expected: none).  Every
+suite is exact integer arithmetic, in int64 numpy passes or Python ints:
+
+- valpro walks each row n = l p^s in chunks of j and keeps the valuation
+  of C(n, j) as a running sum of v_p(n-j+1) - v_p(j), each valuation a
+  count of strided hits p^e | j.  Legendre's digit-sum formula is never
+  used, so the suite checks the lemma instead of restating it.
+- abc and pzero weigh, for each r, the tap sums of the row C(r, .) mod
+  p^2 against C(p, j) mod p^2: one convolution (and for abc's third sum
+  one correlation) per r.  `abc_components` and `pzero_component` give
+  the same double sums as exact big integers.
+- bipro advances two Pascal rows mod p^2 in lockstep (`backends.bipro_scan`).
+- bip2 evaluates the five p = 2 congruences with `math.comb`.
+
+The abc, pzero and bipro sweeps stop at p = 97, which keeps every int64
+sum below p^7 < 2^63; a larger p_max is refused.
 """
 
 from __future__ import annotations
@@ -13,11 +26,18 @@ import math
 from dataclasses import dataclass, field
 from time import perf_counter
 
+import numpy as np
+
 from . import backends
 from .arith import is_prime
 from .errors import InputError
 
-_ODD_PRIMES_97 = [p for p in range(3, 98) if is_prime(p)]
+# abc, pzero and bipro sweep odd primes up to this bound and no further
+_P_LIMIT = 97
+_ODD_PRIMES_97 = [p for p in range(3, _P_LIMIT + 1) if is_prime(p)]
+
+# valpro takes each row in chunks of at most this many j
+_VALPRO_CHUNK = 1 << 13
 
 
 @dataclass
@@ -86,107 +106,127 @@ def pzero_component(p: int, r: int) -> int:
     )
 
 
-def _modular_abc(p: int) -> list[tuple[int, int]]:
-    """(r, (A+B+C) mod p^2) for r = 1..p-1, via reduced tables."""
+def check_p_max(suite: str, p_max: int) -> None:
+    """Refuse a p_max above the prime bound for the suites that have one,
+    rather than cut the sweep to it."""
+    if suite in ("abc", "pzero", "bipro") and p_max > _P_LIMIT:
+        raise InputError(
+            f"{suite} sweeps odd primes up to {_P_LIMIT}; p_max {p_max} is above "
+            f"that limit"
+        )
+
+
+def _odd_primes(suite: str, p_max: int) -> list[int]:
+    check_p_max(suite, p_max)
+    return [p for p in _ODD_PRIMES_97 if p <= p_max]
+
+
+def _binomial_rows(p: int):
+    """Yield (r, C(r, .) mod p^2, taps, weights) for r = 1..p-1, as int64
+    arrays: taps[j] = C(p, j) mod p^2 for j = 1..p-1 with taps[0] = 0, and
+    weights[l] = (-1)^(r-l+1) l for l = 0..p-1."""
     q = p * p
-    crow = [[math.comb(r, t) % q for t in range(r + 1)] for r in range(p)]
-    cp = [math.comb(p, j) % q for j in range(p + 1)]
-    out = []
+    taps = np.array([0] + [math.comb(p, j) % q for j in range(1, p)], dtype=np.int64)
+    ls = np.arange(p, dtype=np.int64)
     for r in range(1, p):
-        total = 0
-        for l in range(1, p):
-            sign = 1 if (r - l + 1) % 2 == 0 else -1
-            jlo = 1 if l <= r else l - r
-            for j in range(jlo, l + 1):
-                if 0 <= l - j <= r:
-                    total += sign * l * crow[r][l - j] * cp[j]
-        for l in range(1, r):
-            sign = 1 if (r - l) % 2 == 0 else -1
-            for j in range(1, r - l + 1):
-                total += sign * l * crow[r][l + j] * cp[j]
-        out.append((r, total % q))
-    return out
+        row = np.array([math.comb(r, t) % q for t in range(r + 1)], dtype=np.int64)
+        yield r, row, taps, np.where((r - ls + 1) % 2 == 0, ls, -ls)
 
 
 def abc_suite(p_max: int = 97) -> SuiteReport:
+    """(A + B + C)(p, r) = 0 mod p^2 for odd primes p <= p_max, 1 <= r < p.
+
+    A + B is, for each l = 1..p-1, the tap sum of row C(r, .) at l, which
+    is one convolution; C reads the row from l upward, which is one
+    correlation.  Each sum is below p^7 < 2^63 for p <= 97, so int64 is
+    exact.
+    """
     t0 = perf_counter()
     checked = 0
     bad = []
-    for p in _ODD_PRIMES_97:
-        if p > p_max:
-            break
-        for r, residue in _modular_abc(p):
+    for p in _odd_primes("abc", p_max):
+        q = p * p
+        for r, row, taps, weights in _binomial_rows(p):
+            # A + B: l = 1..p-1, j >= 1 with 0 <= l - j <= r
+            total = int(weights[1:] @ np.convolve(row, taps)[1:p])
+            # C: l = 1..r-1, j = 1..r-l, with the opposite sign
+            total -= int(weights[1:r] @ np.correlate(row, taps[:r], "full")[r : 2 * r - 1])
             checked += 1
-            if residue != 0:
-                bad.append({"p": p, "r": r, "residue": residue})
+            if total % q != 0:
+                bad.append({"p": p, "r": r, "residue": total % q})
     return SuiteReport("abc", {"p_max": p_max}, checked, bad, perf_counter() - t0)
 
 
 def pzero_suite(p_max: int = 97) -> SuiteReport:
+    """The complementary double sum is 0 mod p^2 for odd primes p <= p_max,
+    2 <= r < p: the tap sums of row C(r, .) at l = 1..p-1, one convolution,
+    with the taps cut to j < p - r."""
     t0 = perf_counter()
     checked = 0
     bad = []
-    for p in _ODD_PRIMES_97:
-        if p > p_max:
-            break
+    for p in _odd_primes("pzero", p_max):
         q = p * p
-        cp = [math.comb(p, j) % q for j in range(p + 1)]
-        ctab = [[math.comb(r, t) % q for t in range(r + 1)] for r in range(p)]
-        for r in range(2, p):
-            total = 0
-            for j in range(1, p - r):
-                for l in range(j, j + r + 1):
-                    sign = 1 if (r - l + 1) % 2 == 0 else -1
-                    if 0 <= l - j <= r:
-                        total += sign * l * ctab[r][l - j] * cp[j]
+        for r, row, taps, weights in _binomial_rows(p):
+            if r < 2:
+                continue
+            total = int(weights[1:] @ np.convolve(row, taps[: p - r])[1:p])
             checked += 1
             if total % q != 0:
                 bad.append({"p": p, "r": r, "residue": total % q})
     return SuiteReport("pzero", {"p_max": p_max}, checked, bad, perf_counter() - t0)
 
 
+def valpro_claim(s, vj):
+    """The lemma's value of v_p(C(l p^s, j)), from s and v_p(j) (integers
+    or arrays of them)."""
+    return s - vj
+
+
 def valpro_suite(p_max: int = 13, s_max: int = 4) -> SuiteReport:
     """v_p(C(l p^s, j)) = s - v_p(j) for 1 <= j < l p^s, 1 <= l <= p-1.
 
     The valuation of the binomial is maintained incrementally along the
-    row, which keeps the sweep independent of the digit-sum formula used
-    elsewhere.
+    row, v_p(C(n, j)) = v_p(C(n, j-1)) + v_p(n-j+1) - v_p(j), which keeps
+    the sweep independent of the digit-sum formula used elsewhere.  Each
+    row is taken in chunks of j: v_p(j) and v_p(n-j+1) come from strided
+    adds of 1 at j = 0 and j = n+1 mod p^e for every p^e <= n, and the
+    running valuation is the carried value plus a cumulative sum.  The
+    sweep stops at the fifth counterexample.
     """
     t0 = perf_counter()
     checked = 0
     bad = []
+    params = {"p_max": p_max, "s_max": s_max}
     for p in range(2, p_max + 1):
         if not is_prime(p):
             continue
         for s in range(1, s_max + 1):
             for l in range(1, p):
                 n = l * p**s
+                powers = [p**e for e in range(1, s + 1)]  # p^e <= n < p^(s+1)
                 v = 0
-                for j in range(1, n):
-                    num = n - j + 1
-                    while num % p == 0:
-                        v += 1
-                        num //= p
-                    den = j
-                    vj = 0
-                    while den % p == 0:
-                        vj += 1
-                        den //= p
-                    v -= vj
-                    checked += 1
-                    if v != s - vj:
+                for start in range(1, n, _VALPRO_CHUNK):
+                    size = min(_VALPRO_CHUNK, n - start)
+                    vj = np.zeros(size, dtype=np.int64)  # v_p(j), j = start + i
+                    vnum = np.zeros(size, dtype=np.int64)  # v_p(n - j + 1)
+                    for pe in powers:
+                        vj[-start % pe :: pe] += 1
+                        vnum[(n + 1 - start) % pe :: pe] += 1
+                    running = v + np.cumsum(vnum - vj)
+                    claim = valpro_claim(s, vj)
+                    for i in np.flatnonzero(running != claim).tolist():
                         bad.append(
-                            {"p": p, "s": s, "l": l, "j": j, "got": v,
-                             "expected": s - vj}
+                            {"p": p, "s": s, "l": l, "j": start + i,
+                             "got": int(running[i]), "expected": int(claim[i])}
                         )
                         if len(bad) > 4:
+                            checked += i + 1
                             return SuiteReport(
-                                "valpro", {"p_max": p_max, "s_max": s_max},
-                                checked, bad, perf_counter() - t0,
+                                "valpro", params, checked, bad, perf_counter() - t0
                             )
-    return SuiteReport(
-        "valpro", {"p_max": p_max, "s_max": s_max}, checked, bad, perf_counter() - t0
-    )
+                    checked += size
+                    v = int(running[-1])
+    return SuiteReport("valpro", params, checked, bad, perf_counter() - t0)
 
 
 def bipro_suite(p_max: int = 13, s_max: int = 4, s_min: int = 2) -> SuiteReport:
@@ -197,9 +237,7 @@ def bipro_suite(p_max: int = 13, s_max: int = 4, s_min: int = 2) -> SuiteReport:
     checked = 0
     bad = []
     families = {}
-    for p in _ODD_PRIMES_97:
-        if p > p_max:
-            break
+    for p in _odd_primes("bipro", p_max):
         for s in range(s_min, s_max + 1):
             pairs, witness = backends.bipro_scan(p, s)
             checked += pairs

@@ -3,7 +3,10 @@
 Each case is the argv (and optional stdin) of one `padic-dyn` call together
 with the stdout and exit code the program gave when the corpus was frozen.
 The replay test requires both to stay byte-identical, so a refactor of the
-numeric core cannot change any answer unnoticed.
+numeric core cannot change any answer unnoticed.  The one exception is the
+wall time of a verify suite: `mask_timings` writes every
+`"elapsed_seconds": <number>` as `"elapsed_seconds": null`, both here and in
+the replay, and the rest of the output must still match byte for byte.
 
 Regenerate only on purpose, when an output is meant to change:
 
@@ -16,6 +19,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -146,6 +150,7 @@ def _cases(rng: random.Random) -> list[dict]:
     add(["generate", "-p", "7", "--lift", "1,2,3,4,5,6,0,1,2,3,4,5,6,0", "--seed", "3"])
     add(["verify", "--counterexamples"])
     _late_witness_cases(add)
+    _verify_cases(add)
     return cases
 
 
@@ -207,6 +212,35 @@ def _late_witness_cases(add) -> None:
     add(["classify", "-", "--depth", "4"], _series_blob("vdp", 3, 45, vdp))
 
 
+def _verify_cases(add) -> None:
+    """Every identity suite at small ranges, and abc, pzero, valpro and bip2
+    at their default ranges, alone and together."""
+    for suite, p_max, s_max in (("abc", 13, None), ("pzero", 13, None),
+                                ("valpro", 5, 2), ("valpro", 7, 3),
+                                ("bipro", 5, 2), ("bipro", 3, 3), ("bip2", None, 4)):
+        argv = ["verify", "--suite", suite]
+        if p_max is not None:
+            argv += ["--p-max", str(p_max)]
+        if s_max is not None:
+            argv += ["--s-max", str(s_max)]
+        add(argv)
+    for suite in ("abc", "pzero", "valpro", "bip2"):
+        add(["verify", "--suite", suite])
+    add(["verify", "--suite", "abc", "--suite", "pzero", "--suite", "valpro",
+         "--p-max", "7", "--s-max", "2"])
+    add(["verify", "--suite", "pzero", "--p-max", "3"])  # checks p = 3, r = 2 only
+    add(["verify", "--suite", "pzero", "--p-max", "2"])  # checks nothing: exit 2
+
+
+_ELAPSED = re.compile(r'"elapsed_seconds": [-+0-9.eE]+')
+
+
+def mask_timings(stdout: str) -> str:
+    """stdout with every suite's wall time replaced by null: the one field
+    of a verify report that differs from run to run."""
+    return _ELAPSED.sub('"elapsed_seconds": null', stdout)
+
+
 def required_valuation(n: int, p: int) -> int:
     """v_p(a_n) that the Mahler UD1 predicate demands at index n."""
     if n < p:
@@ -229,7 +263,7 @@ def run_case(case: dict) -> tuple[int, str]:
                 code = exc.code
     finally:
         sys.stdin = saved
-    return code, out.getvalue()
+    return code, mask_timings(out.getvalue())
 
 
 def main() -> None:

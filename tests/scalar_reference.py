@@ -8,10 +8,19 @@ a term array: every value comes from `PadicFunction.evaluate`, from exact
 rationals or from one term at a time (`CoefficientSeries.term` and
 `normalized`), every loop is plain Python.  They are slow on purpose and
 serve only as independent references in tests.
+
+The identity suites valpro, abc and pzero keep their scalar sweeps here
+too, before they became chunked prefix sums and one convolution per r.
+Each returns (checked, counterexamples) and reads the prime list,
+`math.comb` and valpro's claimed valuation through the same names the
+package does, so a test that perturbs one of those perturbs both sides
+alike.
 """
 
+import math
 from fractions import Fraction
 
+from padicdyn import identities
 from padicdyn.analysis import DerivedFunction, UD1Report
 from padicdyn.arith import inverse_mod, m_minus
 from padicdyn.errors import InputError, InternalCheckError, NormalizationError
@@ -293,3 +302,98 @@ def outcome(call, *args):
         return call(*args)
     except (InputError, InternalCheckError) as exc:
         return type(exc), str(exc)
+
+
+# -- identity suites, one instance at a time ---------------------------
+
+
+def valpro_reference(p_max: int, s_max: int):
+    """v_p(C(l p^s, j)) = s - v_p(j), the running valuation updated one j at
+    a time by trial division; stops at the fifth counterexample."""
+    checked = 0
+    bad = []
+    for p in range(2, p_max + 1):
+        if not identities.is_prime(p):
+            continue
+        for s in range(1, s_max + 1):
+            for l in range(1, p):
+                n = l * p**s
+                v = 0
+                for j in range(1, n):
+                    num = n - j + 1
+                    while num % p == 0:
+                        v += 1
+                        num //= p
+                    den = j
+                    vj = 0
+                    while den % p == 0:
+                        vj += 1
+                        den //= p
+                    v -= vj
+                    checked += 1
+                    claim = identities.valpro_claim(s, vj)
+                    if v != claim:
+                        bad.append(
+                            {"p": p, "s": s, "l": l, "j": j, "got": v,
+                             "expected": claim}
+                        )
+                        if len(bad) > 4:
+                            return checked, bad
+    return checked, bad
+
+
+def _modular_abc_reference(p: int) -> list[tuple[int, int]]:
+    """(r, (A+B+C) mod p^2) for r = 1..p-1, via reduced tables."""
+    q = p * p
+    crow = [[math.comb(r, t) % q for t in range(r + 1)] for r in range(p)]
+    cp = [math.comb(p, j) % q for j in range(p + 1)]
+    out = []
+    for r in range(1, p):
+        total = 0
+        for l in range(1, p):
+            sign = 1 if (r - l + 1) % 2 == 0 else -1
+            jlo = 1 if l <= r else l - r
+            for j in range(jlo, l + 1):
+                if 0 <= l - j <= r:
+                    total += sign * l * crow[r][l - j] * cp[j]
+        for l in range(1, r):
+            sign = 1 if (r - l) % 2 == 0 else -1
+            for j in range(1, r - l + 1):
+                total += sign * l * crow[r][l + j] * cp[j]
+        out.append((r, total % q))
+    return out
+
+
+def abc_reference(p_max: int):
+    checked = 0
+    bad = []
+    for p in identities._ODD_PRIMES_97:
+        if p > p_max:
+            break
+        for r, residue in _modular_abc_reference(p):
+            checked += 1
+            if residue != 0:
+                bad.append({"p": p, "r": r, "residue": residue})
+    return checked, bad
+
+
+def pzero_reference(p_max: int):
+    checked = 0
+    bad = []
+    for p in identities._ODD_PRIMES_97:
+        if p > p_max:
+            break
+        q = p * p
+        cp = [math.comb(p, j) % q for j in range(p + 1)]
+        ctab = [[math.comb(r, t) % q for t in range(r + 1)] for r in range(p)]
+        for r in range(2, p):
+            total = 0
+            for j in range(1, p - r):
+                for l in range(j, j + r + 1):
+                    sign = 1 if (r - l + 1) % 2 == 0 else -1
+                    if 0 <= l - j <= r:
+                        total += sign * l * ctab[r][l - j] * cp[j]
+            checked += 1
+            if total % q != 0:
+                bad.append({"p": p, "r": r, "residue": total % q})
+    return checked, bad

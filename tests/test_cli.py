@@ -189,6 +189,38 @@ def test_oversized_vdp_series_refused(capsys):
     assert code == 2 and "window of 100000000 values" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # UD1 window 3^7 + 2 * 3^6 = 3645 points
+        (["classify", "1+x+x^65535", "-p", "3", "--depth", "7"],
+         "degree 65535 over a window of 3645 values at p=3, depth 7 exceeds the "
+         "degree x window budget of 100000000"),
+        (["expand", "x^30000+1", "-p", "3", "--depth", "12", "--count", "3334"],
+         "degree 30000 over a window of 3334 values"),
+        # p^2 * 4097 passes int64: the budget for Python integers applies
+        (["expand", "x^1025+1", "-p", "2147483647", "--depth", "2", "--count", "4096"],
+         "budget of 4194304 for residues beyond int64"),
+    ],
+)
+def test_degree_times_window_refused(capsys, argv, message):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and message in err
+
+
+def test_degree_times_window_at_the_budget_accepted(capsys):
+    # 65535 * (3^6 + 2 * 3^5) = 79625025 Horner steps
+    code, payload, _ = _run_json(
+        capsys, ["classify", "1+x+9x^65535", "-p", "3", "--depth", "6"],
+        schema="classify.schema.json",
+    )
+    assert code == 0 and payload["ergodicity"]["ergodic"] is True
+    code, _, _ = _run(capsys, ["expand", "x^1024+1", "-p", "2147483647", "--depth", "2",
+                               "--count", "4096"])
+    assert code == 0
+
+
 def test_classify_not_ergodic(capsys):
     code, payload, _ = _run_json(
         capsys,
@@ -378,6 +410,22 @@ def test_verify_refuses_empty_range(capsys, argv):
     code, out, err = _run(capsys, ["verify", *argv])
     assert code == 2
     assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "suites", [["abc"], ["pzero"], ["bipro"], ["all"], ["valpro", "bip2", "pzero"]]
+)
+@pytest.mark.parametrize("p_max", ["98", "200"])
+def test_verify_refuses_p_max_above_97(capsys, suites, p_max):
+    # valpro at p_max 200 would run for days: the bound of a later suite is
+    # checked before it starts
+    argv = ["verify", "--p-max", p_max]
+    for suite in suites:
+        argv += ["--suite", suite]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == "" and f"p_max {p_max} is above that limit" in err
+    assert "up to 97" in err
 
 
 def test_global_jobs_flag_removed(capsys):

@@ -81,6 +81,18 @@ def test_four_function_kinds_agree():
             assert fv.evaluate(x) == ref
 
 
+def test_evaluate_high_degree_matches_modular_power():
+    # Horner reduces mod p^k at every step, so the degree only costs steps
+    for p, depth, e in ((3, 6, 65535), (2, 12, 40001), (7, 4, 12345)):
+        f = PadicFunction.from_polynomial([1, 1] + [0] * (e - 2) + [1], p, depth)
+        for x in (0, 1, 26, p**depth - 1, 10**30 + 7):
+            for k in (1, depth):
+                mod = p**k
+                assert f.evaluate(x, k) == (1 + x + pow(x, e, mod)) % mod
+    g = PadicFunction.from_polynomial([-(10**40)] + [0] * 999 + [-3], 5, 3)
+    assert g.evaluate(12) == (-(10**40) - 3 * 12**1000) % 125
+
+
 def test_evaluate_respects_reduction():
     f = PadicFunction.from_polynomial([1, 1], 5, 3)
     assert f.evaluate(7, 1) == 8 % 5

@@ -2,7 +2,9 @@ import math
 import random
 
 import pytest
+from scalar_reference import abc_reference, pzero_reference, valpro_reference
 
+from padicdyn import identities
 from padicdyn.arith import legendre_binomial_valuation, valuation
 from padicdyn.errors import InputError
 from padicdyn.identities import (
@@ -114,3 +116,83 @@ def test_dispatcher_and_overrides():
     with pytest.raises(InputError):
         verify_identity_suite("nope")
 
+
+
+# -- array suites against their scalar sweeps ---------------------------
+
+
+def _outcome(report):
+    return report.checked, report.counterexamples
+
+
+@pytest.mark.parametrize("p_max", [2, 3, 5, 13, 31])
+def test_abc_and_pzero_match_scalar_sweeps(p_max):
+    assert _outcome(abc_suite(p_max)) == abc_reference(p_max)
+    assert _outcome(pzero_suite(p_max)) == pzero_reference(p_max)
+
+
+@pytest.mark.parametrize("p_max, s_max", [(2, 1), (3, 2), (5, 3), (7, 3), (13, 1)])
+def test_valpro_matches_scalar_sweep(p_max, s_max):
+    assert _outcome(valpro_suite(p_max, s_max)) == valpro_reference(p_max, s_max)
+
+
+def test_valpro_carries_the_running_valuation_across_chunks(monkeypatch):
+    monkeypatch.setattr(identities, "_VALPRO_CHUNK", 7)
+    assert _outcome(valpro_suite(7, 3)) == valpro_reference(7, 3)
+    # a claim off by one wherever p^3 | j, seen across chunk boundaries
+    monkeypatch.setattr(identities, "valpro_claim", lambda s, vj: s - vj + (vj >= 3))
+    assert _outcome(valpro_suite(5, 4)) == valpro_reference(5, 4)
+
+
+def test_perturbed_valpro_stops_at_the_fifth_counterexample(monkeypatch):
+    monkeypatch.setattr(identities, "valpro_claim", lambda s, vj: s - vj + (vj >= 3))
+    report = valpro_suite(5, 4)
+    assert _outcome(report) == valpro_reference(5, 4)
+    assert len(report.counterexamples) == 5
+    assert report.counterexamples[0] == {"p": 2, "s": 4, "l": 1, "j": 8,
+                                         "got": 1, "expected": 2}
+    # the fifth is p = 3, s = 4, l = 2, j = 27: the sweep counts every j of
+    # the rows before it and stops there
+    assert report.counterexamples[-1] == {"p": 3, "s": 4, "l": 2, "j": 27,
+                                          "got": 1, "expected": 2}
+    before = sum(l * p**s - 1 for p in (2, 3) for s in range(1, 5) for l in range(1, p))
+    assert report.checked == before - (2 * 81 - 1) + 27
+    assert all(type(v) is int for c in report.counterexamples for v in c.values())
+
+
+def test_perturbed_valpro_below_five_counterexamples_sweeps_everything(monkeypatch):
+    monkeypatch.setattr(identities, "valpro_claim", lambda s, vj: s - vj + (vj >= 4))
+    report = valpro_suite(3, 4)
+    assert _outcome(report) == valpro_reference(3, 4)
+    assert report.counterexamples == [{"p": 3, "s": 4, "l": 2, "j": 81, "got": 0,
+                                       "expected": 1}]
+    assert report.checked == 378
+
+
+def test_perturbed_binomials_give_the_same_counterexamples(monkeypatch):
+    comb = math.comb
+    # C(5, 2) one too large: it is a row entry for every p > 5
+    monkeypatch.setattr(math, "comb", lambda n, k: comb(n, k) + ((n, k) == (5, 2)))
+    abc, pzero = abc_suite(13), pzero_suite(13)
+    assert _outcome(abc) == abc_reference(13)
+    assert _outcome(pzero) == pzero_reference(13)
+    assert pzero.counterexamples == [{"p": 7, "r": 5, "residue": 28},
+                                     {"p": 11, "r": 5, "residue": 44},
+                                     {"p": 13, "r": 5, "residue": 13}]
+    assert [(c["p"], c["r"]) for c in abc.counterexamples][:3] == [(5, 1), (5, 3), (5, 4)]
+    assert not abc.passed and abc.checked == 34
+    # C(7, 2) one too large: a tap of p = 7 only
+    monkeypatch.setattr(math, "comb", lambda n, k: comb(n, k) + ((n, k) == (7, 2)))
+    assert _outcome(abc_suite(7)) == abc_reference(7)
+    assert abc_suite(7).counterexamples[:2] == [{"p": 7, "r": 1, "residue": 48},
+                                                {"p": 7, "r": 3, "residue": 1}]
+
+
+def test_abc_on_composite_moduli_matches_scalar_sweep(monkeypatch):
+    monkeypatch.setattr(identities, "_ODD_PRIMES_97", [3, 9, 15, 21, 25])
+    report = abc_suite(25)
+    assert _outcome(report) == abc_reference(25)
+    assert report.counterexamples[:3] == [{"p": 9, "r": 3, "residue": 27},
+                                          {"p": 9, "r": 6, "residue": 27},
+                                          {"p": 15, "r": 3, "residue": 75}]
+    assert _outcome(pzero_suite(25)) == pzero_reference(25)
