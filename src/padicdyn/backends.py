@@ -194,45 +194,111 @@ def ud1_table_scan(tables: np.ndarray, p: int, depth: int, s_max: int | None = N
 # digit-shift families; the full range is checked.
 
 
-def _pascal_step(row: np.ndarray, m: int, q: int) -> None:
-    """Advance row C(m, .) mod q to C(m + 1, .) in place; row[m + 1] is 0."""
-    row[1 : m + 2] = (row[1 : m + 2] + row[: m + 1]) % q
+# rows of the scan advance and are compared in blocks of this many
+_BIPRO_BLOCK = 16
+
+
+def _pascal_into(
+    dst: np.ndarray, src: np.ndarray, m: int, q: int, spare: np.ndarray
+) -> None:
+    """Write C(m + 1, .) mod q into dst from src = C(m, .) mod q.
+
+    Both are uint16 rows whose entries past their own row are zero (a row
+    only ever overwrites a narrower one) and dst[0] is already 1.  The sum
+    of two residues is below 2q <= 2^16, and min(x, x - q) on unsigned
+    words reduces it: x - q wraps above x exactly when x < q.
+    """
+    new = dst[1 : m + 2]
+    np.add(src[1 : m + 2], src[: m + 1], out=new)
+    np.subtract(new, q, out=spare[: m + 1])
+    np.minimum(new, spare[: m + 1], out=new)
+
+
+def _reduce(block: np.ndarray, q: int, spare: np.ndarray) -> None:
+    """block %= q in place for non-negative int32 entries, as block minus q
+    times the quotient (numpy divides by a constant far faster than it
+    takes a remainder); spare holds the quotient, in pieces as wide as it
+    is."""
+    rows = block.shape[0]
+    for start in range(0, block.shape[1], spare.shape[1]):
+        piece = block[:, start : start + spare.shape[1]]
+        quotient = spare[:rows, : piece.shape[1]]
+        np.floor_divide(piece, q, out=quotient)
+        np.multiply(quotient, q, out=quotient)
+        np.subtract(piece, quotient, out=piece)
 
 
 def bipro_scan(p: int, s: int):
     """Exhaustive digit-shift binomial congruence check mod p^2.
 
-    Rows C(m, .) and C(m + p^s, .) mod p^2 advance in lockstep by Pascal's
-    rule for m = 0..p^s-1; at each step the second row is compared with the
-    (p+1)-tap sum over the first.  Returns (pairs_checked, witness_or_None),
-    the witness being the first failing (n, k) in ascending n, then k.
+    Rows C(m, .) and C(m + p^s, .) mod p^2 for m = 0..p^s-1 advance by
+    Pascal's rule alone, as uint16, into fixed blocks of _BIPRO_BLOCK
+    consecutive rows; row m + 1 is written from row m, and the first row of
+    a block from the last row of the one before.  Once per block the
+    (p+1)-tap sums over the low rows are formed in int32, with one product
+    per distinct tap value (C(p, j) = C(p, p - j)) and a reduction only
+    when the next tap could pass 2^31, and compared with the high rows in
+    one pass.  Returns (pairs_checked, witness_or_None), the witness being
+    the first failing (n, k) in ascending n, then k; pairs_checked counts
+    every pair of the rows before it and its own row.
     """
     if p < 3 or p % 2 == 0:
         raise InputError("bipro_scan needs an odd prime")
     if s < 2:
         raise InputError("bipro_scan needs s >= 2")
     q = p * p
+    if 2 * q > 1 << 16:
+        raise InputError("bipro_scan keeps sums of two residues mod p^2 in 16 bits")
     ps = p**s
     delta = p ** (s - 1)
     taps = [comb(p, j) % q for j in range(p + 1)]
-    low = np.zeros(ps + 1, dtype=np.int64)
-    high = np.zeros(2 * ps + 1, dtype=np.int64)
-    low[0] = high[0] = 1
-    # C(p^s, .) from C(0, .) by Pascal's rule alone, so no row relies on the taps
+    low = np.zeros((_BIPRO_BLOCK, ps + 1), dtype=np.uint16)
+    high = np.zeros((_BIPRO_BLOCK, 2 * ps + 1), dtype=np.uint16)
+    low[:, 0] = high[:, 0] = 1
+    spare = np.empty(2 * ps, dtype=np.uint16)
+    # C(p^s, .) from C(0, .) by Pascal's rule alone, so no row relies on the
+    # taps; p^s is odd, so alternating high[1] -> high[0] -> high[1] ... ends
+    # in high[0]
     for m in range(ps):
-        _pascal_step(high, m, q)
+        _pascal_into(high[m % 2], high[(m + 1) % 2], m, q, spare)
+    acc = np.empty((_BIPRO_BLOCK, 2 * ps + 1), dtype=np.int32)
+    product = np.empty((_BIPRO_BLOCK, ps), dtype=np.int32)
+    shifts = {}  # tap -> starts j p^(s-1) of the taps equal to it
+    for j, tap in enumerate(taps):
+        shifts.setdefault(tap, []).append(j * delta)
     pairs = 0
-    for m in range(ps):
-        n = m + ps
-        rhs = np.zeros(n + 1, dtype=np.int64)
-        for j, tap in enumerate(taps):
-            rhs[j * delta : j * delta + m + 1] += tap * low[: m + 1]
-        rhs %= q
-        pairs += n + 1
-        bad = np.flatnonzero(high[: n + 1] != rhs)
-        if bad.size:
-            k = int(bad[0])
-            return pairs, {"n": n, "k": k, "lhs": int(high[k]), "rhs": int(rhs[k])}
-        _pascal_step(low, m, q)
-        _pascal_step(high, n, q)
+    for m0 in range(0, ps, _BIPRO_BLOCK):
+        rows = min(_BIPRO_BLOCK, ps - m0)
+        for i in range(rows):
+            m = m0 + i
+            if m:
+                _pascal_into(low[i], low[i - 1], m - 1, q, spare)
+                _pascal_into(high[i], high[i - 1], m - 1 + ps, q, spare)
+        width = m0 + rows  # of the block's widest low row
+        block = acc[:rows, : width + ps]
+        block.fill(0)
+        bound = 0  # entries of block are at most bound
+        for tap, starts in shifts.items():
+            terms = low[:rows, :width]
+            if tap != 1:
+                terms = np.multiply(terms, tap, out=product[:rows, :width], dtype=np.int32)
+            for start in starts:
+                if bound + tap * (q - 1) >= 1 << 31:
+                    # product holds the terms, so no _reduce here; with
+                    # the true taps this happens only from p = 83 on
+                    np.remainder(block, q, out=block)
+                    bound = q - 1
+                block[:, start : start + width] += terms
+                bound += tap * (q - 1)
+        _reduce(block, q, product)
+        bad = block != high[:rows, : width + ps]
+        witness = None
+        if bad.any():
+            i, k = divmod(int(bad.argmax()), width + ps)
+            witness = {"n": m0 + i + ps, "k": k, "lhs": int(high[i, k]), "rhs": int(block[i, k])}
+            rows = i + 1
+        # row m holds m + p^s + 1 pairs
+        pairs += rows * (m0 + ps + 1) + rows * (rows - 1) // 2
+        if witness:
+            return pairs, witness
     return pairs, None

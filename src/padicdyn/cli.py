@@ -340,11 +340,11 @@ def cmd_verify(args) -> int:
         overrides = {}
         if args.p_max is not None:
             overrides["p_max"] = args.p_max
-            # every suite's prime bound is checked before the first one runs
-            for name in names:
-                identities.check_p_max(name, args.p_max)
         if args.s_max is not None:
             overrides["s_max"] = args.s_max
+        # every suite's prime bound and work limit is checked before the
+        # first one runs
+        identities.check_ranges(names, overrides)
         reports = []
         for name in names:
             report = identities.verify_identity_suite(name, **overrides)

@@ -12,11 +12,15 @@ suite is exact integer arithmetic, in int64 numpy passes or Python ints:
   p^2 against C(p, j) mod p^2: one convolution (and for abc's third sum
   one correlation) per r.  `abc_components` and `pzero_component` give
   the same double sums as exact big integers.
-- bipro advances two Pascal rows mod p^2 in lockstep (`backends.bipro_scan`).
+- bipro advances the Pascal rows C(m, .) and C(m + p^s, .) mod p^2 in
+  uint16 and compares 16 rows at a time with their tap sums
+  (`backends.bipro_scan`).
 - bip2 evaluates the five p = 2 congruences with `math.comb`.
 
 The abc, pzero and bipro sweeps stop at p = 97, which keeps every int64
-sum below p^7 < 2^63; a larger p_max is refused.
+sum below p^7 < 2^63; a larger p_max is refused.  valpro and bipro also
+refuse a range with more instances than their work limit, since their work
+grows as p^s_max and p^(2 s_max) whatever the prime bound.
 """
 
 from __future__ import annotations
@@ -38,6 +42,9 @@ _ODD_PRIMES_97 = [p for p in range(3, _P_LIMIT + 1) if is_prime(p)]
 
 # valpro takes each row in chunks of at most this many j
 _VALPRO_CHUNK = 1 << 13
+
+# most instances a range of valpro or bipro may hold
+_WORK_LIMITS = {"valpro": 10**9, "bipro": 1 << 31}
 
 
 @dataclass
@@ -114,6 +121,59 @@ def check_p_max(suite: str, p_max: int) -> None:
             f"{suite} sweeps odd primes up to {_P_LIMIT}; p_max {p_max} is above "
             f"that limit"
         )
+
+
+def _instance_counts(suite: str, p_max: int, s_max: int, s_min: int = 2):
+    """Yield the instances valpro or bipro checks at each (p, s) of its
+    range: l p^s - 1 for each l < p, or the n + 1 pairs of each row
+    n in [p^s, 2 p^s)."""
+    if suite == "valpro":
+        for p in range(2, p_max + 1) if s_max >= 1 else ():
+            if is_prime(p):
+                for s in range(1, s_max + 1):
+                    yield p**s * p * (p - 1) // 2 - (p - 1)
+    else:
+        for p in _odd_primes(suite, p_max):
+            for s in range(s_min, s_max + 1):
+                yield p**s * (3 * p**s + 1) // 2
+
+
+def _check_work(suite: str, args: dict) -> None:
+    limit = _WORK_LIMITS.get(suite)
+    if limit is None:
+        return
+    total = 0
+    for count in _instance_counts(suite, **args):
+        total += count
+        if total > limit:
+            raise InputError(
+                f"{suite} over p_max {args['p_max']}, s_max {args['s_max']} would "
+                f"check more than {limit} instances; that is its work limit"
+            )
+
+
+def _arguments(name: str, overrides: dict) -> dict:
+    """The keyword arguments suite name runs with: its defaults, updated by
+    the overrides it takes."""
+    params = inspect.signature(_SUITES[name]).parameters
+    args = {k: v.default for k, v in params.items()}
+    args.update({k: v for k, v in overrides.items() if k in params})
+    return args
+
+
+def check_ranges(names, overrides: dict) -> None:
+    """Refuse, before any suite runs, a range that one of the named suites
+    caps: first a p_max above the prime bound, then a range beyond the
+    work limit."""
+    for name in names:
+        if name not in _SUITES:
+            raise InputError(f"unknown suite {name!r}; choose from {sorted(_SUITES)}")
+    args = {name: _arguments(name, overrides) for name in names}
+    for name in names:
+        if "p_max" in args[name]:
+            check_p_max(name, args[name]["p_max"])
+    for name in names:
+        _check_work(name, args[name])
 
 
 def _odd_primes(suite: str, p_max: int) -> list[int]:
@@ -197,7 +257,7 @@ def valpro_suite(p_max: int = 13, s_max: int = 4) -> SuiteReport:
     checked = 0
     bad = []
     params = {"p_max": p_max, "s_max": s_max}
-    for p in range(2, p_max + 1):
+    for p in range(2, p_max + 1) if s_max >= 1 else ():
         if not is_prime(p):
             continue
         for s in range(1, s_max + 1):
@@ -298,13 +358,10 @@ _SUITES = {
 
 
 def verify_identity_suite(name: str, **overrides) -> SuiteReport:
-    """Run one suite by name.  Range overrides (p_max, s_max) apply only to
-    the suites that take them; others are dropped."""
-    if name not in _SUITES:
-        raise InputError(f"unknown suite {name!r}; choose from {sorted(_SUITES)}")
-    fn = _SUITES[name]
-    accepted = set(inspect.signature(fn).parameters)
-    return fn(**{k: v for k, v in overrides.items() if k in accepted})
+    """Run one suite by name, after `check_ranges`.  Range overrides (p_max,
+    s_max) apply only to the suites that take them; others are dropped."""
+    check_ranges([name], overrides)
+    return _SUITES[name](**_arguments(name, overrides))
 
 
 def all_suite_names() -> tuple[str, ...]:

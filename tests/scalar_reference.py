@@ -14,13 +14,16 @@ too, before they became chunked prefix sums and one convolution per r.
 Each returns (checked, counterexamples) and reads the prime list,
 `math.comb` and valpro's claimed valuation through the same names the
 package does, so a test that perturbs one of those perturbs both sides
-alike.
+alike.  The bipro scan keeps its row-by-row lockstep loop, which reads its
+taps through `backends.comb` as the blocked scan does.
 """
 
 import math
 from fractions import Fraction
 
-from padicdyn import identities
+import numpy as np
+
+from padicdyn import backends, identities
 from padicdyn.analysis import DerivedFunction, UD1Report
 from padicdyn.arith import inverse_mod, m_minus
 from padicdyn.errors import InputError, InternalCheckError, NormalizationError
@@ -397,3 +400,38 @@ def pzero_reference(p_max: int):
             if total % q != 0:
                 bad.append({"p": p, "r": r, "residue": total % q})
     return checked, bad
+
+
+def _pascal_step(row, m: int, q: int) -> None:
+    """Advance row C(m, .) mod q to C(m + 1, .) in place; row[m + 1] is 0."""
+    row[1 : m + 2] = (row[1 : m + 2] + row[: m + 1]) % q
+
+
+def bipro_lockstep_reference(p: int, s: int):
+    """`backends.bipro_scan` one row at a time: rows C(m, .) and
+    C(m + p^s, .) mod p^2 advance in lockstep in int64, and each high row
+    is compared with the (p+1)-tap sum over its low row."""
+    q = p * p
+    ps = p**s
+    delta = p ** (s - 1)
+    taps = [backends.comb(p, j) % q for j in range(p + 1)]
+    low = np.zeros(ps + 1, dtype=np.int64)
+    high = np.zeros(2 * ps + 1, dtype=np.int64)
+    low[0] = high[0] = 1
+    for m in range(ps):
+        _pascal_step(high, m, q)
+    pairs = 0
+    for m in range(ps):
+        n = m + ps
+        rhs = np.zeros(n + 1, dtype=np.int64)
+        for j, tap in enumerate(taps):
+            rhs[j * delta : j * delta + m + 1] += tap * low[: m + 1]
+        rhs %= q
+        pairs += n + 1
+        bad = np.flatnonzero(high[: n + 1] != rhs)
+        if bad.size:
+            k = int(bad[0])
+            return pairs, {"n": n, "k": k, "lhs": int(high[k]), "rhs": int(rhs[k])}
+        _pascal_step(low, m, q)
+        _pascal_step(high, n, q)
+    return pairs, None

@@ -225,6 +225,11 @@ def test_c06_identity_suites():
         good = report.passed and not report.counterexamples
         if name == "abc":
             good = good and elapsed < 30.0
+        if name == "bipro":
+            # every pair of rows n in [p^s, 2 p^s) for odd p <= 13, 2 <= s <= 4
+            good = good and report.checked == sum(
+                n + 1 for p in (3, 5, 7, 11, 13) for s in (2, 3, 4) for n in range(p**s, 2 * p**s)
+            )
         ok = ok and good
         notes.append(f"{name}:{report.checked} in {elapsed:.1f}s")
     _report(6, "identity suites", ok, ", ".join(notes))

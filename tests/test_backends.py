@@ -4,11 +4,13 @@ import random
 import numpy as np
 import pytest
 
+import scalar_reference
 from padicdyn import backends
 from padicdyn.analysis import ud1_check
 from padicdyn.dynamics import transitive_mod
 from padicdyn.errors import InputError
 from padicdyn.funcspace import PadicFunction, mahler_coefficients
+from scalar_reference import bipro_lockstep_reference
 
 
 def test_poly_tables_matches_scalar():
@@ -113,6 +115,99 @@ def test_bipro_scan_reports_perturbed_tap(monkeypatch):
     assert witness["lhs"] == math.comb(witness["n"], witness["k"]) % 25
     assert witness["rhs"] != witness["lhs"]
     assert witness == _bipro_brute_force(5, 2, comb=perturbed)[1]
+
+
+# every (p, s) of the benchmark's bipro ranges, (13, 3) and (7, 4), and of
+# the suite's default range (13, 4) up to p^s = 2401; the reference takes
+# about 7 s at (11, 4) and 30 s at (13, 4), which the default-range run in
+# test_c06 covers against the closed-form pair count
+_BIPRO_RANGE = [(p, s) for p in (3, 5, 7, 11, 13) for s in (2, 3, 4) if p**s <= 2401]
+
+
+def _passing_pairs(p, s):
+    ps = p**s
+    return sum(n + 1 for n in range(ps, 2 * ps))
+
+
+@pytest.mark.parametrize("p, s", _BIPRO_RANGE)
+def test_bipro_scan_matches_lockstep_reference(p, s):
+    assert backends.bipro_scan(p, s) == bipro_lockstep_reference(p, s) == (
+        _passing_pairs(p, s), None
+    )
+
+
+@pytest.mark.parametrize("p, s, j", [(5, 2, 0), (5, 3, 2), (7, 3, 3), (13, 2, 13), (3, 4, 1)])
+def test_bipro_scan_matches_reference_with_a_perturbed_tap(monkeypatch, p, s, j):
+    monkeypatch.setattr(backends, "comb", lambda n, k: math.comb(n, k) + (n == p and k == j))
+    result = backends.bipro_scan(p, s)
+    assert result[1] is not None
+    assert result == bipro_lockstep_reference(p, s)
+
+
+def _bump_row(monkeypatch, target, k, q):
+    """Raise entry k of the row C(target, .) by one mod q wherever either
+    scan writes that row by Pascal's rule."""
+    blocked, lockstep = backends._pascal_into, scalar_reference._pascal_step
+
+    def blocked_step(dst, src, m, q_, spare):
+        blocked(dst, src, m, q_, spare)
+        if m + 1 == target:
+            dst[k] = (int(dst[k]) + 1) % q
+
+    def lockstep_step(row, m, q_):
+        lockstep(row, m, q_)
+        if m + 1 == target:
+            row[k] = (row[k] + 1) % q
+
+    monkeypatch.setattr(backends, "_pascal_into", blocked_step)
+    monkeypatch.setattr(scalar_reference, "_pascal_step", lockstep_step)
+
+
+# at p = 5, s = 3 the blocks of 16 rows start at m = 0, 16, ..., 112 and the
+# last one holds m = 112..124: the first row of the scan (C(125, .), written
+# before the blocks), the first, a middle and the last row of a block, the row
+# just after a block boundary, and the last row of the scan
+@pytest.mark.parametrize("m", [0, 32, 39, 47, 48, 124])
+def test_bipro_scan_reports_a_perturbed_row(monkeypatch, m):
+    p, s, q = 5, 3, 25
+    n, k = m + p**s, 1 + m // 2
+    _bump_row(monkeypatch, n, k, q)
+    pairs, witness = backends.bipro_scan(p, s)
+    assert (pairs, witness) == bipro_lockstep_reference(p, s)
+    assert (witness["n"], witness["k"]) == (n, k)
+    assert witness["lhs"] == (math.comb(n, k) + 1) % q and witness["rhs"] == math.comb(n, k) % q
+    assert pairs == sum(t + 1 for t in range(p**s, n + 1))
+
+
+def test_bipro_scan_matches_reference_with_a_perturbed_low_row(monkeypatch):
+    # a row below p^s is a low row and also feeds C(p^s, .)
+    _bump_row(monkeypatch, 40, 7, 25)
+    result = backends.bipro_scan(5, 3)
+    assert result[1] is not None
+    assert result == bipro_lockstep_reference(5, 3)
+
+
+@pytest.mark.parametrize("block", [2, 5, 7])
+def test_bipro_scan_block_size_changes_nothing(monkeypatch, block):
+    monkeypatch.setattr(backends, "_BIPRO_BLOCK", block)
+    for p, s in ((3, 4), (5, 3), (11, 2)):
+        assert backends.bipro_scan(p, s) == bipro_lockstep_reference(p, s)
+    _bump_row(monkeypatch, 125 + 30, 9, 25)
+    assert backends.bipro_scan(5, 3) == bipro_lockstep_reference(5, 3)
+
+
+# from p = 17 a product of two residues mod p^2 leaves uint16; p = 79 is the
+# first p with (p - 1)(p^2 - 1)^2 >= 2^31, and from p = 83 the taps' own
+# bound, (p^2 - 1) times the sum of C(p, j) mod p^2, passes 2^31, so the
+# int32 sums are reduced on the way (without that, (97, 2) fails)
+@pytest.mark.parametrize("p, s", [(17, 2), (17, 3), (79, 2), (97, 2)])
+def test_bipro_scan_exact_at_the_dtype_edges(p, s):
+    assert backends.bipro_scan(p, s) == (_passing_pairs(p, s), None)
+
+
+def test_bipro_scan_refuses_p_beyond_16_bit_rows():
+    with pytest.raises(InputError):
+        backends.bipro_scan(191, 2)
 
 
 def test_poly_tables_rejects_ragged():

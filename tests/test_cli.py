@@ -428,6 +428,25 @@ def test_verify_refuses_p_max_above_97(capsys, suites, p_max):
     assert "up to 97" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "valpro", "--p-max", "97"],  # 1.2e12 instances
+        ["--suite", "bipro", "--s-max", "5"],  # 2.5e11 pairs
+        ["--suite", "bip2", "--suite", "valpro", "--p-max", "139", "--s-max", "2"],
+        ["--suite", "all", "--p-max", "31", "--s-max", "3"],
+    ],
+)
+def test_verify_refuses_a_range_beyond_the_work_limit(capsys, monkeypatch, argv):
+    def boom(name, **overrides):
+        raise AssertionError(f"suite {name} ran")
+
+    monkeypatch.setattr(cli.identities, "verify_identity_suite", boom)
+    code, out, err = _run(capsys, ["verify", *argv])
+    assert code == 2
+    assert out == "" and "work limit" in err
+
+
 def test_global_jobs_flag_removed(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--jobs", "2", "expand", "x+1", "-p", "3"])

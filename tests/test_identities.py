@@ -118,6 +118,49 @@ def test_dispatcher_and_overrides():
 
 
 
+# -- work limits ---------------------------------------------------------
+
+
+def test_work_limits_admit_the_defaults_and_the_benchmark_ranges():
+    identities.check_ranges(identities.all_suite_names(), {})  # 3.37e6 and 1.56e9
+    for p_max, s_max in ((13, 3), (7, 4)):
+        identities.check_ranges(["bipro"], {"p_max": p_max, "s_max": s_max})
+
+
+@pytest.mark.parametrize(
+    "name, admitted, refused",
+    [
+        ("valpro", (137, 2), (139, 2)),  # 959648804 and 1146289388 instances
+        ("valpro", (36, 4), (37, 4)),  # 854137114 and 2136999490
+        ("bipro", (29, 3), (31, 3)),  # 1233060831 and 2565717010
+        ("bipro", (3, 9), (3, 10)),  # 653786820 and 5883992946
+    ],
+)
+def test_work_limits_on_both_sides(name, admitted, refused):
+    identities.check_ranges([name], dict(zip(("p_max", "s_max"), admitted)))
+    with pytest.raises(InputError, match="work limit"):
+        identities.check_ranges([name], dict(zip(("p_max", "s_max"), refused)))
+    with pytest.raises(InputError, match="work limit"):
+        verify_identity_suite(name, **dict(zip(("p_max", "s_max"), refused)))
+
+
+@pytest.mark.parametrize(
+    "name, p_max, s_max", [("valpro", 5, 2), ("valpro", 7, 3), ("bipro", 5, 2), ("bipro", 7, 3)]
+)
+def test_work_limit_counts_what_the_suite_checks(monkeypatch, name, p_max, s_max):
+    checked = verify_identity_suite(name, p_max=p_max, s_max=s_max).checked
+    monkeypatch.setitem(identities._WORK_LIMITS, name, checked)
+    assert verify_identity_suite(name, p_max=p_max, s_max=s_max).checked == checked
+    monkeypatch.setitem(identities._WORK_LIMITS, name, checked - 1)
+    with pytest.raises(InputError, match=f"more than {checked - 1} instances"):
+        verify_identity_suite(name, p_max=p_max, s_max=s_max)
+
+
+def test_work_limit_of_an_empty_valpro_range_reads_no_primes():
+    identities.check_ranges(["valpro"], {"p_max": 10**15, "s_max": 0})
+    assert valpro_suite(p_max=10**15, s_max=0).checked == 0
+
+
 # -- array suites against their scalar sweeps ---------------------------
 
 
