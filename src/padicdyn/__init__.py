@@ -1,45 +1,3 @@
 """Exact finite-depth analysis of 1-Lipschitz dynamics on the p-adic integers."""
 
-from .arith import (
-    INFINITY,
-    FpSolveResult,
-    Residue,
-    binomial,
-    digit_sum,
-    digits_to_int,
-    harmonic_mod,
-    inverse_mod,
-    is_prime,
-    legendre_binomial_valuation,
-    lucas_binomial_mod_p,
-    m_minus,
-    p_digits,
-    solve_fp,
-    solve_unit_triangular_mod,
-    valuation,
-)
-from .errors import (
-    InputError,
-    InternalCheckError,
-    NormalizationError,
-    PadicDynError,
-    PreconditionError,
-)
-from .funcspace import (
-    CoefficientSeries,
-    PadicFunction,
-    binomial_vdp_coefficient,
-    chi,
-    floor_log,
-    indicator_mahler_coefficient,
-    lipschitz_check,
-    lipschitz_direct_check,
-    mahler_coefficients,
-    mahler_to_vdp,
-    max_depth,
-    vdp_coefficients,
-    vdp_to_mahler,
-)
-from .verdict import CriterionVerdict
-
 __version__ = "0.1.0"

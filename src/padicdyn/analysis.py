@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backends
-from .arith import p_digits
 from .errors import InputError
 from .funcspace import (
     CoefficientSeries,
@@ -245,27 +244,3 @@ def _derived_matches_branches(derived: DerivedFunction, vdp: CoefficientSeries) 
             raise vdp.normalization_error(r + p)
         return False
     return bool((d == branch[np.arange(len(d)) % p]).all())
-
-
-def required_ud1_valuation(n: int, p: int) -> int:
-    """Minimal v_p(a_n) the Mahler route demands at index n."""
-    if n < p:
-        return 0
-    digits = p_digits(n, p)
-    s = len(digits) - 1
-    if s >= 2 or (p > 2 and digits[-1] >= 2):
-        return s + 1
-    return s
-
-
-def random_ud1_mahler_series(
-    p: int, depth: int, count: int, rng
-) -> CoefficientSeries:
-    """Uniform sample from the Mahler coefficient vectors admitted by the
-    divisibility route, at precision p^depth."""
-    mod = p**depth
-    terms = []
-    for n in range(count):
-        r = min(required_ud1_valuation(n, p), depth)
-        terms.append(p**r * rng.randrange(mod // p**r))
-    return CoefficientSeries("mahler", p, depth, tuple(terms))

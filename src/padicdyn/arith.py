@@ -1,16 +1,15 @@
 """Exact integer arithmetic helpers underneath the finite-depth p-adic layers.
 
-Everything here is plain arbitrary-precision integer arithmetic: valuations,
-binomials and their mod-p / valuation shortcuts, residue rings Z/p^k, and
-small linear solvers over prime fields and over Z/m for unit-diagonal
-triangular systems.  No floats anywhere.
+Everything here is plain arbitrary-precision integer arithmetic: primality,
+valuations, binomials, base-p digits, modular inverses and a small linear
+solver over prime fields.  No floats anywhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InputError
 
@@ -121,16 +120,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def digit_sum(n: int, p: int) -> int:
-    require_prime(p)
-    require_nonnegative(n, "n")
-    s = 0
-    while n:
-        s += n % p
-        n //= p
-    return s
-
-
 def p_digits(m: int, p: int) -> list[int]:
     """Base-p digits of m, least significant first; empty for m = 0."""
     require_prime(p)
@@ -140,16 +129,6 @@ def p_digits(m: int, p: int) -> list[int]:
         digits.append(m % p)
         m //= p
     return digits
-
-
-def digits_to_int(digits: Iterable[int], p: int) -> int:
-    require_prime(p)
-    total = 0
-    for d in reversed(list(digits)):
-        if not 0 <= d < p:
-            raise InputError(f"digit {d} out of range for base {p}")
-        total = total * p + d
-    return total
 
 
 def m_minus(m: int, p: int) -> int:
@@ -162,34 +141,6 @@ def m_minus(m: int, p: int) -> int:
     return m - digits[-1] * p ** (len(digits) - 1)
 
 
-def lucas_binomial_mod_p(n: int, k: int, p: int) -> int:
-    """C(n, k) mod p via digitwise products."""
-    require_prime(p)
-    require_nonnegative(n, "n")
-    require_nonnegative(k, "k")
-    if k > n:
-        return 0
-    result = 1
-    while n or k:
-        nd, kd = n % p, k % p
-        if kd > nd:
-            return 0
-        result = (result * math.comb(nd, kd)) % p
-        n //= p
-        k //= p
-    return result
-
-
-def legendre_binomial_valuation(n: int, k: int, p: int):
-    """v_p(C(n, k)) from digit sums; INFINITY when the binomial vanishes."""
-    require_prime(p)
-    require_nonnegative(n, "n")
-    require_nonnegative(k, "k")
-    if k > n:
-        return INFINITY
-    return (digit_sum(k, p) + digit_sum(n - k, p) - digit_sum(n, p)) // (p - 1)
-
-
 def inverse_mod(a: int, modulus: int) -> int:
     if modulus <= 0:
         raise InputError(f"modulus must be positive, got {modulus}")
@@ -197,108 +148,6 @@ def inverse_mod(a: int, modulus: int) -> int:
         return pow(a, -1, modulus)
     except ValueError as exc:
         raise InputError(f"{a} is not invertible mod {modulus}") from exc
-
-
-def harmonic_mod(m: int, p: int, exponent: int = 1) -> int:
-    """Sum of inverses 1/1 + ... + 1/m mod p^exponent; every j must be a unit."""
-    require_prime(p)
-    require_nonnegative(m, "m")
-    if exponent < 1:
-        raise InputError("exponent must be >= 1")
-    modulus = p**exponent
-    total = 0
-    for j in range(1, m + 1):
-        if j % p == 0:
-            raise InputError(f"harmonic_mod hit the non-unit term j={j} for p={p}")
-        total = (total + inverse_mod(j, modulus)) % modulus
-    return total
-
-
-@dataclass(frozen=True, eq=False)
-class Residue:
-    """An element of Z/p^exponent, stored canonically in [0, p^exponent)."""
-
-    value: int
-    prime: int
-    exponent: int
-
-    def __post_init__(self):
-        require_prime(self.prime)
-        if self.exponent < 1:
-            raise InputError(f"Residue exponent must be >= 1, got {self.exponent}")
-        object.__setattr__(self, "value", self.value % self.prime**self.exponent)
-
-    @property
-    def modulus(self) -> int:
-        return self.prime**self.exponent
-
-    def _coerce(self, other) -> "Residue":
-        if isinstance(other, Residue):
-            if other.prime != self.prime or other.exponent != self.exponent:
-                raise InputError(
-                    f"mixed residue rings: Z/{self.modulus} vs Z/{other.modulus}"
-                )
-            return other
-        if isinstance(other, int):
-            return Residue(other, self.prime, self.exponent)
-        raise InputError(f"cannot combine Residue with {other!r}")
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return Residue(self.value + o.value, self.prime, self.exponent)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return Residue(self.value - o.value, self.prime, self.exponent)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return Residue(o.value - self.value, self.prime, self.exponent)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return Residue(self.value * o.value, self.prime, self.exponent)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Residue(-self.value, self.prime, self.exponent)
-
-    def __pow__(self, n: int):
-        require_nonnegative(n, "power")
-        return Residue(pow(self.value, n, self.modulus), self.prime, self.exponent)
-
-    def inverse(self) -> "Residue":
-        return Residue(inverse_mod(self.value, self.modulus), self.prime, self.exponent)
-
-    def is_unit(self) -> bool:
-        return self.value % self.prime != 0
-
-    def reduce_to(self, exponent: int) -> "Residue":
-        if exponent > self.exponent:
-            raise InputError(
-                f"cannot raise precision from p^{self.exponent} to p^{exponent}"
-            )
-        return Residue(self.value, self.prime, exponent)
-
-    def __eq__(self, other):
-        if isinstance(other, Residue):
-            return (
-                self.prime == other.prime
-                and self.exponent == other.exponent
-                and self.value == other.value
-            )
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.prime, self.exponent, self.value))
-
-    def __repr__(self):
-        return f"Residue({self.value} mod {self.prime}^{self.exponent})"
 
 
 @dataclass(frozen=True)
@@ -344,24 +193,3 @@ def solve_fp(rows: Sequence[Sequence[int]], rhs: Sequence[int], p: int) -> FpSol
     for i, c in enumerate(pivots):
         sol[c] = aug[i][ncols]
     return FpSolveResult("unique", tuple(sol))
-
-
-def solve_unit_triangular_mod(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int], modulus: int, lower: bool = True
-) -> tuple[int, ...]:
-    """Solve a triangular system over Z/modulus whose diagonal entries are units."""
-    n = len(rows)
-    if n != len(rhs):
-        raise InputError("matrix/rhs size mismatch")
-    x = [0] * n
-    order = range(n) if lower else range(n - 1, -1, -1)
-    for i in order:
-        row = rows[i]
-        if len(row) != n:
-            raise InputError("ragged matrix")
-        acc = rhs[i] % modulus
-        js = range(i) if lower else range(i + 1, n)
-        for j in js:
-            acc = (acc - row[j] * x[j]) % modulus
-        x[i] = (acc * inverse_mod(row[i] % modulus, modulus)) % modulus
-    return tuple(x)

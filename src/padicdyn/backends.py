@@ -111,12 +111,6 @@ def transitive_scan(tables) -> np.ndarray:
     return (first_return == size).astype(np.uint8)
 
 
-def batch_transitive_polys(coeffs, p: int, k: int) -> np.ndarray:
-    """Transitivity mod p^k for a batch of integer polynomials."""
-    mod = p**k
-    return transitive_scan(poly_tables(coeffs, mod, mod))
-
-
 # -- exact value matrices for batched UD1 sweeps ----------------------
 
 

@@ -33,6 +33,10 @@ _TERM_RE = re.compile(r"^([+-]?)(\d*)(?:x(?:\^(\d+))?)?$")
 # polynomial input of this degree or more is refused before any table is built
 _DEGREE_LIMIT = 1 << 16
 
+# depth of a polynomial given without --depth or a JSON depth
+_EXPAND_DEPTH = 6
+_CLASSIFY_DEPTH = 4
+
 
 def _check_degree(degree: int) -> None:
     if degree >= _DEGREE_LIMIT:
@@ -90,7 +94,9 @@ def _ints(seq) -> list[int]:
     return [_int(x) for x in seq]
 
 
-def function_from_json(data: dict, depth: int | None) -> PadicFunction:
+def function_from_json(
+    data: dict, depth: int | None, default_depth: int = _CLASSIFY_DEPTH
+) -> PadicFunction:
     try:
         kind = data["kind"]
         p = int(data["p"])
@@ -101,7 +107,7 @@ def function_from_json(data: dict, depth: int | None) -> PadicFunction:
             raise InputError("polynomial object needs a 'coeffs' list")
         _check_degree(len(data["coeffs"]) - 1)
         return PadicFunction.from_polynomial(
-            _ints(data["coeffs"]), p, depth or funcspace.max_depth()
+            _ints(data["coeffs"]), p, default_depth if depth is None else depth
         )
     if kind == "table":
         if "values" not in data or "depth" not in data:
@@ -114,7 +120,7 @@ def function_from_json(data: dict, depth: int | None) -> PadicFunction:
     raise InputError(f"unknown function kind {kind!r}")
 
 
-def resolve_function(args, default_depth: int = 4) -> PadicFunction:
+def resolve_function(args, default_depth: int) -> PadicFunction:
     text = args.function
     depth = getattr(args, "depth", None)
     if text == "-" or text.startswith("@"):
@@ -126,12 +132,12 @@ def resolve_function(args, default_depth: int = 4) -> PadicFunction:
                     data = json.load(fh)
         except (OSError, ValueError) as exc:
             raise InputError(f"cannot read function {text!r}: {exc}") from None
-        return function_from_json(data, depth)
+        return function_from_json(data, depth, default_depth)
     if args.prime is None:
         raise InputError("-p/--prime is required for inline polynomial input")
     coeffs = parse_polynomial_text(text)
     return PadicFunction.from_polynomial(
-        coeffs, args.prime, depth if depth is not None else default_depth
+        coeffs, args.prime, default_depth if depth is None else depth
     )
 
 
@@ -146,7 +152,7 @@ def _emit(payload: dict) -> None:
 
 
 def cmd_expand(args) -> int:
-    f = resolve_function(args, default_depth=min(6, funcspace.max_depth()))
+    f = resolve_function(args, _EXPAND_DEPTH)
     count = args.count if args.count is not None else f.prime ** 2
     extract = (
         funcspace.mahler_coefficients if args.basis == "mahler"
@@ -163,7 +169,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    f = resolve_function(args, default_depth=min(4, funcspace.max_depth()))
+    f = resolve_function(args, _CLASSIFY_DEPTH)
     if f.depth < 2:
         raise InputError("classification needs depth >= 2")
     # every route reads the UD1 window and the full Mahler series; refuse
@@ -189,7 +195,22 @@ def cmd_classify(args) -> int:
         "mahler": ud1["mahler"].to_json_dict(),
         "agree": ud1["agree"],
     }
-    report["measure_preserving"] = dynamics.measure_preserving_vdp(vdp).to_json_dict()
+    preserving = dynamics.measure_preserving_vdp(vdp)
+    report["measure_preserving"] = preserving.to_json_dict()
+    if is_ud1:
+        # the UD criteria decide the same question from the first terms of a
+        # UD1 map; they only cross-check it and add nothing to the report
+        ud_routes = (
+            (dynamics.measure_preserving_ud_p2, dynamics.measure_preserving_ud_p2_mahler)
+            if f.prime == 2 else (dynamics.measure_preserving_ud_odd,)
+        )
+        for route in ud_routes:
+            ud = route(f)
+            if ud.passed != preserving.passed:
+                raise InternalCheckError(
+                    f"measure preservation routes disagree: {preserving.criterion} "
+                    f"passed={preserving.passed}, {ud.criterion} passed={ud.passed}"
+                )
 
     decision = None
     closed = None

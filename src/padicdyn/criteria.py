@@ -803,13 +803,6 @@ def interpolate_reduced_p(p: int, values: Sequence[int]) -> tuple[int, ...]:
     return result.solution
 
 
-def random_p5_instance(p: int, rng, with_lift: bool = True) -> P5Instance:
-    phi = random_transitive_permutation(p, rng)
-    bvec = random_unit_product_one(p, p, rng)
-    lift = tuple(rng.randrange(p) for _ in range(2 * p)) if with_lift else None
-    return p5_instance(p, phi, bvec, lift)
-
-
 def random_power_basis_poly(p: int, rng) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Random degree < 2p polynomial hitting a transitive reduction and a
     unit-product derivative profile; returns (alphas, Bvec, Dvec)."""

@@ -177,20 +177,13 @@ def measure_preserving_vdp(
     return passing(name, depth=series.exponent, s_max=s_max)
 
 
-def _require_ud1(f: PadicFunction, name: str, bundle: bool):
+def _require_ud1(f: PadicFunction, name: str) -> None:
     report = ud1_check(f)
-    if report.verdict.passed:
-        return None
-    if bundle:
-        return failing(
-            name, "ud1-precondition", witness=report.verdict.witness, depth=f.depth
-        )
-    raise PreconditionError(f"{name} requires a UD1 input", report.verdict)
+    if not report.verdict.passed:
+        raise PreconditionError(f"{name} requires a UD1 input", report.verdict)
 
 
-def measure_preserving_ud_p2(
-    f: PadicFunction, bundle_ud1: bool = False
-) -> CriterionVerdict:
+def measure_preserving_ud_p2(f: PadicFunction) -> CriterionVerdict:
     """p = 2 criterion for differentiable-mod-2 maps: three parity conditions
     on normalized van der Put terms: b_0 + b_1 odd, b_2 odd, b_3 odd."""
     if f.prime != 2:
@@ -198,9 +191,7 @@ def measure_preserving_ud_p2(
     if f.depth < 2:
         raise InputError("need depth >= 2")
     name = "measure-preserving-ud-p2"
-    bad = _require_ud1(f, name, bundle_ud1)
-    if bad is not None:
-        return bad
+    _require_ud1(f, name)
     series = vdp_coefficients(f, count=4)
     b = [series.normalized(m) for m in range(4)]
     checks = [
@@ -216,9 +207,7 @@ def measure_preserving_ud_p2(
     return passing(name, depth=f.depth)
 
 
-def measure_preserving_ud_p2_mahler(
-    f: PadicFunction, bundle_ud1: bool = False
-) -> CriterionVerdict:
+def measure_preserving_ud_p2_mahler(f: PadicFunction) -> CriterionVerdict:
     """Mahler-side equivalent of the p = 2 criterion:
     a_1 = 1 mod 2, a_2 = 0 mod 4, a_3 = 0 mod 4."""
     if f.prime != 2:
@@ -226,9 +215,7 @@ def measure_preserving_ud_p2_mahler(
     if f.depth < 2:
         raise InputError("need depth >= 2")
     name = "measure-preserving-ud-p2-mahler"
-    bad = _require_ud1(f, name, bundle_ud1)
-    if bad is not None:
-        return bad
+    _require_ud1(f, name)
     series = mahler_coefficients(f, count=4)
     a = series.term_list
     checks = [
@@ -254,9 +241,7 @@ def lambda_coefficient(i: int, n: int, p: int) -> int:
     return num // p
 
 
-def measure_preserving_ud_odd(
-    f: PadicFunction, bundle_ud1: bool = False
-) -> CriterionVerdict:
+def measure_preserving_ud_odd(f: PadicFunction) -> CriterionVerdict:
     """Odd-p criterion for differentiable-mod-p maps.
 
     (i) f(0..p-1) is a complete residue system mod p; (ii) every normalized
@@ -269,9 +254,7 @@ def measure_preserving_ud_odd(
     if f.depth < 2:
         raise InputError("need depth >= 2")
     name = "measure-preserving-ud-odd"
-    bad = _require_ud1(f, name, bundle_ud1)
-    if bad is not None:
-        return bad
+    _require_ud1(f, name)
     values = sorted(f.evaluate(i, 1) for i in range(p))
     if values != list(range(p)):
         return failing(
@@ -300,18 +283,6 @@ def measure_preserving_ud_odd(
 
 
 # -- ergodicity -------------------------------------------------------
-
-
-def product_condition_residue(f: PadicFunction, s: int) -> int:
-    """Product of normalized branch terms over one level, mod p."""
-    p = f.prime
-    if not 1 <= s <= f.depth - 1:
-        raise InputError(f"level {s} outside 1..{f.depth - 1}")
-    series = vdp_coefficients(f, count=2 * p**s)
-    acc = 1
-    for j in range(p**s):
-        acc = (acc * series.normalized(j + p**s, 1)) % p
-    return acc
 
 
 def ergodic_conditions(f: PadicFunction, s_max: int | None = None) -> dict[str, Any]:

@@ -11,7 +11,6 @@ the scalar oracle.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -44,28 +43,24 @@ _VDP_LIMIT = 1 << 20
 _HORNER_LIMIT = 10**8
 _WIDE_HORNER_LIMIT = 1 << 22
 
-DEFAULT_MAX_DEPTH = 12
+# residues live below p^depth; every modulus below this bound, (2^31 - 1)^12
+# among them, keeps a residue short enough to compute with and to print
+_MODULUS_BITS = 372
 
 
-def max_depth() -> int:
-    """Depth ceiling; override with the PADIC_DYN_MAX_DEPTH environment variable."""
-    raw = os.environ.get("PADIC_DYN_MAX_DEPTH")
-    if raw is None:
-        return DEFAULT_MAX_DEPTH
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise InputError(f"PADIC_DYN_MAX_DEPTH must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise InputError(f"PADIC_DYN_MAX_DEPTH must be >= 1, got {value}")
-    return value
-
-
-def _check_depth(depth: int) -> None:
+def _check_depth(p: int, depth: int) -> None:
     if not isinstance(depth, int) or depth < 1:
         raise InputError(f"depth must be a positive integer, got {depth!r}")
-    if depth > max_depth():
-        raise InputError(f"depth {depth} exceeds the configured ceiling {max_depth()}")
+    _check_modulus(p, depth)
+
+
+def _check_modulus(p: int, depth: int) -> None:
+    """Refuse p^depth at or above 2^_MODULUS_BITS, without forming a huge
+    power: p^depth >= 2^(depth (bitlen(p) - 1))."""
+    if depth * (p.bit_length() - 1) >= _MODULUS_BITS or p**depth >> _MODULUS_BITS:
+        raise InputError(
+            f"the modulus {p}^{depth} is not below the modulus limit 2^{_MODULUS_BITS}"
+        )
 
 
 def _check_window(p: int, depth: int, npoints: int) -> None:
@@ -123,12 +118,6 @@ def _lead_exponent(m: int, p: int) -> int:
     return e
 
 
-def chi(m: int, x: int, p: int) -> int:
-    """Indicator of the ball: 1 iff x = m mod p^(e(m)+1)."""
-    require_nonnegative(x, "x")
-    return 1 if (x - m) % p ** (floor_log(m, p) + 1) == 0 else 0
-
-
 def index_levels(count: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """e(i) and p^e(i) for i = 0..count-1, as two int64 arrays."""
     level = np.zeros(count, dtype=np.int64)
@@ -170,6 +159,7 @@ class CoefficientSeries:
         require_prime(self.prime)
         if self.exponent < 1:
             raise InputError(f"series exponent must be >= 1, got {self.exponent}")
+        _check_modulus(self.prime, self.exponent)
         if len(self.terms) < 1:
             raise InputError("series needs at least one term")
         if np.ndim(self.terms) != 1:
@@ -288,7 +278,7 @@ class PadicFunction:
 
     def __init__(self, kind, prime, depth, payload):
         require_prime(prime)
-        _check_depth(depth)
+        _check_depth(prime, depth)
         self.kind = kind
         self.prime = prime
         self.depth = depth
@@ -312,7 +302,7 @@ class PadicFunction:
         cls, values: Sequence[int], prime: int, depth: int
     ) -> "PadicFunction":
         require_prime(prime)
-        _check_depth(depth)
+        _check_depth(prime, depth)
         size = prime**depth
         values = tuple(int(v) for v in values)
         if len(values) != size:
@@ -636,27 +626,3 @@ def lipschitz_check(
             depth=series.exponent,
         )
     return passing(name, depth=series.exponent, checked_terms=len(series))
-
-
-def lipschitz_direct_check(f: PadicFunction, k: int | None = None) -> CriterionVerdict:
-    """Definition-level test: f(x + p^s) = f(x) mod p^s for all s < k in the window."""
-    if k is None:
-        k = f.depth
-    if not 1 <= k <= f.depth:
-        raise InputError(f"depth {k} outside 1..{f.depth}")
-    _check_window(f.prime, f.depth, f.prime**k)
-    values = [f.evaluate(x, k) for x in range(f.prime**k)]
-    size = len(values)
-    for s in range(1, k):
-        step = f.prime**s
-        mod = step
-        for x in range(size - step):
-            if (values[x + step] - values[x]) % mod != 0:
-                return failing(
-                    "lipschitz-direct",
-                    "ball-contraction",
-                    witness={"x": x, "s": s,
-                             "fx": values[x], "fx_shift": values[x + step]},
-                    depth=k,
-                )
-    return passing("lipschitz-direct", depth=k, points=size)

@@ -10,8 +10,7 @@ suite is exact integer arithmetic, in int64 numpy passes or Python ints:
   used, so the suite checks the lemma instead of restating it.
 - abc and pzero weigh, for each r, the tap sums of the row C(r, .) mod
   p^2 against C(p, j) mod p^2: one convolution (and for abc's third sum
-  one correlation) per r.  `abc_components` and `pzero_component` give
-  the same double sums as exact big integers.
+  one correlation) per r.
 - bipro advances the Pascal rows C(m, .) and C(m + p^s, .) mod p^2 in
   uint16 and compares 16 rows at a time with their tap sums
   (`backends.bipro_scan`).
@@ -20,7 +19,8 @@ suite is exact integer arithmetic, in int64 numpy passes or Python ints:
 The abc, pzero and bipro sweeps stop at p = 97, which keeps every int64
 sum below p^7 < 2^63; a larger p_max is refused.  valpro and bipro also
 refuse a range with more instances than their work limit, since their work
-grows as p^s_max and p^(2 s_max) whatever the prime bound.
+grows as p^s_max and p^(2 s_max) whatever the prime bound; bip2 refuses an
+s_max above 9.
 """
 
 from __future__ import annotations
@@ -45,6 +45,10 @@ _VALPRO_CHUNK = 1 << 13
 
 # most instances a range of valpro or bipro may hold
 _WORK_LIMITS = {"valpro": 10**9, "bipro": 1 << 31}
+
+# largest s_max bip2 takes: each step of s costs it about 14 times the last,
+# as math.comb works on ever longer integers
+_BIP2_S_LIMIT = 9
 
 
 @dataclass
@@ -75,44 +79,6 @@ class SuiteReport:
         }
 
 
-def abc_components(p: int, r: int) -> tuple[int, int, int]:
-    """The three alternating double sums, as exact integers.
-
-    A runs over l = 1..r, j = 1..l with sign (-1)^(r-l+1) and weight
-    l C(r, l-j) C(p, j); B extends l to r+1..p-1 with j = l-r..l;
-    C runs over l = 1..r-1, j = 1..r-l with the opposite sign and
-    weight l C(r, l+j) C(p, j).
-    """
-    def sgn(e: int) -> int:
-        return 1 if e % 2 == 0 else -1
-
-    A = sum(
-        sgn(r - l + 1) * l * math.comb(r, l - j) * math.comb(p, j)
-        for l in range(1, r + 1)
-        for j in range(1, l + 1)
-    )
-    B = sum(
-        sgn(r - l + 1) * l * math.comb(r, l - j) * math.comb(p, j)
-        for l in range(r + 1, p)
-        for j in range(l - r, l + 1)
-    )
-    C = sum(
-        sgn(r - l) * l * math.comb(r, l + j) * math.comb(p, j)
-        for l in range(1, r)
-        for j in range(1, r - l + 1)
-    )
-    return A, B, C
-
-
-def pzero_component(p: int, r: int) -> int:
-    """Exact value of the complementary double sum, defined for 1 < r <= p-1."""
-    return sum(
-        (1 if (r - l + 1) % 2 == 0 else -1) * l * math.comb(r, l - j) * math.comb(p, j)
-        for j in range(1, p - r)
-        for l in range(j, j + r + 1)
-    )
-
-
 def check_p_max(suite: str, p_max: int) -> None:
     """Refuse a p_max above the prime bound for the suites that have one,
     rather than cut the sweep to it."""
@@ -139,6 +105,11 @@ def _instance_counts(suite: str, p_max: int, s_max: int, s_min: int = 2):
 
 
 def _check_work(suite: str, args: dict) -> None:
+    if suite == "bip2" and args["s_max"] > _BIP2_S_LIMIT:
+        raise InputError(
+            f"bip2 at s_max {args['s_max']} is above s_max {_BIP2_S_LIMIT}, "
+            f"its work limit"
+        )
     limit = _WORK_LIMITS.get(suite)
     if limit is None:
         return

@@ -16,6 +16,12 @@ Each returns (checked, counterexamples) and reads the prime list,
 package does, so a test that perturbs one of those perturbs both sides
 alike.  The bipro scan keeps its row-by-row lockstep loop, which reads its
 taps through `backends.comb` as the blocked scan does.
+
+Last come the references and samplers that only tests use: Legendre's
+digit-sum valuation of a binomial, the exact double sums behind abc and
+pzero, the ball indicator, the definition-level 1-Lipschitz test, the
+Mahler valuation profile of a UD1 map with its uniform sampler, a random
+prescribed p >= 5 instance, and transitivity of a batch of polynomials.
 """
 
 import math
@@ -23,11 +29,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from padicdyn import backends, identities
+from padicdyn import backends, criteria, identities
 from padicdyn.analysis import DerivedFunction, UD1Report
-from padicdyn.arith import inverse_mod, m_minus
+from padicdyn.arith import INFINITY, inverse_mod, m_minus, p_digits
 from padicdyn.errors import InputError, InternalCheckError, NormalizationError
-from padicdyn.funcspace import CoefficientSeries, PadicFunction
+from padicdyn.funcspace import CoefficientSeries, PadicFunction, floor_log
 from padicdyn.verdict import failing, passing
 
 
@@ -435,3 +441,122 @@ def bipro_lockstep_reference(p: int, s: int):
         _pascal_step(low, m, q)
         _pascal_step(high, n, q)
     return pairs, None
+
+
+# -- test-only references and samplers ----------------------------------
+
+
+def digit_sum(n: int, p: int) -> int:
+    s = 0
+    while n:
+        s += n % p
+        n //= p
+    return s
+
+
+def legendre_binomial_valuation(n: int, k: int, p: int):
+    """v_p(C(n, k)) from digit sums; INFINITY when the binomial vanishes."""
+    if k > n:
+        return INFINITY
+    return (digit_sum(k, p) + digit_sum(n - k, p) - digit_sum(n, p)) // (p - 1)
+
+
+def abc_components(p: int, r: int) -> tuple[int, int, int]:
+    """The three alternating double sums, as exact integers.
+
+    A runs over l = 1..r, j = 1..l with sign (-1)^(r-l+1) and weight
+    l C(r, l-j) C(p, j); B extends l to r+1..p-1 with j = l-r..l;
+    C runs over l = 1..r-1, j = 1..r-l with the opposite sign and
+    weight l C(r, l+j) C(p, j).
+    """
+    def sgn(e: int) -> int:
+        return 1 if e % 2 == 0 else -1
+
+    A = sum(
+        sgn(r - l + 1) * l * math.comb(r, l - j) * math.comb(p, j)
+        for l in range(1, r + 1)
+        for j in range(1, l + 1)
+    )
+    B = sum(
+        sgn(r - l + 1) * l * math.comb(r, l - j) * math.comb(p, j)
+        for l in range(r + 1, p)
+        for j in range(l - r, l + 1)
+    )
+    C = sum(
+        sgn(r - l) * l * math.comb(r, l + j) * math.comb(p, j)
+        for l in range(1, r)
+        for j in range(1, r - l + 1)
+    )
+    return A, B, C
+
+
+def pzero_component(p: int, r: int) -> int:
+    """Exact value of the complementary double sum, defined for 1 < r <= p-1."""
+    return sum(
+        (1 if (r - l + 1) % 2 == 0 else -1) * l * math.comb(r, l - j) * math.comb(p, j)
+        for j in range(1, p - r)
+        for l in range(j, j + r + 1)
+    )
+
+
+def chi(m: int, x: int, p: int) -> int:
+    """Indicator of the ball: 1 iff x = m mod p^(e(m)+1)."""
+    return 1 if (x - m) % p ** (floor_log(m, p) + 1) == 0 else 0
+
+
+def lipschitz_direct_check(f: PadicFunction, k: int | None = None):
+    """Definition-level test: f(x + p^s) = f(x) mod p^s for all s < k in the window."""
+    if k is None:
+        k = f.depth
+    if not 1 <= k <= f.depth:
+        raise InputError(f"depth {k} outside 1..{f.depth}")
+    values = [f.evaluate(x, k) for x in range(f.prime**k)]
+    size = len(values)
+    for s in range(1, k):
+        step = f.prime**s
+        mod = step
+        for x in range(size - step):
+            if (values[x + step] - values[x]) % mod != 0:
+                return failing(
+                    "lipschitz-direct",
+                    "ball-contraction",
+                    witness={"x": x, "s": s,
+                             "fx": values[x], "fx_shift": values[x + step]},
+                    depth=k,
+                )
+    return passing("lipschitz-direct", depth=k, points=size)
+
+
+def required_ud1_valuation(n: int, p: int) -> int:
+    """Minimal v_p(a_n) the Mahler route demands at index n."""
+    if n < p:
+        return 0
+    digits = p_digits(n, p)
+    s = len(digits) - 1
+    if s >= 2 or (p > 2 and digits[-1] >= 2):
+        return s + 1
+    return s
+
+
+def random_ud1_mahler_series(p: int, depth: int, count: int, rng) -> CoefficientSeries:
+    """Uniform sample from the Mahler coefficient vectors admitted by the
+    divisibility route, at precision p^depth."""
+    mod = p**depth
+    terms = []
+    for n in range(count):
+        r = min(required_ud1_valuation(n, p), depth)
+        terms.append(p**r * rng.randrange(mod // p**r))
+    return CoefficientSeries("mahler", p, depth, tuple(terms))
+
+
+def random_p5_instance(p: int, rng, with_lift: bool = True) -> criteria.P5Instance:
+    phi = criteria.random_transitive_permutation(p, rng)
+    bvec = criteria.random_unit_product_one(p, p, rng)
+    lift = tuple(rng.randrange(p) for _ in range(2 * p)) if with_lift else None
+    return criteria.p5_instance(p, phi, bvec, lift)
+
+
+def batch_transitive_polys(coeffs, p: int, k: int) -> np.ndarray:
+    """Transitivity mod p^k for a batch of integer polynomials."""
+    mod = p**k
+    return backends.transitive_scan(backends.poly_tables(coeffs, mod, mod))

@@ -15,7 +15,8 @@ import time
 
 import numpy as np
 
-from padicdyn import analysis, arith, backends, criteria, dynamics, funcspace
+import scalar_reference
+from padicdyn import arith, backends, criteria, dynamics, funcspace
 from padicdyn import identities
 from padicdyn.funcspace import CoefficientSeries, PadicFunction
 
@@ -182,18 +183,18 @@ def test_c05_transitivity_lifting():
                 alphas, _, _ = criteria.random_power_basis_poly(p, py)
                 seeds.append(list(alphas) + [0] * (width - len(alphas)))
         pool = np.vstack([rows, np.array(seeds, dtype=np.int64)])
-        t_mu = backends.batch_transitive_polys(pool, p, mu).astype(bool)
+        t_mu = scalar_reference.batch_transitive_polys(pool, p, mu).astype(bool)
         # top up until the transitive stratum is clearly nonvacuous
         extra_rounds = 0
         while int(t_mu.sum()) < 12 and extra_rounds < 6:
             extra_rounds += 1
             more = np.zeros((500, width), dtype=np.int64)
             more[:, :9] = rng.integers(0, p ** (mu + 2), size=(500, 9))
-            keep = backends.batch_transitive_polys(more, p, mu).astype(bool)
+            keep = scalar_reference.batch_transitive_polys(more, p, mu).astype(bool)
             pool = np.vstack([pool, more[keep]])
-            t_mu = backends.batch_transitive_polys(pool, p, mu).astype(bool)
-        t_up1 = backends.batch_transitive_polys(pool, p, mu + 1).astype(bool)
-        t_up2 = backends.batch_transitive_polys(pool, p, mu + 2).astype(bool)
+            t_mu = scalar_reference.batch_transitive_polys(pool, p, mu).astype(bool)
+        t_up1 = scalar_reference.batch_transitive_polys(pool, p, mu + 1).astype(bool)
+        t_up2 = scalar_reference.batch_transitive_polys(pool, p, mu + 2).astype(bool)
         viol = int((t_mu & ~t_up1).sum()) + int((t_mu & ~t_up2).sum())
         hits = int(t_mu.sum())
         ok = ok and viol == 0 and hits >= 10 and len(pool) >= 1000
@@ -248,13 +249,13 @@ def test_c07_differentiability_divisibility():
             tables = backends.poly_tables(coeffs[None, :], mod, mod)
             mahler = backends.mahler_batch(tables, mod)[0]
             for n in range(mod):
-                need = min(analysis.required_ud1_valuation(n, p), 4)
+                need = min(scalar_reference.required_ud1_valuation(n, p), 4)
                 if mahler[n] % p ** need:
                     necessity_bad += 1
     sufficiency_bad = 0
     for p, count in ((2, 40), (3, 40), (5, 30)):
         rows = [
-            analysis.random_ud1_mahler_series(p, 4, count, py).terms
+            scalar_reference.random_ud1_mahler_series(p, 4, count, py).terms
             for _ in range(500)
         ]
         vals = backends.mahler_value_matrix(
@@ -316,13 +317,12 @@ def test_c09_level_products():
         tries = 0
         while len(pool) < 25 and tries < 4000:
             tries += 1
-            s = analysis.random_ud1_mahler_series(p, 3, 2 * p * p, py)
+            s = scalar_reference.random_ud1_mahler_series(p, 3, 2 * p * p, py)
             f = PadicFunction.from_mahler(s, 3)
             if dynamics.measure_preserving_vdp(funcspace.vdp_coefficients(f)).passed:
                 pool.append(f)
         for f in pool:
-            r1 = dynamics.product_condition_residue(f, 1)
-            r2 = dynamics.product_condition_residue(f, 2)
+            r1, r2 = dynamics.ergodic_conditions(f)["product"].details["products"]
             series = funcspace.vdp_coefficients(f, count=2 * p)
             manual = 1
             for j in range(p):

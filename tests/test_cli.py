@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import dataclasses
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import jsonschema
 import pytest
 
 import padicdyn
-from padicdyn import cli, identities
+from padicdyn import cli, dynamics, identities
 from padicdyn.errors import InputError, InternalCheckError
 
 
@@ -177,6 +178,64 @@ def test_oversized_mahler_series_refused(capsys, argv, message):
     code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == "" and err.startswith("error:") and message in err
+
+
+# no depth ceiling: the window, Mahler, vdp, degree and modulus limits bind
+_DENSE_P2 = "7+3x+10x^2+6x^3+x^4+12x^5+1234567x^7"
+
+
+def test_classify_p2_beyond_depth_12_is_answered(capsys):
+    code, payload, _ = _run_json(
+        capsys, ["classify", _DENSE_P2, "-p", "2", "--depth", "13"], "classify.schema.json"
+    )
+    assert code in (0, 1)
+    assert payload["depth"] == 13 and payload["ud1"]["agree"]
+
+
+def test_classify_p2_depth_19_meets_the_mahler_limit(capsys):
+    code, out, err = _run(capsys, ["classify", _DENSE_P2, "-p", "2", "--depth", "19"])
+    assert code == 2 and out == ""
+    assert "Mahler series of 524288 terms at p=2, depth 19 exceeds the Mahler length limit" in err
+
+
+@pytest.mark.parametrize(
+    "argv, default",
+    [(["classify"], 4), (["expand"], 6), (["expand", "--basis", "mahler"], 6)],
+)
+def test_json_polynomial_takes_the_inline_default_depth(capsys, monkeypatch, argv, default):
+    inline = _run(capsys, [*argv, "x+1", "-p", "3"])
+    blob = json.dumps({"kind": "polynomial", "p": 3, "coeffs": [1, 1]})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(blob))
+    assert _run(capsys, [*argv, "-"]) == inline
+    depth_key = "depth" if argv[0] == "classify" else "k"
+    assert json.loads(inline[1])[depth_key] == default
+
+
+def test_depth_variable_of_old_releases_is_ignored(capsys, monkeypatch):
+    argv = ["classify", "x+1", "-p", "3", "--depth", "5"]
+    before = _run(capsys, argv)
+    monkeypatch.setenv("PADIC_DYN_MAX_DEPTH", "1")
+    assert _run(capsys, argv) == before
+    assert before[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, accepted",
+    [
+        (["-p", "2", "--depth", "371"], True),
+        (["-p", "2", "--depth", "372"], False),
+        (["-p", "2147483647", "--depth", "12"], True),
+        (["-p", "2147483647", "--depth", "13"], False),
+        (["-p", "3", "--depth", "10000000000"], False),
+    ],
+)
+def test_modulus_limit(capsys, argv, accepted):
+    code, out, err = _run(capsys, ["expand", "--count", "2", *argv, "--", "-1"])
+    if accepted:
+        assert code == 0 and int(json.loads(out)["terms"][0]) == int(argv[1]) ** int(argv[3]) - 1
+    else:
+        assert code == 2 and out == ""
+        assert f"modulus {argv[1]}^{argv[3]} is not below the modulus limit 2^372" in err
 
 
 def test_oversized_vdp_series_refused(capsys):
@@ -447,6 +506,16 @@ def test_verify_refuses_a_range_beyond_the_work_limit(capsys, monkeypatch, argv)
     assert out == "" and "work limit" in err
 
 
+def test_verify_refuses_bip2_beyond_s_max_9(capsys, monkeypatch):
+    def boom(name, **overrides):
+        raise AssertionError(f"suite {name} ran")
+
+    monkeypatch.setattr(cli.identities, "verify_identity_suite", boom)
+    code, out, err = _run(capsys, ["verify", "--suite", "bip2", "--s-max", "10"])
+    assert code == 2
+    assert out == "" and "bip2 at s_max 10 is above s_max 9, its work limit" in err
+
+
 def test_global_jobs_flag_removed(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--jobs", "2", "expand", "x+1", "-p", "3"])
@@ -467,6 +536,35 @@ def test_internal_check_exit_code(capsys, monkeypatch):
     code, _, err = _run(capsys, ["verify", "--suite", "abc"])
     assert code == 3
     assert "internal check" in err
+
+
+@pytest.mark.parametrize(
+    "p, route",
+    [
+        (2, "measure_preserving_ud_p2"),
+        (2, "measure_preserving_ud_p2_mahler"),
+        (3, "measure_preserving_ud_odd"),
+        (5, "measure_preserving_ud_odd"),
+    ],
+)
+@pytest.mark.parametrize("text", ["x+1", "x^2"])
+def test_classify_exits_3_when_a_ud_criterion_disagrees(capsys, monkeypatch, p, route, text):
+    # x+1 preserves measure and x^2 does not; the flipped criterion disagrees
+    # with the van der Put route either way
+    criterion = getattr(dynamics, route)
+
+    def flipped(f):
+        verdict = criterion(f)
+        return dataclasses.replace(verdict, passed=not verdict.passed)
+
+    argv = ["classify", text, "-p", str(p)]
+    preserving = json.loads(_run(capsys, argv)[1])["measure_preserving"]["pass"]
+    monkeypatch.setattr(dynamics, route, flipped)
+    code, out, err = _run(capsys, argv)
+    assert code == 3 and out == ""
+    name = criterion.__name__.replace("_", "-")
+    assert f"measure-preserving-vdp passed={preserving}" in err
+    assert f"{name} passed={not preserving}" in err
 
 
 def _declared_console_script(name):

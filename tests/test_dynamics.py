@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from padicdyn.analysis import ud1_check
 from padicdyn.dynamics import (
     cycle_structure,
     decide_ergodicity,
@@ -12,7 +15,6 @@ from padicdyn.dynamics import (
     measure_preserving_ud_p2_mahler,
     measure_preserving_vdp,
     orbit_of,
-    product_condition_residue,
     transitive_mod,
     transitivity_threshold,
 )
@@ -22,7 +24,7 @@ from padicdyn.funcspace import (
     PadicFunction,
     vdp_coefficients,
 )
-from padicdyn.analysis import random_ud1_mahler_series
+from scalar_reference import random_ud1_mahler_series, required_ud1_valuation
 
 
 def test_translation_is_fully_transitive():
@@ -149,7 +151,8 @@ def test_product_condition_s_independence():
             f = PadicFunction.from_mahler(series)
             if not measure_preserving_vdp(vdp_coefficients(f, count=p**4)).passed:
                 continue
-            assert product_condition_residue(f, 1) == product_condition_residue(f, 2)
+            r1, r2 = ergodic_conditions(f, s_max=2)["product"].details["products"]
+            assert r1 == r2
 
 
 def test_ergodic_conditions_bundle():
@@ -196,3 +199,66 @@ def test_oracle_agrees_with_threshold_on_randoms():
             coeffs = [rng.randrange(p**3) for _ in range(4)]
             f = PadicFunction.from_polynomial(coeffs, p, mu + 1)
             assert decide_ergodicity(f).ergodic == ergodic_oracle(f, mu + 1).passed
+
+
+# -- the UD criteria against the general van der Put route ---------------
+
+# deepest level per prime, so the examples stay quick
+UD_DEPTH = {2: 5, 3: 4, 5: 3, 7: 3}
+
+ud_settings = settings(
+    derandomize=True,
+    database=None,
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def ud1_functions(draw):
+    """UD1 functions of all four kinds at p in {2, 3, 5, 7}.
+
+    Polynomials are UD1, and so is a Mahler series whose terms meet the
+    valuations the divisibility route demands; tables and van der Put
+    series are drawn from such a series.  When `preserving` is drawn, the
+    map is a + u x plus p times a UD1 map, with u a unit, which preserves
+    measure; random maps rarely do at p >= 5.
+    """
+    p = draw(st.sampled_from(sorted(UD_DEPTH)))
+    depth = draw(st.integers(2, UD_DEPTH[p]))
+    mod = p**depth
+    preserving = draw(st.booleans())
+    kind = draw(st.sampled_from(["polynomial", "table", "mahler", "vdp"]))
+    if kind == "polynomial":
+        coeffs = draw(st.lists(st.integers(0, mod - 1), min_size=2, max_size=6))
+    else:
+        length = draw(st.integers(2, min(mod, 3 * p)))
+        coeffs = [
+            p ** min(required_ud1_valuation(n, p), depth) * draw(st.integers(0, mod - 1))
+            for n in range(length)
+        ]
+    if preserving:
+        unit = coeffs[1] if coeffs[1] % p else coeffs[1] + 1
+        coeffs = [coeffs[0], unit] + [p * c for c in coeffs[2:]]
+    if kind == "polynomial":
+        return PadicFunction.from_polynomial(coeffs, p, depth)
+    f = PadicFunction.from_mahler(CoefficientSeries("mahler", p, depth, tuple(coeffs)))
+    if kind == "table":
+        return PadicFunction.from_table(f.value_table(), p, depth)
+    if kind == "vdp":
+        return PadicFunction.from_vdp(vdp_coefficients(f))
+    return f
+
+
+@ud_settings
+@given(ud1_functions())
+def test_ud_criteria_match_the_vdp_route(f):
+    assert ud1_check(f).verdict.passed
+    general = measure_preserving_vdp(vdp_coefficients(f)).passed
+    if f.prime == 2:
+        routes = (measure_preserving_ud_p2, measure_preserving_ud_p2_mahler)
+    else:
+        routes = (measure_preserving_ud_odd,)
+    for route in routes:
+        assert route(f).passed == general

@@ -8,17 +8,15 @@ from padicdyn.funcspace import (
     CoefficientSeries,
     PadicFunction,
     binomial_vdp_coefficient,
-    chi,
     floor_log,
     indicator_mahler_coefficient,
     lipschitz_check,
-    lipschitz_direct_check,
     mahler_coefficients,
     mahler_to_vdp,
-    max_depth,
     vdp_coefficients,
     vdp_to_mahler,
 )
+from scalar_reference import chi, lipschitz_direct_check
 
 
 def test_floor_log_convention():
@@ -195,16 +193,6 @@ def test_reduce_map_precondition():
 def test_from_table_length_guard():
     with pytest.raises(InputError):
         PadicFunction.from_table([0, 1, 2], 2, 2)
-
-
-def test_max_depth_env(monkeypatch):
-    monkeypatch.setenv("PADIC_DYN_MAX_DEPTH", "5")
-    assert max_depth() == 5
-    with pytest.raises(InputError):
-        PadicFunction.from_polynomial([1, 1], 2, 6)
-    monkeypatch.setenv("PADIC_DYN_MAX_DEPTH", "bogus")
-    with pytest.raises(InputError):
-        max_depth()
 
 
 def test_series_json_round_trip():

@@ -2,17 +2,22 @@ import math
 import random
 
 import pytest
-from scalar_reference import abc_reference, pzero_reference, valpro_reference
+from scalar_reference import (
+    abc_components,
+    abc_reference,
+    legendre_binomial_valuation,
+    pzero_component,
+    pzero_reference,
+    valpro_reference,
+)
 
 from padicdyn import identities
-from padicdyn.arith import legendre_binomial_valuation, valuation
+from padicdyn.arith import valuation
 from padicdyn.errors import InputError
 from padicdyn.identities import (
-    abc_components,
     abc_suite,
     bip2_suite,
     bipro_suite,
-    pzero_component,
     pzero_suite,
     valpro_suite,
     verify_identity_suite,
@@ -154,6 +159,15 @@ def test_work_limit_counts_what_the_suite_checks(monkeypatch, name, p_max, s_max
     monkeypatch.setitem(identities._WORK_LIMITS, name, checked - 1)
     with pytest.raises(InputError, match=f"more than {checked - 1} instances"):
         verify_identity_suite(name, p_max=p_max, s_max=s_max)
+
+
+def test_bip2_work_limit_is_s_max_9():
+    # s_max 9 takes about 8 s, so it is admitted by the limit check alone
+    identities.check_ranges(["bip2"], {"s_max": 9})
+    with pytest.raises(InputError, match="bip2 at s_max 10 is above s_max 9, its work limit"):
+        identities.check_ranges(["bip2"], {"s_max": 10})
+    with pytest.raises(InputError, match="work limit"):
+        verify_identity_suite("bip2", s_max=10)
 
 
 def test_work_limit_of_an_empty_valpro_range_reads_no_primes():

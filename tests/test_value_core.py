@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from padicdyn.analysis import ud1_check, ud1_window
-from padicdyn.criteria import _mahler_derivative_residues, random_p5_instance
+from padicdyn.criteria import _mahler_derivative_residues
 from padicdyn.dynamics import ergodic_oracle
 from padicdyn.errors import PreconditionError
 from padicdyn.funcspace import (
@@ -30,6 +30,7 @@ from padicdyn.funcspace import (
 from scalar_reference import (
     mahler_derivative_residue_reference,
     mahler_reference,
+    random_p5_instance,
     ud1_reference,
     vdp_reference,
 )
