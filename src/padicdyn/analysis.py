@@ -9,6 +9,7 @@ divisibility predicate on Mahler coefficients; they must agree.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,25 +57,34 @@ def ud1_window(p: int, depth: int) -> int:
     return p**depth + (p - 1) * p ** (depth - 1)
 
 
-def ud1_check(f: PadicFunction, s_max: int | None = None) -> UD1Report:
-    """Definition sweep over the full depth window.
+# one sweep per function: the report of each function ud1_check has swept,
+# for as long as the function lives
+_UD1_REPORTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def ud1_check(f: PadicFunction) -> UD1Report:
+    """Definition sweep over the full depth window, at levels s = 1..depth-1.
 
     The candidate derivative at u is forced by the s = 1, h = 1 congruence;
     the sweep then verifies every (u, s, h) against it and reports the first
     failure in u-major, then s, then h order.  Arguments u + p^s h are
     evaluated exactly (no folding), so a non-Lipschitz input fails here
-    rather than being masked.
+    rather than being masked.  The report is kept for as long as f lives,
+    so every criterion that requires UD1 input reads the same sweep.
     """
     if f.depth < 2:
         raise InputError("ud1_check needs depth >= 2")
-    if s_max is None:
-        s_max = f.depth - 1
-    if not 1 <= s_max <= f.depth - 1:
-        raise InputError(f"s_max {s_max} outside 1..{f.depth - 1}")
+    report = _UD1_REPORTS.get(f)
+    if report is None:
+        report = _UD1_REPORTS[f] = _ud1_sweep(f)
+    return report
+
+
+def _ud1_sweep(f: PadicFunction) -> UD1Report:
     p = f.prime
     window = p**f.depth
     values = f.value_array(ud1_window(p, f.depth))
-    _, first, derived = backends.ud1_table_scan(values[None, :], p, f.depth, s_max)
+    _, first, derived = backends.ud1_table_scan(values[None, :], p, f.depth)
     u, s, h = first[0].tolist()
     if s == 0:
         return UD1Report(
@@ -101,31 +111,26 @@ def ud1_check(f: PadicFunction, s_max: int | None = None) -> UD1Report:
             ),
             derived,
         )
-    return UD1Report(passing("ud1-direct", depth=f.depth, s_max=s_max), derived)
+    return UD1Report(passing("ud1-direct", depth=f.depth, s_max=f.depth - 1), derived)
 
 
-def vdp_ud1_relations_check(
-    series: CoefficientSeries, s_max: int | None = None
-) -> CriterionVerdict:
+def vdp_ud1_relations_check(series: CoefficientSeries) -> CriterionVerdict:
     """Coefficient-relation route on van der Put terms.
 
     Within level s the terms must scale linearly in the leading digit,
     B_{r + l p^s} = l B_{r + p^s} mod p^(s+1); across levels the normalized
     terms must reproduce one residue per base point,
-    B_{r + p^s}/p^s = B_{(r mod p) + p}/p mod p.
+    B_{r + p^s}/p^s = B_{(r mod p) + p}/p mod p.  Every level s >= 1 that
+    the series carries is checked: p^(s+1) <= length and s < exponent.
     """
     if series.kind != "vdp":
         raise InputError("vdp_ud1_relations_check expects a vdp series")
     p = series.prime
-    limit = 1
-    while p ** (limit + 2) <= len(series):
-        limit += 1
-    if s_max is None:
-        s_max = min(limit, series.exponent - 1)
-    if s_max < 1:
+    if series.exponent < 2 or p * p > len(series):
         raise InputError("series too short or too coarse for any level s >= 1")
-    if p ** (s_max + 1) > len(series) or s_max + 1 > series.exponent:
-        raise InputError(f"s_max {s_max} exceeds what the series supports")
+    s_max = 1
+    while p ** (s_max + 2) <= len(series) and s_max + 1 < series.exponent:
+        s_max += 1
     name = "ud1-vdp-relations"
     # one row per (s, r), in that order: the reference index q = r + p^s
     # runs over the indices p <= q < p^(s_max+1) whose leading digit is 1
@@ -195,24 +200,19 @@ def mahler_ud1_predicate(series: CoefficientSeries) -> CriterionVerdict:
     )
 
 
-def ud1_equivalence_crosscheck(
-    f: PadicFunction, s_max: int | None = None, vdp: CoefficientSeries | None = None
-) -> dict:
+def ud1_equivalence_crosscheck(f: PadicFunction) -> dict:
     """Run all three routes and report whether they agree.
 
     Also checks that the direct-sweep derivative residues match the
-    normalized level-1 van der Put terms class by class.  vdp, when given,
-    is f's full-length van der Put series, so a caller that already holds
-    it does not extract it again.
+    normalized level-1 van der Put terms class by class.  The full-length
+    van der Put series the relations read is returned as "series", for a
+    caller that goes on to read it.
     """
-    report = ud1_check(f, s_max=s_max)
+    report = ud1_check(f)
     count = f.prime**f.depth
-    if vdp is None:
-        vdp = vdp_coefficients(f, count=count)
-    elif (vdp.kind, vdp.prime, vdp.exponent, len(vdp)) != ("vdp", f.prime, f.depth, count):
-        raise InputError("vdp must be the full-length van der Put series of f")
+    vdp = vdp_coefficients(f, count=count)
     mahler = mahler_coefficients(f, count=count)
-    vdp_verdict = vdp_ud1_relations_check(vdp, s_max=s_max)
+    vdp_verdict = vdp_ud1_relations_check(vdp)
     mahler_verdict = mahler_ud1_predicate(mahler)
     agree = report.verdict.passed == vdp_verdict.passed == mahler_verdict.passed
     derived_consistent = None
@@ -224,6 +224,7 @@ def ud1_equivalence_crosscheck(
         "mahler": mahler_verdict,
         "agree": agree,
         "derived_consistent": derived_consistent,
+        "series": vdp,
     }
 
 

@@ -136,8 +136,9 @@ def mahler_value_matrix(terms, p: int, depth: int, npoints: int) -> np.ndarray:
     return g
 
 
-def ud1_table_scan(tables: np.ndarray, p: int, depth: int, s_max: int | None = None):
-    """Vectorized differentiability-mod-p sweep over exact value tables.
+def ud1_table_scan(tables: np.ndarray, p: int, depth: int):
+    """Vectorized differentiability-mod-p sweep, at levels s = 1..depth-1,
+    over exact value tables.
 
     tables[:, x] = f(x) mod p^depth for x = 0..W-1 with
     W >= p^depth + p^(depth-1)*(p-1).  Returns (ok, first, derived):
@@ -150,8 +151,6 @@ def ud1_table_scan(tables: np.ndarray, p: int, depth: int, s_max: int | None = N
     - derived[i, u] is the derivative residue d(u) = (f(u + p) - f(u))/p
       mod p forced by s = 1, h = 1.
     """
-    if s_max is None:
-        s_max = depth - 1
     size = p**depth
     need = size + p ** (depth - 1) * (p - 1)
     if tables.shape[1] < need:
@@ -159,7 +158,7 @@ def ud1_table_scan(tables: np.ndarray, p: int, depth: int, s_max: int | None = N
     window = tables[:, :size]
     diff = (tables[:, p : p + size] - window) % size
     derived = (diff // p) % p
-    pairs = np.array([(s, h) for s in range(1, s_max + 1) for h in range(1, p)])
+    pairs = np.array([(s, h) for s in range(1, depth) for h in range(1, p)])
     none = size * len(pairs)
     best = np.full(tables.shape[0], none, dtype=np.int64)  # u * len(pairs) + pair
     for j, (s, h) in enumerate(pairs.tolist()):

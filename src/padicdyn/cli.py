@@ -33,7 +33,7 @@ _TERM_RE = re.compile(r"^([+-]?)(\d*)(?:x(?:\^(\d+))?)?$")
 # polynomial input of this degree or more is refused before any table is built
 _DEGREE_LIMIT = 1 << 16
 
-# depth of a polynomial given without --depth or a JSON depth
+# depth of a polynomial given neither --depth nor a JSON depth
 _EXPAND_DEPTH = 6
 _CLASSIFY_DEPTH = 4
 
@@ -97,11 +97,19 @@ def _ints(seq) -> list[int]:
 def function_from_json(
     data: dict, depth: int | None, default_depth: int = _CLASSIFY_DEPTH
 ) -> PadicFunction:
+    """The function a JSON object describes, at depth (from --depth) when
+    given.  A polynomial or table object's own depth must agree with it; a
+    series may be taken at any depth up to its precision k."""
     try:
         kind = data["kind"]
         p = int(data["p"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed function object: {exc}") from None
+    if kind in ("polynomial", "table") and "depth" in data:
+        own = _int(data["depth"])
+        if depth is not None and depth != own:
+            raise InputError(f"--depth {depth} disagrees with the {kind}'s depth {own}")
+        depth = own
     if kind == "polynomial":
         if not isinstance(data.get("coeffs"), list):
             raise InputError("polynomial object needs a 'coeffs' list")
@@ -112,7 +120,7 @@ def function_from_json(
     if kind == "table":
         if "values" not in data or "depth" not in data:
             raise InputError("table object needs 'values' and 'depth'")
-        return PadicFunction.from_table(_ints(data["values"]), p, int(data["depth"]))
+        return PadicFunction.from_table(_ints(data["values"]), p, depth)
     if kind in ("mahler", "vdp"):
         series = CoefficientSeries.from_json_dict(data)
         ctor = PadicFunction.from_mahler if kind == "mahler" else PadicFunction.from_vdp
@@ -181,9 +189,9 @@ def cmd_classify(args) -> int:
         "depth": f.depth,
         "kind": f.kind,
     }
-    vdp = funcspace.vdp_coefficients(f)
+    ud1 = analysis.ud1_equivalence_crosscheck(f)
+    vdp = ud1["series"]
     report["lipschitz"] = funcspace.lipschitz_check(vdp).to_json_dict()
-    ud1 = analysis.ud1_equivalence_crosscheck(f, vdp=vdp)
     if not ud1["agree"]:
         raise InternalCheckError("differentiability routes disagree")
     if ud1["derived_consistent"] is False:
@@ -215,9 +223,9 @@ def cmd_classify(args) -> int:
     decision = None
     closed = None
     if f.kind == "polynomial":
-        decision = dynamics.decide_ergodicity(f, mu_override=args.mu)
+        decision = dynamics.decide_ergodicity(f)
     if is_ud1 and (f.prime in (2, 3) and f.depth >= 3 or f.prime >= 5):
-        closed = criteria.closed_form_ergodic(f, assume_ud1=True)
+        closed = criteria.closed_form_ergodic(f)
     if decision is not None and closed is not None:
         if decision.ergodic != closed.ergodic:
             raise InternalCheckError(
@@ -391,7 +399,7 @@ def cmd_verify(args) -> int:
                 "orbit": orbit_ok,
             }
             if "orbit_at_failing_level" in entry:
-                got = dynamics.orbit_of(f, entry["failing_level"], 0)
+                got = dynamics.orbit_of(f, entry["failing_level"])
                 checks["orbit_at_failing_level"] = got == tuple(
                     entry["orbit_at_failing_level"]
                 )
@@ -458,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="full dynamical report; exit 0 iff ergodic")
     add_function_args(sp)
-    sp.add_argument("--mu", type=int, default=None, help="override the deciding depth")
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("enumerate", help="survey ergodic cubics mod 8")

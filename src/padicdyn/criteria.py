@@ -31,11 +31,6 @@ from .funcspace import (
 from .analysis import ud1_check
 from .dynamics import ErgodicityDecision, transitive_mod
 from .verdict import CriterionVerdict, failing, passing
-from .identities import (  # noqa: F401  (re-exported as part of this module's API)
-    SuiteReport,
-    all_suite_names,
-    verify_identity_suite,
-)
 
 # ---------------------------------------------------------------------
 # p = 2
@@ -845,14 +840,14 @@ def counterexample_catalog() -> tuple[dict, ...]:
     )
 
 
-def power_counterexample(p: int, depth: int = 2) -> PadicFunction:
-    """x^p + 1: transitive mod p but never mod p^2."""
+def power_counterexample(p: int) -> PadicFunction:
+    """x^p + 1 at depth 2: transitive mod p but never mod p^2."""
     require_prime(p)
     coeffs = [1] + [0] * (p - 1) + [1]
-    return PadicFunction.from_polynomial(coeffs, p, depth)
+    return PadicFunction.from_polynomial(coeffs, p, 2)
 
 
-def closed_form_ergodic(f: PadicFunction, assume_ud1: bool = False) -> ErgodicityDecision:
+def closed_form_ergodic(f: PadicFunction) -> ErgodicityDecision:
     """Coefficient-criterion ergodicity decision for the prime at hand.
 
     For p in {2, 3} both the Mahler-side and van der Put-side criteria are
@@ -860,13 +855,12 @@ def closed_form_ergodic(f: PadicFunction, assume_ud1: bool = False) -> Ergodicit
     used.  The input must be in the differentiable-mod-p class.
     """
     p = f.prime
-    if not assume_ud1:
-        report = ud1_check(f)
-        if not report.verdict.passed:
-            raise PreconditionError(
-                "closed-form criteria need a differentiable-mod-p input",
-                report.verdict,
-            )
+    report = ud1_check(f)
+    if not report.verdict.passed:
+        raise PreconditionError(
+            "closed-form criteria need a differentiable-mod-p input",
+            report.verdict,
+        )
     evidence = {}
     if p == 2:
         if f.depth < 3:

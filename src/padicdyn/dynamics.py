@@ -79,14 +79,13 @@ def cycle_structure(f: PadicFunction, k: int) -> CycleReport:
     )
 
 
-def orbit_of(f: PadicFunction, k: int, start: int = 0) -> tuple[int, ...]:
-    """Forward orbit of a point mod p^k, up to (and excluding) the first repeat."""
-    mod = f.prime**k
+def orbit_of(f: PadicFunction, k: int) -> tuple[int, ...]:
+    """Forward orbit of 0 mod p^k, up to (and excluding) the first repeat."""
     if not 1 <= k <= f.depth:
         raise InputError(f"level {k} outside 1..{f.depth}")
     seen = set()
     orbit = []
-    x = start % mod
+    x = 0
     while x not in seen:
         seen.add(x)
         orbit.append(x)
@@ -394,13 +393,9 @@ class ErgodicityDecision:
         return out
 
 
-def decide_ergodicity(
-    f: PadicFunction, mu_override: int | None = None
-) -> ErgodicityDecision:
+def decide_ergodicity(f: PadicFunction) -> ErgodicityDecision:
     """Decide ergodicity by transitivity at the threshold depth."""
-    mu = mu_override if mu_override is not None else transitivity_threshold(f.prime)
-    if mu < 1:
-        raise InputError("threshold must be >= 1")
+    mu = transitivity_threshold(f.prime)
     if f.depth < mu:
         raise InputError(
             f"depth {f.depth} below the deciding threshold {mu} for p={f.prime}"

@@ -225,15 +225,12 @@ class CoefficientSeries:
             raise self.normalization_error(i)
         return (t // scale) % self.prime**exponent
 
-    def normalized_terms(self, count: int | None = None) -> list[int]:
-        """normalized(i) for i = 0..count-1, raising at the first index that
+    def normalized_terms(self) -> list[int]:
+        """normalized(i) for every index i, raising at the first index that
         normalized(i) would refuse."""
-        if count is None:
-            count = len(self.terms)
-        level, lead = index_levels(count, self.prime)
-        terms = self.terms[:count]
+        level, lead = index_levels(len(self.terms), self.prime)
         coarse = level >= self.exponent
-        refused = coarse | (terms % np.where(coarse, 1, lead) != 0)
+        refused = coarse | (self.terms % np.where(coarse, 1, lead) != 0)
         if refused.any():
             i = int(refused.argmax())
             if coarse[i]:
@@ -243,7 +240,7 @@ class CoefficientSeries:
             raise self.normalization_error(i)
         # a canonical term divisible by p^e(i) is below p^exponent, so its
         # quotient is already reduced mod p^(exponent - e(i))
-        return (terms // lead).tolist()
+        return (self.terms // lead).tolist()
 
     def to_json_dict(self) -> dict:
         return {
@@ -450,7 +447,7 @@ class PadicFunction:
 
     # -- reductions and conversions -----------------------------------
 
-    def reduce_map(self, k: int, check: bool = True) -> list[int]:
+    def reduce_map(self, k: int) -> list[int]:
         """The induced map on Z/p^k, verified to be well defined.
 
         For non-polynomial forms every point of the depth window is checked
@@ -465,7 +462,7 @@ class PadicFunction:
             return [v % mod for v in self._scalar_values(mod)]
         values = self.value_table(k)
         table = values[:mod]
-        if check and values[mod:] != table * (self.prime ** (self.depth - k) - 1):
+        if values[mod:] != table * (self.prime ** (self.depth - k) - 1):
             for x in range(mod, len(values)):
                 if values[x] != table[x % mod]:
                     verdict = failing(
@@ -594,25 +591,13 @@ def mahler_to_vdp(
     return CoefficientSeries("vdp", series.prime, series.exponent, tuple(out))
 
 
-def lipschitz_check(
-    obj, count: int | None = None, k: int | None = None, basis: str = "vdp"
-) -> CriterionVerdict:
+def lipschitz_check(series: CoefficientSeries) -> CriterionVerdict:
     """1-Lipschitz test through coefficient valuations.
 
     In either basis the condition is v_p(term_i) >= e(i); at precision p^k a
     term with e(i) >= k carries no information and is only required to
     vanish mod p^k.
     """
-    if isinstance(obj, PadicFunction):
-        series = (
-            vdp_coefficients(obj, count, k)
-            if basis == "vdp"
-            else mahler_coefficients(obj, count, k)
-        )
-    elif isinstance(obj, CoefficientSeries):
-        series = obj
-    else:
-        raise InputError("lipschitz_check expects a function or a series")
     name = f"lipschitz-{series.kind}"
     level, _ = index_levels(len(series), series.prime)
     need = np.minimum(level, series.exponent)

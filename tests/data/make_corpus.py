@@ -125,7 +125,6 @@ def _cases(rng: random.Random) -> list[dict]:
     add(["classify", "x+1", "-p", "5", "--depth", "3"])
     add(["classify", "x+1", "-p", "7", "--depth", "3"])
     add(["classify", "1+3x+2x^3", "-p", "2"])
-    add(["classify", "x+1", "-p", "2", "--depth", "5", "--mu", "4"])
     add(["classify", "1+x-12345678901234567890123x^2", "-p", "3", "--depth", "5"])
     add(["expand", "x+1", "-p", "2147483647", "--depth", "2", "--count", "3",
          "--basis", "mahler"])

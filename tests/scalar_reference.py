@@ -60,12 +60,11 @@ def vdp_reference(f: PadicFunction, count: int, k: int) -> CoefficientSeries:
     return CoefficientSeries("vdp", p, k, tuple(out))
 
 
-def ud1_reference(f: PadicFunction, s_max: int | None = None) -> UD1Report:
+def ud1_reference(f: PadicFunction) -> UD1Report:
     """The direct UD1 definition sweep, one point at a time: integrality of
-    f(u + p) - f(u) for every u first, then every (u, s, h) in u-major,
-    then s, then h order."""
-    if s_max is None:
-        s_max = f.depth - 1
+    f(u + p) - f(u) for every u first, then every (u, s, h) with
+    s = 1..depth-1 in u-major, then s, then h order."""
+    s_max = f.depth - 1
     p = f.prime
     window = p**f.depth
     derived = []
@@ -138,8 +137,8 @@ def mahler_derivative_residue_reference(terms, x: int, p: int) -> int:
 # -- coefficient routes, one term at a time --------------------------
 
 
-def normalized_terms_reference(series: CoefficientSeries, count: int) -> list[int]:
-    return [series.normalized(i) for i in range(count)]
+def normalized_terms_reference(series: CoefficientSeries) -> list[int]:
+    return [series.normalized(i) for i in range(len(series))]
 
 
 def lipschitz_reference(series: CoefficientSeries):

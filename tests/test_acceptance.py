@@ -73,7 +73,7 @@ def test_c02_counterexample_fidelity():
             and not dynamics.transitive_mod(f, entry["failing_level"]).passed
         )
         if "orbit_at_failing_level" in entry:
-            got = dynamics.orbit_of(f, entry["failing_level"], 0)
+            got = dynamics.orbit_of(f, entry["failing_level"])
             good = good and got == tuple(entry["orbit_at_failing_level"])
         ok = ok and good
         notes.append(f"p={p}:{'ok' if good else 'BAD'}")

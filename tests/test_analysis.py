@@ -1,7 +1,10 @@
+import gc
 import random
+import weakref
 
 import pytest
 
+from padicdyn import backends
 from padicdyn.analysis import (
     mahler_ud1_predicate,
     ud1_check,
@@ -123,3 +126,27 @@ def test_ud1_check_depth_guard():
     f = PadicFunction.from_polynomial([1, 1], 2, 1)
     with pytest.raises(InputError):
         ud1_check(f)
+
+
+def test_ud1_check_sweeps_once_per_function(monkeypatch):
+    scans = []
+    scan = backends.ud1_table_scan
+    monkeypatch.setattr(backends, "ud1_table_scan", lambda *a: scans.append(a) or scan(*a))
+    f = PadicFunction.from_polynomial([1, 3, 0, 2], 2, 4)
+    report = ud1_check(f)
+    assert ud1_check(f) is report
+    assert ud1_equivalence_crosscheck(f)["direct"] is report
+    assert len(scans) == 1
+    # an equal function is another function: it gets its own sweep
+    assert ud1_check(PadicFunction.from_polynomial([1, 3, 0, 2], 2, 4)) == report
+    assert len(scans) == 2
+    # the kept report does not keep its function alive
+    gone = weakref.ref(f)
+    del f
+    gc.collect()
+    assert gone() is None
+
+
+def test_crosscheck_returns_the_series_it_read():
+    f = PadicFunction.from_polynomial([1, 1, 2], 3, 3)
+    assert ud1_equivalence_crosscheck(f)["series"] == vdp_coefficients(f, count=27)

@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 
 import padicdyn
-from padicdyn import cli, dynamics, identities
+from padicdyn import backends, cli, dynamics, identities
 from padicdyn.errors import InputError, InternalCheckError
 
 
@@ -100,6 +100,8 @@ def test_function_from_json_malformed():
         cli.function_from_json({"kind": "polynomial", "p": 2}, 3)
     with pytest.raises(InputError):
         cli.function_from_json({"kind": "table", "p": 2, "values": [0, 1]}, None)
+    with pytest.raises(InputError):  # was a ValueError traceback
+        cli.function_from_json({"kind": "table", "p": 2, "depth": "x", "values": [0, 1]}, None)
     with pytest.raises(InputError):
         cli.function_from_json({"kind": "spline", "p": 2}, 3)
     for coeffs in ("1,2", 5, ["1", "two"], [[1]]):
@@ -209,6 +211,29 @@ def test_json_polynomial_takes_the_inline_default_depth(capsys, monkeypatch, arg
     assert _run(capsys, [*argv, "-"]) == inline
     depth_key = "depth" if argv[0] == "classify" else "k"
     assert json.loads(inline[1])[depth_key] == default
+
+
+def test_json_polynomial_depth_is_honoured(capsys, monkeypatch):
+    inline = _run(capsys, ["classify", "x+1", "-p", "3", "--depth", "5"])
+    blob = json.dumps({"kind": "polynomial", "p": 3, "coeffs": [1, 1], "depth": 5})
+    for argv in (["classify", "-"], ["classify", "-", "--depth", "5"]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(blob))
+        assert _run(capsys, argv) == inline
+    assert json.loads(inline[1])["depth"] == 5
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        {"kind": "polynomial", "p": 3, "coeffs": [1, 1], "depth": 3},
+        {"kind": "table", "p": 3, "depth": 3, "values": [(x + 1) % 27 for x in range(27)]},
+    ],
+)
+def test_depth_given_twice_must_agree(capsys, monkeypatch, blob):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(blob)))
+    code, out, err = _run(capsys, ["classify", "-", "--depth", "5"])
+    assert code == 2 and out == ""
+    assert f"--depth 5 disagrees with the {blob['kind']}'s depth 3" in err
 
 
 def test_depth_variable_of_old_releases_is_ignored(capsys, monkeypatch):
@@ -520,6 +545,29 @@ def test_global_jobs_flag_removed(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--jobs", "2", "expand", "x+1", "-p", "3"])
     assert exc.value.code == 2
+
+
+def test_classify_mu_flag_removed(capsys):
+    # --mu 2 once reported this non-ergodic cubic as ergodic
+    with pytest.raises(SystemExit) as exc:
+        cli.main("classify 1+3x+2x^3 -p 2 --depth 2 --mu 2".split())
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("p, text", [(2, "1+3x+2x^3"), (3, "x+1"), (5, "x^2+x+1")])
+def test_classify_sweeps_ud1_once(capsys, monkeypatch, p, text):
+    calls = []
+    scan = backends.ud1_table_scan
+
+    def counted(*args):
+        calls.append(args[1:])
+        return scan(*args)
+
+    monkeypatch.setattr(backends, "ud1_table_scan", counted)
+    _, payload, _ = _run_json(capsys, ["classify", text, "-p", str(p)])
+    assert payload["ud1"]["direct"]["pass"] and "closed_form" in payload
+    assert calls == [(p, 4)]
 
 
 def test_verify_without_flags(capsys):

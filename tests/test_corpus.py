@@ -26,9 +26,14 @@ CORPUS = json.loads((Path(__file__).parent / "data" / "cli_corpus.json").read_te
 # the rewrite tests/data/make_corpus.py applies when freezing
 _ELAPSED = re.compile(r'"elapsed_seconds": [-+0-9.eE]+')
 
+# numbers of cases dropped from the corpus stay unused, so that every other
+# case keeps its test id; 104 was `classify --mu`, a flag that is gone
+_RETIRED = {104}
+_NUMBERS = [n for n in range(len(CORPUS) + len(_RETIRED)) if n not in _RETIRED]
+
 
 @pytest.mark.parametrize(
-    "case", CORPUS, ids=[f"{i:03d}-{c['argv'][0]}" for i, c in enumerate(CORPUS)]
+    "case", CORPUS, ids=[f"{n:03d}-{c['argv'][0]}" for n, c in zip(_NUMBERS, CORPUS)]
 )
 def test_corpus_replays_byte_identically(case, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(case["stdin"] or ""))

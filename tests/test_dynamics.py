@@ -184,8 +184,8 @@ def test_decide_ergodicity_thresholds():
     assert d.ergodic and d.mu == 3 and d.method == "threshold"
     g = PadicFunction.from_polynomial([1, 3, 0, 2], 2, 4)
     assert not decide_ergodicity(g).ergodic
-    # the same polynomial looks ergodic at the (insufficient) mu = 2 level
-    assert decide_ergodicity(g, mu_override=2).ergodic
+    # the same polynomial looks ergodic at the (insufficient) level 2
+    assert transitive_mod(g, 2).passed
     shallow = PadicFunction.from_polynomial([1, 1], 2, 2)
     with pytest.raises(InputError):
         decide_ergodicity(shallow)

@@ -1,11 +1,21 @@
-"""Every public top-level name in the package is on a decision path.
+"""Every public top-level name, every relative import and every defaulted
+parameter in the package is on a decision path.
 
-Walks the modules of `src/padicdyn` with `ast` and requires each public
-(not underscore-prefixed) function, class and constant defined at module
-level to be referenced somewhere in the package outside its own
-definition.  A name that only tests, or nothing at all, would call belongs
-in `tests/scalar_reference.py` or nowhere.  The few names that stay for a
-reader outside the decision paths are listed with their reason.
+Walks the modules of `src/padicdyn` with `ast` and requires:
+
+- each public (not underscore-prefixed) function, class and constant
+  defined at module level to be referenced somewhere in the package
+  outside its own definition.  A name that only tests, or nothing at all,
+  would call belongs in `tests/scalar_reference.py` or nowhere;
+- each name a module imports with `from .x import name` to be read by
+  that module, so no module re-exports another's names;
+- each defaulted parameter of a package function to be set, by position or
+  by keyword, by some call in the package.  A call that only passes on an
+  unset parameter of its caller does not count, so a flag threaded through
+  several layers from nowhere is found as a whole.
+
+The few names and parameters that stay for a caller outside the package
+are listed with their reason.
 """
 
 import ast
@@ -33,6 +43,29 @@ ALLOWED = {
     "vdp_to_mahler": "exact basis conversion; acceptance 10 checks its round trips",
     "mahler_to_vdp": "exact basis conversion; acceptance 10 checks its round trips",
     "valuation": "returns INFINITY at 0; acceptance 10 checks indicator valuations with it",
+}
+
+_SUITE_RANGE = "an identity-suite range; verify sets it through identities._arguments"
+_CONVERSION = "exact basis conversion; tests convert truncated series with it"
+
+# "function(parameter)" for defaulted parameters that no call in the package sets
+ALLOWED_DEFAULTS = {
+    "main(argv)": "the console script calls main(); tests pass argv",
+    "abc_suite(p_max)": _SUITE_RANGE,
+    "pzero_suite(p_max)": _SUITE_RANGE,
+    "valpro_suite(p_max)": _SUITE_RANGE,
+    "valpro_suite(s_max)": _SUITE_RANGE,
+    "bipro_suite(p_max)": _SUITE_RANGE,
+    "bipro_suite(s_max)": _SUITE_RANGE,
+    "bipro_suite(s_min)": _SUITE_RANGE,
+    "bip2_suite(s_max)": _SUITE_RANGE,
+    "_instance_counts(s_min)": "bipro's s_min, passed on as **_arguments(...)",
+    "from_mahler(depth)": "classify calls it as ctor(series, depth)",
+    "from_vdp(depth)": "classify calls it as ctor(series, depth)",
+    "vdp_to_mahler(count)": _CONVERSION,
+    "mahler_to_vdp(count)": _CONVERSION,
+    "ergodic_conditions(s_max)": "the sound ergodicity route classify is to be checked "
+    "against (ROADMAP item 1)",
 }
 
 
@@ -93,3 +126,98 @@ def test_allowed_names_exist_and_are_still_unreferenced():
 def test_package_init_reexports_nothing():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     assert not any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in tree.body)
+
+
+def unread_imports(package: Path) -> list[str]:
+    """module.name for each `from .x import name` the module never reads."""
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                bound = (alias.asname or alias.name for alias in node.names)
+                unread += [f"{path.stem}.{name}" for name in bound if name not in read]
+    return unread
+
+
+def test_every_relative_import_is_read():
+    assert unread_imports(PACKAGE) == []
+
+
+def _functions(tree):
+    """(name a call uses, node, parameters a call fills by position) for
+    every function in tree: a method's self or cls is skipped, and __init__
+    is called by its class's name."""
+    stack = [(tree, None)]
+    while stack:
+        node, cls = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in child.decorator_list)
+                args = child.args.posonlyargs + child.args.args
+                positional = [a.arg for a in args[cls is not None and not static:]]
+                name = cls if child.name == "__init__" and cls else child.name
+                yield name, child, positional
+            stack.append((child, child.name if isinstance(child, ast.ClassDef) else None))
+
+
+def _calls(node):
+    """Calls in node's own body, not in the functions nested inside it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            continue
+        if isinstance(child, ast.Call):
+            yield child
+        yield from _calls(child)
+
+
+def _callee(call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def unset_parameters(package: Path, allowed=()) -> list[str]:
+    """module.function(parameter) for each defaulted parameter that no call
+    in the package sets.  Allowed "function(parameter)" entries count as
+    set, and so do the parameters they are passed on to."""
+    defs = []  # (module, name, node, positional, defaulted)
+    scopes = []  # (function node or None, its calls)
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes.append((None, list(_calls(tree))))
+        for name, fn, positional in _functions(tree):
+            a = fn.args
+            defaulted = positional[len(positional) - len(a.defaults):] if a.defaults else []
+            defaulted += [k.arg for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            defs.append((path.stem, name, fn, positional, defaulted))
+            scopes.append((fn, list(_calls(fn))))
+    by_name: dict = {}
+    for _, name, fn, positional, _ in defs:
+        by_name.setdefault(name, []).append((fn, positional))
+    unset = {(fn, p) for _, name, fn, _, defaulted in defs for p in defaulted
+             if f"{name}({p})" not in allowed}
+    changed = True
+    while changed:
+        changed = False
+        for caller, calls in scopes:
+            for call in calls:
+                for fn, positional in by_name.get(_callee(call), ()):
+                    given = [(k.arg, k.value) for k in call.keywords]
+                    given += list(zip(positional, call.args))
+                    for param, value in given:
+                        # passing on an unset parameter of the caller sets nothing
+                        if (fn, param) in unset and (caller, getattr(value, "id", None)) not in unset:
+                            unset.discard((fn, param))
+                            changed = True
+    return [f"{module}.{name}({p})" for module, name, fn, _, defaulted in defs
+            for p in defaulted if (fn, p) in unset]
+
+
+def test_every_defaulted_parameter_is_set_in_the_package():
+    assert unset_parameters(PACKAGE, ALLOWED_DEFAULTS) == []
+
+
+def test_allowed_parameters_exist_and_are_still_unset():
+    unset = {name.split(".", 1)[1] for name in unset_parameters(PACKAGE)}
+    assert set(ALLOWED_DEFAULTS) <= unset
