@@ -70,7 +70,11 @@ def mahler_batch(values, modulus: int) -> np.ndarray:
 
     Differences are taken between two alternating buffers and reduced only
     when the next one could leave int64: entries stay below a bound that
-    doubles with each difference.
+    doubles with each difference.  Where a reduction leaves every live
+    difference of every row at 0, every later coefficient is 0 mod modulus
+    and the table stops there.  So the work is quadratic in the row length
+    only where the differences do not vanish mod modulus; a tabulated
+    polynomial stops at the latest at the first reduction past its degree.
     """
     work = reduced_rows(values, modulus, 1)
     count, n = work.shape
@@ -84,6 +88,9 @@ def mahler_batch(values, modulus: int) -> np.ndarray:
             if bound > 1 << 61:
                 work[:, :live] %= modulus
                 bound = modulus
+                if not work[:, :live].any():
+                    out[:, step + 1 :] = 0
+                    break
             np.subtract(work[:, 1:live], work[:, : live - 1], out=spare[:, : live - 1])
             work, spare = spare, work
             bound *= 2

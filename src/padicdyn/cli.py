@@ -70,11 +70,11 @@ def parse_polynomial_text(text: str) -> list[int]:
         if not m or (not m.group(2) and "x" not in chunk):
             raise InputError(f"cannot parse term {chunk!r}")
         sign = -1 if m.group(1) == "-" else 1
-        coef = _int(m.group(2)) if m.group(2) else 1
+        coef = funcspace.parse_int(m.group(2)) if m.group(2) else 1
         if "x" not in chunk:
             exp = 0
         elif m.group(3) is not None:
-            exp = _int(m.group(3))
+            exp = funcspace.parse_int(m.group(3))
         else:
             exp = 1
         _check_degree(exp)
@@ -83,15 +83,8 @@ def parse_polynomial_text(text: str) -> list[int]:
     return [coeffs.get(i, 0) for i in range(top + 1)]
 
 
-def _int(value) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad integer: {exc}") from None
-
-
 def _ints(seq) -> list[int]:
-    return [_int(x) for x in seq]
+    return [funcspace.parse_int(x) for x in seq]
 
 
 def function_from_json(
@@ -102,11 +95,11 @@ def function_from_json(
     series may be taken at any depth up to its precision k."""
     try:
         kind = data["kind"]
-        p = int(data["p"])
-    except (KeyError, TypeError, ValueError) as exc:
+        p = funcspace.parse_int(data["p"])
+    except (KeyError, TypeError, InputError) as exc:
         raise InputError(f"malformed function object: {exc}") from None
     if kind in ("polynomial", "table") and "depth" in data:
-        own = _int(data["depth"])
+        own = funcspace.parse_int(data["depth"])
         if depth is not None and depth != own:
             raise InputError(f"--depth {depth} disagrees with the {kind}'s depth {own}")
         depth = own

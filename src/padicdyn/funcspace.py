@@ -29,7 +29,9 @@ from .verdict import CriterionVerdict, failing, passing
 
 _TABLE_LIMIT = 1 << 26
 
-# the Mahler difference table is quadratic in the series length
+# the Mahler difference table is quadratic in the series length where its
+# differences do not vanish mod p^k (tables of maps that are not polynomials,
+# van der Put series, long Mahler input); it stops early where they do
 _MAHLER_LIMIT = 1 << 18
 
 # a van der Put series is linear work, but expand holds it several times over
@@ -82,6 +84,21 @@ def _check_horner_work(p: int, depth: int, degree: int, npoints: int) -> None:
             f"at p={p}, depth {depth} exceeds the degree x window budget of "
             f"{limit}" + (" for residues beyond int64" if wide else "")
         )
+
+
+def parse_int(value) -> int:
+    """An int, or a string of decimal digits with an optional sign, as an
+    exact integer.
+
+    JSON floats and booleans are refused: int() would truncate 1.5 to 1
+    and read true as 1, so a malformed input would pass as another one.
+    """
+    if isinstance(value, (bool, float)):
+        raise InputError(f"not an integer: {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"not an integer: {exc}") from None
 
 
 def check_mahler_length(p: int, depth: int, count: int) -> None:
@@ -255,12 +272,12 @@ class CoefficientSeries:
     def from_json_dict(cls, data: dict) -> "CoefficientSeries":
         try:
             kind = data["kind"]
-            p = int(data["p"])
-            k = int(data["k"])
-            terms = tuple(int(t) for t in data["terms"])
-        except (KeyError, TypeError, ValueError) as exc:
+            p = parse_int(data["p"])
+            k = parse_int(data["k"])
+            terms = tuple(parse_int(t) for t in data["terms"])
+        except (KeyError, TypeError, InputError) as exc:
             raise InputError(f"malformed series object: {exc}") from exc
-        if "length" in data and int(data["length"]) != len(terms):
+        if "length" in data and parse_int(data["length"]) != len(terms):
             raise InputError("series length field disagrees with terms")
         return cls(kind, p, k, terms)
 

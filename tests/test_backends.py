@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalar_reference
 from padicdyn import backends
@@ -221,6 +223,113 @@ def _differences(values, mod):
         out.append(values[0] % mod)
         values = [b - a for a, b in zip(values, values[1:])]
     return out
+
+
+def _first_reduction(mod):
+    # mahler_batch reduces before the step at which its bound, mod * 2^step,
+    # first passes 2^61
+    step = 0
+    while mod << step <= 1 << 61:
+        step += 1
+    return step
+
+
+def _mahler_steps(monkeypatch, rows, mod):
+    """mahler_batch's output and the number of differences it took."""
+    calls = []
+    subtract = np.subtract
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return subtract(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "subtract", counting)
+        out = backends.mahler_batch(rows, mod)
+    return out.tolist(), len(calls)
+
+
+def test_mahler_batch_stops_where_differences_vanish_only_mod_p_k(monkeypatch):
+    # a Mahler sum of 100 terms, tabulated mod 27: the reduced table is no
+    # short Mahler sum over Z, but its differences vanish mod 27 from the
+    # 100th on, so the table stops at the second reduction, step 114
+    rng = random.Random(73)
+    terms = [rng.randrange(27) for _ in range(100)]
+    row = [sum(t * math.comb(x, j) for j, t in enumerate(terms)) % 27 for x in range(300)]
+    assert any(_differences(row, 10**200)[100:])
+    out, steps = _mahler_steps(monkeypatch, [row], 27)
+    assert out == [_differences(row, 27)]
+    assert out[0] == terms + [0] * 200
+    assert steps == 2 * _first_reduction(27) == 114
+
+
+def test_mahler_batch_stops_at_the_first_reduction(monkeypatch):
+    rows = [[5] * 80, [(3 + 4 * x + 9 * x * x) % 27 for x in range(80)]]
+    out, steps = _mahler_steps(monkeypatch, rows, 27)
+    assert out == [_differences(row, 27) for row in rows]
+    assert steps == _first_reduction(27) == 57
+
+
+def test_mahler_batch_runs_to_the_end_while_one_row_lives(monkeypatch):
+    # the second row's last Mahler coefficient is 1, so no step of its
+    # differences vanishes mod 27, whatever the first row does
+    n = 150
+    rows = [[(1 + x) % 27 for x in range(n)], [0] * (n - 1) + [1]]
+    out, steps = _mahler_steps(monkeypatch, rows, 27)
+    assert out == [_differences(row, 27) for row in rows]
+    assert out[0] == [1, 1] + [0] * (n - 2) and out[1][-1] == 1
+    assert steps == n - 1
+
+
+@pytest.mark.parametrize("mod", [3**39, 2**70, 3**60])
+def test_mahler_batch_past_2_61_reduces_and_checks_every_step(monkeypatch, mod):
+    # 3^39 still runs in int64, 2^70 and 3^60 on Python integers
+    assert mod > 1 << 61 and _first_reduction(mod) == 0
+    square = [(mod - 1 + 10**30 * x + x * x) % mod for x in range(12)]
+    out, steps = _mahler_steps(monkeypatch, [square], mod)
+    assert out == [_differences(square, mod)] and out[0][3:] == [0] * 9
+    assert steps == 3
+    spike = [0] * 11 + [mod + 1]
+    out, steps = _mahler_steps(monkeypatch, [square, spike], mod)
+    assert out == [_differences(square, mod), _differences(spike, mod)]
+    assert steps == 11
+
+
+@pytest.mark.parametrize("mod", [27, 3**39, 2**70])
+@pytest.mark.parametrize("row", [[7], [-1], [3, 3], [0, 5], [5, 0], [4, -4]])
+def test_mahler_batch_rows_of_length_one_and_two(mod, row):
+    assert backends.mahler_batch([row], mod).tolist() == [_differences(row, mod)]
+    zeros = [t * mod for t in range(len(row))]
+    assert backends.mahler_batch([zeros, row], mod).tolist() == [
+        [0] * len(row), _differences(row, mod)
+    ]
+
+
+def _mahler_row(shape, rng, mod, n):
+    if shape == "polynomial":
+        coeffs = [rng.randrange(-(10**30), 10**30) for _ in range(rng.randrange(6))]
+        return [sum(c * x**i for i, c in enumerate(coeffs)) % mod for x in range(n)]
+    if shape == "mahler":
+        terms = [rng.randrange(mod) for _ in range(rng.randrange(1, n + 1))]
+        return [sum(t * math.comb(x, j) for j, t in enumerate(terms)) % mod for x in range(n)]
+    if shape == "spike":
+        row = [0] * n
+        row[rng.randrange(n)] = rng.randrange(1, mod)
+        return row
+    return [rng.randrange(-mod, 2 * mod) for _ in range(n)]
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    st.sampled_from([2, 8, 27, 125, 7**4, 2**20, 3**13, 3**39, 2**70, 3**60]),
+    st.integers(1, 200),
+    st.lists(st.sampled_from(["polynomial", "mahler", "spike", "random"]), min_size=1, max_size=3),
+    st.integers(0, 2**32),
+)
+def test_mahler_batch_matches_the_difference_reference(mod, n, shapes, seed):
+    rng = random.Random(seed)
+    rows = [_mahler_row(shape, rng, mod, n) for shape in shapes]
+    assert backends.mahler_batch(rows, mod).tolist() == [_differences(row, mod) for row in rows]
 
 
 def test_wide_modulus_stays_exact():

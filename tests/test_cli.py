@@ -109,6 +109,47 @@ def test_function_from_json_malformed():
             cli.function_from_json({"kind": "polynomial", "p": 2, "coeffs": coeffs}, 3)
 
 
+_JSON_INPUTS = {
+    "polynomial": {"kind": "polynomial", "p": 3, "coeffs": [1, 1], "depth": 4},
+    "table": {"kind": "table", "p": 2, "depth": 2, "values": [1, 2, 3, 0]},
+    "mahler": {"kind": "mahler", "p": 3, "k": 4, "terms": [1, 1], "length": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "kind, field, index, bad",
+    [
+        ("polynomial", "p", None, 3.9),
+        ("polynomial", "depth", None, 2.7),
+        ("mahler", "k", None, 4.0),
+        ("mahler", "length", None, 2.0),
+        ("polynomial", "coeffs", 0, 1.5),
+        ("table", "values", 3, 0.0),
+        ("mahler", "terms", 0, True),
+    ],
+)
+def test_json_numbers_must_be_integers(capsys, monkeypatch, kind, field, index, bad):
+    # int() would truncate a float and read a boolean as 0 or 1
+    def classify_with(value):
+        blob = json.loads(json.dumps(_JSON_INPUTS[kind]))
+        if index is None:
+            blob[field] = value
+        else:
+            blob[field][index] = value
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(blob)))
+        return _run(capsys, ["classify", "-"])
+
+    exact = _JSON_INPUTS[kind][field]
+    exact = exact if index is None else exact[index]
+    code, out, err = classify_with(bad)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"not an integer: {bad!r}" in err
+    # a string of decimal digits is still read as the integer it spells
+    as_int = classify_with(exact)
+    assert as_int[0] in (0, 1)
+    assert classify_with(str(exact)) == as_int
+
+
 def test_expand_mahler(capsys):
     code, payload, _ = _run_json(
         capsys,
@@ -198,6 +239,16 @@ def test_classify_p2_depth_19_meets_the_mahler_limit(capsys):
     code, out, err = _run(capsys, ["classify", _DENSE_P2, "-p", "2", "--depth", "19"])
     assert code == 2 and out == ""
     assert "Mahler series of 524288 terms at p=2, depth 19 exceeds the Mahler length limit" in err
+
+
+def test_classify_x_plus_1_at_3_to_the_11(capsys):
+    # N = 177147: the Mahler differences of x+1 vanish after two steps, so the
+    # difference table stops at its first reduction instead of running N^2/2
+    code, payload, _ = _run_json(
+        capsys, ["classify", "x+1", "-p", "3", "--depth", "11"], "classify.schema.json"
+    )
+    assert code == 0
+    assert payload["depth"] == 11 and payload["ergodicity"]["ergodic"] is True
 
 
 @pytest.mark.parametrize(
