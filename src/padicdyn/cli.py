@@ -4,8 +4,9 @@ Subcommands: expand (coefficient series of a function), classify (full
 dynamical report), enumerate (ergodic cubic survey mod 8), generate
 (prescribed instances for p >= 5), verify (identity suites and the
 counterexample catalog).  Output is JSON with residues rendered as decimal
-strings.  Exit codes: 0 pass, 1 criterion false, 2 bad input or unmet
-precondition, 3 internal cross-check breach.
+strings.  Exit codes: 0 pass, 1 criterion false, 2 bad input, unmet
+precondition or stdout closed before the report was written, 3 internal
+cross-check breach.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import re
 import sys
@@ -242,20 +244,22 @@ def cmd_enumerate(args) -> int:
     if args.prime != 2 or args.degree != 3:
         raise InputError("enumeration is implemented for cubics over p=2")
     catalog = criteria.ergodic_cubic_catalog_p2()
-    catalog_tables = {}
-    for entry in catalog:
-        g = PadicFunction.from_polynomial(entry, 2, 3)
-        catalog_tables[tuple(g.value_table(3))] = entry
+    catalog_tables = {
+        tuple(row): entry
+        for row, entry in zip(backends.poly_tables(catalog, 8, 8).tolist(), catalog)
+    }
+    # all 4096 cubics at x = 0..7 mod 8 in one pass, rows in loop order
+    cubics = np.indices((8, 8, 8, 8), dtype=np.int8).reshape(4, -1)[::-1].T
+    tables = backends.poly_tables(cubics, 8, 8)
     if args.crosscheck:
-        # all 4096 cubics at x = 0..3 mod 8 in one pass, rows in loop order;
         # both criteria on their first four Mahler terms, and on their vdp
         # terms B_m = f(m) - f(m - 2) for m = 2, 3
-        cubics = np.indices((8, 8, 8, 8), dtype=np.int8).reshape(4, -1)[::-1].T
-        values = backends.poly_tables(cubics, 4, 8)
+        values = tables[:, :4]
         vdp = values.copy()
         vdp[:, 2:] = (values[:, 2:] - values[:, :2]) % 8
         mahler_ok = criteria.mahler_ergodic_p2_rows(backends.mahler_batch(values, 8))[0] < 0
         vdp_ok = criteria.vdp_ergodic_p2_rows(vdp)[0] < 0
+    rows = tables.tolist()
     classes: dict[tuple, list] = {}
     ergodic_count = 0
     for i, (a, b, c, d) in enumerate(itertools.product(range(8), repeat=4)):
@@ -266,8 +270,7 @@ def cmd_enumerate(args) -> int:
         if not verdict.passed:
             continue
         ergodic_count += 1
-        g = PadicFunction.from_polynomial(coeffs, 2, 3)
-        classes.setdefault(tuple(g.value_table(3)), []).append(coeffs)
+        classes.setdefault(tuple(rows[i]), []).append(coeffs)
     if set(classes) != set(catalog_tables):
         raise InternalCheckError("ergodic map classes do not match the catalog")
     out = {
@@ -499,7 +502,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone; point stdout at devnull so that the
+        # interpreter's flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the report was written", file=sys.stderr)
+        return 2
     except (InputError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -532,10 +532,11 @@ def p5_conditions(f: PadicFunction) -> dict:
         if prod == 1
         else failing("branch-product-unit", "not-one", witness={"product": prod})
     )
+    table = (f.value_array(p * p) % (p * p)).tolist()
     y = 0
     for _ in range(p):
-        y = f.evaluate(y, 2)
-    if y % p == 0 and y % (p * p) != 0:
+        y = table[y]
+    if y % p == 0 and y != 0:
         out["return_valuation"] = passing("return-valuation", value=y)
     else:
         out["return_valuation"] = failing(

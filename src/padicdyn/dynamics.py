@@ -80,16 +80,19 @@ def cycle_structure(f: PadicFunction, k: int) -> CycleReport:
 
 
 def orbit_of(f: PadicFunction, k: int) -> tuple[int, ...]:
-    """Forward orbit of 0 mod p^k, up to (and excluding) the first repeat."""
+    """Forward orbit of 0 mod p^k, up to (and excluding) the first repeat,
+    walked through the first p^k values of the value array."""
     if not 1 <= k <= f.depth:
         raise InputError(f"level {k} outside 1..{f.depth}")
+    mod = f.prime**k
+    table = (f.value_array(mod) % mod).tolist()
     seen = set()
     orbit = []
     x = 0
     while x not in seen:
         seen.add(x)
         orbit.append(x)
-        x = f.evaluate(x, k)
+        x = table[x]
     return tuple(orbit)
 
 
@@ -254,13 +257,12 @@ def measure_preserving_ud_odd(f: PadicFunction) -> CriterionVerdict:
         raise InputError("need depth >= 2")
     name = "measure-preserving-ud-odd"
     _require_ud1(f, name)
-    values = sorted(f.evaluate(i, 1) for i in range(p))
-    if values != list(range(p)):
+    # evaluated point by point, not read from the value array: this route
+    # cross-checks the vdp verdict, whose series the array gives
+    residues = [f.evaluate(i, 1) for i in range(p)]
+    if sorted(residues) != list(range(p)):
         return failing(
-            name,
-            "complete-residues",
-            witness={"residues": [f.evaluate(i, 1) for i in range(p)]},
-            depth=f.depth,
+            name, "complete-residues", witness={"residues": residues}, depth=f.depth
         )
     vdp = vdp_coefficients(f, count=2 * p)
     mahler = mahler_coefficients(f, count=2 * p)
@@ -307,11 +309,12 @@ def ergodic_conditions(f: PadicFunction, s_max: int | None = None) -> dict[str, 
     orbit_verdict = None
     for s in range(1, s_max + 1):
         mod = p ** (s + 1)
+        table = (f.value_array(mod) % mod).tolist()
         y = 0
         for _ in range(p**s):
-            y = f.evaluate(y, s + 1)
-        orbit_residues.append(y % mod)
-        if orbit_verdict is None and y % mod == 0:
+            y = table[y]
+        orbit_residues.append(y)
+        if orbit_verdict is None and y == 0:
             orbit_verdict = failing(
                 "orbit-escape", "returns-to-zero", witness={"s": s}, depth=s_max
             )

@@ -5,8 +5,8 @@ polynomial, value table mod p^depth, Mahler coefficient series, or van der
 Put coefficient series.  Coefficient series live mod p^k; conversions
 between the bases are exact modular identities and are cross-checked in
 both directions.  Each form also yields one exact value array over a
-window of arguments, from which both series are derived; `evaluate` stays
-the scalar oracle.
+window of arguments, from which both series, every level table and every
+reduced map are derived; `evaluate` computes single points.
 """
 
 from __future__ import annotations
@@ -297,7 +297,6 @@ class PadicFunction:
         self.prime = prime
         self.depth = depth
         self.payload = payload
-        self._scalar: list[int] = []
         self._values: np.ndarray | None = None
 
     # -- constructors -------------------------------------------------
@@ -437,62 +436,41 @@ class PadicFunction:
             power *= p
         return total % mod
 
-    def _scalar_values(self, npoints: int) -> list[int]:
-        """evaluate(x) for x = 0..npoints-1, each point evaluated once.
-
-        The scalar oracle's own cache, grown on demand and independent of
-        the value array; lower levels are derived by reduction, since
-        evaluate(x, k) == evaluate(x) % p^k.
-        """
-        done = len(self._scalar)
-        if done < npoints:
-            self._scalar.extend(self.evaluate(x) for x in range(done, npoints))
-        return self._scalar[:npoints]
-
-    def value_table(self, k: int | None = None) -> list[int]:
-        """Values at 0..p^depth-1, reduced mod p^k."""
-        if k is None:
-            k = self.depth
+    def value_table(self, k: int) -> list[int]:
+        """Values at 0..p^depth-1, reduced mod p^k: the value array reduced,
+        since f(x) mod p^k = (f(x) mod p^depth) mod p^k."""
         if not 1 <= k <= self.depth:
             raise InputError(f"table depth {k} outside 1..{self.depth}")
-        _check_window(self.prime, self.depth, self.prime**self.depth)
-        top = self._scalar_values(self.prime**self.depth)
-        if k == self.depth:
-            return top
-        mod = self.prime**k
-        return [v % mod for v in top]
+        return (self.value_array(self.prime**self.depth) % self.prime**k).tolist()
 
     # -- reductions and conversions -----------------------------------
 
     def reduce_map(self, k: int) -> list[int]:
         """The induced map on Z/p^k, verified to be well defined.
 
-        For non-polynomial forms every point of the depth window is checked
-        against its representative mod p^k; a mismatch means the input is
-        not 1-Lipschitz down to level k and raises PreconditionError.
+        Every row of p^k values of the depth window is compared with the
+        first row in one pass; a mismatch means the input is not 1-Lipschitz
+        down to level k and raises PreconditionError naming the first
+        mismatching x.
         """
         if not 1 <= k <= self.depth:
             raise InputError(f"reduction depth {k} outside 1..{self.depth}")
-        _check_window(self.prime, self.depth, self.prime**k)
         mod = self.prime**k
-        if self.kind == "polynomial":
-            return [v % mod for v in self._scalar_values(mod)]
-        values = self.value_table(k)
-        table = values[:mod]
-        if values[mod:] != table * (self.prime ** (self.depth - k) - 1):
-            for x in range(mod, len(values)):
-                if values[x] != table[x % mod]:
-                    verdict = failing(
-                        "reduction-well-defined",
-                        "consistency",
-                        witness={"x": x, "x_mod": x % mod,
-                                 "fx": values[x], "fx_mod": table[x % mod]},
-                        depth=k,
-                    )
-                    raise PreconditionError(
-                        f"map is not well defined mod {self.prime}^{k}", verdict
-                    )
-        return table
+        rows = (self.value_array(self.prime**self.depth) % mod).reshape(-1, mod)
+        mismatch = rows[1:] != rows[0]
+        if mismatch.any():
+            x = mod + int(mismatch.argmax())
+            verdict = failing(
+                "reduction-well-defined",
+                "consistency",
+                witness={"x": x, "x_mod": x % mod,
+                         "fx": int(rows.flat[x]), "fx_mod": int(rows[0, x % mod])},
+                depth=k,
+            )
+            raise PreconditionError(
+                f"map is not well defined mod {self.prime}^{k}", verdict
+            )
+        return rows[0].tolist()
 
     def __repr__(self):
         return f"PadicFunction({self.kind}, p={self.prime}, depth={self.depth})"

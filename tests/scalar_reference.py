@@ -1,13 +1,14 @@
 """Scalar reference oracles for the array value core.
 
 These are the point-by-point computations the package used before its
-series and the direct UD1 sweep were derived from one value array, before
-the formal derivative of a Mahler sum was converted to the power basis once
-for all points, and before the coefficient routes became mask passes over
-a term array: every value comes from `PadicFunction.evaluate`, from exact
-rationals or from one term at a time (`CoefficientSeries.term` and
-`normalized`), every loop is plain Python.  They are slow on purpose and
-serve only as independent references in tests.
+series, the direct UD1 sweep and its orbit walks were derived from one
+value array, before the formal derivative of a Mahler sum was converted to
+the power basis once for all points, and before the coefficient routes
+became mask passes over a term array: every value comes from
+`PadicFunction.evaluate`, from exact rationals or from one term at a time
+(`CoefficientSeries.term` and `normalized`), every loop is plain Python.
+They are slow on purpose and serve only as independent references in
+tests.
 
 The identity suites valpro, abc and pzero keep their scalar sweeps here
 too, before they became chunked prefix sums and one convolution per r.
@@ -105,6 +106,31 @@ def ud1_reference(f: PadicFunction) -> UD1Report:
         passing("ud1-direct", depth=f.depth, s_max=s_max),
         DerivedFunction(p, 1, tuple(derived)),
     )
+
+
+def orbit_reference(f: PadicFunction, k: int) -> tuple[int, ...]:
+    """Forward orbit of 0 mod p^k, one `evaluate` per step, up to (and
+    excluding) the first repeat."""
+    seen = set()
+    orbit = []
+    x = 0
+    while x not in seen:
+        seen.add(x)
+        orbit.append(x)
+        x = f.evaluate(x, k)
+    return tuple(orbit)
+
+
+def orbit_residues_reference(f: PadicFunction, s_max: int) -> list[int]:
+    """f^(p^s)(0) mod p^(s+1) for s = 1..s_max, each walked with `evaluate`
+    at level s + 1."""
+    out = []
+    for s in range(1, s_max + 1):
+        y = 0
+        for _ in range(f.prime**s):
+            y = f.evaluate(y, s + 1)
+        out.append(y)
+    return out
 
 
 def mahler_derivative_residue_reference(terms, x: int, p: int) -> int:

@@ -484,6 +484,15 @@ def test_generate_poly_route(capsys):
         }
 
 
+def test_generate_poly_route_refused_over_the_horner_budget(capsys):
+    # the oracle's depth-3 table of a degree-177 polynomial over 89^3 points
+    # exceeds the degree x window budget of the value array
+    code, out, err = _run(capsys, ["generate", "-p", "89", "--route", "poly", "--seed", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "degree x window budget" in err
+
+
 def test_generate_needs_prime(capsys):
     code, _, _ = _run(capsys, ["generate"])
     assert code == 2
@@ -687,6 +696,18 @@ def _declared_console_script(name):
     return EntryPoint(name=name, value=target, group="console_scripts")
 
 
+def _child_env():
+    """The environment for a child interpreter.  The checkout test command
+    puts a relative ``src`` on PYTHONPATH, which does not hold under another
+    cwd; point at the package this test imported."""
+    package_root = str(Path(padicdyn.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
+    return env
+
+
 def test_console_script(tmp_path):
     """The declared ``padic-dyn`` entry point, run as its own process.
 
@@ -703,13 +724,7 @@ def test_console_script(tmp_path):
         "if __name__ == '__main__':\n"
         f"    sys.exit({ep.attr}())\n"
     )
-    # The checkout test command puts a relative ``src`` on PYTHONPATH, which
-    # does not hold under another cwd; point at the package this test imported.
-    package_root = str(Path(padicdyn.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, env.get("PYTHONPATH")])
-    )
+    env = _child_env()
     installed = shutil.which("padic-dyn")
 
     def run(*argv):
@@ -733,6 +748,29 @@ def test_console_script(tmp_path):
     assert run("classify", "x^2", "-p", "3").returncode == 1
 
     proc = run("classify", "x+1", "-p", "4")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "x+1", "-p", "3", "--depth", "6"],  # breaks while writing
+        ["classify", "x^2", "-p", "3"],  # criterion false, breaks at the flush
+    ],
+)
+def test_closed_stdout_exits_2_without_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "padicdyn.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=_child_env(), text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr

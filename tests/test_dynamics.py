@@ -245,7 +245,7 @@ def ud1_functions(draw):
         return PadicFunction.from_polynomial(coeffs, p, depth)
     f = PadicFunction.from_mahler(CoefficientSeries("mahler", p, depth, tuple(coeffs)))
     if kind == "table":
-        return PadicFunction.from_table(f.value_table(), p, depth)
+        return PadicFunction.from_table(f.value_table(depth), p, depth)
     if kind == "vdp":
         return PadicFunction.from_vdp(vdp_coefficients(f))
     return f

@@ -5,9 +5,10 @@ Random polynomial, table, Mahler and van der Put functions at p in
 number of examples, so the suite stays deterministic and fast; a failure
 shrinks to a small disagreeing function.
 
-Also pinned here: the scalar orbit oracle evaluates each point of a function
-once and derives every level's table by reduction, and the formal derivative
-of a generated Mahler sum, converted to the power basis once, matches the
+Also pinned here: every level table, reduced map and orbit walk reads the
+value array and calls `evaluate` at no point, with the same witnesses and
+orbits as the per-point references; and the formal derivative of a
+generated Mahler sum, converted to the power basis once, matches the
 per-point reference.
 """
 
@@ -18,9 +19,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from padicdyn.analysis import ud1_check, ud1_window
-from padicdyn.criteria import _mahler_derivative_residues
-from padicdyn.dynamics import ergodic_oracle
-from padicdyn.errors import PreconditionError
+from padicdyn.criteria import _mahler_derivative_residues, p5_conditions
+from padicdyn.dynamics import (
+    decide_ergodicity,
+    ergodic_conditions,
+    ergodic_oracle,
+    orbit_of,
+)
+from padicdyn.errors import NormalizationError, PreconditionError
 from padicdyn.funcspace import (
     CoefficientSeries,
     PadicFunction,
@@ -30,6 +36,8 @@ from padicdyn.funcspace import (
 from scalar_reference import (
     mahler_derivative_residue_reference,
     mahler_reference,
+    orbit_reference,
+    orbit_residues_reference,
     random_p5_instance,
     ud1_reference,
     vdp_reference,
@@ -67,7 +75,7 @@ def functions(draw):
     if kind == "table":
         # a polynomial's table with a few entries moved by p^level: UD1
         # inputs, 1-Lipschitz non-UD1 inputs and non-Lipschitz inputs all occur
-        values = PadicFunction.from_polynomial(coeffs, p, depth).value_table()
+        values = PadicFunction.from_polynomial(coeffs, p, depth).value_table(depth)
         moves = st.tuples(st.integers(0, mod - 1), st.integers(0, depth - 1))
         for x, level in draw(st.lists(moves, max_size=3)):
             values[x] = (values[x] + p**level) % mod
@@ -179,7 +187,7 @@ def test_value_table_levels_of_ill_defined_maps(index):
 
 
 @pytest.mark.parametrize("p, depth", [(2, 6), (3, 4), (5, 3)])
-def test_oracle_evaluates_each_point_once(monkeypatch, p, depth):
+def test_level_walks_never_call_evaluate(monkeypatch, p, depth):
     calls = []
     evaluate = PadicFunction.evaluate
 
@@ -191,9 +199,14 @@ def test_oracle_evaluates_each_point_once(monkeypatch, p, depth):
         monkeypatch.setattr(PadicFunction, "evaluate", counting)
         calls.clear()
         assert ergodic_oracle(f).passed
+        assert ergodic_conditions(f)["orbit"].passed
+        assert len(orbit_of(f, depth)) == p**depth
+        if f.kind == "polynomial":
+            assert decide_ergodicity(f).ergodic
+        if p == 5:
+            assert p5_conditions(f)["combined"].passed
         monkeypatch.undo()
-        assert len(calls) <= p**depth, f.kind
-        assert sorted(calls) == list(range(p**depth)), f.kind
+        assert calls == [], f.kind
 
 
 def _first_mismatch(f, k):
@@ -205,6 +218,33 @@ def _first_mismatch(f, k):
         if values[x] != values[x % mod]:
             return {"x": x, "x_mod": x % mod, "fx": values[x], "fx_mod": values[x % mod]}
     return None
+
+
+@core_settings
+@given(functions().filter(lambda f: f.kind != "polynomial"))
+def test_reduce_map_matches_per_x_reference(f):
+    for k in range(1, f.depth + 1):
+        witness = _first_mismatch(f, k)
+        if witness is None:
+            assert f.reduce_map(k) == [f.evaluate(x, k) for x in range(f.prime**k)]
+            continue
+        with pytest.raises(PreconditionError) as info:
+            f.reduce_map(k)
+        assert info.value.verdict.witness == witness
+
+
+@core_settings
+@given(functions())
+def test_orbit_walks_match_scalar_walks(f):
+    for k in range(1, f.depth + 1):
+        assert orbit_of(f, k) == orbit_reference(f, k)
+    try:
+        conditions = ergodic_conditions(f)
+    except (PreconditionError, NormalizationError):
+        return  # not 1-Lipschitz: the bundle refuses before its walk
+    assert conditions["orbit"].details["residues"] == orbit_residues_reference(
+        f, f.depth - 1
+    )
 
 
 def test_reduce_map_witness_is_first_late_mismatch():
