@@ -215,26 +215,32 @@ def cmd_classify(args) -> int:
                     f"passed={preserving.passed}, {ud.criterion} passed={ud.passed}"
                 )
 
-    decision = None
+    # "transitive mod p^mu implies ergodic", behind the threshold and the
+    # closed forms, is known for polynomials only: the closed form is
+    # evidence, and every other kind is decided by the oracle at every level
     closed = None
-    if f.kind == "polynomial":
-        decision = dynamics.decide_ergodicity(f)
     if is_ud1 and (f.prime in (2, 3) and f.depth >= 3 or f.prime >= 5):
         closed = criteria.closed_form_ergodic(f)
-    if decision is not None and closed is not None:
-        if decision.ergodic != closed.ergodic:
+    if f.kind == "polynomial":
+        decision = dynamics.decide_ergodicity(f)
+        if closed is not None and decision.ergodic != closed.ergodic:
             raise InternalCheckError(
                 "threshold decision and closed-form criterion disagree"
             )
-    if decision is None:
-        decision = closed
-    if decision is None:
+    else:
         oracle = dynamics.ergodic_oracle(f)
+        if is_ud1:
+            conditions = dynamics.ergodic_conditions(f)["combined"]
+            if conditions.passed != oracle.passed:
+                raise InternalCheckError(
+                    f"ergodicity routes disagree: {oracle.criterion} passed={oracle.passed}, "
+                    f"{conditions.criterion} passed={conditions.passed}"
+                )
         decision = dynamics.ErgodicityDecision(
             f.prime, oracle.passed, "exhaustive-to-depth", None, {"oracle": oracle}
         )
     report["ergodicity"] = decision.to_json_dict()
-    if closed is not None and closed is not decision:
+    if closed is not None:
         report["closed_form"] = closed.to_json_dict()
     _emit(report)
     return 0 if decision.ergodic else 1
@@ -311,7 +317,7 @@ def cmd_generate(args) -> int:
             alphas, Bvec, Dvec = criteria.random_power_basis_poly(p, rng)
             f = PadicFunction.from_polynomial(alphas, p, 3)
             conds = criteria.p5_conditions(f)
-            oracle = dynamics.ergodic_oracle(f, 3)
+            oracle = dynamics.ergodic_oracle(f)
             if conds["combined"].passed != oracle.passed:
                 raise InternalCheckError("criterion and oracle disagree")
             instances.append(
@@ -337,7 +343,7 @@ def cmd_generate(args) -> int:
                 lift = tuple(rng.randrange(p) for _ in range(2 * p))
             form = criteria.p5_linear_form(p, phi, bvec, lift)
             inst = form["instance"]
-            oracle = dynamics.ergodic_oracle(inst.function, 3)
+            oracle = dynamics.ergodic_oracle(inst.function)
             if inst.passed != oracle.passed:
                 raise InternalCheckError("instance conditions and oracle disagree")
             if not form["agree"]:

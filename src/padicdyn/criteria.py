@@ -29,7 +29,7 @@ from .funcspace import (
     vdp_coefficients,
 )
 from .analysis import ud1_check
-from .dynamics import ErgodicityDecision, transitive_mod
+from .dynamics import ErgodicityDecision, lambda_rows, transitive_mod
 from .verdict import CriterionVerdict, failing, passing
 
 # ---------------------------------------------------------------------
@@ -453,21 +453,16 @@ def p5_solve_base(p: int, phi: Sequence[int]) -> tuple[int, ...]:
     """First p Mahler residues from the level-1 target: solve the unit
     lower-triangular Pascal system C(i, n) e_n = phi(i) mod p."""
     phi = _validate_phi(p, phi)
-    from .arith import binomial
-
-    e = [0] * p
-    for i in range(p):
-        acc = phi[i]
-        for n in range(i):
-            acc -= binomial(i, n) * e[n]
-        e[i] = acc % p
+    e = np.zeros(p, dtype=np.int64)
+    for i, (_, binom_row) in enumerate(lambda_rows(p)):
+        e[i] = (phi[i] - binom_row[:i] @ e[:i]) % p
     # independent route: iterated differences of the value table mod p
     diffs = list(phi)
     for n in range(p):
         if diffs[0] % p != e[n]:
             raise InternalCheckError("Pascal solve disagrees with differences")
         diffs = [(diffs[i + 1] - diffs[i]) % p for i in range(len(diffs) - 1)]
-    return tuple(e)
+    return tuple(e.tolist())
 
 
 def p5_solve_branch(
@@ -475,19 +470,12 @@ def p5_solve_branch(
 ) -> tuple[int, ...]:
     """Next p Mahler residues from branch targets via the lambda form:
     sum_n lambda_n^i e_n + sum_{n<=i} C(i,n) e_{p+n} = b_i mod p."""
-    from .arith import binomial
-    from .dynamics import lambda_coefficient
-
     bvec = _validate_bvec(p, bvec)
-    e2 = [0] * p
-    for i in range(p):
-        acc = bvec[i]
-        for n in range(p):
-            acc -= lambda_coefficient(i, n, p) * e_base[n]
-        for n in range(i):
-            acc -= binomial(i, n) * e2[n]
-        e2[i] = acc % p
-    return tuple(e2)
+    base = np.array(e_base, dtype=np.int64) % p
+    e2 = np.zeros(p, dtype=np.int64)
+    for i, (lam_row, binom_row) in enumerate(lambda_rows(p)):
+        e2[i] = (bvec[i] - lam_row @ base - binom_row[:i] @ e2[:i]) % p
+    return tuple(e2.tolist())
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from typing import Any
 
 import numpy as np
 
-from .arith import binomial
 from .errors import InputError, InternalCheckError, PreconditionError
 from .funcspace import CoefficientSeries, PadicFunction, vdp_coefficients, mahler_coefficients
 from .verdict import CriterionVerdict, failing, passing
@@ -111,33 +110,29 @@ def transitive_mod(f: PadicFunction, k: int) -> CriterionVerdict:
     )
 
 
-def ergodic_oracle(f: PadicFunction, k_max: int | None = None) -> CriterionVerdict:
-    """Transitivity at every level 1..k_max; the brute-force reference."""
-    if k_max is None:
-        k_max = f.depth
-    if not 1 <= k_max <= f.depth:
-        raise InputError(f"k_max {k_max} outside 1..{f.depth}")
-    for k in range(1, k_max + 1):
+def ergodic_oracle(f: PadicFunction) -> CriterionVerdict:
+    """Transitivity at every level 1..depth; the brute-force reference."""
+    for k in range(1, f.depth + 1):
         verdict = transitive_mod(f, k)
         if not verdict:
             return failing(
-                "ergodic-oracle", "transitivity", witness={"level": k}, depth=k_max,
+                "ergodic-oracle", "transitivity", witness={"level": k}, depth=f.depth,
                 inner=verdict.to_json_dict(),
             )
-    return passing("ergodic-oracle", depth=k_max)
+    return passing("ergodic-oracle", depth=f.depth)
 
 
 # -- measure preservation ---------------------------------------------
 
 
-def measure_preserving_vdp(
-    series: CoefficientSeries, s_max: int | None = None
-) -> CriterionVerdict:
+def measure_preserving_vdp(series: CoefficientSeries) -> CriterionVerdict:
     """Bijectivity at all levels from normalized van der Put terms.
 
     Level 0: the residues b_0..b_{p-1} must be a complete system mod p.
     Level s >= 1: for each base k < p^s the residues b_{k + l p^s} over
-    l = 1..p-1 must be distinct and nonzero mod p.
+    l = 1..p-1 must be distinct and nonzero mod p, at every level whose
+    terms the series holds (p^(s+1) <= its length) with a residue mod p
+    left (s < its exponent).
     """
     if series.kind != "vdp":
         raise InputError("measure_preserving_vdp expects a vdp series")
@@ -150,13 +145,9 @@ def measure_preserving_vdp(
         return failing(
             name, "complete-residues", witness={"residues": base}, depth=series.exponent
         )
-    limit = 0
-    while p ** (limit + 2) <= len(series) and limit + 2 <= series.exponent:
-        limit += 1
-    if s_max is None:
-        s_max = limit
-    elif s_max > limit:
-        raise InputError(f"s_max {s_max} exceeds what the series supports ({limit})")
+    s_max = 0
+    while p ** (s_max + 2) <= len(series) and s_max + 2 <= series.exponent:
+        s_max += 1
     for s in range(1, s_max + 1):
         step = p**s
         # block[k, l - 1] = B_{k + l p^s}: row k holds base k's branch terms
@@ -233,14 +224,22 @@ def measure_preserving_ud_p2_mahler(f: PadicFunction) -> CriterionVerdict:
     return passing(name, depth=f.depth)
 
 
-def lambda_coefficient(i: int, n: int, p: int) -> int:
-    """(C(i+p, n) - C(i, n)) / p, exactly; integrality is a Lucas consequence."""
-    num = binomial(i + p, n) - binomial(i, n)
-    if num % p != 0:
-        raise InternalCheckError(
-            f"lambda coefficient not integral at i={i}, n={n}, p={p}"
-        )
-    return num // p
+def lambda_rows(p: int):
+    """Rows i = 0..p-1 of the lambda form mod p, each with C(i, .) mod p.
+
+    lambda(i, n) = (C(i + p, n) - C(i, n)) / p is an integer (Lucas).  Row 0
+    is lambda(0, 0) = 0 and lambda(0, n) = C(p, n) / p = (-1)^(n-1) / n mod p
+    for n >= 1, against C(0, .) = 1, 0, 0, ...; both obey Pascal's rule in
+    i, so each row is the last plus its shift by one.  Yields the pair as
+    two int64 arrays over n = 0..p-1.
+    """
+    rows = np.zeros((2, p), dtype=np.int64)
+    rows[0, 1:] = [pow(n, -1, p) if n % 2 else p - pow(n, -1, p) for n in range(1, p)]
+    rows[1, 0] = 1
+    for _ in range(p):
+        yield rows[0], rows[1]
+        rows = rows.copy()
+        rows[:, 1:] = (rows[:, 1:] + rows[:, :-1]) % p
 
 
 def measure_preserving_ud_odd(f: PadicFunction) -> CriterionVerdict:
@@ -266,15 +265,14 @@ def measure_preserving_ud_odd(f: PadicFunction) -> CriterionVerdict:
         )
     vdp = vdp_coefficients(f, count=2 * p)
     mahler = mahler_coefficients(f, count=2 * p)
-    c = mahler.term_list[:p]
-    cp = [mahler.normalized(n + p, 1) for n in range(p)]
-    for i in range(p):
+    c = np.array([a % p for a in mahler.term_list[:p]], dtype=np.int64)
+    cp = np.array([mahler.normalized(n + p, 1) for n in range(p)], dtype=np.int64)
+    for i, (lam_row, binom_row) in enumerate(lambda_rows(p)):
         b = vdp.normalized(i + p, 1)
-        lam = sum(lambda_coefficient(i, n, p) * c[n] for n in range(p))
-        lam += sum(binomial(i, n) * cp[n] for n in range(i + 1))
-        if lam % p != b:
+        lam = int(lam_row @ c + binom_row @ cp) % p
+        if lam != b:
             raise InternalCheckError(
-                f"lambda form disagrees with branch term at i={i}: {lam % p} vs {b}"
+                f"lambda form disagrees with branch term at i={i}: {lam} vs {b}"
             )
         if b == 0:
             return failing(
@@ -286,8 +284,9 @@ def measure_preserving_ud_odd(f: PadicFunction) -> CriterionVerdict:
 # -- ergodicity -------------------------------------------------------
 
 
-def ergodic_conditions(f: PadicFunction, s_max: int | None = None) -> dict[str, Any]:
-    """The four-part finite-level ergodicity bundle for 1-Lipschitz maps.
+def ergodic_conditions(f: PadicFunction) -> dict[str, Any]:
+    """The four-part finite-level ergodicity bundle for 1-Lipschitz maps, at
+    levels s = 1..depth-1.
 
     (1) transitivity mod p; (2) measure preservation; (3) the orbit of 0
     escapes: f^(p^s)(0) != 0 mod p^(s+1); (4) the level product of
@@ -295,60 +294,46 @@ def ergodic_conditions(f: PadicFunction, s_max: int | None = None) -> dict[str, 
     is still evaluated and reported.
     """
     p = f.prime
-    if s_max is None:
-        s_max = f.depth - 1
-    if not 1 <= s_max <= f.depth - 1:
-        raise InputError(f"s_max {s_max} outside 1..{f.depth - 1}")
+    s_max = f.depth - 1
+    if s_max < 1:
+        raise InputError("ergodic_conditions needs depth >= 2")
     out: dict[str, Any] = {}
     out["transitive_mod_p"] = transitive_mod(f, 1)
-    series = vdp_coefficients(f, count=2 * p**s_max)
-    mp_series = vdp_coefficients(f, count=p ** (s_max + 1))
-    out["measure_preserving"] = measure_preserving_vdp(mp_series, s_max=s_max)
+    series = vdp_coefficients(f, count=p**f.depth)
+    out["measure_preserving"] = measure_preserving_vdp(series)
 
-    orbit_residues = []
-    orbit_verdict = None
+    residues = []
     for s in range(1, s_max + 1):
         mod = p ** (s + 1)
         table = (f.value_array(mod) % mod).tolist()
         y = 0
         for _ in range(p**s):
             y = table[y]
-        orbit_residues.append(y)
-        if orbit_verdict is None and y == 0:
-            orbit_verdict = failing(
-                "orbit-escape", "returns-to-zero", witness={"s": s}, depth=s_max
-            )
-    if orbit_verdict is None:
-        orbit_verdict = passing("orbit-escape", depth=s_max,
-                                residues=orbit_residues)
-    else:
-        orbit_verdict = CriterionVerdict(
-            False, "orbit-escape", orbit_verdict.condition, orbit_verdict.witness,
-            s_max, {"residues": orbit_residues},
-        )
-    out["orbit"] = orbit_verdict
+        residues.append(y)
+    returned = [s for s, y in enumerate(residues, 1) if y == 0]
+    out["orbit"] = failing(
+        "orbit-escape", "returns-to-zero", witness={"s": returned[0]}, depth=s_max,
+        residues=residues,
+    ) if returned else passing("orbit-escape", depth=s_max, residues=residues)
 
     products = []
-    product_verdict = None
     for s in range(1, s_max + 1):
         step = p**s
+        block = series.terms[step : 2 * step]
+        unnormal = block % step != 0
+        if unnormal.any():  # normalized(j + p^s, 1) refuses the first such j
+            raise series.normalization_error(step + int(unnormal.argmax()))
+        # the product of the residues b_{j + p^s} mod p, from how often each occurs
+        counts = np.bincount(((block // step) % p).astype(np.int64), minlength=p)
         acc = 1
-        for j in range(step):
-            acc = (acc * series.normalized(j + step, 1)) % p
+        for r in np.flatnonzero(counts).tolist():
+            acc = acc * pow(r, int(counts[r]), p) % p
         products.append(acc)
-        if product_verdict is None and acc != 1:
-            product_verdict = failing(
-                "branch-product", "not-unit", witness={"s": s, "product": acc},
-                depth=s_max,
-            )
-    if product_verdict is None:
-        product_verdict = passing("branch-product", depth=s_max, products=products)
-    else:
-        product_verdict = CriterionVerdict(
-            False, "branch-product", product_verdict.condition,
-            product_verdict.witness, s_max, {"products": products},
-        )
-    out["product"] = product_verdict
+    not_one = [s for s, acc in enumerate(products, 1) if acc != 1]
+    out["product"] = failing(
+        "branch-product", "not-unit", witness={"s": not_one[0], "product": products[not_one[0] - 1]},
+        depth=s_max, products=products,
+    ) if not_one else passing("branch-product", depth=s_max, products=products)
 
     combined = all(
         out[key].passed

@@ -2,7 +2,9 @@
 
 These are the point-by-point computations the package used before its
 series, the direct UD1 sweep and its orbit walks were derived from one
-value array, before the formal derivative of a Mahler sum was converted to
+value array, before the level products of the ergodicity conditions were
+counted per residue, before the lambda form came from Pascal rows mod p
+(its exact coefficients are kept here), before the formal derivative of a Mahler sum was converted to
 the power basis once for all points, and before the coefficient routes
 became mask passes over a term array: every value comes from
 `PadicFunction.evaluate`, from exact rationals or from one term at a time
@@ -131,6 +133,28 @@ def orbit_residues_reference(f: PadicFunction, s_max: int) -> list[int]:
             y = f.evaluate(y, s + 1)
         out.append(y)
     return out
+
+
+def branch_products_reference(series: CoefficientSeries, s_max: int) -> list[int]:
+    """The level products of `ergodic_conditions`: prod over j < p^s of the
+    normalized vdp term j + p^s mod p, for s = 1..s_max, one term at a time;
+    normalized() raises at the first term it refuses."""
+    p = series.prime
+    out = []
+    for s in range(1, s_max + 1):
+        acc = 1
+        for j in range(p**s):
+            acc = acc * series.normalized(j + p**s, 1) % p
+        out.append(acc)
+    return out
+
+
+def lambda_coefficient(i: int, n: int, p: int) -> int:
+    """(C(i+p, n) - C(i, n)) / p, exactly; integrality is a Lucas consequence."""
+    num = math.comb(i + p, n) - math.comb(i, n)
+    if num % p != 0:
+        raise InternalCheckError(f"lambda coefficient not integral at i={i}, n={n}, p={p}")
+    return num // p
 
 
 def mahler_derivative_residue_reference(terms, x: int, p: int) -> int:

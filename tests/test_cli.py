@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -16,6 +17,8 @@ import pytest
 import padicdyn
 from padicdyn import backends, cli, dynamics, identities
 from padicdyn.errors import InputError, InternalCheckError
+from padicdyn.funcspace import PadicFunction, vdp_coefficients
+from scalar_reference import random_ud1_mahler_series
 
 
 def _schema(name):
@@ -387,6 +390,65 @@ def test_classify_table_input_uses_oracle(capsys, tmp_path):
     )
     assert code == 0
     assert payload["ergodicity"]["method"] == "exhaustive-to-depth"
+
+
+# a UD1 table whose reduction mod 16 has two 8-cycles
+TWO_CYCLES_MOD_16 = {
+    "kind": "table", "p": 2, "depth": 4,
+    "values": [9, 2, 3, 4, 5, 6, 7, 8, 1, 10, 11, 12, 13, 14, 15, 0],
+}
+
+
+def _ud1_draw(p, depth, index, kind):
+    """Draw `index` of random_ud1_mahler_series(p, depth, p^depth,
+    Random(7)) as a JSON function of the given kind: a UD1 map that the
+    closed form calls ergodic and that is not."""
+    rng = random.Random(7)
+    for _ in range(index + 1):
+        series = random_ud1_mahler_series(p, depth, p**depth, rng)
+    if kind == "mahler":
+        return series.to_json_dict()
+    f = PadicFunction.from_mahler(series)
+    if kind == "vdp":
+        return vdp_coefficients(f).to_json_dict()
+    return {"kind": "table", "p": p, "depth": depth, "values": f.value_table(depth)}
+
+
+@pytest.mark.parametrize(
+    "draw, kind",
+    [(None, "table")]
+    # the orbit walk fails at level 4 and at level 5
+    + [(draw, kind) for draw in ((2, 6, 5), (3, 5, 537)) for kind in ("mahler", "table", "vdp")],
+)
+def test_classify_rejects_ud1_maps_the_closed_form_admits(capsys, monkeypatch, draw, kind):
+    blob = TWO_CYCLES_MOD_16 if draw is None else _ud1_draw(*draw, kind)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(blob)))
+    code, payload, _ = _run_json(capsys, ["classify", "-"], schema="classify.schema.json")
+    assert code == 1
+    assert payload["ud1"]["direct"]["pass"]
+    assert payload["ergodicity"]["method"] == "exhaustive-to-depth"
+    assert payload["ergodicity"]["ergodic"] is False
+    assert payload["closed_form"]["ergodic"] is True
+
+
+@pytest.mark.parametrize("values", [TWO_CYCLES_MOD_16["values"], [(x + 1) % 16 for x in range(16)]])
+def test_classify_exits_3_when_the_ergodicity_routes_disagree(capsys, monkeypatch, values):
+    conditions = dynamics.ergodic_conditions
+
+    def flipped(f):
+        out = conditions(f)
+        out["combined"] = dataclasses.replace(out["combined"], passed=not out["combined"].passed)
+        return out
+
+    blob = json.dumps(dict(TWO_CYCLES_MOD_16, values=values))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(blob))
+    oracle = json.loads(_run(capsys, ["classify", "-"])[1])["ergodicity"]["ergodic"]
+    monkeypatch.setattr(dynamics, "ergodic_conditions", flipped)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(blob))
+    code, out, err = _run(capsys, ["classify", "-"])
+    assert code == 3 and out == ""
+    assert f"ergodic-oracle passed={oracle}" in err
+    assert f"ergodic-conditions passed={not oracle}" in err
 
 
 def test_classify_stdin(capsys, monkeypatch):

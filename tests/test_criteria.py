@@ -57,7 +57,7 @@ def test_catalog_members_ergodic_all_routes():
         assert cr.larin_transitive_mod8(coeffs).passed
         assert cr.mahler_ergodic_p2(mahler_coefficients(f, 4)).passed
         assert cr.vdp_ergodic_p2(vdp_coefficients(f, 4)).passed
-        assert ergodic_oracle(f, 4).passed
+        assert ergodic_oracle(f).passed
 
 
 def test_larin_rejects_with_witness():
@@ -74,7 +74,7 @@ def test_p2_criteria_match_oracle_random():
     for _ in range(200):
         coeffs = tuple(rng.randrange(8) for _ in range(4))
         f = PadicFunction.from_polynomial(coeffs, 2, 3)
-        expected = ergodic_oracle(f, 3).passed
+        expected = ergodic_oracle(f).passed
         assert cr.larin_transitive_mod8(coeffs).passed == expected
         assert cr.mahler_ergodic_p2(mahler_coefficients(f, 4)).passed == expected
         assert cr.vdp_ergodic_p2(vdp_coefficients(f, 4)).passed == expected
@@ -105,7 +105,7 @@ def test_deg8_no_case_means_not_ergodic():
     v = cr.deg8_minimal_p3([0, 0, 1])
     assert not v.passed and v.condition == "no-case"
     f = PadicFunction.from_polynomial([0, 0, 1], 3, 3)
-    assert not ergodic_oracle(f, 3).passed
+    assert not ergodic_oracle(f).passed
 
 
 def test_p3_criteria_match_oracle_random():
@@ -113,7 +113,7 @@ def test_p3_criteria_match_oracle_random():
     for _ in range(400):
         coeffs = [rng.randrange(27) for _ in range(rng.randrange(1, 10))]
         f = PadicFunction.from_polynomial(coeffs, 3, 3)
-        expected = ergodic_oracle(f, 3).passed
+        expected = ergodic_oracle(f).passed
         assert cr.deg8_minimal_p3(coeffs).passed == expected
         assert cr.mahler_ergodic_p3(mahler_coefficients(f, 9)).passed == expected
         assert cr.vdp_ergodic_p3(vdp_coefficients(f, 9)).passed == expected
@@ -217,8 +217,8 @@ def test_p5_instance_construction_and_conditions():
             # reductions hit the prescribed data (also internally checked)
             for i in range(p):
                 assert inst.function.evaluate(i, 1) == inst.phi[i]
-            o2 = ergodic_oracle(inst.function, 2).passed
-            o3 = ergodic_oracle(inst.function, 3).passed
+            o2 = ergodic_oracle(PadicFunction.from_mahler(inst.series, 2)).passed
+            o3 = ergodic_oracle(inst.function).passed
             assert inst.passed == o2 == o3
 
 
@@ -283,7 +283,7 @@ def test_power_basis_solver_and_checks():
             conds = cr.p5_conditions(f)
             assert conds["transitive_mod_p"].passed
             assert conds["branch_product"].passed
-            assert conds["combined"].passed == ergodic_oracle(f, 3).passed
+            assert conds["combined"].passed == ergodic_oracle(f).passed
 
 
 def test_interpolate_reduced_p():
@@ -331,5 +331,5 @@ def test_closed_form_agrees_with_oracle_p5():
     for _ in range(40):
         coeffs = [rng.randrange(125) for _ in range(6)]
         f = PadicFunction.from_polynomial(coeffs, 5, 3)
-        assert cr.closed_form_ergodic(f).ergodic == ergodic_oracle(f, 3).passed
+        assert cr.closed_form_ergodic(f).ergodic == ergodic_oracle(f).passed
 

@@ -1,15 +1,22 @@
+import contextlib
+import io
+import json
+import math
 import random
+import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from padicdyn import cli
 from padicdyn.analysis import ud1_check
 from padicdyn.dynamics import (
     cycle_structure,
     decide_ergodicity,
     ergodic_conditions,
     ergodic_oracle,
+    lambda_rows,
     measure_preserving_ud_odd,
     measure_preserving_ud_p2,
     measure_preserving_ud_p2_mahler,
@@ -18,19 +25,29 @@ from padicdyn.dynamics import (
     transitive_mod,
     transitivity_threshold,
 )
-from padicdyn.errors import InputError, PreconditionError
+from padicdyn.errors import InputError, NormalizationError, PreconditionError
 from padicdyn.funcspace import (
     CoefficientSeries,
     PadicFunction,
+    mahler_coefficients,
     vdp_coefficients,
 )
-from scalar_reference import random_ud1_mahler_series, required_ud1_valuation
+from scalar_reference import (
+    branch_products_reference,
+    lambda_coefficient,
+    random_ud1_mahler_series,
+    required_ud1_valuation,
+)
+
+# a UD1 table whose reduction mod 16 has two 8-cycles: transitive mod 8, so
+# the closed form at p = 2 calls it ergodic
+TWO_CYCLES_MOD_16 = [9, 2, 3, 4, 5, 6, 7, 8, 1, 10, 11, 12, 13, 14, 15, 0]
 
 
 def test_translation_is_fully_transitive():
     for p in (2, 3, 5):
         f = PadicFunction.from_polynomial([1, 1], p, 4)
-        assert ergodic_oracle(f, 4).passed
+        assert ergodic_oracle(f).passed
         rep = cycle_structure(f, 3)
         assert rep.transitive and len(rep.cycles[0]) == p**3
         assert rep.cycles[0][0] == 0
@@ -131,6 +148,15 @@ def test_mp_ud_odd_with_lambda_crosscheck():
         assert hits > 0
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 31])
+def test_lambda_rows_match_the_exact_coefficients(p):
+    rows = list(lambda_rows(p))
+    assert len(rows) == p
+    for i, (lam, binom) in enumerate(rows):
+        assert lam.tolist() == [lambda_coefficient(i, n, p) % p for n in range(p)]
+        assert binom.tolist() == [math.comb(i, n) % p for n in range(p)]
+
+
 def test_mp_ud_odd_requires_odd_prime():
     f = PadicFunction.from_polynomial([1, 1], 2, 3)
     with pytest.raises(InputError):
@@ -151,20 +177,36 @@ def test_product_condition_s_independence():
             f = PadicFunction.from_mahler(series)
             if not measure_preserving_vdp(vdp_coefficients(f, count=p**4)).passed:
                 continue
-            r1, r2 = ergodic_conditions(f, s_max=2)["product"].details["products"]
+            shallow = PadicFunction.from_mahler(series, 3)
+            r1, r2 = ergodic_conditions(shallow)["product"].details["products"]
             assert r1 == r2
 
 
+def test_branch_product_refuses_the_first_unnormalized_term():
+    # x + 1 at p = 3 with B_18 = 9 (base 0 at level 2 breaks measure
+    # preservation without a raise) and B_10 = 12, not divisible by 9: the
+    # level-2 product refuses term 10, as one normalized() at a time does
+    terms = list(vdp_coefficients(PadicFunction.from_polynomial([1, 1], 3, 3)).term_list)
+    terms[18], terms[10] = 9, 12
+    series = CoefficientSeries("vdp", 3, 3, tuple(terms))
+    with pytest.raises(NormalizationError, match="vdp term 10 = 12 is not divisible by 3") as info:
+        ergodic_conditions(PadicFunction.from_vdp(series))
+    with pytest.raises(NormalizationError) as want:
+        branch_products_reference(series, 2)
+    assert str(info.value) == str(want.value)
+    assert measure_preserving_vdp(series).condition == "branch-residues"
+
+
 def test_ergodic_conditions_bundle():
-    f = PadicFunction.from_polynomial([1, 1], 3, 4)
-    bundle = ergodic_conditions(f, s_max=2)
+    f = PadicFunction.from_polynomial([1, 1], 3, 3)
+    bundle = ergodic_conditions(f)
     assert bundle["combined"].passed
     assert bundle["transitive_mod_p"].passed
     assert bundle["measure_preserving"].passed
     assert all(r == 1 for r in bundle["product"].details["products"])
 
-    g = PadicFunction.from_polynomial([1, 3, 0, 2], 2, 4)
-    gb = ergodic_conditions(g, s_max=2)
+    g = PadicFunction.from_polynomial([1, 3, 0, 2], 2, 3)
+    gb = ergodic_conditions(g)
     assert not gb["combined"].passed
     # the failure is in the orbit condition, not measure preservation
     assert gb["measure_preserving"].passed
@@ -198,7 +240,7 @@ def test_oracle_agrees_with_threshold_on_randoms():
         for _ in range(40):
             coeffs = [rng.randrange(p**3) for _ in range(4)]
             f = PadicFunction.from_polynomial(coeffs, p, mu + 1)
-            assert decide_ergodicity(f).ergodic == ergodic_oracle(f, mu + 1).passed
+            assert decide_ergodicity(f).ergodic == ergodic_oracle(f).passed
 
 
 # -- the UD criteria against the general van der Put route ---------------
@@ -262,3 +304,75 @@ def test_ud_criteria_match_the_vdp_route(f):
         routes = (measure_preserving_ud_odd,)
     for route in routes:
         assert route(f).passed == general
+
+
+# -- the ergodicity decision of classify ----------------------------------
+
+
+@st.composite
+def classify_inputs(draw):
+    """UD1 functions of all four kinds in three shapes: as drawn; x + 1 + p g
+    for a drawn g, transitive mod p and often ergodic; and with one table
+    entry moved by p^(depth-1), still 1-Lipschitz but mostly not UD1."""
+    f = draw(ud1_functions())
+    p, depth, mod = f.prime, f.depth, f.prime**f.depth
+    shape = draw(st.sampled_from(["drawn", "translation", "moved"]))
+    if shape == "drawn":
+        return f
+    if shape == "translation" and f.kind == "polynomial":
+        coeffs = [p * c for c in f.payload]
+        return PadicFunction.from_polynomial([coeffs[0] + 1, coeffs[1] + 1] + coeffs[2:], p, depth)
+    values = f.value_table(depth)
+    if shape == "translation":
+        values = [(x + 1 + p * v) % mod for x, v in enumerate(values)]
+    else:
+        x = draw(st.integers(0, mod - 1))
+        values[x] = (values[x] + p ** (depth - 1)) % mod
+    g = PadicFunction.from_table(values, p, depth)
+    kind = f.kind if f.kind != "polynomial" else draw(st.sampled_from(["table", "mahler", "vdp"]))
+    if kind == "mahler":
+        return PadicFunction.from_mahler(mahler_coefficients(g))
+    if kind == "vdp":
+        return PadicFunction.from_vdp(vdp_coefficients(g))
+    return g
+
+
+def function_json(f) -> dict:
+    """The JSON object `classify -` reads for f."""
+    if f.kind in ("polynomial", "table"):
+        field = "coeffs" if f.kind == "polynomial" else "values"
+        return {"kind": f.kind, "p": f.prime, "depth": f.depth, field: list(f.payload)}
+    return f.payload.to_json_dict()
+
+
+def classify(f) -> tuple[int, dict | None]:
+    """Exit code and report of `classify` on f, read from stdin at f's depth."""
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(function_json(f)))
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["classify", "-", "--depth", str(f.depth)])
+    finally:
+        sys.stdin = stdin
+    return code, json.loads(out.getvalue()) if code in (0, 1) else None
+
+
+@ud_settings
+@given(classify_inputs())
+@example(PadicFunction.from_table(TWO_CYCLES_MOD_16, 2, 4))
+def test_classify_decides_as_the_orbit_oracle(f):
+    code, report = classify(f)
+    if code == 2:  # refused: only a polynomial below its threshold depth
+        assert f.kind == "polynomial" and f.depth < transitivity_threshold(f.prime)
+        return
+    assert code in (0, 1)
+    ergodic = report["ergodicity"]["ergodic"]
+    assert ergodic == (code == 0) == ergodic_oracle(f).passed
+    if report["ud1"]["direct"]["pass"]:
+        assert ergodic == ergodic_conditions(f)["combined"].passed
+    if f.kind == "polynomial":
+        assert report["ergodicity"]["method"] == "threshold"
+        if "closed_form" in report:
+            assert report["closed_form"]["ergodic"] == ergodic
+    else:
+        assert report["ergodicity"]["method"] == "exhaustive-to-depth"

@@ -30,8 +30,6 @@ _PAPER_TABLE = "paper-table conversion; the acceptance tests check the paper's t
 ALLOWED = {
     "HAVE_NUMBA": "perfbench/worker.py reads it for its environment report",
     "transitive_scan": "perfbench/tracer.py times it as a layer; acceptance 01 runs the census on it",
-    "ergodic_conditions": "the sound ergodicity route classify is to be checked against "
-    "(ROADMAP item 1)",
     "case_table_mask": _PAPER_TABLE,
     "vdp_from_mahler_p2": _PAPER_TABLE,
     "mahler_from_vdp_p2": _PAPER_TABLE,
@@ -64,8 +62,6 @@ ALLOWED_DEFAULTS = {
     "from_vdp(depth)": "classify calls it as ctor(series, depth)",
     "vdp_to_mahler(count)": _CONVERSION,
     "mahler_to_vdp(count)": _CONVERSION,
-    "ergodic_conditions(s_max)": "the sound ergodicity route classify is to be checked "
-    "against (ROADMAP item 1)",
 }
 
 

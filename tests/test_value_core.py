@@ -7,7 +7,8 @@ shrinks to a small disagreeing function.
 
 Also pinned here: every level table, reduced map and orbit walk reads the
 value array and calls `evaluate` at no point, with the same witnesses and
-orbits as the per-point references; and the formal derivative of a
+orbits as the per-point references, and the level products of the
+ergodicity conditions match the term-by-term products; and the formal derivative of a
 generated Mahler sum, converted to the power basis once, matches the
 per-point reference.
 """
@@ -34,6 +35,7 @@ from padicdyn.funcspace import (
     vdp_coefficients,
 )
 from scalar_reference import (
+    branch_products_reference,
     mahler_derivative_residue_reference,
     mahler_reference,
     orbit_reference,
@@ -244,6 +246,9 @@ def test_orbit_walks_match_scalar_walks(f):
         return  # not 1-Lipschitz: the bundle refuses before its walk
     assert conditions["orbit"].details["residues"] == orbit_residues_reference(
         f, f.depth - 1
+    )
+    assert conditions["product"].details["products"] == branch_products_reference(
+        vdp_coefficients(f), f.depth - 1
     )
 
 
