@@ -100,22 +100,33 @@ def mahler_batch(values, modulus: int) -> np.ndarray:
 # -- transitivity scans ----------------------------------------------
 
 
-def transitive_scan(tables) -> np.ndarray:
-    """1 where a row, read as a self-map of 0..size-1, is a single cycle.
-
-    A map is a full cycle exactly when the orbit of 0 first returns to 0
-    after size steps, so no explicit permutation check is needed.
+def orbit_walks(tables, steps: int) -> np.ndarray:
+    """Row i holds f^n(0) for n = 0..steps, f being row i of tables read as
+    a self-map of 0..size-1.  Pointer doubling: with the first m entries
+    known and g = f^m, the next m are g at the first m, and g[g] is f^(2m);
+    rows are held as indices into the flattened tables, so each is one gather.
     """
     tables = np.asarray(tables, dtype=np.int64)
     count, size = tables.shape
-    x = np.zeros(count, dtype=np.int64)
-    first_return = np.zeros(count, dtype=np.int64)
-    rows = np.arange(count)
-    for step in range(1, size + 1):
-        x = tables[rows, x]
-        hit = (x == 0) & (first_return == 0)
-        first_return[hit] = step
-    return (first_return == size).astype(np.uint8)
+    offsets = np.arange(count, dtype=np.int64)[:, None] * size
+    power = (tables + offsets).ravel()  # f^done
+    walks = np.empty((count, steps + 1), dtype=np.int64)
+    walks[:, :1] = offsets
+    done = 1
+    while done <= steps:
+        walks[:, done : 2 * done] = power[walks[:, : min(done, steps + 1 - done)]]
+        if 2 * done <= steps:
+            power = power[power]
+        done *= 2
+    return walks - offsets
+
+
+def transitive_scan(tables) -> np.ndarray:
+    """1 where a row, read as a self-map of 0..size-1, is a single cycle:
+    exactly when the orbit of 0 first returns to 0 after size steps."""
+    tables = np.asarray(tables, dtype=np.int64)
+    returns = orbit_walks(tables, tables.shape[1])[:, 1:] == 0
+    return (returns[:, -1] & (returns.argmax(axis=1) == tables.shape[1] - 1)).astype(np.uint8)
 
 
 # -- exact value matrices for batched UD1 sweeps ----------------------

@@ -62,7 +62,7 @@ def parse_polynomial_text(text: str) -> list[int]:
     if "x" not in text:
         parts = text.split(",")
         _check_degree(len(parts) - 1)
-        return _ints(parts)
+        return list(funcspace.parse_ints(parts))
     chunks = re.findall(r"[+-]?[^+-]+", text)
     if "".join(chunks) != text:
         raise InputError(f"empty term in polynomial {text!r}")
@@ -83,10 +83,6 @@ def parse_polynomial_text(text: str) -> list[int]:
         coeffs[exp] = coeffs.get(exp, 0) + sign * coef
     top = max(coeffs)
     return [coeffs.get(i, 0) for i in range(top + 1)]
-
-
-def _ints(seq) -> list[int]:
-    return [funcspace.parse_int(x) for x in seq]
 
 
 def function_from_json(
@@ -110,12 +106,12 @@ def function_from_json(
             raise InputError("polynomial object needs a 'coeffs' list")
         _check_degree(len(data["coeffs"]) - 1)
         return PadicFunction.from_polynomial(
-            _ints(data["coeffs"]), p, default_depth if depth is None else depth
+            data["coeffs"], p, default_depth if depth is None else depth
         )
     if kind == "table":
-        if "values" not in data or "depth" not in data:
-            raise InputError("table object needs 'values' and 'depth'")
-        return PadicFunction.from_table(_ints(data["values"]), p, depth)
+        if not isinstance(data.get("values"), list) or "depth" not in data:
+            raise InputError("table object needs a 'values' list and 'depth'")
+        return PadicFunction.from_table(data["values"], p, depth)
     if kind in ("mahler", "vdp"):
         series = CoefficientSeries.from_json_dict(data)
         ctor = PadicFunction.from_mahler if kind == "mahler" else PadicFunction.from_vdp
@@ -391,10 +387,8 @@ def cmd_verify(args) -> int:
             f = PadicFunction.from_polynomial(entry["coeffs"], p, entry["failing_level"])
             t_low = dynamics.transitive_mod(f, entry["transitive_level"]).passed
             t_high = dynamics.transitive_mod(f, entry["failing_level"]).passed
-            cyc = dynamics.cycle_structure(f, entry["transitive_level"])
-            orbit_ok = (
-                cyc.transitive and tuple(cyc.cycles[0]) == tuple(entry["orbit"])
-            )
+            orbit = dynamics.orbit_of(f, entry["transitive_level"])
+            orbit_ok = t_low and orbit == tuple(entry["orbit"])
             checks = {
                 "transitive_below": t_low,
                 "not_transitive_at": not t_high,

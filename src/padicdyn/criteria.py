@@ -503,7 +503,7 @@ class P5Instance:
 
 def p5_conditions(f: PadicFunction) -> dict:
     """The three-part criterion for p >= 5: transitivity mod p, unit branch
-    product, and v_p(f^p(0)) = 1."""
+    product, and v_p(f^p(0)) = 1; refused for a map not well defined mod p^2."""
     p = f.prime
     if p < 5:
         raise InputError("p5_conditions needs p >= 5")
@@ -520,10 +520,8 @@ def p5_conditions(f: PadicFunction) -> dict:
         if prod == 1
         else failing("branch-product-unit", "not-one", witness={"product": prod})
     )
-    table = (f.value_array(p * p) % (p * p)).tolist()
-    y = 0
-    for _ in range(p):
-        y = table[y]
+    f.reduce_map(2)  # the walk reduced mod p^2 is the orbit only where this holds
+    y = int(f.orbit_walk[p]) % (p * p)
     if y % p == 0 and y != 0:
         out["return_valuation"] = passing("return-valuation", value=y)
     else:
@@ -677,9 +675,7 @@ def p5_linear_form(
     for i in range(1, p):
         total = (total + w[i] * g1(orbit[i])) % p
 
-    yd = 0
-    for _ in range(p):
-        yd = lifted.function.evaluate(yd, 2)
+    yd = int(lifted.function.orbit_walk[p]) % (p * p)  # as p5_conditions read it
     direct = (yd // p) % p if yd % p == 0 else None
     return {
         "formula": total,

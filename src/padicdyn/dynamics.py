@@ -14,7 +14,8 @@ from typing import Any
 import numpy as np
 
 from .errors import InputError, InternalCheckError, PreconditionError
-from .funcspace import CoefficientSeries, PadicFunction, vdp_coefficients, mahler_coefficients
+from .funcspace import CoefficientSeries, PadicFunction, lipschitz_check
+from .funcspace import mahler_coefficients, vdp_coefficients
 from .verdict import CriterionVerdict, failing, passing
 from .analysis import ud1_check
 
@@ -34,45 +35,29 @@ class CycleReport:
     def size(self) -> int:
         return self.prime**self.exponent
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "p": self.prime,
-            "exponent": self.exponent,
-            "permutation": self.is_permutation,
-            "transitive": self.transitive,
-            "cycle_count": len(self.cycles),
-            "cycles": [[str(x) for x in c] for c in self.cycles],
-        }
-        if self.collision:
-            out["collision"] = {k: str(v) for k, v in self.collision.items()}
-        return out
-
 
 def cycle_structure(f: PadicFunction, k: int) -> CycleReport:
     table = f.reduce_map(k)
     size = len(table)
     seen = [False] * size
-    image_seen = [False] * size
+    preimage: dict[int, int] = {}
     collision = None
     for x, y in enumerate(table):
-        if image_seen[y]:
-            prev = next(i for i in range(x) if table[i] == y)
-            collision = {"image": y, "first": prev, "second": x}
+        if y in preimage:
+            collision = {"image": y, "first": preimage[y], "second": x}
             break
-        image_seen[y] = True
+        preimage[y] = x
     is_perm = collision is None
     cycles = []
     if is_perm:
         for start in range(size):
-            if seen[start]:
-                continue
-            cycle = []
-            x = start
+            x, cycle = start, []
             while not seen[x]:
                 seen[x] = True
                 cycle.append(x)
                 x = table[x]
-            cycles.append(tuple(cycle))
+            if cycle:
+                cycles.append(tuple(cycle))
     return CycleReport(
         f.prime, k, is_perm, is_perm and len(cycles) == 1, tuple(cycles), collision
     )
@@ -85,29 +70,27 @@ def orbit_of(f: PadicFunction, k: int) -> tuple[int, ...]:
         raise InputError(f"level {k} outside 1..{f.depth}")
     mod = f.prime**k
     table = (f.value_array(mod) % mod).tolist()
-    seen = set()
-    orbit = []
+    orbit: dict[int, None] = {}  # insertion-ordered
     x = 0
-    while x not in seen:
-        seen.add(x)
-        orbit.append(x)
+    while x not in orbit:
+        orbit[x] = None
         x = table[x]
     return tuple(orbit)
 
 
 def transitive_mod(f: PadicFunction, k: int) -> CriterionVerdict:
+    """A single cycle mod p^k: the walk of 0 first returns to 0 mod p^k after
+    p^k steps.  Only a failure runs `cycle_structure`, for its witness."""
+    f.reduce_map(k)  # the walk reduced mod p^k is the orbit only where this holds
+    mod = f.prime**k
+    returns = f.orbit_walk[1 : mod + 1] % mod == 0
+    if returns[-1] and returns.argmax() == mod - 1:
+        return passing("transitive-mod", depth=k, cycle_length=mod)
     report = cycle_structure(f, k)
-    if report.transitive:
-        return passing("transitive-mod", depth=k, cycle_length=report.size)
     if not report.is_permutation:
         return failing("transitive-mod", "not-bijective", witness=report.collision, depth=k)
-    return failing(
-        "transitive-mod",
-        "multiple-cycles",
-        witness={"cycle_count": len(report.cycles),
-                 "orbit_of_zero_length": len(report.cycles[0])},
-        depth=k,
-    )
+    witness = {"cycle_count": len(report.cycles), "orbit_of_zero_length": len(report.cycles[0])}
+    return failing("transitive-mod", "multiple-cycles", witness=witness, depth=k)
 
 
 def ergodic_oracle(f: PadicFunction) -> CriterionVerdict:
@@ -291,7 +274,8 @@ def ergodic_conditions(f: PadicFunction) -> dict[str, Any]:
     (1) transitivity mod p; (2) measure preservation; (3) the orbit of 0
     escapes: f^(p^s)(0) != 0 mod p^(s+1); (4) the level product of
     normalized branch terms is 1 mod p.  (2) is implied by (1) and (4) but
-    is still evaluated and reported.
+    is still evaluated and reported.  A map that is not 1-Lipschitz is
+    refused with PreconditionError, after any NormalizationError of (4).
     """
     p = f.prime
     s_max = f.depth - 1
@@ -301,20 +285,6 @@ def ergodic_conditions(f: PadicFunction) -> dict[str, Any]:
     out["transitive_mod_p"] = transitive_mod(f, 1)
     series = vdp_coefficients(f, count=p**f.depth)
     out["measure_preserving"] = measure_preserving_vdp(series)
-
-    residues = []
-    for s in range(1, s_max + 1):
-        mod = p ** (s + 1)
-        table = (f.value_array(mod) % mod).tolist()
-        y = 0
-        for _ in range(p**s):
-            y = table[y]
-        residues.append(y)
-    returned = [s for s, y in enumerate(residues, 1) if y == 0]
-    out["orbit"] = failing(
-        "orbit-escape", "returns-to-zero", witness={"s": returned[0]}, depth=s_max,
-        residues=residues,
-    ) if returned else passing("orbit-escape", depth=s_max, residues=residues)
 
     products = []
     for s in range(1, s_max + 1):
@@ -329,6 +299,17 @@ def ergodic_conditions(f: PadicFunction) -> dict[str, Any]:
         for r in np.flatnonzero(counts).tolist():
             acc = acc * pow(r, int(counts[r]), p) % p
         products.append(acc)
+
+    lipschitz = lipschitz_check(series)  # else the walk mod p^(s+1) is no orbit
+    if not lipschitz:
+        raise PreconditionError("ergodic_conditions needs a 1-Lipschitz map", lipschitz)
+    residues = [int(f.orbit_walk[p**s]) % p ** (s + 1) for s in range(1, s_max + 1)]
+    returned = [s for s, y in enumerate(residues, 1) if y == 0]
+    out["orbit"] = failing(
+        "orbit-escape", "returns-to-zero", witness={"s": returned[0]}, depth=s_max,
+        residues=residues,
+    ) if returned else passing("orbit-escape", depth=s_max, residues=residues)
+
     not_one = [s for s, acc in enumerate(products, 1) if acc != 1]
     out["product"] = failing(
         "branch-product", "not-unit", witness={"s": not_one[0], "product": products[not_one[0] - 1]},

@@ -101,6 +101,14 @@ def parse_int(value) -> int:
         raise InputError(f"not an integer: {exc}") from None
 
 
+def parse_ints(values) -> tuple[int, ...]:
+    """parse_int of each entry; a sequence of ints only (not bools) is taken as is."""
+    values = tuple(values)
+    if set(map(type, values)) <= {int}:
+        return values
+    return tuple(map(parse_int, values))
+
+
 def check_mahler_length(p: int, depth: int, count: int) -> None:
     """Refuse a Mahler series longer than the Mahler length limit."""
     if count > _MAHLER_LIMIT:
@@ -274,7 +282,7 @@ class CoefficientSeries:
             kind = data["kind"]
             p = parse_int(data["p"])
             k = parse_int(data["k"])
-            terms = tuple(parse_int(t) for t in data["terms"])
+            terms = parse_ints(data["terms"])
         except (KeyError, TypeError, InputError) as exc:
             raise InputError(f"malformed series object: {exc}") from exc
         if "length" in data and parse_int(data["length"]) != len(terms):
@@ -305,7 +313,7 @@ class PadicFunction:
     def from_polynomial(
         cls, coeffs: Sequence[int], prime: int, depth: int
     ) -> "PadicFunction":
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = parse_ints(coeffs)
         if not coeffs:
             coeffs = (0,)
         return cls("polynomial", prime, depth, coeffs)
@@ -317,12 +325,12 @@ class PadicFunction:
         require_prime(prime)
         _check_depth(prime, depth)
         size = prime**depth
-        values = tuple(int(v) for v in values)
+        values = parse_ints(values)
         if len(values) != size:
             raise InputError(
                 f"table for depth {depth} needs {size} entries, got {len(values)}"
             )
-        if any(not 0 <= v < size for v in values):
+        if min(values) < 0 or max(values) >= size:
             raise InputError("table entries must be canonical residues mod p^depth")
         return cls("table", prime, depth, values)
 
@@ -410,6 +418,15 @@ class PadicFunction:
             self._values = self._compute_values(npoints)
             self._values.flags.writeable = False
         return self._values[:npoints]
+
+    @cached_property
+    def orbit_walk(self) -> np.ndarray:
+        """f^n(0) mod p^depth for n = 0..p^depth, read-only; reduced mod p^k,
+        the orbit of 0 mod p^k wherever the map is well defined mod p^k."""
+        size = self.prime**self.depth
+        walk = backends.orbit_walks(self.value_array(size)[None, :], size)[0]
+        walk.flags.writeable = False
+        return walk
 
     def _compute_values(self, npoints: int) -> np.ndarray:
         p, mod = self.prime, self.prime**self.depth

@@ -2,7 +2,8 @@
 
 These are the point-by-point computations the package used before its
 series, the direct UD1 sweep and its orbit walks were derived from one
-value array, before the level products of the ergodicity conditions were
+value array, before transitivity and the escape residues were read from
+one cached walk of 0, before the level products of the ergodicity conditions were
 counted per residue, before the lambda form came from Pascal rows mod p
 (its exact coefficients are kept here), before the formal derivative of a Mahler sum was converted to
 the power basis once for all points, and before the coefficient routes
@@ -35,9 +36,10 @@ import numpy as np
 from padicdyn import backends, criteria, identities
 from padicdyn.analysis import DerivedFunction, UD1Report
 from padicdyn.arith import INFINITY, inverse_mod, m_minus, p_digits
+from padicdyn.dynamics import cycle_structure
 from padicdyn.errors import InputError, InternalCheckError, NormalizationError
 from padicdyn.funcspace import CoefficientSeries, PadicFunction, floor_log
-from padicdyn.verdict import failing, passing
+from padicdyn.verdict import CriterionVerdict, failing, passing
 
 
 def mahler_reference(f: PadicFunction, count: int, k: int) -> CoefficientSeries:
@@ -133,6 +135,38 @@ def orbit_residues_reference(f: PadicFunction, s_max: int) -> list[int]:
             y = f.evaluate(y, s + 1)
         out.append(y)
     return out
+
+
+def transitive_reference(f: PadicFunction, k: int) -> CriterionVerdict:
+    """Transitivity mod p^k read from the full cycle decomposition, as
+    `transitive_mod` built it before it read the cached walk."""
+    report = cycle_structure(f, k)
+    if report.transitive:
+        return passing("transitive-mod", depth=k, cycle_length=report.size)
+    if not report.is_permutation:
+        return failing("transitive-mod", "not-bijective", witness=report.collision, depth=k)
+    return failing(
+        "transitive-mod",
+        "multiple-cycles",
+        witness={"cycle_count": len(report.cycles),
+                 "orbit_of_zero_length": len(report.cycles[0])},
+        depth=k,
+    )
+
+
+def transitive_scan_reference(tables) -> np.ndarray:
+    """`backends.transitive_scan` as one gather per step: the first return
+    of 0 to 0 of each row, in lockstep over the rows."""
+    tables = np.asarray(tables, dtype=np.int64)
+    count, size = tables.shape
+    x = np.zeros(count, dtype=np.int64)
+    first_return = np.zeros(count, dtype=np.int64)
+    rows = np.arange(count)
+    for step in range(1, size + 1):
+        x = tables[rows, x]
+        hit = (x == 0) & (first_return == 0)
+        first_return[hit] = step
+    return (first_return == size).astype(np.uint8)
 
 
 def branch_products_reference(series: CoefficientSeries, s_max: int) -> list[int]:

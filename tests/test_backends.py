@@ -12,7 +12,11 @@ from padicdyn.analysis import ud1_check
 from padicdyn.dynamics import transitive_mod
 from padicdyn.errors import InputError
 from padicdyn.funcspace import PadicFunction, mahler_coefficients
-from scalar_reference import batch_transitive_polys, bipro_lockstep_reference
+from scalar_reference import (
+    batch_transitive_polys,
+    bipro_lockstep_reference,
+    transitive_scan_reference,
+)
 
 
 def test_poly_tables_matches_scalar():
@@ -42,6 +46,41 @@ def test_transitive_scan_matches_cycle_check():
     for bit, cs in zip(flags, coeffs):
         f = PadicFunction.from_polynomial(cs, 2, 3)
         assert bool(bit) == transitive_mod(f, 3).passed
+
+
+def _random_self_maps(size, rng):
+    """Rows of every shape: single cycles, other permutations and maps that
+    are not bijective."""
+    cycles = []
+    for _ in range(20):
+        order = rng.permutation(size)
+        table = np.empty(size, dtype=np.int64)
+        table[order] = np.roll(order, -1)
+        cycles.append(table)
+    perms = [rng.permutation(size) for _ in range(20)]
+    return np.vstack([cycles, perms, rng.integers(0, size, (20, size))])
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 8, 25, 64])
+def test_transitive_scan_matches_the_step_loop(size):
+    tables = _random_self_maps(size, np.random.default_rng(size))
+    got = backends.transitive_scan(tables)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, transitive_scan_reference(tables))
+    assert got[:20].all()  # the single cycles
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 5, 8, 31, 70])
+def test_orbit_walks_follow_each_row_step_by_step(steps):
+    tables = _random_self_maps(27, np.random.default_rng(steps))
+    walks = backends.orbit_walks(tables, steps)
+    assert walks.shape == (len(tables), steps + 1)
+    for table, walk in zip(tables.tolist(), walks.tolist()):
+        x, want = 0, [0]
+        for _ in range(steps):
+            x = table[x]
+            want.append(x)
+        assert walk == want
 
 
 def test_mahler_value_matrix_matches_evaluate():

@@ -153,6 +153,16 @@ def test_json_numbers_must_be_integers(capsys, monkeypatch, kind, field, index, 
     assert classify_with(str(exact)) == as_int
 
 
+@pytest.mark.parametrize("values", [5, "0120", None])
+def test_table_values_must_be_a_list(capsys, monkeypatch, values):
+    # a digit string was read digit by digit, and a number raised a traceback
+    blob = dict(_JSON_INPUTS["table"], values=values)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(blob)))
+    code, out, err = _run(capsys, ["classify", "-"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "needs a 'values' list" in err
+
+
 def test_expand_mahler(capsys):
     code, payload, _ = _run_json(
         capsys,

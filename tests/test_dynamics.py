@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from padicdyn import cli
+from padicdyn import cli, dynamics
 from padicdyn.analysis import ud1_check
 from padicdyn.dynamics import (
     cycle_structure,
@@ -51,6 +51,25 @@ def test_translation_is_fully_transitive():
         rep = cycle_structure(f, 3)
         assert rep.transitive and len(rep.cycles[0]) == p**3
         assert rep.cycles[0][0] == 0
+
+
+def test_oracle_builds_a_cycle_report_only_at_the_failing_level(monkeypatch):
+    levels = []
+    real = dynamics.cycle_structure
+    monkeypatch.setattr(dynamics, "cycle_structure", lambda f, k: levels.append(k) or real(f, k))
+    for p in (2, 3, 5):
+        assert ergodic_oracle(PadicFunction.from_polynomial([1, 1], p, 4)).passed
+    assert levels == []
+    cases = (
+        (PadicFunction.from_table(TWO_CYCLES_MOD_16, 2, 4), 4),  # two 8-cycles mod 16
+        (PadicFunction.from_polynomial([1, 3, 0, 2], 2, 4), 3),  # transitive mod 4 only
+        (PadicFunction.from_polynomial([0, 0, 1], 3, 4), 1),  # x^2: not bijective
+    )
+    for f, level in cases:
+        levels.clear()
+        verdict = ergodic_oracle(f)
+        assert not verdict.passed and verdict.witness == {"level": level}
+        assert levels == [level]
 
 
 def test_identity_cycle_structure():

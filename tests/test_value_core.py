@@ -7,16 +7,18 @@ shrinks to a small disagreeing function.
 
 Also pinned here: every level table, reduced map and orbit walk reads the
 value array and calls `evaluate` at no point, with the same witnesses and
-orbits as the per-point references, and the level products of the
-ergodicity conditions match the term-by-term products; and the formal derivative of a
-generated Mahler sum, converted to the power basis once, matches the
-per-point reference.
+orbits as the per-point references; transitivity read from the cached
+walk of 0 gives the verdict of the full cycle decomposition, and the
+walk's other readers refuse exactly the maps not well defined where they
+read; the level products of the ergodicity conditions match the
+term-by-term products; and the formal derivative of a generated Mahler
+sum, converted to the power basis once, matches the per-point reference.
 """
 
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from padicdyn.analysis import ud1_check, ud1_window
@@ -26,6 +28,7 @@ from padicdyn.dynamics import (
     ergodic_conditions,
     ergodic_oracle,
     orbit_of,
+    transitive_mod,
 )
 from padicdyn.errors import NormalizationError, PreconditionError
 from padicdyn.funcspace import (
@@ -41,6 +44,7 @@ from scalar_reference import (
     orbit_reference,
     orbit_residues_reference,
     random_p5_instance,
+    transitive_reference,
     ud1_reference,
     vdp_reference,
 )
@@ -240,16 +244,47 @@ def test_reduce_map_matches_per_x_reference(f):
 def test_orbit_walks_match_scalar_walks(f):
     for k in range(1, f.depth + 1):
         assert orbit_of(f, k) == orbit_reference(f, k)
-    try:
-        conditions = ergodic_conditions(f)
-    except (PreconditionError, NormalizationError):
-        return  # not 1-Lipschitz: the bundle refuses before its walk
+    # the cached walk reduced mod p^k is the orbit only where the map is
+    # well defined mod p^k; its readers refuse every other map
+    defined = [_first_mismatch(f, k) is None for k in range(1, f.depth + 1)]
+    if f.prime >= 5 and not (defined[0] and defined[1]):
+        with pytest.raises(PreconditionError):
+            p5_conditions(f)
+    elif f.prime >= 5:
+        y = 0
+        for _ in range(f.prime):
+            y = f.evaluate(y, 2)
+        verdict = p5_conditions(f)["return_valuation"]
+        assert (verdict.details or verdict.witness) == {"value": y}
+    if not all(defined):
+        with pytest.raises((PreconditionError, NormalizationError)):
+            ergodic_conditions(f)
+        return
+    conditions = ergodic_conditions(f)
     assert conditions["orbit"].details["residues"] == orbit_residues_reference(
         f, f.depth - 1
     )
     assert conditions["product"].details["products"] == branch_products_reference(
         vdp_coefficients(f), f.depth - 1
     )
+
+
+@core_settings
+@given(functions())
+@example(PadicFunction.from_polynomial([0, 1], 3, 3))  # nine fixed points mod 9
+@example(PadicFunction.from_polynomial([0, 0, 1], 2, 4))  # x^2: not bijective
+@example(PadicFunction.from_table([9, 2, 3, 4, 5, 6, 7, 8, 1, 10, 11, 12, 13, 14, 15, 0], 2, 4))
+@example(PadicFunction.from_table([1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7, 3], 2, 4))
+def test_transitive_mod_matches_the_cycle_decomposition(f):
+    for k in range(1, f.depth + 1):
+        try:
+            want = transitive_reference(f, k)
+        except PreconditionError as exc:
+            with pytest.raises(PreconditionError) as info:
+                transitive_mod(f, k)
+            assert info.value.verdict == exc.verdict
+            continue
+        assert transitive_mod(f, k).to_json_dict() == want.to_json_dict()
 
 
 def test_reduce_map_witness_is_first_late_mismatch():
