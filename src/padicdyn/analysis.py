@@ -22,7 +22,6 @@ from .funcspace import (
     index_levels,
     mahler_coefficients,
     powers_of,
-    vdp_coefficients,
 )
 from .verdict import CriterionVerdict, failing, passing
 
@@ -204,14 +203,11 @@ def ud1_equivalence_crosscheck(f: PadicFunction) -> dict:
     """Run all three routes and report whether they agree.
 
     Also checks that the direct-sweep derivative residues match the
-    normalized level-1 van der Put terms class by class.  The full-length
-    van der Put series the relations read is returned as "series", for a
-    caller that goes on to read it.
+    normalized level-1 van der Put terms class by class.
     """
     report = ud1_check(f)
-    count = f.prime**f.depth
-    vdp = vdp_coefficients(f, count=count)
-    mahler = mahler_coefficients(f, count=count)
+    vdp = f.vdp_window
+    mahler = mahler_coefficients(f, count=f.prime**f.depth)
     vdp_verdict = vdp_ud1_relations_check(vdp)
     mahler_verdict = mahler_ud1_predicate(mahler)
     agree = report.verdict.passed == vdp_verdict.passed == mahler_verdict.passed
@@ -224,7 +220,6 @@ def ud1_equivalence_crosscheck(f: PadicFunction) -> dict:
         "mahler": mahler_verdict,
         "agree": agree,
         "derived_consistent": derived_consistent,
-        "series": vdp,
     }
 
 

@@ -181,8 +181,7 @@ def cmd_classify(args) -> int:
         "kind": f.kind,
     }
     ud1 = analysis.ud1_equivalence_crosscheck(f)
-    vdp = ud1["series"]
-    report["lipschitz"] = funcspace.lipschitz_check(vdp).to_json_dict()
+    report["lipschitz"] = f.lipschitz.to_json_dict()
     if not ud1["agree"]:
         raise InternalCheckError("differentiability routes disagree")
     if ud1["derived_consistent"] is False:
@@ -194,7 +193,7 @@ def cmd_classify(args) -> int:
         "mahler": ud1["mahler"].to_json_dict(),
         "agree": ud1["agree"],
     }
-    preserving = dynamics.measure_preserving_vdp(vdp)
+    preserving = dynamics.measure_preserving_vdp(f.vdp_window)
     report["measure_preserving"] = preserving.to_json_dict()
     if is_ud1:
         # the UD criteria decide the same question from the first terms of a

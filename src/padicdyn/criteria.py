@@ -14,12 +14,11 @@ from __future__ import annotations
 import importlib.resources
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .arith import inverse_mod, require_prime, solve_fp
+from .arith import binomial, inverse_mod, require_prime, solve_fp
 from .errors import InputError, InternalCheckError, NormalizationError, PreconditionError
 from .funcspace import (
     CoefficientSeries,
@@ -591,35 +590,23 @@ def _mahler_derivative_residues(
 ) -> list[int]:
     """Formal derivative of a finite Mahler sum at each integer of xs, mod p.
 
-    The sum is converted to the power basis over exact rationals once; the
-    denominators are prime to p for the lengths used here (< 2p), and each
-    value is checked for that.
+    D = log(1 + Delta) gives L f'(x) = sum_j v_j C(x, j), with L = lcm(1..n-1)
+    for n terms and v_j = sum_{k>=1} (-1)^(k-1) (L / k) a_{j+k}.  With p^s the
+    power of p in L (s <= 1 for n < p^2), this is computed mod p^(s+1); each
+    value is checked for p left in its denominator.
     """
-    coeffs: list[Fraction] = [Fraction(0)] * (len(terms) + 1)
-    binom_poly = [Fraction(1)]  # C(x, 0)
-    for m, a in enumerate(terms):
-        if m > 0:
-            # C(x, m) = C(x, m-1) * (x - m + 1) / m
-            new = [Fraction(0)] * (len(binom_poly) + 1)
-            for i, coef in enumerate(binom_poly):
-                new[i + 1] += coef / m
-                new[i] += coef * Fraction(-(m - 1), m)
-            binom_poly = new
-        for i, coef in enumerate(binom_poly):
-            coeffs[i] += int(a) * coef
-    # the derivative as integer numerators over one common denominator
-    deriv = [i * coeffs[i] for i in range(1, len(coeffs))]
-    den = math.lcm(*(c.denominator for c in deriv))
-    nums = [c.numerator * (den // c.denominator) for c in reversed(deriv)]
+    n = len(terms)
+    lcm = math.lcm(*range(1, n))
+    scale = math.gcd(lcm, p**n)  # p^s
+    v = [sum((-1) ** (k - 1) * (lcm // k) * int(terms[j + k]) for k in range(1, n - j))
+         % (scale * p) for j in range(n - 1)]
+    unit = inverse_mod(lcm // scale % p, p)
     out = []
     for x in xs:
-        acc = 0
-        for c in nums:
-            acc = acc * x + c
-        value = Fraction(acc, den)
-        if value.denominator % p == 0:
+        acc = sum(c * math.comb(x, j) for j, c in enumerate(v[: x + 1])) % (scale * p)
+        if acc % scale:
             raise InternalCheckError("derivative residue has p in the denominator")
-        out.append(value.numerator * inverse_mod(value.denominator % p, p) % p)
+        out.append(acc // scale * unit % p)
     return out
 
 
@@ -663,17 +650,13 @@ def p5_linear_form(
         raise InternalCheckError("base instance does not return to 0 mod p")
     first = (y // p) % p
 
-    def g1(x: int) -> int:
-        from .arith import binomial
-
-        return sum(lift[m] * binomial(x, m) for m in range(p)) % p
-
+    g1 = [sum(lift[m] * binomial(x, m) for m in range(p)) % p for x in orbit]
     w = [1] * p
     for i in range(p - 2, 0, -1):
         w[i] = (w[i + 1] * deriv[i + 1]) % p
-    total = (first + g1(0) * inverse_mod(deriv[0], p)) % p
+    total = (first + g1[0] * inverse_mod(deriv[0], p)) % p
     for i in range(1, p):
-        total = (total + w[i] * g1(orbit[i])) % p
+        total = (total + w[i] * g1[i]) % p
 
     yd = int(lifted.function.orbit_walk[p]) % (p * p)  # as p5_conditions read it
     direct = (yd // p) % p if yd % p == 0 else None

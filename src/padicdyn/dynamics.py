@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .errors import InputError, InternalCheckError, PreconditionError
-from .funcspace import CoefficientSeries, PadicFunction, lipschitz_check
+from .funcspace import CoefficientSeries, PadicFunction
 from .funcspace import mahler_coefficients, vdp_coefficients
 from .verdict import CriterionVerdict, failing, passing
 from .analysis import ud1_check
@@ -283,7 +283,7 @@ def ergodic_conditions(f: PadicFunction) -> dict[str, Any]:
         raise InputError("ergodic_conditions needs depth >= 2")
     out: dict[str, Any] = {}
     out["transitive_mod_p"] = transitive_mod(f, 1)
-    series = vdp_coefficients(f, count=p**f.depth)
+    series = f.vdp_window
     out["measure_preserving"] = measure_preserving_vdp(series)
 
     products = []
@@ -300,9 +300,8 @@ def ergodic_conditions(f: PadicFunction) -> dict[str, Any]:
             acc = acc * pow(r, int(counts[r]), p) % p
         products.append(acc)
 
-    lipschitz = lipschitz_check(series)  # else the walk mod p^(s+1) is no orbit
-    if not lipschitz:
-        raise PreconditionError("ergodic_conditions needs a 1-Lipschitz map", lipschitz)
+    if not f.lipschitz:  # else the walk mod p^(s+1) is no orbit
+        raise PreconditionError("ergodic_conditions needs a 1-Lipschitz map", f.lipschitz)
     residues = [int(f.orbit_walk[p**s]) % p ** (s + 1) for s in range(1, s_max + 1)]
     returned = [s for s, y in enumerate(residues, 1) if y == 0]
     out["orbit"] = failing(

@@ -420,6 +420,22 @@ class PadicFunction:
         return self._values[:npoints]
 
     @cached_property
+    def vdp_window(self) -> CoefficientSeries:
+        """B_0..B_{p^depth - 1} mod p^depth by the gather of `vdp_coefficients`,
+        built once; held to the window limit, not to the vdp length limit
+        that guards expand's output."""
+        size = self.prime**self.depth
+        terms = _vdp_terms(self.value_array(size), self.prime)
+        return CoefficientSeries("vdp", self.prime, self.depth, terms)
+
+    @cached_property
+    def lipschitz(self) -> CriterionVerdict:
+        """`lipschitz_check` of the window series: v_p(B_m) >= e(m) for every
+        m < p^depth, which holds exactly where the map is well defined mod
+        p^k at every level k = 1..depth."""
+        return lipschitz_check(self.vdp_window)
+
+    @cached_property
     def orbit_walk(self) -> np.ndarray:
         """f^n(0) mod p^depth for n = 0..p^depth, read-only; reduced mod p^k,
         the orbit of 0 mod p^k wherever the map is well defined mod p^k."""
@@ -465,14 +481,17 @@ class PadicFunction:
     def reduce_map(self, k: int) -> list[int]:
         """The induced map on Z/p^k, verified to be well defined.
 
-        Every row of p^k values of the depth window is compared with the
-        first row in one pass; a mismatch means the input is not 1-Lipschitz
-        down to level k and raises PreconditionError naming the first
-        mismatching x.
+        A map that passes the cached Lipschitz verdict is well defined at
+        every level: its first p^k values are the map.  Otherwise every row
+        of p^k values of the depth window is compared with the first row in
+        one pass; a mismatch means the input is not 1-Lipschitz down to
+        level k and raises PreconditionError naming the first mismatching x.
         """
         if not 1 <= k <= self.depth:
             raise InputError(f"reduction depth {k} outside 1..{self.depth}")
         mod = self.prime**k
+        if self.lipschitz:
+            return (self.value_array(mod) % mod).tolist()
         rows = (self.value_array(self.prime**self.depth) % mod).reshape(-1, mod)
         mismatch = rows[1:] != rows[0]
         if mismatch.any():
@@ -512,16 +531,20 @@ def _coefficient_window(f: PadicFunction, count, k):
 def vdp_coefficients(
     f: PadicFunction, count: int | None = None, k: int | None = None
 ) -> CoefficientSeries:
-    """B_m: f(m) for m < p, else f(m) - f(m^-), where m^- is m with its
-    leading digit removed; one gather over the value array."""
+    """The van der Put terms B_0..B_{count-1} mod p^k, gathered from the
+    value array."""
     count, k = _coefficient_window(f, count, k)
     _check_window(f.prime, f.depth, count)  # an oversized window is named first
     check_vdp_length(f.prime, f.depth, count)
-    p = f.prime
-    values = f.value_array(count)
-    ms = np.arange(count)
-    _, lead = index_levels(count, p)
-    return CoefficientSeries("vdp", p, k, values - np.where(ms >= p, values[ms % lead], 0))
+    return CoefficientSeries("vdp", f.prime, k, _vdp_terms(f.value_array(count), f.prime))
+
+
+def _vdp_terms(values: np.ndarray, p: int) -> np.ndarray:
+    """B_m from the values f(0..count-1): f(m) for m < p, else f(m) - f(m^-),
+    where m^- is m with its leading digit removed; one gather."""
+    ms = np.arange(len(values))
+    _, lead = index_levels(len(values), p)
+    return values - np.where(ms >= p, values[ms % lead], 0)
 
 
 def mahler_coefficients(

@@ -15,6 +15,7 @@ from padicdyn.errors import InputError
 from padicdyn.funcspace import (
     CoefficientSeries,
     PadicFunction,
+    lipschitz_check,
     mahler_coefficients,
     vdp_coefficients,
 )
@@ -147,6 +148,9 @@ def test_ud1_check_sweeps_once_per_function(monkeypatch):
     assert gone() is None
 
 
-def test_crosscheck_returns_the_series_it_read():
+def test_window_series_is_the_full_vdp_series():
     f = PadicFunction.from_polynomial([1, 1, 2], 3, 3)
-    assert ud1_equivalence_crosscheck(f)["series"] == vdp_coefficients(f, count=27)
+    window = f.vdp_window
+    assert window == vdp_coefficients(f, count=27)
+    assert not window.terms.flags.writeable
+    assert f.lipschitz == lipschitz_check(window)

@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 
 import padicdyn
-from padicdyn import backends, cli, dynamics, identities
+from padicdyn import backends, cli, dynamics, funcspace, identities
 from padicdyn.errors import InputError, InternalCheckError
 from padicdyn.funcspace import PadicFunction, vdp_coefficients
 from scalar_reference import random_ud1_mahler_series
@@ -459,6 +459,32 @@ def test_classify_exits_3_when_the_ergodicity_routes_disagree(capsys, monkeypatc
     assert code == 3 and out == ""
     assert f"ergodic-oracle passed={oracle}" in err
     assert f"ergodic-conditions passed={not oracle}" in err
+
+
+def test_classify_builds_the_window_series_and_its_verdict_once(capsys, monkeypatch):
+    # a UD1 table: the crosscheck, the Lipschitz report, measure
+    # preservation and the ergodicity conditions all read the 81-term series
+    counts = {"lipschitz_check": 0, "window series": 0}
+    check = funcspace.lipschitz_check
+    post_init = funcspace.CoefficientSeries.__post_init__
+
+    def counting_check(series):
+        counts["lipschitz_check"] += 1
+        return check(series)
+
+    def counting_post_init(series):
+        counts["window series"] += series.kind == "vdp" and len(series.terms) == 81
+        post_init(series)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("padicdyn") and hasattr(module, "lipschitz_check"):
+            monkeypatch.setattr(module, "lipschitz_check", counting_check)
+    monkeypatch.setattr(funcspace.CoefficientSeries, "__post_init__", counting_post_init)
+    blob = {"kind": "table", "p": 3, "depth": 4, "values": [(x + 1) % 81 for x in range(81)]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(blob)))
+    code, payload, _ = _run_json(capsys, ["classify", "-"], schema="classify.schema.json")
+    assert code == 0 and payload["ud1"]["direct"]["pass"]
+    assert counts == {"lipschitz_check": 1, "window series": 1}
 
 
 def test_classify_stdin(capsys, monkeypatch):

@@ -4,9 +4,11 @@ parameter in the package is on a decision path.
 Walks the modules of `src/padicdyn` with `ast` and requires:
 
 - each public (not underscore-prefixed) function, class and constant
-  defined at module level to be referenced somewhere in the package
-  outside its own definition.  A name that only tests, or nothing at all,
-  would call belongs in `tests/scalar_reference.py` or nowhere;
+  defined at module level, and each public method or property of a
+  public class, to be referenced somewhere in the package outside its own
+  definition (a method by its attribute name).  A name that only tests,
+  or nothing at all, would call belongs in `tests/scalar_reference.py` or
+  nowhere, and a cached property nothing reads is dead;
 - each name a module imports with `from .x import name` to be read by
   that module, so no module re-exports another's names;
 - each defaulted parameter of a package function to be set, by position or
@@ -41,6 +43,7 @@ ALLOWED = {
     "vdp_to_mahler": "exact basis conversion; acceptance 10 checks its round trips",
     "mahler_to_vdp": "exact basis conversion; acceptance 10 checks its round trips",
     "valuation": "returns INFINITY at 0; acceptance 10 checks indicator valuations with it",
+    "PadicFunction.value_table": "perfbench/tracer.py times it as a layer; tests compare level tables with it",
 }
 
 _SUITE_RANGE = "an identity-suite range; verify sets it through identities._arguments"
@@ -66,7 +69,9 @@ ALLOWED_DEFAULTS = {
 
 
 def _definitions(tree):
-    """(name, node) for each public name bound at module level."""
+    """(name, node) for each public name bound at module level, and
+    ("Class.method", node) for each public method or property of a public
+    class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             targets = [node.name]
@@ -79,6 +84,10 @@ def _definitions(tree):
         for name in targets:
             if not name.startswith("_"):
                 yield name, node
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member
 
 
 def _references(tree, skip):
@@ -100,8 +109,9 @@ def unreferenced_names(package: Path) -> list[str]:
     dead = []
     for module, tree in trees.items():
         for name, node in _definitions(tree):
+            attr = name.rsplit(".", 1)[-1]  # a method is read by its attribute name
             used = any(
-                name in _references(other, node if other is tree else None)
+                attr in _references(other, node if other is tree else None)
                 for other in trees.values()
             )
             if not used:
@@ -110,13 +120,13 @@ def unreferenced_names(package: Path) -> list[str]:
 
 
 def test_every_public_name_is_referenced_in_the_package():
-    dead = [name for name in unreferenced_names(PACKAGE) if name.split(".")[1] not in ALLOWED]
+    dead = [name for name in unreferenced_names(PACKAGE) if name.split(".", 1)[1] not in ALLOWED]
     assert dead == []
 
 
 def test_allowed_names_exist_and_are_still_unreferenced():
     # an allow-list entry that is referenced again, or gone, is stale
-    assert sorted(name.split(".")[1] for name in unreferenced_names(PACKAGE)) == sorted(ALLOWED)
+    assert sorted(name.split(".", 1)[1] for name in unreferenced_names(PACKAGE)) == sorted(ALLOWED)
 
 
 def test_package_init_reexports_nothing():

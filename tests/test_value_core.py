@@ -10,9 +10,12 @@ value array and calls `evaluate` at no point, with the same witnesses and
 orbits as the per-point references; transitivity read from the cached
 walk of 0 gives the verdict of the full cycle decomposition, and the
 walk's other readers refuse exactly the maps not well defined where they
-read; the level products of the ergodicity conditions match the
-term-by-term products; and the formal derivative of a generated Mahler
-sum, converted to the power basis once, matches the per-point reference.
+read; a map passes its cached Lipschitz verdict exactly where it is well
+defined at every level, so reduce_map reads only the first row there,
+also past the vdp length limit; the level products of the ergodicity
+conditions match the term-by-term products; and the formal derivative of
+a Mahler sum, computed in integers from D = log(1 + Delta), matches the
+per-point power-basis reference, refusals included.
 """
 
 import random
@@ -30,7 +33,7 @@ from padicdyn.dynamics import (
     orbit_of,
     transitive_mod,
 )
-from padicdyn.errors import NormalizationError, PreconditionError
+from padicdyn.errors import InternalCheckError, NormalizationError, PreconditionError
 from padicdyn.funcspace import (
     CoefficientSeries,
     PadicFunction,
@@ -247,6 +250,7 @@ def test_orbit_walks_match_scalar_walks(f):
     # the cached walk reduced mod p^k is the orbit only where the map is
     # well defined mod p^k; its readers refuse every other map
     defined = [_first_mismatch(f, k) is None for k in range(1, f.depth + 1)]
+    assert f.lipschitz.passed == all(defined)  # what lets reduce_map skip its compare
     if f.prime >= 5 and not (defined[0] and defined[1]):
         with pytest.raises(PreconditionError):
             p5_conditions(f)
@@ -301,9 +305,62 @@ def test_reduce_map_witness_is_first_late_mismatch():
         assert info.value.verdict.witness == witness == _first_mismatch(f, k)
 
 
+def test_lipschitz_maps_reduce_without_the_row_compare(monkeypatch):
+    f = _x_plus_one(3, 4)[1]
+    assert f.lipschitz and len(f.orbit_walk) == 82  # both cached up front
+    read = []
+    value_array = PadicFunction.value_array
+
+    def recording(self, npoints):
+        read.append(npoints)
+        return value_array(self, npoints)
+
+    monkeypatch.setattr(PadicFunction, "value_array", recording)
+    assert ergodic_oracle(f).passed
+    assert read == [3, 9, 27, 81]  # the first row of each level, never the window
+
+
+def test_window_beyond_the_vdp_length_limit():
+    # 2^21 points: the window series is not held to expand's 2^20-term limit
+    size = 2**21
+    f = PadicFunction.from_table(list(range(1, size)) + [0], 2, 21)
+    assert ergodic_oracle(f).passed
+    for k in range(1, 22):
+        assert f.reduce_map(k) == list(range(1, 2**k)) + [0]
+
+
+def _derivative_routes(terms, xs, p):
+    """The formal derivative residues by both routes, or "p in the
+    denominator" from each route that refuses."""
+    out = []
+    for route in (
+        lambda: _mahler_derivative_residues(terms, xs, p),
+        lambda: [mahler_derivative_residue_reference(terms, x, p) for x in xs],
+    ):
+        try:
+            out.append(route())
+        except InternalCheckError as exc:
+            out.append(str(exc))
+    return out
+
+
 @settings(core_settings, max_examples=60)
 @given(st.sampled_from([5, 7, 11]), st.integers(0, 2**32), st.booleans())
 def test_mahler_derivative_residues_match_reference(p, seed, with_lift):
-    terms = random_p5_instance(p, random.Random(seed), with_lift).series.terms
+    rng = random.Random(seed)
+    terms = random_p5_instance(p, rng, with_lift).series.terms
     want = [mahler_derivative_residue_reference(terms, x, p) for x in range(p)]
     assert _mahler_derivative_residues(terms, range(p), p) == want
+    # length 2p with unscaled terms: p divides lcm(1..2p-1), and p is often
+    # left in the denominator
+    raw = [rng.randrange(-(p**4), p**4) for _ in range(2 * p)]
+    got, ref = _derivative_routes(raw, range(p), p)
+    assert got == ref
+
+
+def test_mahler_derivative_residues_at_p_89():
+    # the shape of a generated series: term m divisible by p^e(m)
+    p, rng = 89, random.Random(89)
+    terms = [rng.randrange(p**3) * (p if m >= p else 1) for m in range(2 * p)]
+    got, ref = _derivative_routes(terms, [0, 1, 88], p)
+    assert got == ref and isinstance(got, list)
