@@ -12,7 +12,7 @@ cross-check breach.
 from __future__ import annotations
 
 import argparse
-import itertools
+import functools
 import json
 import os
 import random
@@ -141,8 +141,7 @@ def resolve_function(args, default_depth: int) -> PadicFunction:
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------
@@ -242,16 +241,16 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.prime != 2 or args.degree != 3:
-        raise InputError("enumeration is implemented for cubics over p=2")
     catalog = criteria.ergodic_cubic_catalog_p2()
     catalog_tables = {
         tuple(row): entry
         for row, entry in zip(backends.poly_tables(catalog, 8, 8).tolist(), catalog)
     }
-    # all 4096 cubics at x = 0..7 mod 8 in one pass, rows in loop order
+    # all 4096 cubics (d, c, b, a), constant first and in loop order, at
+    # x = 0..7 mod 8 in one pass, and Larin's criterion on every row
     cubics = np.indices((8, 8, 8, 8), dtype=np.int8).reshape(4, -1)[::-1].T
     tables = backends.poly_tables(cubics, 8, 8)
+    ergodic = criteria.larin_transitive_mod8_rows(cubics)[0] < 0
     if args.crosscheck:
         # both criteria on their first four Mahler terms, and on their vdp
         # terms B_m = f(m) - f(m - 2) for m = 2, 3
@@ -260,18 +259,13 @@ def cmd_enumerate(args) -> int:
         vdp[:, 2:] = (values[:, 2:] - values[:, :2]) % 8
         mahler_ok = criteria.mahler_ergodic_p2_rows(backends.mahler_batch(values, 8))[0] < 0
         vdp_ok = criteria.vdp_ergodic_p2_rows(vdp)[0] < 0
-    rows = tables.tolist()
-    classes: dict[tuple, list] = {}
-    ergodic_count = 0
-    for i, (a, b, c, d) in enumerate(itertools.product(range(8), repeat=4)):
-        coeffs = (d, c, b, a)
-        verdict = criteria.larin_transitive_mod8(coeffs)
-        if args.crosscheck and not (verdict.passed == mahler_ok[i] == vdp_ok[i]):
+        disagree = (ergodic != mahler_ok) | (ergodic != vdp_ok)
+        if disagree.any():
+            coeffs = tuple(cubics[disagree.argmax()].tolist())
             raise InternalCheckError(f"criteria disagree on {coeffs}")
-        if not verdict.passed:
-            continue
-        ergodic_count += 1
-        classes.setdefault(tuple(rows[i]), []).append(coeffs)
+    classes: dict[tuple, list] = {}
+    for coeffs, table in zip(cubics[ergodic].tolist(), tables[ergodic].tolist()):
+        classes.setdefault(tuple(table), []).append(coeffs)
     if set(classes) != set(catalog_tables):
         raise InternalCheckError("ergodic map classes do not match the catalog")
     out = {
@@ -279,7 +273,7 @@ def cmd_enumerate(args) -> int:
         "degree": 3,
         "modulus": 8,
         "total": 8**4,
-        "ergodic": ergodic_count,
+        "ergodic": int(ergodic.sum()),
         "classes": [
             {
                 "catalog": list(catalog_tables[table]),
@@ -433,7 +427,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="padic-dyn",
         description="exact coefficient-based analysis of 1-Lipschitz dynamics "
@@ -464,8 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("enumerate", help="survey ergodic cubics mod 8")
-    sp.add_argument("-p", "--prime", type=int, default=2)
-    sp.add_argument("--degree", type=int, default=3)
     sp.add_argument(
         "--crosscheck",
         action="store_true",
@@ -498,8 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

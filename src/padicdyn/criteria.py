@@ -48,33 +48,28 @@ def ergodic_cubic_catalog_p2() -> tuple[tuple[int, int, int, int], ...]:
 
 
 def larin_transitive_mod8(coeffs: Sequence[int]) -> CriterionVerdict:
-    """Ergodicity of an integer cubic on Z_2 from its coefficients.
-
-    Input is (d, c, b, a) for a x^3 + b x^2 + c x + d.  Conditions:
-    a = 0 mod 4, b = 0 mod 2, b + c = 1 mod 4, d = 1 mod 2.
-    """
-    coeffs = tuple(int(x) for x in coeffs)
+    """Ergodicity of an integer cubic on Z_2 from its coefficients
+    (d, c, b, a) for a x^3 + b x^2 + c x + d: the one-row case of
+    `larin_transitive_mod8_rows`."""
+    coeffs = tuple(int(x) % 8 for x in coeffs)
     if len(coeffs) > 4:
         raise InputError("larin_transitive_mod8 expects a cubic (4 coefficients)")
-    d, c, b, a = (coeffs + (0, 0, 0, 0))[:4]
-    name = "cubic-ergodic-p2"
-    checks = [
-        ("a-mod4", a % 4, 0),
-        ("b-mod2", b % 2, 0),
-        ("b+c-mod4", (b + c) % 4, 1),
-        ("d-mod2", d % 2, 1),
-    ]
-    for label, got, want in checks:
-        if got != want:
-            return failing(name, label, witness={"value": got, "expected": want})
-    return passing(name)
+    first, values = larin_transitive_mod8_rows([(coeffs + (0, 0, 0, 0))[:4]])
+    check = int(first[0])
+    if check < 0:
+        return passing("cubic-ergodic-p2")
+    label, want = _LARIN_P2[check]
+    witness = {"value": int(values[0, check]), "expected": want}
+    return failing("cubic-ergodic-p2", label, witness=witness)
 
 
-# The two p = 2 criteria in row-wise form: each row of terms is the first
-# four terms of one series (values mod 8 suffice), and each criterion is a
-# list of checks, tried in order, of a value computed from the row against
-# the value it must take.  Returns (first, values): first[i] is the index of
-# row i's first failing check, or -1 when every check holds.
+# The p = 2 criteria in row-wise form: each row is the first four terms of
+# one series or coefficients of one cubic (values mod 8 suffice), and each
+# criterion is a list of checks, tried in order, of a value computed from the
+# row against the value it must take.  Returns (first, values): first[i] is
+# the index of row i's first failing check, or -1 when every check holds.
+
+_LARIN_P2 = (("a-mod4", 0), ("b-mod2", 0), ("b+c-mod4", 1), ("d-mod2", 1))
 
 _MERG_P2 = (("a0-mod2", 1), ("a1-mod4", 1), ("a2-mod4", 0), ("a3-mod8", 0))
 
@@ -85,6 +80,14 @@ _VERG_P2 = (("normalization", 0), ("b0-mod2", 1), ("b0+b1-mod4", 3),
 def _first_failing(values: np.ndarray, checks) -> np.ndarray:
     bad = values != np.array([want for _, want in checks])
     return np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
+
+
+def larin_transitive_mod8_rows(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """a = 0 (4), b = 0 (2), b + c = 1 (4), d = 1 (2) on cubics given as
+    rows (d, c, b, a), constant first, row by row."""
+    d, c, b, a = (np.asarray(coeffs)[:, :4] % 8).T
+    values = np.column_stack([a % 4, b % 2, (b + c) % 4, d % 2])
+    return _first_failing(values, _LARIN_P2), values
 
 
 def mahler_ergodic_p2_rows(terms) -> tuple[np.ndarray, np.ndarray]:
@@ -510,16 +513,16 @@ def p5_conditions(f: PadicFunction) -> dict:
         raise InputError("need depth >= 2")
     out = {}
     out["transitive_mod_p"] = transitive_mod(f, 1)
-    series = vdp_coefficients(f, count=2 * p)
     prod = 1
     for j in range(p):
-        prod = (prod * series.normalized(j + p, 1)) % p
+        prod = (prod * f.vdp_window.normalized(j + p, 1)) % p
     out["branch_product"] = (
         passing("branch-product-unit", product=prod)
         if prod == 1
         else failing("branch-product-unit", "not-one", witness={"product": prod})
     )
-    f.reduce_map(2)  # the walk reduced mod p^2 is the orbit only where this holds
+    if not f.lipschitz:
+        f.reduce_map(2)  # refuses f ill defined mod p^2, where the walk is no orbit
     y = int(f.orbit_walk[p]) % (p * p)
     if y % p == 0 and y != 0:
         out["return_valuation"] = passing("return-valuation", value=y)
@@ -578,9 +581,8 @@ def _p5_function(p, phi, bvec, lift):
     for i in range(p):
         if f.evaluate(i, 1) != phi[i]:
             raise InternalCheckError(f"instance missed phi at {i}")
-    check = vdp_coefficients(f, count=2 * p)
     for i in range(p):
-        if check.normalized(i + p, 1) != bvec[i]:
+        if f.vdp_window.normalized(i + p, 1) != bvec[i]:
             raise InternalCheckError(f"instance missed branch residue at {i}")
     return phi, bvec, lift, series, f
 
@@ -623,12 +625,16 @@ def p5_linear_form(
     w_i the tail products of derivative residues, equals f^p(0)/p mod p for
     the lifted f.  Ergodicity of f is then equivalent to l != 0 together
     with the two level-1 conditions.  Derivative residues are computed both
-    from branch terms and from the formal derivative, and must agree.
+    from branch terms and from the formal derivative, and must agree.  The
+    form reads g mod p^2 only, where the lift adds p z_m to a_m for m < p and
+    nothing else: g is built from the lifted series at that precision.
     """
-    *_, g0 = _p5_function(p, phi, bvec, None)  # unlifted, without its conditions
-    lift = tuple(int(x) % p for x in lift)
     lifted = p5_instance(p, phi, bvec, lift)
-    series = vdp_coefficients(g0, count=2 * p)
+    lift, a = lifted.lift, lifted.series.term_list
+    g0 = PadicFunction.from_mahler(CoefficientSeries(
+        "mahler", p, 2, [t - p * z for t, z in zip(a[:p], lift)] + list(a[p:])
+    ))
+    series = g0.vdp_window
 
     orbit = [0]
     for _ in range(p - 1):

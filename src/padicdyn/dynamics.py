@@ -81,7 +81,8 @@ def orbit_of(f: PadicFunction, k: int) -> tuple[int, ...]:
 def transitive_mod(f: PadicFunction, k: int) -> CriterionVerdict:
     """A single cycle mod p^k: the walk of 0 first returns to 0 mod p^k after
     p^k steps.  Only a failure runs `cycle_structure`, for its witness."""
-    f.reduce_map(k)  # the walk reduced mod p^k is the orbit only where this holds
+    if not (f.lipschitz and 1 <= k <= f.depth):
+        f.reduce_map(k)  # refuses a k out of range, or f ill defined mod p^k
     mod = f.prime**k
     returns = f.orbit_walk[1 : mod + 1] % mod == 0
     if returns[-1] and returns.argmax() == mod - 1:

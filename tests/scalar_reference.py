@@ -7,7 +7,7 @@ one cached walk of 0, before the level products of the ergodicity conditions wer
 counted per residue, before the lambda form came from Pascal rows mod p
 (its exact coefficients are kept here), before the formal derivative of a Mahler sum was converted to
 the power basis once for all points, and before the coefficient routes
-became mask passes over a term array: every value comes from
+and Larin's cubic criterion became mask passes over a term array: every value comes from
 `PadicFunction.evaluate`, from exact rationals or from one term at a time
 (`CoefficientSeries.term` and `normalized`), every loop is plain Python.
 They are slow on purpose and serve only as independent references in
@@ -354,6 +354,19 @@ def derived_consistent_reference(derived: DerivedFunction, vdp: CoefficientSerie
         if d != branch[r]:
             return False
     return True
+
+
+def larin_transitive_mod8_reference(coeffs):
+    """Larin's cubic criterion on (d, c, b, a), one condition at a time."""
+    coeffs = tuple(int(x) for x in coeffs)
+    if len(coeffs) > 4:
+        raise InputError("larin_transitive_mod8 expects a cubic (4 coefficients)")
+    d, c, b, a = (coeffs + (0, 0, 0, 0))[:4]
+    for label, got, want in (("a-mod4", a % 4, 0), ("b-mod2", b % 2, 0),
+                             ("b+c-mod4", (b + c) % 4, 1), ("d-mod2", d % 2, 1)):
+        if got != want:
+            return failing("cubic-ergodic-p2", label, witness={"value": got, "expected": want})
+    return passing("cubic-ergodic-p2")
 
 
 def mahler_ergodic_p2_reference(series: CoefficientSeries):

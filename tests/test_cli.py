@@ -12,10 +12,11 @@ from importlib.metadata import EntryPoint, entry_points
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import padicdyn
-from padicdyn import backends, cli, dynamics, funcspace, identities
+from padicdyn import backends, cli, criteria, dynamics, funcspace, identities
 from padicdyn.errors import InputError, InternalCheckError
 from padicdyn.funcspace import PadicFunction, vdp_coefficients
 from scalar_reference import random_ud1_mahler_series
@@ -538,8 +539,69 @@ def test_enumerate(capsys):
 
 
 def test_enumerate_rejects_other_settings(capsys):
-    code, _, _ = _run(capsys, ["enumerate", "-p", "3"])
-    assert code == 2
+    # enumerate takes no prime or degree: argparse refuses either flag
+    for flag in (["-p", "3"], ["--degree", "4"], ["-p", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["enumerate", *flag])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_enumerate_exits_3_naming_the_first_cubic_the_criteria_disagree_on(capsys, monkeypatch):
+    rows = criteria.larin_transitive_mod8_rows
+
+    def flipped(coeffs):
+        first, values = rows(coeffs)
+        first = first.copy()
+        first[1234] = -1 if first[1234] >= 0 else 0
+        return first, values
+
+    monkeypatch.setattr(criteria, "larin_transitive_mod8_rows", flipped)
+    code, out, err = _run(capsys, ["enumerate", "--crosscheck"])
+    a, b, c, d = (int(i) for i in np.unravel_index(1234, (8, 8, 8, 8)))  # loop order
+    assert code == 3 and out == ""
+    assert err == f"internal check failed: criteria disagree on {(d, c, b, a)}\n"
+
+
+def test_enumerate_makes_no_scalar_criterion_call(capsys, monkeypatch):
+    # every cubic is decided as one row of Larin's criterion (one scalar call
+    # per cubic, 4096, before the row form)
+    calls = []
+    scalar = criteria.larin_transitive_mod8
+    monkeypatch.setattr(criteria, "larin_transitive_mod8", lambda c: calls.append(c) or scalar(c))
+    code, payload, _ = _run_json(capsys, ["enumerate", "--crosscheck"])
+    assert code == 0 and payload["ergodic"] == 64
+    assert payload["p"] == 2 and payload["degree"] == 3
+    assert calls == []
+
+
+def test_generate_builds_no_separate_vdp_series(capsys, monkeypatch):
+    # the branch residues are read from each function's window series (four
+    # 2p-term series per instance before)
+    calls = []
+    extract = funcspace.vdp_coefficients
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("padicdyn") and hasattr(module, "vdp_coefficients"):
+            monkeypatch.setattr(
+                module, "vdp_coefficients", lambda *a, **k: calls.append(a) or extract(*a, **k)
+            )
+    code, payload, _ = _run_json(capsys, ["generate", "-p", "7", "--seed", "1"])
+    assert code == 0 and payload["instances"][0]["linear_form"]["agree"]
+    assert calls == []
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    _, first, _ = _run_json(capsys, ["verify", "--suite", "abc", "--p-max", "5"])
+    _, second, _ = _run_json(capsys, ["verify", "--suite", "pzero", "--p-max", "5"])
+    assert [r["suite"] for r in first["suites"]] == ["abc"]
+    assert [r["suite"] for r in second["suites"]] == ["pzero"]
+    _, deep, _ = _run_json(capsys, ["classify", "x+1", "-p", "3", "--depth", "5"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classify", "x+1", "-p", "3", "--depth", "five"])
+    assert exc.value.code == 2
+    _, default, _ = _run_json(capsys, ["classify", "x+1", "-p", "3"])
+    assert (deep["depth"], default["depth"]) == (5, 4)
 
 
 def test_generate_deterministic(capsys):

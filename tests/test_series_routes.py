@@ -45,6 +45,7 @@ from padicdyn.funcspace import (
 )
 from scalar_reference import (
     derived_consistent_reference,
+    larin_transitive_mod8_reference,
     lipschitz_reference,
     mahler_ergodic_p2_reference,
     mahler_predicate_reference,
@@ -230,6 +231,24 @@ def test_p2_criteria_rows_are_the_verdicts():
             passed.tolist()
         )
         assert 0 < passed.sum() < len(rows)
+
+
+def test_larin_rows_are_the_scalar_verdict_on_every_cubic():
+    cubics = np.indices((8, 8, 8, 8)).reshape(4, -1).T  # rows (d, c, b, a)
+    first, _ = criteria.larin_transitive_mod8_rows(cubics)
+    for row, check in zip(cubics.tolist(), first.tolist()):
+        want = larin_transitive_mod8_reference(row)
+        got = criteria.larin_transitive_mod8(row)
+        assert got == want and _ints_only(got)
+        assert (None if check < 0 else criteria._LARIN_P2[check][0]) == want.condition
+    assert (first < 0).sum() == 64
+
+
+@route_settings
+@given(st.lists(st.integers(-(10**21), 10**21), max_size=6))
+def test_larin_matches_reference_on_any_integers(coeffs):
+    got = outcome(criteria.larin_transitive_mod8, coeffs)
+    assert got == outcome(larin_transitive_mod8_reference, coeffs)
 
 
 def test_series_compare_and_hash_by_value():

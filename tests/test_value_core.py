@@ -317,6 +317,10 @@ def test_lipschitz_maps_reduce_without_the_row_compare(monkeypatch):
 
     monkeypatch.setattr(PadicFunction, "value_array", recording)
     assert ergodic_oracle(f).passed
+    assert read == []  # the oracle reads the cached walk and builds no reduced map
+    assert [f.reduce_map(k) for k in range(1, 5)] == [
+        [(x + 1) % 3**k for x in range(3**k)] for k in range(1, 5)
+    ]
     assert read == [3, 9, 27, 81]  # the first row of each level, never the window
 
 
