@@ -39,6 +39,11 @@ _DEGREE_LIMIT = 1 << 16
 _EXPAND_DEPTH = 6
 _CLASSIFY_DEPTH = 4
 
+# the keys a JSON function object may carry besides kind and p; a series,
+# those of CoefficientSeries.to_json_dict
+_JSON_KEYS = {"polynomial": {"coeffs", "depth"}, "table": {"depth", "values"},
+              "mahler": {"k", "length", "terms"}, "vdp": {"k", "length", "terms"}}
+
 
 def _check_degree(degree: int) -> None:
     if degree >= _DEGREE_LIMIT:
@@ -96,6 +101,12 @@ def function_from_json(
         p = funcspace.parse_int(data["p"])
     except (KeyError, TypeError, InputError) as exc:
         raise InputError(f"malformed function object: {exc}") from None
+    keys = _JSON_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise InputError(f"unknown function kind {kind!r}")
+    unknown = ", ".join(sorted(set(data) - keys - {"kind", "p"}))
+    if unknown:
+        raise InputError(f"unknown key(s) in a {kind} object: {unknown}")
     if kind in ("polynomial", "table") and "depth" in data:
         own = funcspace.parse_int(data["depth"])
         if depth is not None and depth != own:
@@ -112,11 +123,9 @@ def function_from_json(
         if not isinstance(data.get("values"), list) or "depth" not in data:
             raise InputError("table object needs a 'values' list and 'depth'")
         return PadicFunction.from_table(data["values"], p, depth)
-    if kind in ("mahler", "vdp"):
-        series = CoefficientSeries.from_json_dict(data)
-        ctor = PadicFunction.from_mahler if kind == "mahler" else PadicFunction.from_vdp
-        return ctor(series, depth)
-    raise InputError(f"unknown function kind {kind!r}")
+    series = CoefficientSeries.from_json_dict(data)
+    ctor = PadicFunction.from_mahler if kind == "mahler" else PadicFunction.from_vdp
+    return ctor(series, depth)
 
 
 def resolve_function(args, default_depth: int) -> PadicFunction:
@@ -209,29 +218,16 @@ def cmd_classify(args) -> int:
                     f"passed={preserving.passed}, {ud.criterion} passed={ud.passed}"
                 )
 
-    # "transitive mod p^mu implies ergodic", behind the threshold and the
-    # closed forms, is known for polynomials only: the closed form is
-    # evidence, and every other kind is decided by the oracle at every level
+    # the closed forms rest on "transitive mod p^mu implies ergodic", known for
+    # polynomials only: they must agree with a verdict on Z_p, else are evidence
     closed = None
     if is_ud1 and (f.prime in (2, 3) and f.depth >= 3 or f.prime >= 5):
         closed = criteria.closed_form_ergodic(f)
-    if f.kind == "polynomial":
-        decision = dynamics.decide_ergodicity(f)
-        if closed is not None and decision.ergodic != closed.ergodic:
-            raise InternalCheckError(
-                "threshold decision and closed-form criterion disagree"
-            )
-    else:
-        oracle = dynamics.ergodic_oracle(f)
-        if is_ud1:
-            conditions = dynamics.ergodic_conditions(f)["combined"]
-            if conditions.passed != oracle.passed:
-                raise InternalCheckError(
-                    f"ergodicity routes disagree: {oracle.criterion} passed={oracle.passed}, "
-                    f"{conditions.criterion} passed={conditions.passed}"
-                )
-        decision = dynamics.ErgodicityDecision(
-            f.prime, oracle.passed, "exhaustive-to-depth", None, {"oracle": oracle}
+    decision = dynamics.decide_ergodicity(f)
+    if closed is not None and decision.scope == closed.scope and decision.ergodic != closed.ergodic:
+        raise InternalCheckError(
+            f"ergodicity routes disagree: orbit walk ergodic={decision.ergodic}, "
+            f"closed form ergodic={closed.ergodic}"
         )
     report["ergodicity"] = decision.to_json_dict()
     if closed is not None:

@@ -870,4 +870,4 @@ def closed_form_ergodic(f: PadicFunction) -> ErgodicityDecision:
         conditions = p5_conditions(f)
         evidence.update({k: v for k, v in conditions.items() if k != "combined"})
         ergodic = conditions["combined"].passed
-    return ErgodicityDecision(p, ergodic, "closed-form", None, evidence)
+    return ErgodicityDecision(p, ergodic, "closed-form", "Z_p", evidence)

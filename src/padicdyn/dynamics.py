@@ -2,8 +2,8 @@
 
 Measure preservation at depth means the reduced map is a bijection of
 Z/p^s for every level s; ergodicity means it is a single cycle at every
-level.  Both are decided here through coefficient criteria, with the
-brute-force reduced-map walk available as the oracle.
+level.  Measure preservation is decided through coefficient criteria,
+ergodicity by the orbit walk, which the criteria cross-check.
 """
 
 from __future__ import annotations
@@ -332,7 +332,7 @@ def ergodic_conditions(f: PadicFunction) -> dict[str, Any]:
 
 
 def transitivity_threshold(p: int) -> int:
-    """Depth at which transitivity already decides ergodicity."""
+    """Depth at which transitivity decides ergodicity of a polynomial on Z_p."""
     return 3 if p <= 3 else 2
 
 
@@ -341,35 +341,39 @@ class ErgodicityDecision:
     prime: int
     ergodic: bool
     method: str
-    mu: int | None
+    scope: str  # "Z_p" where a theorem lifts the verdict, else "to-depth"
     evidence: dict[str, Any]
 
-    def __bool__(self) -> bool:
-        return self.ergodic
-
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "p": self.prime,
             "ergodic": self.ergodic,
             "method": self.method,
+            "scope": self.scope,
+            "evidence": {k: v.to_json_dict() for k, v in self.evidence.items()},
         }
-        if self.mu is not None:
-            out["mu"] = self.mu
-        out["evidence"] = {
-            k: (v.to_json_dict() if hasattr(v, "to_json_dict") else v)
-            for k, v in self.evidence.items()
-        }
-        return out
 
 
 def decide_ergodicity(f: PadicFunction) -> ErgodicityDecision:
-    """Decide ergodicity by transitivity at the threshold depth."""
+    """Ergodicity by the orbit oracle, for every kind: a polynomial is walked at
+    depth max(depth, mu) and decided on Z_p (transitivity mod p^mu lifts to
+    every level), any other kind to its depth.  The level conditions on UD1
+    input and transitivity mod p^mu on a polynomial must agree with the walk."""
     mu = transitivity_threshold(f.prime)
-    if f.depth < mu:
-        raise InputError(
-            f"depth {f.depth} below the deciding threshold {mu} for p={f.prime}"
-        )
-    verdict = transitive_mod(f, mu)
+    polynomial = f.kind == "polynomial"
+    g = PadicFunction.from_polynomial(f.payload, f.prime, mu) if polynomial and f.depth < mu else f
+    oracle = ergodic_oracle(g)
+    evidence = {"oracle": oracle}
+    checks = [ergodic_conditions(g)["combined"]] if ud1_check(g).verdict.passed else []
+    if polynomial:
+        evidence["threshold"] = transitive_mod(g, mu)
+        checks.append(evidence["threshold"])
+    for check in checks:
+        if check.passed != oracle.passed:
+            raise InternalCheckError(
+                f"ergodicity routes disagree: {oracle.criterion} passed={oracle.passed}, "
+                f"{check.criterion} passed={check.passed}"
+            )
     return ErgodicityDecision(
-        f.prime, verdict.passed, "threshold", mu, {"transitive": verdict}
+        f.prime, oracle.passed, "exhaustive-to-depth", "Z_p" if polynomial else "to-depth", evidence
     )

@@ -108,9 +108,33 @@ def test_function_from_json_malformed():
         cli.function_from_json({"kind": "table", "p": 2, "depth": "x", "values": [0, 1]}, None)
     with pytest.raises(InputError):
         cli.function_from_json({"kind": "spline", "p": 2}, 3)
+    with pytest.raises(InputError, match="unknown function kind"):  # unhashable kind
+        cli.function_from_json({"kind": ["table"], "p": 2}, 3)
     for coeffs in ("1,2", 5, ["1", "two"], [[1]]):
         with pytest.raises(InputError):
             cli.function_from_json({"kind": "polynomial", "p": 2, "coeffs": coeffs}, 3)
+
+
+@pytest.mark.parametrize(
+    "blob, key",
+    [
+        ({"kind": "polynomial", "p": 3, "coeffs": [1, 1], "k": 4}, "k"),
+        ({"kind": "table", "p": 2, "depth": 2, "values": [1, 2, 3, 0], "extra": 1}, "extra"),
+        ({"kind": "vdp", "p": 2, "k": 2, "terms": [1, 2, 2, 2], "lipschitz": {}}, "lipschitz"),
+        ({"kind": "mahler", "p": 3, "k": 4, "terms": [1, 1], "depth": 4}, "depth"),
+    ],
+    ids=["polynomial", "table", "vdp", "mahler"],
+)
+def test_classify_refuses_unknown_json_keys(capsys, monkeypatch, blob, key):
+    # each was once accepted with the key ignored; an expand report, which
+    # adds lipschitz and normalized to a series, is not a function object
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(blob)))
+    code, out, err = _run(capsys, ["classify", "-"])
+    assert code == 2 and out == ""
+    assert f"unknown key(s) in a {blob['kind']} object: {key}" in err
+    del blob[key]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(blob)))
+    assert _run(capsys, ["classify", "-"])[0] in (0, 1)
 
 
 _JSON_INPUTS = {
@@ -401,6 +425,31 @@ def test_classify_table_input_uses_oracle(capsys, tmp_path):
     )
     assert code == 0
     assert payload["ergodicity"]["method"] == "exhaustive-to-depth"
+    assert payload["ergodicity"]["scope"] == "to-depth"
+
+
+@pytest.mark.parametrize("text, code", [("x+1", 0), ("1+3x+2x^3", 1)])
+def test_classify_decides_a_polynomial_below_its_threshold_on_z_p(capsys, text, code):
+    # depth 2 is below the threshold 3 at p = 2: the walk runs mod 8, where
+    # the cubic, transitive mod 4, splits into two 4-cycles
+    got, payload, _ = _run_json(
+        capsys, ["classify", text, "-p", "2", "--depth", "2"], schema="classify.schema.json"
+    )
+    assert got == code and payload["depth"] == 2
+    decision = payload["ergodicity"]
+    assert decision["scope"] == "Z_p" and decision["method"] == "exhaustive-to-depth"
+    assert decision["evidence"]["threshold"]["depth"] == 3
+    assert decision["evidence"]["threshold"]["pass"] is decision["ergodic"] is (code == 0)
+
+
+def test_classify_exits_3_when_the_threshold_disagrees_with_the_walk(capsys, monkeypatch):
+    # at threshold 1 the cubic, transitive mod 2 but not mod 8, breaks the
+    # polynomial theorem that the threshold cross-check stands for
+    threshold = dynamics.transitivity_threshold
+    monkeypatch.setattr(dynamics, "transitivity_threshold", lambda p: 1 if p == 2 else threshold(p))
+    code, out, err = _run(capsys, ["classify", "1+3x+2x^3", "-p", "2", "--depth", "3"])
+    assert code == 3 and out == ""
+    assert "ergodic-oracle passed=False" in err and "transitive-mod passed=True" in err
 
 
 # a UD1 table whose reduction mod 16 has two 8-cycles
@@ -438,8 +487,10 @@ def test_classify_rejects_ud1_maps_the_closed_form_admits(capsys, monkeypatch, d
     assert code == 1
     assert payload["ud1"]["direct"]["pass"]
     assert payload["ergodicity"]["method"] == "exhaustive-to-depth"
+    assert payload["ergodicity"]["scope"] == "to-depth"
     assert payload["ergodicity"]["ergodic"] is False
     assert payload["closed_form"]["ergodic"] is True
+    assert payload["closed_form"]["scope"] == "Z_p"
 
 
 @pytest.mark.parametrize("values", [TWO_CYCLES_MOD_16["values"], [(x + 1) % 16 for x in range(16)]])

@@ -240,16 +240,21 @@ def test_threshold_values():
 
 
 def test_decide_ergodicity_thresholds():
-    f = PadicFunction.from_polynomial([1, 1], 2, 4)
+    # a polynomial below its threshold depth is walked at the threshold and
+    # decided on Z_p; the table of the same map is decided to its own depth
+    f = PadicFunction.from_polynomial([1, 1], 2, 2)
     d = decide_ergodicity(f)
-    assert d.ergodic and d.mu == 3 and d.method == "threshold"
-    g = PadicFunction.from_polynomial([1, 3, 0, 2], 2, 4)
-    assert not decide_ergodicity(g).ergodic
-    # the same polynomial looks ergodic at the (insufficient) level 2
+    assert d.ergodic and d.scope == "Z_p" and d.method == "exhaustive-to-depth"
+    assert d.evidence["threshold"].depth == transitivity_threshold(2) == 3
+    g = PadicFunction.from_polynomial([1, 3, 0, 2], 2, 2)
+    d = decide_ergodicity(g)
+    assert not d.ergodic and d.scope == "Z_p"
+    # the same polynomial looks ergodic at the (insufficient) level 2, and its
+    # depth-2 table is a single cycle at every level it holds
     assert transitive_mod(g, 2).passed
-    shallow = PadicFunction.from_polynomial([1, 1], 2, 2)
-    with pytest.raises(InputError):
-        decide_ergodicity(shallow)
+    table = PadicFunction.from_table(g.value_table(2), 2, 2)
+    code, report = classify(table)
+    assert code == 0 and report["ergodicity"]["scope"] == "to-depth"
 
 
 def test_oracle_agrees_with_threshold_on_randoms():
@@ -379,19 +384,21 @@ def classify(f) -> tuple[int, dict | None]:
 @ud_settings
 @given(classify_inputs())
 @example(PadicFunction.from_table(TWO_CYCLES_MOD_16, 2, 4))
+@example(PadicFunction.from_polynomial([1, 3, 0, 2], 2, 2))  # transitive mod 4, not mod 8
 def test_classify_decides_as_the_orbit_oracle(f):
     code, report = classify(f)
-    if code == 2:  # refused: only a polynomial below its threshold depth
-        assert f.kind == "polynomial" and f.depth < transitivity_threshold(f.prime)
-        return
     assert code in (0, 1)
     ergodic = report["ergodicity"]["ergodic"]
+    assert report["ergodicity"]["method"] == "exhaustive-to-depth"
+    if f.kind == "polynomial" and f.depth < transitivity_threshold(f.prime):
+        # decided on Z_p: as the oracle on the same coefficients, deeper
+        f = PadicFunction.from_polynomial(f.payload, f.prime, transitivity_threshold(f.prime) + 2)
     assert ergodic == (code == 0) == ergodic_oracle(f).passed
     if report["ud1"]["direct"]["pass"]:
         assert ergodic == ergodic_conditions(f)["combined"].passed
     if f.kind == "polynomial":
-        assert report["ergodicity"]["method"] == "threshold"
+        assert report["ergodicity"]["scope"] == "Z_p"
         if "closed_form" in report:
             assert report["closed_form"]["ergodic"] == ergodic
     else:
-        assert report["ergodicity"]["method"] == "exhaustive-to-depth"
+        assert report["ergodicity"]["scope"] == "to-depth"

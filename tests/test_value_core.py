@@ -210,8 +210,7 @@ def test_level_walks_never_call_evaluate(monkeypatch, p, depth):
         assert ergodic_oracle(f).passed
         assert ergodic_conditions(f)["orbit"].passed
         assert len(orbit_of(f, depth)) == p**depth
-        if f.kind == "polynomial":
-            assert decide_ergodicity(f).ergodic
+        assert decide_ergodicity(f).ergodic
         if p == 5:
             assert p5_conditions(f)["combined"].passed
         monkeypatch.undo()
