@@ -171,22 +171,27 @@ def vdp_ud1_relations_check(series: CoefficientSeries) -> CriterionVerdict:
     return failing(name, condition, witness=witness, depth=series.exponent)
 
 
-def mahler_ud1_predicate(series: CoefficientSeries) -> CriterionVerdict:
-    """Divisibility route on Mahler terms.
+def mahler_ud1_valuations(count: int, p: int, exponent: int):
+    """e(n) and the valuation the Mahler predicate requires of a_n, for
+    n < count: none below p; else, with s = e(n) and d the leading base-p
+    digit of n, s + 1 when d >= 2 (odd p) or when s >= 2 (any p), and the
+    Lipschitz floor s otherwise; at most exponent."""
+    s, power = index_levels(count, p)  # p^s <= n < p^(s+1)
+    digit = np.arange(count) // power
+    required = np.minimum(s + ((s >= 2) | ((p > 2) & (digit >= 2))), exponent)
+    required[:p] = 0
+    return s, required
 
-    With s = e(n) and d the leading base-p digit of n, a term needs
-    v_p(a_n) >= s + 1 when d >= 2 (odd p) or when s >= 2 (any p), and the
-    Lipschitz floor v_p(a_n) >= s otherwise.
-    """
+
+def mahler_ud1_predicate(series: CoefficientSeries) -> CriterionVerdict:
+    """Divisibility route on Mahler terms: v_p(a_n) at least the valuation
+    `mahler_ud1_valuations` requires, for every term."""
     if series.kind != "mahler":
         raise InputError("mahler_ud1_predicate expects a mahler series")
     p = series.prime
     name = "ud1-mahler-predicate"
-    s, power = index_levels(len(series), p)  # p^s <= n < p^(s+1)
-    digit = np.arange(len(series)) // power
-    required = np.minimum(s + ((s >= 2) | ((p > 2) & (digit >= 2))), series.exponent)
+    s, required = mahler_ud1_valuations(len(series), p, series.exponent)
     bad = series.terms % powers_of(p, required, series.terms.dtype) != 0
-    bad[:p] = False
     if not bad.any():
         return passing(name, depth=series.exponent, checked_terms=len(series))
     n = int(bad.argmax())
@@ -199,6 +204,16 @@ def mahler_ud1_predicate(series: CoefficientSeries) -> CriterionVerdict:
     )
 
 
+def mahler_ud1_route(f: PadicFunction, count: int) -> CriterionVerdict:
+    """The Mahler predicate on a_0..a_{count-1} of f mod p^depth.  The
+    difference table stops soon after the first term that fails it, so a
+    failing verdict costs the terms up to its witness; a passing one reads
+    all count terms."""
+    _, required = mahler_ud1_valuations(count, f.prime, f.depth)
+    floors = powers_of(f.prime, required, backends.int_dtype(f.prime**f.depth, 1))
+    return mahler_ud1_predicate(mahler_coefficients(f, count=count, floors=floors))
+
+
 def ud1_equivalence_crosscheck(f: PadicFunction) -> dict:
     """Run all three routes and report whether they agree.
 
@@ -207,9 +222,8 @@ def ud1_equivalence_crosscheck(f: PadicFunction) -> dict:
     """
     report = ud1_check(f)
     vdp = f.vdp_window
-    mahler = mahler_coefficients(f, count=f.prime**f.depth)
     vdp_verdict = vdp_ud1_relations_check(vdp)
-    mahler_verdict = mahler_ud1_predicate(mahler)
+    mahler_verdict = mahler_ud1_route(f, f.prime**f.depth)
     agree = report.verdict.passed == vdp_verdict.passed == mahler_verdict.passed
     derived_consistent = None
     if report.verdict.passed and report.derived is not None:

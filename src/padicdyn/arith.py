@@ -1,8 +1,8 @@
 """Exact integer arithmetic helpers underneath the finite-depth p-adic layers.
 
 Everything here is plain arbitrary-precision integer arithmetic: primality,
-valuations, binomials, base-p digits, modular inverses and a small linear
-solver over prime fields.  No floats anywhere.
+binomials, base-p digits, modular inverses and a small linear solver over
+prime fields.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -14,46 +14,6 @@ from typing import Sequence
 from .errors import InputError
 
 _PRIME_LIMIT = 2**31
-
-
-class _PlusInfinity:
-    """Singleton standing for +infinity in valuation comparisons."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITY"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("padicdyn.INFINITY")
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-
-INFINITY = _PlusInfinity()
 
 _small_primes: list[int] | None = None
 
@@ -95,21 +55,6 @@ def require_prime(p: int) -> None:
 def require_nonnegative(n: int, name: str = "argument") -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InputError(f"{name} must be a nonnegative integer, got {n!r}")
-
-
-def valuation(n: int, p: int):
-    """p-adic valuation of an integer; valuation(0, p) is INFINITY."""
-    require_prime(p)
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InputError(f"n must be an integer, got {n!r}")
-    if n == 0:
-        return INFINITY
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def binomial(n: int, k: int) -> int:

@@ -64,7 +64,7 @@ def poly_tables(coeffs, npoints: int, modulus: int) -> np.ndarray:
 # -- batched Mahler coefficients (difference tables) ------------------
 
 
-def mahler_batch(values, modulus: int) -> np.ndarray:
+def mahler_batch(values, modulus: int, floors=None) -> np.ndarray:
     """Iterated forward differences along axis 1: column n holds the n-th
     Mahler coefficient of each row's value sequence, mod modulus.
 
@@ -75,11 +75,19 @@ def mahler_batch(values, modulus: int) -> np.ndarray:
     and the table stops there.  So the work is quadratic in the row length
     only where the differences do not vanish mod modulus; a tabulated
     polynomial stops at the latest at the first reduction past its degree.
+
+    floors, when given, holds one divisor of modulus per column.  Each
+    reduction then also checks the columns written since the last one, and
+    once every row has a column that its floor does not divide, the table
+    stops: it returns the columns up to the last row's first such column,
+    that column included.
     """
     work = reduced_rows(values, modulus, 1)
     count, n = work.shape
     out = np.empty((count, n), dtype=work.dtype)
     spare = np.empty_like(work)
+    floors = None if floors is None else np.asarray(floors, dtype=work.dtype)[:n]
+    first, checked = np.full(count, n), 0  # each row's first column off its floor
     bound = modulus  # |entries of work| < bound
     for step in range(n):
         out[:, step] = work[:, 0]
@@ -88,6 +96,13 @@ def mahler_batch(values, modulus: int) -> np.ndarray:
             if bound > 1 << 61:
                 work[:, :live] %= modulus
                 bound = modulus
+                if floors is not None:
+                    bad = out[:, checked : step + 1] % floors[checked : step + 1] != 0
+                    hit = bad.any(axis=1) & (first == n)
+                    first[hit] = checked + bad[hit].argmax(axis=1)
+                    checked = step + 1
+                    if (first < n).all():
+                        return out[:, : first.max() + 1] % modulus
                 if not work[:, :live].any():
                     out[:, step + 1 :] = 0
                     break

@@ -179,8 +179,8 @@ def cmd_classify(args) -> int:
     f = resolve_function(args, _CLASSIFY_DEPTH)
     if f.depth < 2:
         raise InputError("classification needs depth >= 2")
-    # every route reads the UD1 window and the full Mahler series; refuse
-    # either up front when too large
+    # every route reads the UD1 window, and a passing Mahler route the full
+    # Mahler series; refuse either up front when too large
     f.value_array(analysis.ud1_window(f.prime, f.depth))
     funcspace.check_mahler_length(f.prime, f.depth, f.prime**f.depth)
     report: dict = {
@@ -283,8 +283,16 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+def _int_option(text: str) -> int:
+    """An integer option, read as strictly as a JSON integer."""
+    try:
+        return funcspace.parse_int(text)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _csv_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+    return tuple(map(_int_option, text.split(",")))
 
 
 def cmd_generate(args) -> int:
@@ -439,13 +447,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="polynomial text ('1+3x+2x^3'), coefficient list ('1,3,0,2'), "
             "@file.json, or '-' for JSON on stdin",
         )
-        sp.add_argument("-p", "--prime", type=int, default=None)
-        sp.add_argument("--depth", type=int, default=None)
+        sp.add_argument("-p", "--prime", type=_int_option, default=None)
+        sp.add_argument("--depth", type=_int_option, default=None)
 
     sp = sub.add_parser("expand", help="coefficient series of a function")
     add_function_args(sp)
     sp.add_argument("--basis", choices=("mahler", "vdp"), default="vdp")
-    sp.add_argument("--count", type=int, default=None)
+    sp.add_argument("--count", type=_int_option, default=None)
     sp.add_argument(
         "--normalized", action="store_true", help="include terms divided by p^e(i)"
     )
@@ -464,9 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("generate", help="build instances with prescribed level-1 data")
-    sp.add_argument("-p", "--prime", type=int, default=None)
-    sp.add_argument("--count", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("-p", "--prime", type=_int_option, default=None)
+    sp.add_argument("--count", type=_int_option, default=1)
+    sp.add_argument("--seed", type=_int_option, default=None)
     sp.add_argument("--route", choices=("mahler", "poly"), default="mahler")
     sp.add_argument("--phi", type=_csv_ints, default=None)
     sp.add_argument("--bvec", type=_csv_ints, default=None)
@@ -480,8 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(identities.all_suite_names()) + ["all"],
         help="repeatable; 'all' runs every suite",
     )
-    sp.add_argument("--p-max", type=int, default=None)
-    sp.add_argument("--s-max", type=int, default=None)
+    sp.add_argument("--p-max", type=_int_option, default=None)
+    sp.add_argument("--s-max", type=_int_option, default=None)
     sp.add_argument("--counterexamples", action="store_true")
     sp.set_defaults(func=cmd_verify)
     return parser

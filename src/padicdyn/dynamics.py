@@ -364,7 +364,8 @@ def decide_ergodicity(f: PadicFunction) -> ErgodicityDecision:
     g = PadicFunction.from_polynomial(f.payload, f.prime, mu) if polynomial and f.depth < mu else f
     oracle = ergodic_oracle(g)
     evidence = {"oracle": oracle}
-    checks = [ergodic_conditions(g)["combined"]] if ud1_check(g).verdict.passed else []
+    # the level conditions need a level s >= 1, so depth >= 2
+    checks = [ergodic_conditions(g)["combined"]] if g.depth >= 2 and ud1_check(g) else []
     if polynomial:
         evidence["threshold"] = transitive_mod(g, mu)
         checks.append(evidence["threshold"])

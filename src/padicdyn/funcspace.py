@@ -11,6 +11,8 @@ reduced map are derived; `evaluate` computes single points.
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -28,6 +30,11 @@ from .errors import InputError, NormalizationError, PreconditionError
 from .verdict import CriterionVerdict, failing, passing
 
 _TABLE_LIMIT = 1 << 26
+
+# an integer given as text; text of ASCII digits and signs only, where int()
+# reads exactly these integers and refuses the rest
+_INT_TEXT = re.compile(r"[+-]?[0-9]+")
+_INT_CHARS = re.compile(r"[0-9+-]*")
 
 # the Mahler difference table is quadratic in the series length where its
 # differences do not vanish mod p^k (tables of maps that are not polynomials,
@@ -87,25 +94,32 @@ def _check_horner_work(p: int, depth: int, degree: int, npoints: int) -> None:
 
 
 def parse_int(value) -> int:
-    """An int, or a string of decimal digits with an optional sign, as an
-    exact integer.
-
-    JSON floats and booleans are refused: int() would truncate 1.5 to 1
-    and read true as 1, so a malformed input would pass as another one.
-    """
-    if isinstance(value, (bool, float)):
+    """An int (not a bool), or a string of ASCII decimal digits with an
+    optional sign, as an exact integer.  Anything else is refused, not read
+    as another number: int() reads the JSON float 1.5 and true as 1, and
+    the strings "1_0", " 3 " and non-ASCII digits as integers too."""
+    if isinstance(value, str) and _INT_TEXT.fullmatch(value):
+        try:
+            return int(value)
+        except ValueError as exc:  # past int()'s digit limit
+            raise InputError(f"not an integer: {exc}") from None
+    if isinstance(value, (bool, str)) or not hasattr(value, "__index__"):
         raise InputError(f"not an integer: {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"not an integer: {exc}") from None
+    return operator.index(value)
 
 
 def parse_ints(values) -> tuple[int, ...]:
-    """parse_int of each entry; a sequence of ints only (not bools) is taken as is."""
+    """parse_int of each entry; ints only are taken as is, and strings only
+    are checked in one pass over their joined text."""
     values = tuple(values)
-    if set(map(type, values)) <= {int}:
+    types = set(map(type, values))
+    if types <= {int}:
         return values
+    if types == {str} and _INT_CHARS.fullmatch("".join(values)):
+        try:
+            return tuple(map(int, values))
+        except ValueError:  # an empty entry, a stray sign, or past the digit limit
+            pass
     return tuple(map(parse_int, values))
 
 
@@ -548,32 +562,18 @@ def _vdp_terms(values: np.ndarray, p: int) -> np.ndarray:
 
 
 def mahler_coefficients(
-    f: PadicFunction, count: int | None = None, k: int | None = None
+    f: PadicFunction, count: int | None = None, k: int | None = None, floors=None
 ) -> CoefficientSeries:
-    """a_n by iterated forward differences of the value sequence at 0,1,2,..."""
+    """a_n by iterated forward differences of the value sequence at 0,1,2,...
+
+    With floors (divisors of p^k, one per index), the series may end early,
+    at its first term that its floor does not divide (`backends.mahler_batch`).
+    """
     count, k = _coefficient_window(f, count, k)
     _check_window(f.prime, f.depth, count)  # an oversized window is named first
     check_mahler_length(f.prime, f.depth, count)
-    terms = backends.mahler_batch(f.value_array(count)[None, :], f.prime**k)[0]
+    terms = backends.mahler_batch(f.value_array(count)[None, :], f.prime**k, floors)[0]
     return CoefficientSeries("mahler", f.prime, k, terms)
-
-
-def indicator_mahler_coefficient(n: int, m: int, p: int) -> int:
-    """Exact Mahler coefficient a_n(m) of the indicator chi(m, .).
-
-    a_n(m) = sum over alpha >= 0 of (-1)^(n - m - p^M alpha) C(n, m + p^M alpha)
-    with M = e(m) + 1.
-    """
-    require_prime(p)
-    require_nonnegative(n, "n")
-    require_nonnegative(m, "m")
-    step = p ** (floor_log(m, p) + 1)
-    total = 0
-    j = m
-    while j <= n:
-        total += (-1) ** (n - j) * binomial(n, j)
-        j += step
-    return total
 
 
 def binomial_vdp_coefficient(m: int, n: int, p: int) -> int:
@@ -584,26 +584,6 @@ def binomial_vdp_coefficient(m: int, n: int, p: int) -> int:
     if m < p:
         return binomial(m, n)
     return binomial(m, n) - binomial(m_minus(m, p), n)
-
-
-def vdp_to_mahler(
-    series: CoefficientSeries, count: int | None = None
-) -> CoefficientSeries:
-    """Mahler coefficients of a finite van der Put sum, mod p^k."""
-    if series.kind != "vdp":
-        raise InputError("vdp_to_mahler expects a vdp series")
-    if count is None:
-        count = len(series)
-    mod = series.modulus
-    out = []
-    for n in range(count):
-        acc = 0
-        for m in range(min(n, len(series) - 1) + 1):
-            c = indicator_mahler_coefficient(n, m, series.prime)
-            if c:
-                acc += c * series.term_list[m]
-        out.append(acc % mod)
-    return CoefficientSeries("mahler", series.prime, series.exponent, tuple(out))
 
 
 def mahler_to_vdp(

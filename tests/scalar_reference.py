@@ -21,9 +21,11 @@ package does, so a test that perturbs one of those perturbs both sides
 alike.  The bipro scan keeps its row-by-row lockstep loop, which reads its
 taps through `backends.comb` as the blocked scan does.
 
-Last come the references and samplers that only tests use: Legendre's
+Last come the references and samplers that only tests use: the p-adic
+valuation with its INFINITY at 0, Legendre's
 digit-sum valuation of a binomial, the exact double sums behind abc and
-pzero, the ball indicator, the definition-level 1-Lipschitz test, the
+pzero, the ball indicator, the Mahler coefficients of the ball indicator
+and the van der Put to Mahler conversion built on them, the definition-level 1-Lipschitz test, the
 Mahler valuation profile of a UD1 map with its uniform sampler, a random
 prescribed p >= 5 instance, and transitivity of a batch of polynomials.
 """
@@ -35,7 +37,7 @@ import numpy as np
 
 from padicdyn import backends, criteria, identities
 from padicdyn.analysis import DerivedFunction, UD1Report
-from padicdyn.arith import INFINITY, inverse_mod, m_minus, p_digits
+from padicdyn.arith import inverse_mod, m_minus, p_digits, require_prime
 from padicdyn.dynamics import cycle_structure
 from padicdyn.errors import InputError, InternalCheckError, NormalizationError
 from padicdyn.funcspace import CoefficientSeries, PadicFunction, floor_log
@@ -542,6 +544,61 @@ def bipro_lockstep_reference(p: int, s: int):
 # -- test-only references and samplers ----------------------------------
 
 
+class _PlusInfinity:
+    """Singleton standing for +infinity in valuation comparisons."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "INFINITY"
+
+    def __eq__(self, other):
+        return other is self
+
+    def __hash__(self):
+        return hash("padicdyn.INFINITY")
+
+    def __lt__(self, other):
+        return False
+
+    def __le__(self, other):
+        return other is self
+
+    def __gt__(self, other):
+        return other is not self
+
+    def __ge__(self, other):
+        return True
+
+    def __add__(self, other):
+        return self
+
+    __radd__ = __add__
+
+
+INFINITY = _PlusInfinity()
+
+
+def valuation(n: int, p: int):
+    """p-adic valuation of an integer; valuation(0, p) is INFINITY."""
+    require_prime(p)
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InputError(f"n must be an integer, got {n!r}")
+    if n == 0:
+        return INFINITY
+    n = abs(n)
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def digit_sum(n: int, p: int) -> int:
     s = 0
     while n:
@@ -598,6 +655,36 @@ def pzero_component(p: int, r: int) -> int:
 def chi(m: int, x: int, p: int) -> int:
     """Indicator of the ball: 1 iff x = m mod p^(e(m)+1)."""
     return 1 if (x - m) % p ** (floor_log(m, p) + 1) == 0 else 0
+
+
+def indicator_mahler_coefficient(n: int, m: int, p: int) -> int:
+    """Exact Mahler coefficient a_n(m) of the indicator chi(m, .).
+
+    a_n(m) = sum over alpha >= 0 of (-1)^(n - m - p^M alpha) C(n, m + p^M alpha)
+    with M = e(m) + 1.
+    """
+    step = p ** (floor_log(m, p) + 1)
+    total = 0
+    j = m
+    while j <= n:
+        total += (-1) ** (n - j) * math.comb(n, j)
+        j += step
+    return total
+
+
+def vdp_to_mahler(series: CoefficientSeries, count: int | None = None) -> CoefficientSeries:
+    """Mahler coefficients of a finite van der Put sum, mod p^k: the sum of
+    B_m times the indicator coefficients a_n(m)."""
+    if series.kind != "vdp":
+        raise InputError("vdp_to_mahler expects a vdp series")
+    if count is None:
+        count = len(series)
+    out = []
+    for n in range(count):
+        acc = sum(indicator_mahler_coefficient(n, m, series.prime) * series.term_list[m]
+                  for m in range(min(n, len(series) - 1) + 1))
+        out.append(acc % series.modulus)
+    return CoefficientSeries("mahler", series.prime, series.exponent, tuple(out))
 
 
 def lipschitz_direct_check(f: PadicFunction, k: int | None = None):

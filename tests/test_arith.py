@@ -4,7 +4,6 @@ import random
 import pytest
 
 from padicdyn.arith import (
-    INFINITY,
     FpSolveResult,
     binomial,
     inverse_mod,
@@ -13,10 +12,9 @@ from padicdyn.arith import (
     p_digits,
     require_prime,
     solve_fp,
-    valuation,
 )
 from padicdyn.errors import InputError
-from scalar_reference import digit_sum, legendre_binomial_valuation
+from scalar_reference import INFINITY, digit_sum, legendre_binomial_valuation, valuation
 
 
 def test_is_prime_small():

@@ -273,7 +273,7 @@ def _first_reduction(mod):
     return step
 
 
-def _mahler_steps(monkeypatch, rows, mod):
+def _mahler_steps(monkeypatch, rows, mod, floors=None):
     """mahler_batch's output and the number of differences it took."""
     calls = []
     subtract = np.subtract
@@ -284,7 +284,7 @@ def _mahler_steps(monkeypatch, rows, mod):
 
     with monkeypatch.context() as m:
         m.setattr(np, "subtract", counting)
-        out = backends.mahler_batch(rows, mod)
+        out = backends.mahler_batch(rows, mod, floors)
     return out.tolist(), len(calls)
 
 
@@ -334,6 +334,59 @@ def test_mahler_batch_past_2_61_reduces_and_checks_every_step(monkeypatch, mod):
     assert steps == 11
 
 
+def _mahler_sum(terms, mod, n):
+    return [sum(t * math.comb(x, j) for j, t in enumerate(terms)) % mod for x in range(n)]
+
+
+@pytest.mark.parametrize("column, steps", [(6, 57), (57, 57), (58, 114), (120, 171)])
+def test_mahler_batch_stops_at_the_first_reduction_after_a_failing_column(
+    monkeypatch, column, steps
+):
+    # every term is a multiple of 3 but the one at column; mod 27 the table
+    # reduces before steps 57, 114 and 171
+    rng = random.Random(column)
+    terms = [3 * rng.randrange(9) for _ in range(200)]
+    terms[column] = 1 + 3 * rng.randrange(9)
+    row = _mahler_sum(terms, 27, 200)
+    floors = [1] * 2 + [3] * 198  # the first two columns are free
+    out, taken = _mahler_steps(monkeypatch, [row], 27, floors)
+    assert out == [terms[: column + 1]]
+    assert taken == steps and steps >= column
+
+
+def test_mahler_batch_with_floors_runs_on_while_a_row_has_no_failure(monkeypatch):
+    # the second row's terms are multiples of 3 that never vanish mod 27, so
+    # the table runs to the end and returns every column of both rows
+    n = 150
+    failing = _mahler_sum([1, 2, 0, 5], 27, n)
+    passing = _mahler_sum([3] * n, 27, n)
+    out, steps = _mahler_steps(monkeypatch, [failing, passing], 27, [3] * n)
+    assert out == [_differences(failing, 27), [3] * n]
+    assert steps == n - 1
+
+
+def test_mahler_batch_with_floors_returns_up_to_the_last_rows_failure(monkeypatch):
+    # the rows fail at columns 3 and 100: the table stops at the first
+    # reduction after 100 and keeps column 100 of both rows
+    n = 200
+    early = _mahler_sum([0, 0, 0, 1], 27, n)
+    late = _mahler_sum([0] * 100 + [2], 27, n)
+    out, steps = _mahler_steps(monkeypatch, [early, late], 27, [3] * n)
+    assert out == [_differences(early, 27)[:101], _differences(late, 27)[:101]]
+    assert steps == 2 * _first_reduction(27) == 114
+
+
+@pytest.mark.parametrize("p, e", [(3, 39), (2, 70)])
+def test_mahler_batch_with_floors_past_2_61_stops_at_the_failing_step(monkeypatch, p, e):
+    # past 2^61 every step reduces, so the table stops at the failing column
+    # itself; 3^39 runs in int64, 2^70 on Python integers
+    mod = p**e
+    terms = [mod - 1, p, p * p, p + 1, 1]
+    row = _mahler_sum(terms, mod, 12)
+    out, steps = _mahler_steps(monkeypatch, [row], mod, [1, p] + [p * p] * 10)
+    assert out == [terms[:4]] and steps == 3
+
+
 @pytest.mark.parametrize("mod", [27, 3**39, 2**70])
 @pytest.mark.parametrize("row", [[7], [-1], [3, 3], [0, 5], [5, 0], [4, -4]])
 def test_mahler_batch_rows_of_length_one_and_two(mod, row):
@@ -349,8 +402,7 @@ def _mahler_row(shape, rng, mod, n):
         coeffs = [rng.randrange(-(10**30), 10**30) for _ in range(rng.randrange(6))]
         return [sum(c * x**i for i, c in enumerate(coeffs)) % mod for x in range(n)]
     if shape == "mahler":
-        terms = [rng.randrange(mod) for _ in range(rng.randrange(1, n + 1))]
-        return [sum(t * math.comb(x, j) for j, t in enumerate(terms)) % mod for x in range(n)]
+        return _mahler_sum([rng.randrange(mod) for _ in range(rng.randrange(1, n + 1))], mod, n)
     if shape == "spike":
         row = [0] * n
         row[rng.randrange(n)] = rng.randrange(1, mod)
@@ -369,6 +421,27 @@ def test_mahler_batch_matches_the_difference_reference(mod, n, shapes, seed):
     rng = random.Random(seed)
     rows = [_mahler_row(shape, rng, mod, n) for shape in shapes]
     assert backends.mahler_batch(rows, mod).tolist() == [_differences(row, mod) for row in rows]
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    st.sampled_from([(2, 3), (3, 3), (5, 2), (2, 20), (3, 13), (3, 39), (2, 70)]),
+    st.integers(1, 200),
+    st.lists(st.sampled_from(["polynomial", "mahler", "spike", "random"]), min_size=1, max_size=3),
+    st.integers(0, 2**32),
+)
+def test_mahler_batch_with_floors_returns_a_prefix_to_the_last_first_failure(pe, n, shapes, seed):
+    p, e = pe
+    mod = p**e
+    rng = random.Random(seed)
+    rows = [_mahler_row(shape, rng, mod, n) for shape in shapes]
+    floors = [p ** rng.choice([0, 0, 1, e]) for _ in range(n)]
+    full = [_differences(row, mod) for row in rows]
+    out = backends.mahler_batch(rows, mod, floors).tolist()
+    firsts = [next((i for i, a in enumerate(row) if a % floors[i]), n) for row in full]
+    assert out == [row[: len(out[0])] for row in full]
+    if len(out[0]) < n:
+        assert len(out[0]) == max(firsts) + 1
 
 
 def test_wide_modulus_stays_exact():

@@ -188,6 +188,63 @@ def test_table_values_must_be_a_list(capsys, monkeypatch, values):
     assert err.startswith("error:") and "needs a 'values' list" in err
 
 
+def _loose(form, n):
+    """n spelled in a form int() reads but that is not ASCII digits with an
+    optional sign."""
+    digits = str(n)
+    if form == "underscore":
+        return f"0_{digits}"
+    if form == "spaces":
+        return f" {digits} "
+    zero = {"arabic-indic": 0x660, "fullwidth": 0xFF10}[form]
+    return "".join(chr(zero + int(d)) for d in digits)
+
+
+_LOOSE_FORMS = ["underscore", "spaces", "arabic-indic", "fullwidth"]
+
+
+@pytest.mark.parametrize("form", _LOOSE_FORMS + ["empty", "sign", "hex", "comma"])
+def test_json_integer_strings_are_ascii_digits(capsys, monkeypatch, form):
+    def classify_with(**fields):
+        blob = dict(_JSON_INPUTS["mahler"], terms=["1", "1"], length=2)
+        blob.update(fields)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(blob)))
+        return _run(capsys, ["classify", "-"])
+
+    if form in _LOOSE_FORMS:
+        zero, four = _loose(form, 0), _loose(form, 4)
+        assert int(zero) == 0 and int(four) == 4  # what the parser used to read
+    else:
+        zero = four = {"empty": "", "sign": "+", "hex": "0x0", "comma": "1,0"}[form]
+    # in a term list (checked in one pass) and in a scalar field alike
+    for fields in ({"terms": ["1", "1", zero], "length": 3}, {"k": four}):
+        code, out, err = classify_with(**fields)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "not an integer" in err
+    # a sign is part of the integer
+    assert classify_with(terms=["+1", "1", "-0"], length=3) == classify_with(
+        terms=["1", "1", "0"], length=3
+    )
+
+
+@pytest.mark.parametrize("form", _LOOSE_FORMS)
+def test_integer_options_are_ascii_digits(capsys, form):
+    # classify x+1 -p 3 --depth 1_0 ran at depth 10
+    for argv in (
+        ["classify", "x+1", "-p", "3", "--depth", _loose(form, 3)],
+        ["classify", "x+1", "-p", _loose(form, 3)],
+        ["expand", "x+1", "-p", "3", "--count", _loose(form, 4)],
+        ["generate", "-p", "5", "--seed", _loose(form, 1)],
+        ["generate", "-p", "5", "--phi", f"1,2,3,4,{_loose(form, 0)}"],
+        ["verify", "--suite", "abc", "--p-max", _loose(form, 5)],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not an integer" in captured.err
+
+
 def test_expand_mahler(capsys):
     code, payload, _ = _run_json(
         capsys,

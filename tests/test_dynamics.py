@@ -257,6 +257,24 @@ def test_decide_ergodicity_thresholds():
     assert code == 0 and report["ergodicity"]["scope"] == "to-depth"
 
 
+@pytest.mark.parametrize(
+    "f, ergodic",
+    [
+        (PadicFunction.from_table([1, 0], 2, 1), True),
+        (PadicFunction.from_table([0, 1], 2, 1), False),
+        (PadicFunction.from_vdp(CoefficientSeries("vdp", 3, 1, (1, 2, 0))), True),
+        (PadicFunction.from_vdp(CoefficientSeries("vdp", 3, 1, (1, 1, 0))), False),
+    ],
+    ids=["table-cycle", "table-identity", "vdp-cycle", "vdp-collision"],
+)
+def test_decide_ergodicity_at_depth_one_is_the_walk(f, ergodic):
+    # depth 1 has no level s >= 1 for the UD1 cross-check, so the walk alone
+    # decides, as ergodic_oracle does
+    d = decide_ergodicity(f)
+    assert d.ergodic == ergodic == ergodic_oracle(f).passed
+    assert d.scope == "to-depth" and list(d.evidence) == ["oracle"]
+
+
 def test_oracle_agrees_with_threshold_on_randoms():
     rng = random.Random(35)
     for p in (2, 3, 5):

@@ -2,21 +2,26 @@ import random
 
 import pytest
 
-from padicdyn.arith import INFINITY, binomial, valuation
+from padicdyn.arith import binomial
 from padicdyn.errors import InputError, NormalizationError, PreconditionError
 from padicdyn.funcspace import (
     CoefficientSeries,
     PadicFunction,
     binomial_vdp_coefficient,
     floor_log,
-    indicator_mahler_coefficient,
     lipschitz_check,
     mahler_coefficients,
     mahler_to_vdp,
     vdp_coefficients,
+)
+from scalar_reference import (
+    INFINITY,
+    chi,
+    indicator_mahler_coefficient,
+    lipschitz_direct_check,
+    valuation,
     vdp_to_mahler,
 )
-from scalar_reference import chi, lipschitz_direct_check
 
 
 def test_floor_log_convention():

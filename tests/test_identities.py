@@ -9,10 +9,10 @@ from scalar_reference import (
     pzero_component,
     pzero_reference,
     valpro_reference,
+    valuation,
 )
 
 from padicdyn import identities
-from padicdyn.arith import valuation
 from padicdyn.errors import InputError
 from padicdyn.identities import (
     abc_suite,

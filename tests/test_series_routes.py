@@ -15,6 +15,11 @@ level are moved together, so that every condition of every route fails
 somewhere, often late, while UD1 series still pass.
 Hypothesis runs derandomized with a bounded number of examples.
 
+The Mahler UD1 route, whose difference table stops at the first term
+that fails the predicate, must give the scalar loop's verdict on the full
+series, on maps hit below the top level, at it, or nowhere, and on a
+modulus past 2^62 where the table runs on Python integers.
+
 Also pinned here: series compare and hash by value, their term array is
 read-only, and terms and witnesses are Python integers.
 """
@@ -31,7 +36,9 @@ from padicdyn.analysis import (
     DerivedFunction,
     _derived_matches_branches,
     mahler_ud1_predicate,
+    mahler_ud1_route,
     ud1_check,
+    ud1_equivalence_crosscheck,
     vdp_ud1_relations_check,
 )
 from padicdyn.dynamics import measure_preserving_vdp
@@ -52,6 +59,8 @@ from scalar_reference import (
     measure_preserving_reference,
     normalized_terms_reference,
     outcome,
+    random_ud1_mahler_series,
+    required_ud1_valuation,
     vdp_ergodic_p2_reference,
     vdp_relations_reference,
 )
@@ -151,6 +160,41 @@ def test_mahler_predicate_matches_reference(case, data):
     got = mahler_ud1_predicate(series)
     assert got == mahler_predicate_reference(series)
     assert _ints_only(got)
+
+
+@st.composite
+def mahler_route_input(draw):
+    """(f, count): a map given by count = p^m Mahler terms that pass the
+    predicate, then hit at one index below level m - 1, at level m - 1, or
+    nowhere; at precision m, where count is its window, or past 2^62, where
+    the table runs on Python integers."""
+    p = draw(st.sampled_from(sorted(MAX_DEPTH)))
+    m = draw(st.integers(2, MAX_DEPTH[p]))
+    count = p**m
+    exponent = draw(st.sampled_from([m, m, _wide_exponent(p)]))
+    rng = draw(st.randoms(use_true_random=False))
+    terms = list(random_ud1_mahler_series(p, exponent, count, rng).term_list)
+    where = draw(st.sampled_from(["lower", "top", "nowhere"]))
+    if where != "nowhere":
+        low = p if where == "lower" and m > 2 else p ** (m - 1)
+        high = p ** (m - 1) if where == "lower" and m > 2 else count
+        n = draw(st.integers(low, high - 1))
+        need = min(required_ud1_valuation(n, p), exponent)
+        terms[n] += p ** (need - 1) * draw(st.integers(1, p - 1))
+    series = CoefficientSeries("mahler", p, exponent, tuple(terms))
+    return PadicFunction.from_mahler(series), count
+
+
+@route_settings
+@given(mahler_route_input())
+def test_mahler_route_stops_with_the_verdict_of_the_full_series(case):
+    # the difference table stops at the first failing term; the verdict,
+    # witness and condition are those of the scalar loop on every term
+    f, count = case
+    full = mahler_predicate_reference(mahler_coefficients(f, count=count))
+    assert mahler_ud1_route(f, count) == full
+    if count == f.prime**f.depth:
+        assert ud1_equivalence_crosscheck(f)["mahler"] == full
 
 
 @route_settings
