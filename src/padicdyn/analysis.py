@@ -34,13 +34,6 @@ class DerivedFunction:
     exponent: int
     values: tuple[int, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.prime,
-            "exponent": self.exponent,
-            "values": [str(v) for v in self.values],
-        }
-
 
 @dataclass(frozen=True)
 class UD1Report:

@@ -24,6 +24,7 @@ import numpy as np
 from . import analysis, backends, criteria, dynamics, funcspace, identities
 from .errors import InputError, InternalCheckError, PreconditionError
 from .funcspace import CoefficientSeries, PadicFunction
+from .verdict import require_agreement
 
 
 # ---------------------------------------------------------------------
@@ -190,8 +191,7 @@ def cmd_classify(args) -> int:
     }
     ud1 = analysis.ud1_equivalence_crosscheck(f)
     report["lipschitz"] = f.lipschitz.to_json_dict()
-    if not ud1["agree"]:
-        raise InternalCheckError("differentiability routes disagree")
+    require_agreement("differentiability", ud1["direct"].verdict, ud1["vdp"], ud1["mahler"])
     if ud1["derived_consistent"] is False:
         raise InternalCheckError("derivative residues disagree between routes")
     is_ud1 = ud1["direct"].verdict.passed
@@ -210,13 +210,7 @@ def cmd_classify(args) -> int:
             (dynamics.measure_preserving_ud_p2, dynamics.measure_preserving_ud_p2_mahler)
             if f.prime == 2 else (dynamics.measure_preserving_ud_odd,)
         )
-        for route in ud_routes:
-            ud = route(f)
-            if ud.passed != preserving.passed:
-                raise InternalCheckError(
-                    f"measure preservation routes disagree: {preserving.criterion} "
-                    f"passed={preserving.passed}, {ud.criterion} passed={ud.passed}"
-                )
+        require_agreement("measure preservation", preserving, *(route(f) for route in ud_routes))
 
     # the closed forms rest on "transitive mod p^mu implies ergodic", known for
     # polynomials only: they must agree with a verdict on Z_p, else are evidence
@@ -310,9 +304,7 @@ def cmd_generate(args) -> int:
             alphas, Bvec, Dvec = criteria.random_power_basis_poly(p, rng)
             f = PadicFunction.from_polynomial(alphas, p, 3)
             conds = criteria.p5_conditions(f)
-            oracle = dynamics.ergodic_oracle(f)
-            if conds["combined"].passed != oracle.passed:
-                raise InternalCheckError("criterion and oracle disagree")
+            require_agreement("ergodicity", conds["combined"], dynamics.ergodic_oracle(f))
             instances.append(
                 {
                     "route": "poly",
@@ -337,8 +329,7 @@ def cmd_generate(args) -> int:
             form = criteria.p5_linear_form(p, phi, bvec, lift)
             inst = form["instance"]
             oracle = dynamics.ergodic_oracle(inst.function)
-            if inst.passed != oracle.passed:
-                raise InternalCheckError("instance conditions and oracle disagree")
+            require_agreement("ergodicity", inst.conditions["combined"], oracle)
             if not form["agree"]:
                 raise InternalCheckError("linear form missed the return residue")
             entry = inst.to_json_dict()

@@ -11,6 +11,7 @@ prescribed reductions and a linear form predicts the third condition.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import math
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .arith import binomial, inverse_mod, require_prime, solve_fp
-from .errors import InputError, InternalCheckError, NormalizationError, PreconditionError
+from .errors import InputError, InternalCheckError, PreconditionError
 from .funcspace import (
     CoefficientSeries,
     PadicFunction,
@@ -29,7 +30,7 @@ from .funcspace import (
 )
 from .analysis import ud1_check
 from .dynamics import ErgodicityDecision, lambda_rows, transitive_mod
-from .verdict import CriterionVerdict, failing, passing
+from .verdict import CriterionVerdict, failing, passing, require_agreement
 
 # ---------------------------------------------------------------------
 # p = 2
@@ -144,275 +145,171 @@ def vdp_ergodic_p2(series: CoefficientSeries) -> CriterionVerdict:
     return _p2_verdict("vdp", series, vdp_ergodic_p2_rows, _VERG_P2)
 
 
-def vdp_from_mahler_p2(c: Sequence[int]) -> tuple[int, int, int, int]:
-    """Exact change of basis on the first four normalized terms."""
-    c0, c1, c2, c3 = (int(x) for x in c)
-    return (c0, c0 + c1, c1 + c2, c1 + 3 * c2 + c3)
-
-
-def mahler_from_vdp_p2(b: Sequence[int]) -> tuple[int, int, int, int]:
-    b0, b1, b2, b3 = (int(x) for x in b)
-    return (b0, -b0 + b1, b0 - b1 + b2, -2 * b0 + 2 * b1 - 3 * b2 + b3)
-
-
 # ---------------------------------------------------------------------
 # p = 3 case tables
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Case:
-    table: str
-    case: str
-    selector: tuple[int, ...]
-    conditions: tuple[tuple[int, tuple[int, ...]], ...]
+_BASE3 = 3 ** np.arange(6)
 
 
-_CASES_CACHE: dict[str, tuple[_Case, ...]] | None = None
-
-
-def _load_cases() -> dict[str, tuple[_Case, ...]]:
-    global _CASES_CACHE
-    if _CASES_CACHE is None:
-        text = (
-            importlib.resources.files("padicdyn")
-            .joinpath("data/ergodic_cases_p3.txt")
-            .read_text()
-        )
-        tables: dict[str, list[_Case]] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            table, case, sel, *conds = line.split("|")
-            selector = tuple(int(x) for x in sel.split(","))
-            parsed = []
-            for cond in conds:
-                const, coefs = cond.split(":")
-                parsed.append((int(const), tuple(int(x) for x in coefs.split(","))))
-            tables.setdefault(table, []).append(
-                _Case(table, case, selector, tuple(parsed))
+@functools.cache
+def _case_tables() -> dict[str, tuple]:
+    """Each case table of data/ergodic_cases_p3.txt as (names, cases,
+    constants, coefficients): cases[s] is the case whose selector, read as
+    base-3 digits s_0 + 3 s_1 + ..., is s (-1: none), and case i passes when
+    constants[i, j] + coefficients[i, j] . variables is nonzero mod 9 for
+    both of its conditions j."""
+    text = importlib.resources.files("padicdyn").joinpath("data/ergodic_cases_p3.txt")
+    lines = {}
+    for line in map(str.strip, text.read_text().splitlines()):
+        if line and not line.startswith("#"):
+            table, case, selector, *conditions = line.split("|")
+            lines.setdefault(table, []).append(
+                (case, selector.split(","), [c.split(":") for c in conditions])
             )
-        _CASES_CACHE = {k: tuple(v) for k, v in tables.items()}
-        for name, want in (("deg8", 8), ("ergbm", 8), ("ergbm2", 8)):
-            if len(_CASES_CACHE.get(name, ())) != want:
-                raise InternalCheckError(f"case table {name} is incomplete")
-    return _CASES_CACHE
+    tables = {}
+    for table, cases in lines.items():
+        names, selectors, conditions = zip(*cases)
+        lookup = np.full(3**6, -1)
+        lookup[np.array(selectors, dtype=np.int64) @ _BASE3] = np.arange(len(names))
+        constants = np.array([[const for const, _ in case] for case in conditions], dtype=np.int64)
+        coefficients = np.array([[coefs.split(",") for _, coefs in case] for case in conditions],
+                                dtype=np.int64)
+        tables[table] = (names, lookup, constants, coefficients)
+    for table in ("deg8", "ergbm", "ergbm2"):
+        if table not in tables or len(tables[table][0]) != 8:
+            raise InternalCheckError(f"case table {table} is incomplete")
+    return tables
 
 
-def _match_case(table: str, selector: Sequence[int]) -> _Case | None:
-    for case in _load_cases()[table]:
-        if tuple(selector) == case.selector:
-            return case
-    return None
+# The p = 3 criteria in row-wise form: each row is the coefficients
+# alpha_0..alpha_8 of one polynomial or the first nine terms of one series.
+# Each returns (first, case, selectors, variables): first[i] indexes
+# _P3_CHECKS at row i's first failing check (-1 when every check holds),
+# case[i] is the case its selector matches (-1: none), and the selectors
+# mod 3 and the variables mod 9 are what the case table read.
+
+_P3_CHECKS = ("normalization", "ud1-precondition", "no-case", "cond1", "cond2")
 
 
-def _evaluate_case(
-    name: str, table: str, selector: Sequence[int], variables: Sequence[int]
-) -> CriterionVerdict:
-    case = _match_case(table, selector)
-    if case is None:
-        return failing(name, "no-case", witness={"selector": list(selector)})
-    for idx, (const, coefs) in enumerate(case.conditions, start=1):
-        value = (const + sum(c * v for c, v in zip(coefs, variables))) % 9
-        if value == 0:
-            return failing(
-                name,
-                f"case-{case.case}-cond{idx}",
-                witness={"selector": list(selector), "value": value},
-            )
-    return passing(name, case=case.case)
+def case_table_rows(table: str, selectors, variables, refused, outside):
+    """(first, case) over a case table, row by row: a row refused by
+    normalization, then one outside the differentiable-mod-3 class, then one
+    whose selector (mod 3) matches no case fails; a matched case fails at
+    its first condition that vanishes mod 9 on the variables (mod 9)."""
+    _, cases, constants, coefficients = _case_tables()[table]
+    case = cases[selectors @ _BASE3]
+    vanish = (constants[case] + (coefficients[case] @ variables[:, :, None])[:, :, 0]) % 9 == 0
+    first = np.where(vanish[:, 0], 3, np.where(vanish[:, 1], 4, -1))
+    for check, bad in ((2, case < 0), (1, outside), (0, refused)):  # last wins
+        first = np.where(bad, check, first)
+    return first, case
 
 
-def deg8_selector(alphas: Sequence[int]) -> tuple[int, ...]:
-    a = [int(x) for x in alphas]
-    a += [0] * (9 - len(a))
-    A1 = sum(a[i] for i in (1, 3, 5, 7))
-    A2 = sum(a[i] for i in (2, 4, 6, 8))
-    D1 = sum(i * a[i] for i in range(9))
-    D2 = sum(i * a[i] * (1 if (i - 1) % 2 == 0 else -1) for i in range(9))
-    return tuple(x % 3 for x in (a[0], A1, A2, a[1], D1, D2))
+# the deg8 selector as columns over alpha_0..alpha_8
+_DEG8_SELECTOR = np.array([
+    [i == 0, i % 2, i > 0 and i % 2 == 0, i == 1, i, i if i % 2 else -i] for i in range(9)
+], dtype=np.int64)
+
+
+def deg8_minimal_p3_rows(coeffs):
+    """The deg8 table on alpha_i mod 9 with selector [alpha_0, A1, A2,
+    alpha_1, D1, D2] mod 3, where A1 = alpha_1 + alpha_3 + alpha_5 + alpha_7,
+    A2 = alpha_2 + alpha_4 + alpha_6 + alpha_8, D1 = sum i alpha_i and
+    D2 = sum (-1)^(i-1) i alpha_i, row by row."""
+    a = (np.asarray(coeffs) % 9).astype(np.int64)
+    selectors, never = a @ _DEG8_SELECTOR % 3, np.zeros(len(a), dtype=bool)
+    return (*case_table_rows("deg8", selectors, a, never, never), selectors, a)
+
+
+_LEAD = np.array([1, 1, 1, 3, 3, 3, 3, 3, 3])  # 3^e(n) for n < 9
+
+
+def _nine_normals(terms):
+    """(refused, normals): whether one of terms 3..8 is not divisible by 3,
+    and the normalized terms t_n / 3^e(n) mod 9 of terms known mod 3^3."""
+    t = (np.asarray(terms)[:, :9] % 27).astype(np.int64)
+    return (t % _LEAD).any(axis=1), t // _LEAD % 9
+
+
+def mahler_ergodic_p3_rows(terms):
+    """Normalized Mahler terms c_0..c_8 mod 9, in the differentiable-mod-3
+    class when 3 divides c_6, c_7 and c_8, on the ergbm table with selector
+    c_0..c_5 mod 3, row by row."""
+    refused, c = _nine_normals(terms)
+    selectors, outside = c[:, :6] % 3, (c[:, 6:] % 3 != 0).any(axis=1)
+    return (*case_table_rows("ergbm", selectors, c, refused, outside), selectors, c)
+
+
+def vdp_ergodic_p3_rows(terms):
+    """Normalized van der Put terms b_0..b_8 mod 9, in the differentiable-mod-3
+    class when b_{m+3} = 2 b_m mod 3 for m = 3..5, on the ergbm2 table with
+    selector b_0..b_5 mod 3, row by row."""
+    refused, b = _nine_normals(terms)
+    selectors, outside = b[:, :6] % 3, ((b[:, 6:] - 2 * b[:, 3:6]) % 3 != 0).any(axis=1)
+    return (*case_table_rows("ergbm2", selectors, b, refused, outside), selectors, b)
+
+
+# kind: (its case table, its row form)
+_P3 = {
+    "deg8": ("deg8", deg8_minimal_p3_rows),
+    "mahler": ("ergbm", mahler_ergodic_p3_rows),
+    "vdp": ("ergbm2", vdp_ergodic_p3_rows),
+}
+
+
+def _p3_verdict(kind: str, row, series: CoefficientSeries | None) -> CriterionVerdict:
+    """The verdict on one row, the one-row case of a row-wise p = 3
+    criterion; series is the row's series, None for polynomial coefficients."""
+    table, rows = _P3[kind]
+    first, case, selectors, c = (x[0].tolist() for x in rows(np.asarray([row])))
+    name, names = f"{kind}-ergodic-p3", _case_tables()[table][0]
+    if first < 0:
+        return passing(name, case=names[case])
+    if first == 2:
+        return failing(name, "no-case", witness={"selector": selectors})
+    if first > 2:
+        return failing(name, f"case-{names[case]}-{_P3_CHECKS[first]}",
+                       witness={"selector": selectors, "value": 0})
+    if first == 0:
+        i = next(i for i in range(3, 9) if series.term(i) % 3)
+        witness = {"error": str(series.normalization_error(i))}
+    elif kind == "mahler":
+        witness = {"c6": c[6], "c7": c[7], "c8": c[8]}
+    else:
+        m = next(m for m in (3, 4, 5) if (c[m + 3] - 2 * c[m]) % 3)
+        witness = {"m": m, "b_m": c[m], "b_m3": c[m + 3]}
+    return failing(name, _P3_CHECKS[first], witness=witness, depth=series.exponent)
 
 
 def deg8_minimal_p3(alphas: Sequence[int]) -> CriterionVerdict:
     """Ergodicity on Z_3 of a degree <= 8 integer polynomial from its
-    coefficients, via the selector/case table mod 9."""
-    alphas = [int(x) for x in alphas]
+    coefficients: the one-row case of `deg8_minimal_p3_rows`."""
+    alphas = [int(x) % 9 for x in alphas]
     if len(alphas) > 9:
         raise InputError("deg8_minimal_p3 expects at most 9 coefficients")
-    alphas += [0] * (9 - len(alphas))
-    sel = deg8_selector(alphas)
-    return _evaluate_case(
-        "deg8-ergodic-p3", "deg8", sel, [x % 9 for x in alphas]
-    )
+    return _p3_verdict("deg8", alphas + [0] * (9 - len(alphas)), None)
 
 
-def _nine_normals(series: CoefficientSeries) -> list[int]:
+def _p3_series_verdict(kind: str, series: CoefficientSeries) -> CriterionVerdict:
+    if series.kind != kind or series.prime != 3:
+        raise InputError(f"{kind}_ergodic_p3 expects a {kind} series over p=3")
     if len(series) < 9 or series.exponent < 3:
         raise InputError("need at least 9 terms at precision 3^3")
-    return [series.normalized(i, 2) for i in range(9)]
+    return _p3_verdict(kind, series.terms[:9], series)
 
 
 def mahler_ergodic_p3(series: CoefficientSeries) -> CriterionVerdict:
-    """Ergodicity on Z_3 from normalized Mahler terms c_n = a_n / 3^e(n).
-
-    Selector is [c_0..c_5] mod 3; the matched case's two affine forms in
-    c_0..c_8 must be nonzero mod 9.  Inputs must lie in the
-    differentiable-mod-3 class: 9 | a_n for n = 6..8.
-    """
-    if series.kind != "mahler" or series.prime != 3:
-        raise InputError("mahler_ergodic_p3 expects a mahler series over p=3")
-    name = "mahler-ergodic-p3"
-    try:
-        c = _nine_normals(series)
-    except NormalizationError as exc:
-        return failing(name, "normalization", witness={"error": str(exc)},
-                       depth=series.exponent)
-    if any(c[i] % 3 != 0 for i in (6, 7, 8)):
-        return failing(
-            name, "ud1-precondition",
-            witness={"c6": c[6], "c7": c[7], "c8": c[8]},
-            depth=series.exponent,
-        )
-    sel = tuple(x % 3 for x in c[:6])
-    return _evaluate_case(name, "ergbm", sel, c)
+    """Ergodicity on Z_3 from Mahler terms: the one-row case of
+    `mahler_ergodic_p3_rows`."""
+    return _p3_series_verdict("mahler", series)
 
 
 def vdp_ergodic_p3(series: CoefficientSeries) -> CriterionVerdict:
-    """Ergodicity on Z_3 from normalized van der Put terms b_m = B_m / 3^e(m).
-
-    Selector is [b_0..b_5] mod 3; inputs in the differentiable-mod-3 class
-    also satisfy b_{m+3} = 2 b_m mod 3 for m = 3..5, which is verified.
-    """
-    if series.kind != "vdp" or series.prime != 3:
-        raise InputError("vdp_ergodic_p3 expects a vdp series over p=3")
-    name = "vdp-ergodic-p3"
-    try:
-        b = _nine_normals(series)
-    except NormalizationError as exc:
-        return failing(name, "normalization", witness={"error": str(exc)},
-                       depth=series.exponent)
-    for m in (3, 4, 5):
-        if (b[m + 3] - 2 * b[m]) % 3 != 0:
-            return failing(
-                name, "ud1-precondition",
-                witness={"m": m, "b_m": b[m], "b_m3": b[m + 3]},
-                depth=series.exponent,
-            )
-    sel = tuple(x % 3 for x in b[:6])
-    return _evaluate_case(name, "ergbm2", sel, b)
-
-
-def case_table_mask(table: str, variables: np.ndarray, selectors: np.ndarray) -> np.ndarray:
-    """Vectorized case-table evaluation.
-
-    variables is (N, 9) mod 9, selectors is (N, 6) mod 3; returns a boolean
-    array marking rows whose selector matches a case and whose affine
-    conditions are all nonzero mod 9.
-    """
-    variables = np.asarray(variables, dtype=np.int64) % 9
-    selectors = np.asarray(selectors, dtype=np.int64) % 3
-    out = np.zeros(len(variables), dtype=bool)
-    for case in _load_cases()[table]:
-        hit = (selectors == np.array(case.selector, dtype=np.int64)).all(axis=1)
-        if not hit.any():
-            continue
-        good = hit.copy()
-        for const, coefs in case.conditions:
-            vals = (variables @ np.array(coefs, dtype=np.int64) + const) % 9
-            good &= vals != 0
-        out |= good
-    return out
-
-
-# exact basis matrices for p = 3 cross-validation ---------------------
-
-# alpha_i from (c_0..c_5, c_6/3, c_7/3, c_8/3), upper triangular mod 9
-RELPIS3 = (
-    (1, 0, 0, 0, 0, 0, 0, 0, 0),
-    (0, 1, 4, 1, 6, 6, 3, 0, 0),
-    (0, 0, 5, 3, 7, 1, 5, 0, 0),
-    (0, 0, 0, 5, 6, 2, 0, 2, 5),
-    (0, 0, 0, 0, 8, 2, 5, 6, 4),
-    (0, 0, 0, 0, 0, 7, 6, 2, 8),
-    (0, 0, 0, 0, 0, 0, 8, 3, 1),
-    (0, 0, 0, 0, 0, 0, 0, 5, 5),
-    (0, 0, 0, 0, 0, 0, 0, 0, 4),
-)
-
-# [alpha_0, A1, A2, alpha_1, D1, D2] from [c_0..c_5], mod 3
-SELECTOR_FROM_MAHLER_P3 = (
-    (1, 0, 0, 0, 0, 0),
-    (0, 1, 1, 0, 0, 0),
-    (0, 0, 2, 0, 0, 0),
-    (0, 1, 1, 1, 0, 0),
-    (0, 1, 2, 1, 1, 0),
-    (0, 1, 0, 1, 2, 1),
-)
-
-# normalized Mahler terms from normalized van der Put terms, exact integers
-MMP_P3 = (
-    (1, 0, 0, 0, 0, 0, 0, 0, 0),
-    (-1, 1, 0, 0, 0, 0, 0, 0, 0),
-    (1, -2, 1, 0, 0, 0, 0, 0, 0),
-    (0, 1, -1, 1, 0, 0, 0, 0, 0),
-    (-1, -1, 2, -4, 1, 0, 0, 0, 0),
-    (3, 0, -3, 10, -5, 1, 0, 0, 0),
-    (-6, 3, 3, -20, 15, -6, 1, 0, 0),
-    (9, -9, 0, 35, -35, 21, -7, 1, 0),
-    (-9, 18, -9, -56, 70, -56, 28, -8, 1),
-)
-
-
-def alpha_from_mahler_p3(cvec: Sequence[int]) -> tuple[int, ...]:
-    """Polynomial coefficients mod 9 from (c_0..c_5, c_6/3, c_7/3, c_8/3)."""
-    c = [int(x) for x in cvec]
-    if len(c) != 9:
-        raise InputError("expected 9 entries")
-    return tuple(sum(r * v for r, v in zip(row, c)) % 9 for row in RELPIS3)
-
-
-def mahler_from_alpha_p3(alphas: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of alpha_from_mahler_p3 (back substitution mod 9)."""
-    a = [int(x) % 9 for x in alphas]
-    if len(a) != 9:
-        raise InputError("expected 9 entries")
-    x = [0] * 9
-    for i in range(8, -1, -1):
-        acc = a[i]
-        for j in range(i + 1, 9):
-            acc -= RELPIS3[i][j] * x[j]
-        x[i] = (acc * inverse_mod(RELPIS3[i][i], 9)) % 9
-    return tuple(x)
-
-
-def selector_from_mahler_p3(cvec6: Sequence[int]) -> tuple[int, ...]:
-    c = [int(x) for x in cvec6[:6]]
-    return tuple(
-        sum(r * v for r, v in zip(row, c)) % 3 for row in SELECTOR_FROM_MAHLER_P3
-    )
-
-
-def mahler_normals_from_vdp_p3(bvec: Sequence[int]) -> tuple[int, ...]:
-    """Exact integer change of basis c = M b on the first nine normals."""
-    b = [int(x) for x in bvec]
-    if len(b) != 9:
-        raise InputError("expected 9 entries")
-    return tuple(sum(r * v for r, v in zip(row, b)) for row in MMP_P3)
-
-
-def vdp_normals_from_mahler_p3(cvec: Sequence[int]) -> tuple[int, ...]:
-    """Exact inverse of mahler_normals_from_vdp_p3 (unit lower triangular)."""
-    c = [int(x) for x in cvec]
-    if len(c) != 9:
-        raise InputError("expected 9 entries")
-    b = [0] * 9
-    for i in range(9):
-        acc = c[i]
-        for j in range(i):
-            acc -= MMP_P3[i][j] * b[j]
-        b[i] = acc
-    return tuple(b)
+    """Ergodicity on Z_3 from van der Put terms: the one-row case of
+    `vdp_ergodic_p3_rows`."""
+    return _p3_series_verdict("vdp", series)
 
 
 # ---------------------------------------------------------------------
@@ -426,14 +323,11 @@ def _validate_phi(p: int, phi: Sequence[int]) -> tuple[int, ...]:
         raise InputError(f"phi must list {p} values")
     if sorted(phi) != list(range(p)):
         raise InputError("phi must be a permutation of 0..p-1")
-    x, seen = 0, 0
-    for _ in range(p):
+    x = 0
+    for _ in range(p - 1):  # a permutation whose orbit of 0 is all of 0..p-1
         x = phi[x]
-        seen += 1
         if x == 0:
-            break
-    if not (x == 0 and seen == p):
-        raise InputError("phi must be a single p-cycle")
+            raise InputError("phi must be a single p-cycle")
     return phi
 
 
@@ -443,10 +337,7 @@ def _validate_bvec(p: int, bvec: Sequence[int]) -> tuple[int, ...]:
         raise InputError(f"bvec must list {p} values")
     if any(v == 0 for v in bvec):
         raise InputError("bvec entries must be units mod p")
-    prod = 1
-    for v in bvec:
-        prod = (prod * v) % p
-    if prod != 1:
+    if math.prod(bvec) % p != 1:
         raise InputError("bvec must have product 1 mod p")
     return bvec
 
@@ -467,9 +358,7 @@ def p5_solve_base(p: int, phi: Sequence[int]) -> tuple[int, ...]:
     return tuple(e.tolist())
 
 
-def p5_solve_branch(
-    p: int, e_base: Sequence[int], bvec: Sequence[int]
-) -> tuple[int, ...]:
+def p5_solve_branch(p: int, e_base: Sequence[int], bvec: Sequence[int]) -> tuple[int, ...]:
     """Next p Mahler residues from branch targets via the lambda form:
     sum_n lambda_n^i e_n + sum_{n<=i} C(i,n) e_{p+n} = b_i mod p."""
     bvec = _validate_bvec(p, bvec)
@@ -513,9 +402,7 @@ def p5_conditions(f: PadicFunction) -> dict:
         raise InputError("need depth >= 2")
     out = {}
     out["transitive_mod_p"] = transitive_mod(f, 1)
-    prod = 1
-    for j in range(p):
-        prod = (prod * f.vdp_window.normalized(j + p, 1)) % p
+    prod = math.prod(f.vdp_window.normalized(j + p, 1) for j in range(p)) % p
     out["branch_product"] = (
         passing("branch-product-unit", product=prod)
         if prod == 1
@@ -535,12 +422,8 @@ def p5_conditions(f: PadicFunction) -> dict:
     return out
 
 
-def p5_instance(
-    p: int,
-    phi: Sequence[int],
-    bvec: Sequence[int],
-    lift: Sequence[int] | None = None,
-) -> P5Instance:
+def p5_instance(p: int, phi: Sequence[int], bvec: Sequence[int],
+                lift: Sequence[int] | None = None) -> P5Instance:
     """Build a function with prescribed level-1 data.
 
     phi fixes the reduction mod p, bvec the branch residues; lift adds
@@ -551,9 +434,7 @@ def p5_instance(
     """
     phi, bvec, lift, series, f = _p5_function(p, phi, bvec, lift)
     conditions = p5_conditions(f)
-    return P5Instance(
-        p, phi, bvec, lift, series, f, conditions, conditions["combined"].passed
-    )
+    return P5Instance(p, phi, bvec, lift, series, f, conditions, conditions["combined"].passed)
 
 
 def _p5_function(p, phi, bvec, lift):
@@ -571,25 +452,19 @@ def _p5_function(p, phi, bvec, lift):
         raise InputError(f"lift must list {2 * p} values")
     e_base = p5_solve_base(p, phi)
     e = e_base + p5_solve_branch(p, e_base, bvec)
-    terms = []
-    for m in range(2 * p):
-        scale = p ** floor_log(m, p)
-        terms.append(scale * (e[m] + p * lift[m]))
+    terms = [p ** floor_log(m, p) * (e[m] + p * lift[m]) for m in range(2 * p)]
     series = CoefficientSeries("mahler", p, 3, tuple(terms))
     f = PadicFunction.from_mahler(series)
     # re-extract the targets from the built function
     for i in range(p):
         if f.evaluate(i, 1) != phi[i]:
             raise InternalCheckError(f"instance missed phi at {i}")
-    for i in range(p):
         if f.vdp_window.normalized(i + p, 1) != bvec[i]:
             raise InternalCheckError(f"instance missed branch residue at {i}")
     return phi, bvec, lift, series, f
 
 
-def _mahler_derivative_residues(
-    terms: Sequence[int], xs: Sequence[int], p: int
-) -> list[int]:
+def _mahler_derivative_residues(terms: Sequence[int], xs: Sequence[int], p: int) -> list[int]:
     """Formal derivative of a finite Mahler sum at each integer of xs, mod p.
 
     D = log(1 + Delta) gives L f'(x) = sum_j v_j C(x, j), with L = lcm(1..n-1)
@@ -612,12 +487,7 @@ def _mahler_derivative_residues(
     return out
 
 
-def p5_linear_form(
-    p: int,
-    phi: Sequence[int],
-    bvec: Sequence[int],
-    lift: Sequence[int],
-) -> dict:
+def p5_linear_form(p: int, phi: Sequence[int], bvec: Sequence[int], lift: Sequence[int]) -> dict:
     """Predict the return valuation of a lifted instance without iterating.
 
     With g the unlifted instance and x_j its orbit of 0 mod p, the residue
@@ -677,9 +547,7 @@ def p5_linear_form(
 # power-basis route: solve for polynomial coefficients from reduced data
 
 
-def solve_power_basis_system(
-    p: int, Bvec: Sequence[int], Dvec: Sequence[int]
-) -> tuple[int, ...]:
+def solve_power_basis_system(p: int, Bvec: Sequence[int], Dvec: Sequence[int]) -> tuple[int, ...]:
     """Coefficients alpha_0..alpha_{2p-1} mod p of a polynomial whose
     reduction mod (x^p - x, p) is sum B_j x^j and whose derivative takes the
     values D_k at k = 0..p-1."""
@@ -690,38 +558,14 @@ def solve_power_basis_system(
     Dvec = [int(x) % p for x in Dvec]
     if len(Bvec) != p or len(Dvec) != p:
         raise InputError("Bvec and Dvec must each list p values")
+    # x^i reduces to x^(i - (p-1)) for i >= p: B_j collects alpha_j and
+    # alpha_{p+j-1}, and B_1 also alpha_{2p-1}; the derivative at k is
+    # sum i alpha_i k^(i-1)
     n = 2 * p
-    rows = []
-    rhs = []
-    row = [0] * n
-    row[0] = 1
-    rows.append(row)
-    rhs.append(Bvec[0])
-    row = [0] * n
-    row[1] = 1
-    row[p] = 1
-    row[2 * p - 1] = 1
-    rows.append(row)
-    rhs.append(Bvec[1])
-    for j in range(2, p):
-        row = [0] * n
-        row[j] = 1
-        row[p + j - 1] = 1
-        rows.append(row)
-        rhs.append(Bvec[j])
-    row = [0] * n
-    row[1] = 1
-    rows.append(row)
-    rhs.append(Dvec[0])
-    for k in range(1, p):
-        row = [0] * n
-        acc = 1
-        for i in range(1, n):
-            row[i] = (i * acc) % p
-            acc = (acc * k) % p
-        rows.append(row)
-        rhs.append(Dvec[k])
-    result = solve_fp(rows, rhs, p)
+    rows = [[int(i == 0) for i in range(n)], [int(i in (1, p, n - 1)) for i in range(n)]]
+    rows += [[int(i in (j, p + j - 1)) for i in range(n)] for j in range(2, p)]
+    rows += [[i * pow(k, i - 1, p) % p if i else 0 for i in range(n)] for k in range(p)]
+    result = solve_fp(rows, Bvec + Dvec, p)
     if result.status != "unique":
         raise InternalCheckError(f"power-basis system is {result.status}")
     alphas = result.solution
@@ -752,11 +596,7 @@ def random_transitive_permutation(p: int, rng) -> tuple[int, ...]:
 def random_unit_product_one(p: int, length: int, rng) -> tuple[int, ...]:
     """Uniform vector of units mod p whose product is 1."""
     vec = [rng.randrange(1, p) for _ in range(length - 1)]
-    prod = 1
-    for v in vec:
-        prod = prod * v % p
-    vec.append(inverse_mod(prod, p))
-    return tuple(vec)
+    return tuple(vec + [inverse_mod(math.prod(vec) % p, p)])
 
 
 def interpolate_reduced_p(p: int, values: Sequence[int]) -> tuple[int, ...]:
@@ -817,8 +657,7 @@ def counterexample_catalog() -> tuple[dict, ...]:
 def power_counterexample(p: int) -> PadicFunction:
     """x^p + 1 at depth 2: transitive mod p but never mod p^2."""
     require_prime(p)
-    coeffs = [1] + [0] * (p - 1) + [1]
-    return PadicFunction.from_polynomial(coeffs, p, 2)
+    return PadicFunction.from_polynomial([1] + [0] * (p - 1) + [1], p, 2)
 
 
 def closed_form_ergodic(f: PadicFunction) -> ErgodicityDecision:
@@ -831,41 +670,25 @@ def closed_form_ergodic(f: PadicFunction) -> ErgodicityDecision:
     p = f.prime
     report = ud1_check(f)
     if not report.verdict.passed:
-        raise PreconditionError(
-            "closed-form criteria need a differentiable-mod-p input",
-            report.verdict,
-        )
+        raise PreconditionError("closed-form criteria need a differentiable-mod-p input",
+                                report.verdict)
+    # p: (terms read, Mahler criterion, van der Put criterion, the criterion on
+    # the coefficients of a polynomial of at most that many, its evidence key)
+    forms = {
+        2: (4, mahler_ergodic_p2, vdp_ergodic_p2, larin_transitive_mod8, "cubic"),
+        3: (9, mahler_ergodic_p3, vdp_ergodic_p3, deg8_minimal_p3, "deg8"),
+    }
     evidence = {}
-    if p == 2:
+    if p in forms:
+        count, mahler, vdp, polynomial, key = forms[p]
         if f.depth < 3:
-            raise InputError("need depth >= 3 for the p=2 criteria")
-        m = mahler_ergodic_p2(mahler_coefficients(f, count=4, k=3))
-        v = vdp_ergodic_p2(vdp_coefficients(f, count=4, k=3))
-        if m.passed != v.passed:
-            raise InternalCheckError("p=2 Mahler and van der Put criteria disagree")
-        evidence["mahler"] = m
-        evidence["vdp"] = v
-        if f.kind == "polynomial" and len(f.payload) <= 4:
-            cubic = larin_transitive_mod8(f.payload)
-            if cubic.passed != m.passed:
-                raise InternalCheckError("cubic criterion disagrees at p=2")
-            evidence["cubic"] = cubic
-        ergodic = m.passed
-    elif p == 3:
-        if f.depth < 3:
-            raise InputError("need depth >= 3 for the p=3 criteria")
-        m = mahler_ergodic_p3(mahler_coefficients(f, count=9, k=3))
-        v = vdp_ergodic_p3(vdp_coefficients(f, count=9, k=3))
-        if m.passed != v.passed:
-            raise InternalCheckError("p=3 Mahler and van der Put criteria disagree")
-        evidence["mahler"] = m
-        evidence["vdp"] = v
-        if f.kind == "polynomial" and len(f.payload) <= 9:
-            poly = deg8_minimal_p3(f.payload)
-            if poly.passed != m.passed:
-                raise InternalCheckError("degree-8 criterion disagrees at p=3")
-            evidence["deg8"] = poly
-        ergodic = m.passed
+            raise InputError(f"need depth >= 3 for the p={p} criteria")
+        evidence["mahler"] = mahler(mahler_coefficients(f, count=count, k=3))
+        evidence["vdp"] = vdp(vdp_coefficients(f, count=count, k=3))
+        if f.kind == "polynomial" and len(f.payload) <= count:
+            evidence[key] = polynomial(f.payload)
+        require_agreement("ergodicity", *evidence.values())
+        ergodic = evidence["mahler"].passed
     else:
         conditions = p5_conditions(f)
         evidence.update({k: v for k, v in conditions.items() if k != "combined"})

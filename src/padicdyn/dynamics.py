@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InputError, InternalCheckError, PreconditionError
 from .funcspace import CoefficientSeries, PadicFunction
 from .funcspace import mahler_coefficients, vdp_coefficients
-from .verdict import CriterionVerdict, failing, passing
+from .verdict import CriterionVerdict, failing, passing, require_agreement
 from .analysis import ud1_check
 
 
@@ -369,12 +369,7 @@ def decide_ergodicity(f: PadicFunction) -> ErgodicityDecision:
     if polynomial:
         evidence["threshold"] = transitive_mod(g, mu)
         checks.append(evidence["threshold"])
-    for check in checks:
-        if check.passed != oracle.passed:
-            raise InternalCheckError(
-                f"ergodicity routes disagree: {oracle.criterion} passed={oracle.passed}, "
-                f"{check.criterion} passed={check.passed}"
-            )
+    require_agreement("ergodicity", oracle, *checks)
     return ErgodicityDecision(
         f.prime, oracle.passed, "exhaustive-to-depth", "Z_p" if polynomial else "to-depth", evidence
     )

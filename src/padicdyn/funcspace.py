@@ -2,11 +2,10 @@
 
 A function is carried in one of four interchangeable forms: integer
 polynomial, value table mod p^depth, Mahler coefficient series, or van der
-Put coefficient series.  Coefficient series live mod p^k; conversions
-between the bases are exact modular identities and are cross-checked in
-both directions.  Each form also yields one exact value array over a
-window of arguments, from which both series, every level table and every
-reduced map are derived; `evaluate` computes single points.
+Put coefficient series.  Coefficient series live mod p^k.  Each form
+yields one exact value array over a window of arguments, from which both
+series, every level table and every reduced map are derived, so a change
+of basis goes through the values; `evaluate` computes single points.
 """
 
 from __future__ import annotations
@@ -20,12 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import backends
-from .arith import (
-    binomial,
-    m_minus,
-    require_nonnegative,
-    require_prime,
-)
+from .arith import require_nonnegative, require_prime
 from .errors import InputError, NormalizationError, PreconditionError
 from .verdict import CriterionVerdict, failing, passing
 
@@ -574,36 +568,6 @@ def mahler_coefficients(
     check_mahler_length(f.prime, f.depth, count)
     terms = backends.mahler_batch(f.value_array(count)[None, :], f.prime**k, floors)[0]
     return CoefficientSeries("mahler", f.prime, k, terms)
-
-
-def binomial_vdp_coefficient(m: int, n: int, p: int) -> int:
-    """Exact van der Put coefficient A_m(n) of the binomial function C(., n)."""
-    require_prime(p)
-    require_nonnegative(m, "m")
-    require_nonnegative(n, "n")
-    if m < p:
-        return binomial(m, n)
-    return binomial(m, n) - binomial(m_minus(m, p), n)
-
-
-def mahler_to_vdp(
-    series: CoefficientSeries, count: int | None = None
-) -> CoefficientSeries:
-    """van der Put coefficients of a finite Mahler sum, mod p^k."""
-    if series.kind != "mahler":
-        raise InputError("mahler_to_vdp expects a mahler series")
-    if count is None:
-        count = len(series)
-    mod = series.modulus
-    out = []
-    for m in range(count):
-        acc = 0
-        for n in range(min(m, len(series) - 1) + 1):
-            c = binomial_vdp_coefficient(m, n, series.prime)
-            if c:
-                acc += c * series.term_list[n]
-        out.append(acc % mod)
-    return CoefficientSeries("vdp", series.prime, series.exponent, tuple(out))
 
 
 def lipschitz_check(series: CoefficientSeries) -> CriterionVerdict:

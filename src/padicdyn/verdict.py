@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from .errors import InternalCheckError
+
 
 def _jsonify(obj):
     """Render nested payloads with every integer as a decimal string."""
@@ -65,3 +67,11 @@ def failing(
     return CriterionVerdict(
         False, criterion, condition=condition, witness=witness, depth=depth, details=details
     )
+
+
+def require_agreement(quantity: str, *verdicts: CriterionVerdict) -> None:
+    """Raise InternalCheckError (exit 3) naming every route and its verdict
+    when routes to one quantity disagree."""
+    if len({v.passed for v in verdicts}) > 1:
+        routes = ", ".join(f"{v.criterion} passed={v.passed}" for v in verdicts)
+        raise InternalCheckError(f"{quantity} routes disagree: {routes}")

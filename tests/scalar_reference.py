@@ -6,8 +6,9 @@ value array, before transitivity and the escape residues were read from
 one cached walk of 0, before the level products of the ergodicity conditions were
 counted per residue, before the lambda form came from Pascal rows mod p
 (its exact coefficients are kept here), before the formal derivative of a Mahler sum was converted to
-the power basis once for all points, and before the coefficient routes
-and Larin's cubic criterion became mask passes over a term array: every value comes from
+the power basis once for all points, and before the coefficient routes,
+Larin's cubic criterion and the p = 3 case tables became mask passes over a
+term array: every value comes from
 `PadicFunction.evaluate`, from exact rationals or from one term at a time
 (`CoefficientSeries.term` and `normalized`), every loop is plain Python.
 They are slow on purpose and serve only as independent references in
@@ -32,6 +33,7 @@ prescribed p >= 5 instance, and transitivity of a batch of polynomials.
 
 import math
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 
@@ -400,6 +402,54 @@ def vdp_ergodic_p2_reference(series: CoefficientSeries):
             return failing(name, label, witness={"value": got, "expected": want},
                            depth=series.exponent)
     return passing(name, depth=series.exponent)
+
+
+def case_table_reference(kind: str, row):
+    """A p = 3 criterion on one row, one check, one case and one condition at
+    a time: kind "deg8" on polynomial coefficients, "mahler" or "vdp" on a
+    series of that kind."""
+    name = f"{kind}-ergodic-p3"
+    if kind == "deg8":
+        if len(row) > 9:
+            raise InputError("deg8_minimal_p3 expects at most 9 coefficients")
+        a = [int(x) for x in row] + [0] * (9 - len(row))
+        selector = [x % 3 for x in (a[0], sum(a[1::2]), sum(a[2::2]), a[1],
+                                    sum(i * x for i, x in enumerate(a)),
+                                    sum(i * x * (1 if i % 2 else -1) for i, x in enumerate(a)))]
+        variables = [x % 9 for x in a]
+    else:
+        if row.kind != kind or row.prime != 3:
+            raise InputError(f"{kind}_ergodic_p3 expects a {kind} series over p=3")
+        if len(row) < 9 or row.exponent < 3:
+            raise InputError("need at least 9 terms at precision 3^3")
+        try:
+            variables = c = [row.normalized(i, 2) for i in range(9)]
+        except NormalizationError as exc:
+            return failing(name, "normalization", witness={"error": str(exc)}, depth=row.exponent)
+        for m in (3, 4, 5):
+            if kind == "mahler" and c[m + 3] % 3:
+                witness = {"c6": c[6], "c7": c[7], "c8": c[8]}
+            elif kind == "vdp" and (c[m + 3] - 2 * c[m]) % 3:
+                witness = {"m": m, "b_m": c[m], "b_m3": c[m + 3]}
+            else:
+                continue
+            return failing(name, "ud1-precondition", witness=witness, depth=row.exponent)
+        selector = [x % 3 for x in c[:6]]
+    table = {"deg8": "deg8", "mahler": "ergbm", "vdp": "ergbm2"}[kind]
+    cases = resources.files("padicdyn").joinpath("data/ergodic_cases_p3.txt").read_text()
+    for line in cases.splitlines():
+        if not line.startswith(table + "|"):
+            continue
+        _, case, keys, *conditions = line.split("|")
+        if [int(x) for x in keys.split(",")] == selector:
+            for j, condition in enumerate(conditions, start=1):
+                const, coefs = condition.split(":")
+                value = int(const) + sum(int(k) * x for k, x in zip(coefs.split(","), variables))
+                if value % 9 == 0:
+                    witness = {"selector": selector, "value": 0}
+                    return failing(name, f"case-{case}-cond{j}", witness=witness)
+            return passing(name, case=case)
+    return failing(name, "no-case", witness={"selector": selector})
 
 
 def outcome(call, *args):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import padicdyn
-from padicdyn import backends, cli, criteria, dynamics, funcspace, identities
+from padicdyn import analysis, backends, cli, criteria, dynamics, funcspace, identities
 from padicdyn.errors import InputError, InternalCheckError
 from padicdyn.funcspace import PadicFunction, vdp_coefficients
 from scalar_reference import random_ud1_mahler_series
@@ -550,6 +550,11 @@ def test_classify_rejects_ud1_maps_the_closed_form_admits(capsys, monkeypatch, d
     assert payload["closed_form"]["scope"] == "Z_p"
 
 
+def _flipped(route):
+    """route with every verdict it returns negated."""
+    return lambda *args: dataclasses.replace(verdict := route(*args), passed=not verdict.passed)
+
+
 @pytest.mark.parametrize("values", [TWO_CYCLES_MOD_16["values"], [(x + 1) % 16 for x in range(16)]])
 def test_classify_exits_3_when_the_ergodicity_routes_disagree(capsys, monkeypatch, values):
     conditions = dynamics.ergodic_conditions
@@ -568,6 +573,30 @@ def test_classify_exits_3_when_the_ergodicity_routes_disagree(capsys, monkeypatc
     assert code == 3 and out == ""
     assert f"ergodic-oracle passed={oracle}" in err
     assert f"ergodic-conditions passed={not oracle}" in err
+
+
+@pytest.mark.parametrize("module, name, argv, routes", [
+    (criteria, "vdp_ergodic_p2", "classify x+1 -p 2 --depth 3", "ergodicity routes disagree: "
+     "mahler-ergodic-p2 passed=True, vdp-ergodic-p2 passed=False, cubic-ergodic-p2 passed=True"),
+    (criteria, "larin_transitive_mod8", "classify x+1 -p 2 --depth 3", "ergodicity routes disagree: "
+     "mahler-ergodic-p2 passed=True, vdp-ergodic-p2 passed=True, cubic-ergodic-p2 passed=False"),
+    (criteria, "vdp_ergodic_p3", "classify x+1 -p 3 --depth 3", "ergodicity routes disagree: "
+     "mahler-ergodic-p3 passed=True, vdp-ergodic-p3 passed=False, deg8-ergodic-p3 passed=True"),
+    (criteria, "deg8_minimal_p3", "classify x+1 -p 3 --depth 3", "ergodicity routes disagree: "
+     "mahler-ergodic-p3 passed=True, vdp-ergodic-p3 passed=True, deg8-ergodic-p3 passed=False"),
+    (analysis, "vdp_ud1_relations_check", "classify x+1 -p 3 --depth 3", "differentiability routes "
+     "disagree: ud1-direct passed=True, ud1-vdp-relations passed=False, ud1-mahler-predicate passed=True"),
+    (dynamics, "ergodic_oracle", "generate -p 5 --seed 1", "ergodicity routes disagree: "
+     "ergodic-p5 passed=True, ergodic-oracle passed=False"),
+    (dynamics, "ergodic_oracle", "generate -p 5 --route poly --seed 1", "ergodicity routes disagree: "
+     "ergodic-p5 passed=True, ergodic-oracle passed=False"),
+])
+def test_exit_3_names_the_routes_that_disagree_and_their_verdicts(capsys, monkeypatch, module, name,
+                                                                  argv, routes):
+    monkeypatch.setattr(module, name, _flipped(getattr(module, name)))
+    code, out, err = _run(capsys, argv.split())
+    assert code == 3 and out == ""
+    assert err == f"internal check failed: {routes}\n"
 
 
 def test_classify_builds_the_window_series_and_its_verdict_once(capsys, monkeypatch):
@@ -928,14 +957,9 @@ def test_classify_exits_3_when_a_ud_criterion_disagrees(capsys, monkeypatch, p, 
     # x+1 preserves measure and x^2 does not; the flipped criterion disagrees
     # with the van der Put route either way
     criterion = getattr(dynamics, route)
-
-    def flipped(f):
-        verdict = criterion(f)
-        return dataclasses.replace(verdict, passed=not verdict.passed)
-
     argv = ["classify", text, "-p", str(p)]
     preserving = json.loads(_run(capsys, argv)[1])["measure_preserving"]["pass"]
-    monkeypatch.setattr(dynamics, route, flipped)
+    monkeypatch.setattr(dynamics, route, _flipped(criterion))
     code, out, err = _run(capsys, argv)
     assert code == 3 and out == ""
     name = criterion.__name__.replace("_", "-")

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -18,28 +19,53 @@ from scalar_reference import random_p5_instance
 # -- p = 2 ------------------------------------------------------------
 
 
+# The paper's changes of basis, as literal data, against the package's one
+# path: a function built from one basis and read in the other, through its
+# values.
+
+
+def _changes_basis(matrix, f, source, target, k):
+    """matrix maps f's first normalized source terms to its target terms,
+    to the precision both are known to (p^(k-1))."""
+    read = {"mahler": mahler_coefficients, "vdp": vdp_coefficients}
+    x, y = (np.array(read[kind](f, len(matrix), k).normalized_terms(), dtype=object)
+            for kind in (source, target))
+    return ((np.array(matrix) @ x - y) % f.prime ** (k - 1) == 0).all()
+
+
+def _random_series(rng, kind, p, k, count):
+    """Random normalized terms of a series of the given kind, as raw terms."""
+    return CoefficientSeries(kind, p, k, [p ** (n >= p) * rng.randrange(p ** (k - 1)) for n in range(count)])
+
+
+# normalized van der Put terms b_m = B_m / 2^e(m) from normalized Mahler terms
+# c_n = a_n / 2^e(n) at p = 2: b = RELMV c, exact
+RELMV = ((1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (0, 1, 3, 1))
+
+
 def test_relmv_frozen_vectors():
     # 1 + 3x + 2x^3: c = (1,5,6,6), b = (1,6,11,29)
-    assert cr.vdp_from_mahler_p2((1, 5, 6, 6)) == (1, 6, 11, 29)
-    assert cr.mahler_from_vdp_p2((1, 6, 11, 29)) == (1, 5, 6, 6)
+    f = PadicFunction.from_mahler(CoefficientSeries("mahler", 2, 7, (1, 5, 12, 12)))
+    assert vdp_coefficients(f, 4).normalized_terms() == [1, 6, 11, 29]
+    g = PadicFunction.from_vdp(CoefficientSeries("vdp", 2, 7, (1, 6, 22, 58)))
+    assert mahler_coefficients(g, 4).normalized_terms() == [1, 5, 6, 6]
+    assert _changes_basis(RELMV, PadicFunction.from_polynomial([1, 3, 0, 2], 2, 7), "mahler", "vdp", 7)
 
 
 def test_relmv_round_trip_random():
+    # from random normalized Mahler terms, and from random van der Put terms
     rng = random.Random(41)
-    for _ in range(100):
-        c = tuple(rng.randrange(-50, 50) for _ in range(4))
-        assert cr.mahler_from_vdp_p2(cr.vdp_from_mahler_p2(c)) == c
+    for kind, build in (("mahler", PadicFunction.from_mahler), ("vdp", PadicFunction.from_vdp)):
+        for _ in range(50):
+            f = build(_random_series(rng, kind, 2, 7, 4))
+            assert _changes_basis(RELMV, f, "mahler", "vdp", 7)
 
 
 def test_relmv_matches_extraction():
     rng = random.Random(42)
     for _ in range(20):
-        coeffs = [rng.randrange(64) for _ in range(4)]
-        f = PadicFunction.from_polynomial(coeffs, 2, 6)
-        c = [mahler_coefficients(f, 4).normalized(i) for i in range(4)]
-        b = [vdp_coefficients(f, 4).normalized(i) for i in range(4)]
-        mod = 2**5
-        assert [x % mod for x in cr.vdp_from_mahler_p2(c)] == [x % mod for x in b]
+        f = PadicFunction.from_polynomial([rng.randrange(64) for _ in range(4)], 2, 6)
+        assert _changes_basis(RELMV, f, "mahler", "vdp", 6)
 
 
 def test_catalog_is_16_distinct_mod8_maps():
@@ -85,10 +111,9 @@ def test_p2_criteria_match_oracle_random():
 
 def test_case_tables_load_complete():
     for table in ("deg8", "ergbm", "ergbm2"):
-        cases = cr._load_cases()[table]
-        assert len(cases) == 8
-        assert len({c.selector for c in cases}) == 8
-        assert all(len(c.conditions) == 2 for c in cases)
+        names, cases, constants, coefficients = cr._case_tables()[table]
+        assert len(names) == 8 and sorted(cases[cases >= 0]) == list(range(8))
+        assert constants.shape == (8, 2) and coefficients.shape == (8, 2, 9)
 
 
 def test_translation_passes_case_i_everywhere():
@@ -130,68 +155,88 @@ def test_ud1_precondition_verdicts_p3():
     assert not w.passed and w.condition == "ud1-precondition"
 
 
+# polynomial coefficients alpha_i mod 9 from (c_0..c_5, c_6/3, c_7/3, c_8/3),
+# c_n = a_n / 3^e(n) the normalized Mahler terms: alpha = RELPIS3 c mod 9
+RELPIS3 = (
+    (1, 0, 0, 0, 0, 0, 0, 0, 0),
+    (0, 1, 4, 1, 6, 6, 3, 0, 0),
+    (0, 0, 5, 3, 7, 1, 5, 0, 0),
+    (0, 0, 0, 5, 6, 2, 0, 2, 5),
+    (0, 0, 0, 0, 8, 2, 5, 6, 4),
+    (0, 0, 0, 0, 0, 7, 6, 2, 8),
+    (0, 0, 0, 0, 0, 0, 8, 3, 1),
+    (0, 0, 0, 0, 0, 0, 0, 5, 5),
+    (0, 0, 0, 0, 0, 0, 0, 0, 4),
+)
+
+# the deg8 selector [alpha_0, A1, A2, alpha_1, D1, D2] mod 3 from c_0..c_5
+SELECTOR_FROM_MAHLER_P3 = (
+    (1, 0, 0, 0, 0, 0),
+    (0, 1, 1, 0, 0, 0),
+    (0, 0, 2, 0, 0, 0),
+    (0, 1, 1, 1, 0, 0),
+    (0, 1, 2, 1, 1, 0),
+    (0, 1, 0, 1, 2, 1),
+)
+
+# normalized Mahler terms from normalized van der Put terms: c = MMP_P3 b, exact
+MMP_P3 = (
+    (1, 0, 0, 0, 0, 0, 0, 0, 0),
+    (-1, 1, 0, 0, 0, 0, 0, 0, 0),
+    (1, -2, 1, 0, 0, 0, 0, 0, 0),
+    (0, 1, -1, 1, 0, 0, 0, 0, 0),
+    (-1, -1, 2, -4, 1, 0, 0, 0, 0),
+    (3, 0, -3, 10, -5, 1, 0, 0, 0),
+    (-6, 3, 3, -20, 15, -6, 1, 0, 0),
+    (9, -9, 0, 35, -35, 21, -7, 1, 0),
+    (-9, 18, -9, -56, 70, -56, 28, -8, 1),
+)
+
+
+def _relpis3_inputs(alphas):
+    """(c_0..c_5, c_6/3, c_7/3, c_8/3) mod 9 of a polynomial, read at depth 4."""
+    c = mahler_coefficients(PadicFunction.from_polynomial(alphas, 3, 4), 9).normalized_terms()
+    return np.array(c[:6] + [x // 3 for x in c[6:]]) % 9
+
+
 def test_relpis3_frozen_and_inverse():
-    # x^3 has normalized inputs (0,1,6,2,0,0,0,0,0) mapping to coefficient
-    # vector (0,0,0,1,0,...)
-    f = PadicFunction.from_polynomial([0, 0, 0, 1], 3, 4)
-    cm = mahler_coefficients(f, 9)
-    cvec = [cm.normalized(i) for i in range(6)] + [
-        cm.normalized(i) // 3 for i in (6, 7, 8)
-    ]
-    cvec = [x % 9 for x in cvec]
-    assert cr.alpha_from_mahler_p3(cvec) == (0, 0, 0, 1, 0, 0, 0, 0, 0)
-    assert cr.mahler_from_alpha_p3((0, 0, 0, 1, 0, 0, 0, 0, 0)) == tuple(cvec)
+    # x^3: normalized inputs (0,1,6,2,0,0,0,0,0), coefficient vector e_3
+    x3 = _relpis3_inputs([0, 0, 0, 1])
+    assert x3.tolist() == [0, 1, 6, 2, 0, 0, 0, 0, 0]
+    assert (np.array(RELPIS3) @ x3 % 9).tolist() == [0, 0, 0, 1, 0, 0, 0, 0, 0]
+    # unit upper triangular mod 9: the inputs mod 9 are a bijection of alpha mod 9
+    assert not np.tril(RELPIS3, -1).any() and all(math.gcd(d, 3) == 1 for d in np.diag(RELPIS3))
 
 
 def test_relpis3_round_trip_random():
     rng = random.Random(45)
     for _ in range(100):
-        c = tuple(rng.randrange(9) for _ in range(9))
-        assert cr.mahler_from_alpha_p3(cr.alpha_from_mahler_p3(c)) == c
+        alphas = [rng.randrange(-(10**6), 10**6) for _ in range(9)]
+        assert (np.array(RELPIS3) @ _relpis3_inputs(alphas) % 9).tolist() == [a % 9 for a in alphas]
 
 
 def test_selector_matrix_consistent_with_alpha_route():
     rng = random.Random(46)
-    for _ in range(100):
-        c = tuple(rng.randrange(9) for _ in range(9))
-        alphas = cr.alpha_from_mahler_p3(c)
-        assert cr.selector_from_mahler_p3(c[:6]) == cr.deg8_selector(alphas)
+    alphas = [[rng.randrange(27) for _ in range(9)] for _ in range(100)]
+    for row, selector in zip(alphas, cr.deg8_minimal_p3_rows(alphas)[2].tolist()):
+        assert (np.array(SELECTOR_FROM_MAHLER_P3) @ _relpis3_inputs(row)[:6] % 3).tolist() == selector
 
 
 def test_mmp_frozen_and_random_round_trip():
     rng = random.Random(47)
-    # frozen check on x + 1 at high precision
-    f = PadicFunction.from_polynomial([1, 1], 3, 5)
-    b = [vdp_coefficients(f, 9, 5).normalized(i) for i in range(9)]
-    c = [mahler_coefficients(f, 9, 5).normalized(i) for i in range(9)]
-    mod = 3**4
-    assert [x % mod for x in cr.mahler_normals_from_vdp_p3(b)] == [x % mod for x in c]
-    for _ in range(50):
-        b = tuple(rng.randrange(-40, 40) for _ in range(9))
-        assert cr.vdp_normals_from_mahler_p3(cr.mahler_normals_from_vdp_p3(b)) == b
+    assert _changes_basis(MMP_P3, PadicFunction.from_polynomial([1, 1], 3, 5), "vdp", "mahler", 5)
+    # from random normalized van der Put terms, and from random Mahler terms
+    for kind, build in (("vdp", PadicFunction.from_vdp), ("mahler", PadicFunction.from_mahler)):
+        for _ in range(25):
+            f = build(_random_series(rng, kind, 3, 5, 9))
+            assert _changes_basis(MMP_P3, f, "vdp", "mahler", 5)
 
 
 def test_mmp_matches_extraction_random():
     rng = random.Random(48)
     for _ in range(20):
-        coeffs = [rng.randrange(3**5) for _ in range(4)]
-        f = PadicFunction.from_polynomial(coeffs, 3, 5)
-        b = [vdp_coefficients(f, 9, 5).normalized(i) for i in range(9)]
-        c = [mahler_coefficients(f, 9, 5).normalized(i) for i in range(9)]
-        mod = 3**4
-        got = cr.mahler_normals_from_vdp_p3(b)
-        assert [x % mod for x in got] == [x % mod for x in c]
-
-
-def test_case_table_mask_matches_scalar():
-    rng = random.Random(49)
-    alphas = np.array(
-        [[rng.randrange(9) for _ in range(9)] for _ in range(300)], dtype=np.int64
-    )
-    selectors = np.array([cr.deg8_selector(row) for row in alphas], dtype=np.int64)
-    mask = cr.case_table_mask("deg8", alphas, selectors)
-    for row, bit in zip(alphas, mask):
-        assert cr.deg8_minimal_p3(list(row)).passed == bool(bit)
+        f = PadicFunction.from_polynomial([rng.randrange(3**5) for _ in range(4)], 3, 5)
+        assert _changes_basis(MMP_P3, f, "vdp", "mahler", 5)
 
 
 # -- p >= 5 -----------------------------------------------------------

@@ -28,25 +28,15 @@ import padicdyn
 
 PACKAGE = Path(padicdyn.__file__).resolve().parent
 
-_PAPER_TABLE = "paper-table conversion; the acceptance tests check the paper's tables with it"
-
 ALLOWED = {
     "HAVE_NUMBA": "perfbench/worker.py reads it for its environment report",
     "transitive_scan": "perfbench/tracer.py times it as a layer; acceptance 01 runs the census on it",
-    "case_table_mask": _PAPER_TABLE,
-    "vdp_from_mahler_p2": _PAPER_TABLE,
-    "mahler_from_vdp_p2": _PAPER_TABLE,
-    "alpha_from_mahler_p3": _PAPER_TABLE,
-    "mahler_from_alpha_p3": _PAPER_TABLE,
-    "selector_from_mahler_p3": _PAPER_TABLE,
-    "mahler_normals_from_vdp_p3": _PAPER_TABLE,
-    "vdp_normals_from_mahler_p3": _PAPER_TABLE,
-    "mahler_to_vdp": "exact basis conversion; acceptance 10 checks its round trips",
+    "m_minus": "perfbench/tracer.py counts its calls as a layer (0 on every workload); "
+               "dropping that entry is a benchmark change",
     "PadicFunction.value_table": "perfbench/tracer.py times it as a layer; tests compare level tables with it",
 }
 
 _SUITE_RANGE = "an identity-suite range; verify sets it through identities._arguments"
-_CONVERSION = "exact basis conversion; tests convert truncated series with it"
 
 # "function(parameter)" for defaulted parameters that no call in the package sets
 ALLOWED_DEFAULTS = {
@@ -62,7 +52,6 @@ ALLOWED_DEFAULTS = {
     "_instance_counts(s_min)": "bipro's s_min, passed on as **_arguments(...)",
     "from_mahler(depth)": "classify calls it as ctor(series, depth)",
     "from_vdp(depth)": "classify calls it as ctor(series, depth)",
-    "mahler_to_vdp(count)": _CONVERSION,
 }
 
 
@@ -228,7 +217,7 @@ def test_allowed_parameters_exist_and_are_still_unset():
 
 
 # the package's line ceiling: new code is paid for by code moved out or cut
-LINE_CEILING = 3600
+LINE_CEILING = 3338
 
 
 def test_package_stays_under_its_line_ceiling():

@@ -2,8 +2,8 @@
 
 Each route of `classify` that reads a coefficient series (the 1-Lipschitz
 test, the van der Put relations, the Mahler UD1 predicate, measure
-preservation, the derivative consistency check, normalized terms and the
-p = 2 criteria) is a mask pass over the series' term array.  Here each must
+preservation, the derivative consistency check, normalized terms, the p = 2
+criteria and the p = 3 case tables) is a mask pass over the series' term array.  Here each must
 give the same verdict, the same first witness and the same exception as the
 term-by-term loop in `tests/scalar_reference.py`.
 
@@ -25,6 +25,7 @@ read-only, and terms and witnesses are Python integers.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from padicdyn.analysis import (
 )
 from padicdyn.dynamics import measure_preserving_vdp
 from padicdyn.errors import NormalizationError
+from padicdyn.verdict import CriterionVerdict
 from padicdyn.funcspace import (
     CoefficientSeries,
     PadicFunction,
@@ -51,6 +53,7 @@ from padicdyn.funcspace import (
     vdp_coefficients,
 )
 from scalar_reference import (
+    case_table_reference,
     derived_consistent_reference,
     larin_transitive_mod8_reference,
     lipschitz_reference,
@@ -293,6 +296,56 @@ def test_larin_rows_are_the_scalar_verdict_on_every_cubic():
 def test_larin_matches_reference_on_any_integers(coeffs):
     got = outcome(criteria.larin_transitive_mod8, coeffs)
     assert got == outcome(larin_transitive_mod8_reference, coeffs)
+
+
+# every residue vector mod 3, as normalized terms or coefficients; per kind,
+# the ones whose selector matches a case of the kind's table
+_MOD3 = np.indices((3,) * 9).reshape(9, -1).T
+_LEAD = (1, 1, 1, 3, 3, 3, 3, 3, 3)
+_P3 = {"deg8": (criteria.deg8_minimal_p3, 1), "mahler": (criteria.mahler_ergodic_p3, _LEAD),
+       "vdp": (criteria.vdp_ergodic_p3, _LEAD)}
+_CASE_HITS = {kind: [tuple(r) for r in _MOD3[criteria._P3[kind][1](_MOD3 * lead)[1] >= 0].tolist()]
+              for kind, (_, lead) in _P3.items()}
+
+
+@st.composite
+def p3_inputs(draw):
+    """(kind, input) of a p = 3 criterion: normalized terms mod 3 that often
+    select a case and meet the class precondition, lifted mod 9 and beyond,
+    and sometimes a term 3..8 not divisible by 3 or a row of the wrong length."""
+    kind = draw(st.sampled_from(sorted(_P3)))
+    low = list(draw(st.sampled_from(_CASE_HITS[kind]) if draw(st.booleans())
+                    else st.tuples(*[st.integers(0, 2)] * 9)))
+    if kind != "deg8" and draw(st.integers(0, 3)):  # in the differentiable-mod-3 class
+        low[6:] = [0] * 3 if kind == "mahler" else [2 * x % 3 for x in low[3:6]]
+    v = [x + 3 * draw(st.integers(0, 2)) for x in low]
+    if kind == "deg8":
+        length = draw(st.integers(0, 10)) if draw(st.integers(0, 3)) == 0 else 9
+        return kind, [x + 9 * draw(st.integers(-(10**20), 10**20)) for x in (v + [1])[:length]]
+    exponent = draw(st.sampled_from([3, 4, 5, _wide_exponent(3)]))
+    terms = [x * lead + 27 * draw(st.integers(0, 10**20)) for x, lead in zip(v, _LEAD)]
+    terms += draw(st.lists(st.integers(0, 10**6), max_size=2))
+    if draw(st.integers(0, 4)) == 0:
+        terms[draw(st.integers(3, 8))] += draw(st.integers(1, 2))
+    short = draw(st.integers(0, 7)) == 0
+    return kind, CoefficientSeries(kind, 3, exponent, tuple(terms[:8] if short else terms))
+
+
+def test_p3_criteria_match_reference():
+    seen = set()
+
+    @settings(route_settings, max_examples=400)
+    @given(p3_inputs())
+    def check(args):
+        kind, row = args
+        got = outcome(_P3[kind][0], row)
+        assert got == outcome(case_table_reference, kind, row)
+        if isinstance(got, CriterionVerdict):
+            assert _ints_only(got)
+            seen.add(re.sub("case-[iv]+-", "case-*-", str(got.condition)))
+
+    check()
+    assert {"None", "no-case", "case-*-cond1", "case-*-cond2", "normalization", "ud1-precondition"} <= seen
 
 
 def test_series_compare_and_hash_by_value():
