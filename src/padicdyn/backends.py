@@ -224,20 +224,22 @@ def ud1_table_scan(tables: np.ndarray, p: int, depth: int):
 _BIPRO_BLOCK = 16
 
 
-def _pascal_into(
-    dst: np.ndarray, src: np.ndarray, m: int, q: int, spare: np.ndarray
-) -> None:
-    """Write C(m + 1, .) mod q into dst from src = C(m, .) mod q.
+def _pascal_into(dst: np.ndarray, src: np.ndarray, m: int, ps: int, q: int, spare) -> None:
+    """Write C(m + 1, .) at [0, ps] and C(m + 1 + ps, .) at [ps + 1, 3 ps + 1]
+    of dst, mod q, from src holding C(m, .) and C(m + ps, .) there.
 
-    Both are uint16 rows whose entries past their own row are zero (a row
-    only ever overwrites a narrower one) and dst[0] is already 1.  The sum
-    of two residues is below 2q <= 2^16, and min(x, x - q) on unsigned
-    words reduces it: x - q wraps above x exactly when x < q.
+    Both are uint16 rows whose entries past their own rows are zero (a row
+    only ever overwrites a narrower one) and dst[0] = dst[ps + 1] = 1.  As
+    C(m, ps) = 0 for m < ps, one step moves both rows (the seam entry comes
+    out as 1 + 0); for m < 0 only the high row moves.  min(x, x - q) on
+    unsigned words reduces a sum x < 2q <= 2^16: x - q wraps above x
+    exactly when x < q.
     """
-    new = dst[1 : m + 2]
-    np.add(src[1 : m + 2], src[: m + 1], out=new)
-    np.subtract(new, q, out=spare[: m + 1])
-    np.minimum(new, spare[: m + 1], out=new)
+    start, stop = (1 if m >= 0 else ps + 2), 2 * ps + m + 3
+    new = dst[start:stop]
+    np.add(src[start:stop], src[start - 1 : stop - 1], out=new)
+    np.subtract(new, q, out=spare[: stop - start])
+    np.minimum(new, spare[: stop - start], out=new)
 
 
 def _reduce(block: np.ndarray, q: int, spare: np.ndarray) -> None:
@@ -257,16 +259,16 @@ def _reduce(block: np.ndarray, q: int, spare: np.ndarray) -> None:
 def bipro_scan(p: int, s: int):
     """Exhaustive digit-shift binomial congruence check mod p^2.
 
-    Rows C(m, .) and C(m + p^s, .) mod p^2 for m = 0..p^s-1 advance by
-    Pascal's rule alone, as uint16, into fixed blocks of _BIPRO_BLOCK
-    consecutive rows; row m + 1 is written from row m, and the first row of
-    a block from the last row of the one before.  Once per block the
-    (p+1)-tap sums over the low rows are formed in int32, with one product
-    per distinct tap value (C(p, j) = C(p, p - j)) and a reduction only
-    when the next tap could pass 2^31, and compared with the high rows in
-    one pass.  Returns (pairs_checked, witness_or_None), the witness being
-    the first failing (n, k) in ascending n, then k; pairs_checked counts
-    every pair of the rows before it and its own row.
+    Row m = 0..p^s-1 holds C(m, .) and C(m + p^s, .) mod p^2 in one uint16
+    row, and one Pascal step moves both (_pascal_into), into fixed blocks of
+    _BIPRO_BLOCK consecutive rows; row m + 1 is written from row m, and the
+    first row of a block from the last row of the one before.  Once per
+    block the (p+1)-tap sums over the low rows are formed in int32, with one
+    product per distinct tap value (C(p, j) = C(p, p - j)) and a reduction
+    only when the next tap could pass 2^31, and compared with the high rows
+    in one pass.  Returns (pairs_checked, witness_or_None), the witness
+    being the first failing (n, k) in ascending n, then k; pairs_checked
+    counts every pair of the rows before it and its own row.
     """
     if p < 3 or p % 2 == 0:
         raise InputError("bipro_scan needs an odd prime")
@@ -278,15 +280,14 @@ def bipro_scan(p: int, s: int):
     ps = p**s
     delta = p ** (s - 1)
     taps = [comb(p, j) % q for j in range(p + 1)]
-    low = np.zeros((_BIPRO_BLOCK, ps + 1), dtype=np.uint16)
-    high = np.zeros((_BIPRO_BLOCK, 2 * ps + 1), dtype=np.uint16)
-    low[:, 0] = high[:, 0] = 1
-    spare = np.empty(2 * ps, dtype=np.uint16)
-    # C(p^s, .) from C(0, .) by Pascal's rule alone, so no row relies on the
-    # taps; p^s is odd, so alternating high[1] -> high[0] -> high[1] ... ends
-    # in high[0]
-    for m in range(ps):
-        _pascal_into(high[m % 2], high[(m + 1) % 2], m, q, spare)
+    pascal = np.zeros((_BIPRO_BLOCK, 3 * ps + 2), dtype=np.uint16)
+    pascal[:, 0] = pascal[:, ps + 1] = 1
+    spare = np.empty(3 * ps, dtype=np.uint16)
+    # C(p^s, .) from C(0, .) by Pascal's rule alone, so no row relies on the taps; p^s is
+    # odd, so steps alternating between the first and last rows (in place if one) end in the first
+    ends = (pascal[0], pascal[-1])
+    for m in range(-ps, 0):
+        _pascal_into(ends[(m + 1) % 2], ends[m % 2], m, ps, q, spare)
     acc = np.empty((_BIPRO_BLOCK, 2 * ps + 1), dtype=np.int32)
     product = np.empty((_BIPRO_BLOCK, ps), dtype=np.int32)
     shifts = {}  # tap -> starts j p^(s-1) of the taps equal to it
@@ -295,17 +296,14 @@ def bipro_scan(p: int, s: int):
     pairs = 0
     for m0 in range(0, ps, _BIPRO_BLOCK):
         rows = min(_BIPRO_BLOCK, ps - m0)
-        for i in range(rows):
-            m = m0 + i
-            if m:
-                _pascal_into(low[i], low[i - 1], m - 1, q, spare)
-                _pascal_into(high[i], high[i - 1], m - 1 + ps, q, spare)
+        for i in range(0 if m0 else 1, rows):
+            _pascal_into(pascal[i], pascal[i - 1], m0 + i - 1, ps, q, spare)
         width = m0 + rows  # of the block's widest low row
         block = acc[:rows, : width + ps]
         block.fill(0)
         bound = 0  # entries of block are at most bound
         for tap, starts in shifts.items():
-            terms = low[:rows, :width]
+            terms = pascal[:rows, :width]
             if tap != 1:
                 terms = np.multiply(terms, tap, out=product[:rows, :width], dtype=np.int32)
             for start in starts:
@@ -317,7 +315,8 @@ def bipro_scan(p: int, s: int):
                 block[:, start : start + width] += terms
                 bound += tap * (q - 1)
         _reduce(block, q, product)
-        bad = block != high[:rows, : width + ps]
+        high = pascal[:rows, ps + 1 : 2 * ps + 1 + width]
+        bad = block != high
         witness = None
         if bad.any():
             i, k = divmod(int(bad.argmax()), width + ps)

@@ -22,6 +22,7 @@ import sys
 import numpy as np
 
 from . import analysis, backends, criteria, dynamics, funcspace, identities
+from .arith import require_prime
 from .errors import InputError, InternalCheckError, PreconditionError
 from .funcspace import CoefficientSeries, PadicFunction
 from .verdict import require_agreement
@@ -193,7 +194,12 @@ def cmd_classify(args) -> int:
     report["lipschitz"] = f.lipschitz.to_json_dict()
     require_agreement("differentiability", ud1["direct"].verdict, ud1["vdp"], ud1["mahler"])
     if ud1["derived_consistent"] is False:
-        raise InternalCheckError("derivative residues disagree between routes")
+        d, vdp, p = ud1["direct"].derived.values, f.vdp_window, f.prime
+        u = next(u for u, x in enumerate(d) if x != vdp.normalized(u % p + p, 1))
+        raise InternalCheckError(
+            f"derivative residue routes disagree at u={u}: direct sweep d(u)={d[u]}, "
+            f"van der Put B_{u % p + p}/p={vdp.normalized(u % p + p, 1)}"
+        )
     is_ud1 = ud1["direct"].verdict.passed
     report["ud1"] = {
         "direct": ud1["direct"].verdict.to_json_dict(),
@@ -220,8 +226,8 @@ def cmd_classify(args) -> int:
     decision = dynamics.decide_ergodicity(f)
     if closed is not None and decision.scope == closed.scope and decision.ergodic != closed.ergodic:
         raise InternalCheckError(
-            f"ergodicity routes disagree: orbit walk ergodic={decision.ergodic}, "
-            f"closed form ergodic={closed.ergodic}"
+            f"ergodicity routes disagree: {decision.method} passed={decision.ergodic}, "
+            f"{closed.method} passed={closed.ergodic}"
         )
     report["ergodicity"] = decision.to_json_dict()
     if closed is not None:
@@ -293,6 +299,7 @@ def cmd_generate(args) -> int:
     p = args.prime
     if p is None:
         raise InputError("-p/--prime is required")
+    require_prime(p)
     if args.count < 1:
         raise InputError("count must be >= 1")
     rng = random.Random(args.seed)
@@ -311,21 +318,16 @@ def cmd_generate(args) -> int:
                     "alphas": [str(x) for x in alphas],
                     "B": [str(x) for x in Bvec],
                     "D": [str(x) for x in Dvec],
-                    "conditions": {
-                        k: v.to_json_dict() for k, v in conds.items()
-                    },
+                    "conditions": {k: v.to_json_dict() for k, v in conds.items()},
                     "ergodic": conds["combined"].passed,
                 }
             )
         else:
-            if explicit:
-                phi = args.phi or criteria.random_transitive_permutation(p, rng)
-                bvec = args.bvec or criteria.random_unit_product_one(p, p, rng)
-                lift = args.lift or (0,) * (2 * p)
-            else:
-                phi = criteria.random_transitive_permutation(p, rng)
-                bvec = criteria.random_unit_product_one(p, p, rng)
-                lift = tuple(rng.randrange(p) for _ in range(2 * p))
+            # an omitted lift is zero once any of the three is given
+            phi = args.phi or criteria.random_transitive_permutation(p, rng)
+            bvec = args.bvec or criteria.random_unit_product_one(p, p, rng)
+            lift = args.lift or ((0,) * (2 * p) if explicit
+                                 else tuple(rng.randrange(p) for _ in range(2 * p)))
             form = criteria.p5_linear_form(p, phi, bvec, lift)
             inst = form["instance"]
             oracle = dynamics.ergodic_oracle(inst.function)

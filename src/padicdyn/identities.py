@@ -10,10 +10,10 @@ suite is exact integer arithmetic, in int64 numpy passes or Python ints:
   used, so the suite checks the lemma instead of restating it.
 - abc and pzero weigh, for each r, the tap sums of the row C(r, .) mod
   p^2 against C(p, j) mod p^2: one convolution (and for abc's third sum
-  one correlation) per r.
-- bipro advances the Pascal rows C(m, .) and C(m + p^s, .) mod p^2 in
-  uint16 and compares 16 rows at a time with their tap sums
-  (`backends.bipro_scan`).
+  one correlation) per r, over row and weight tables built once per p.
+- bipro keeps the Pascal rows C(m, .) and C(m + p^s, .) mod p^2 side by
+  side in one uint16 row, advances both with one Pascal step, and compares
+  16 rows at a time with their tap sums (`backends.bipro_scan`).
 - bip2 evaluates the five p = 2 congruences with `math.comb`.
 
 The abc, pzero and bipro sweeps stop at p = 97, which keeps every int64
@@ -155,13 +155,15 @@ def _odd_primes(suite: str, p_max: int) -> list[int]:
 def _binomial_rows(p: int):
     """Yield (r, C(r, .) mod p^2, taps, weights) for r = 1..p-1, as int64
     arrays: taps[j] = C(p, j) mod p^2 for j = 1..p-1 with taps[0] = 0, and
-    weights[l] = (-1)^(r-l+1) l for l = 0..p-1."""
+    weights[l] = (-1)^(r-l+1) l for l = 0..p-1, each a row of one table per p."""
     q = p * p
     taps = np.array([0] + [math.comb(p, j) % q for j in range(1, p)], dtype=np.int64)
+    rows = np.zeros((p, p), dtype=np.int64)
+    rows[np.tril_indices(p)] = [math.comb(r, t) % q for r in range(p) for t in range(r + 1)]
     ls = np.arange(p, dtype=np.int64)
+    weights = np.where((ls[:, None] - ls + 1) % 2 == 0, ls, -ls)
     for r in range(1, p):
-        row = np.array([math.comb(r, t) % q for t in range(r + 1)], dtype=np.int64)
-        yield r, row, taps, np.where((r - ls + 1) % 2 == 0, ls, -ls)
+        yield r, rows[r, : r + 1], taps, weights[r]
 
 
 def abc_suite(p_max: int = 97) -> SuiteReport:
@@ -283,12 +285,9 @@ def bipro_suite(p_max: int = 13, s_max: int = 4, s_min: int = 2) -> SuiteReport:
                 witness = dict(witness)
                 witness.update({"p": p, "s": s})
                 bad.append(witness)
-    report = SuiteReport(
-        "bipro", {"p_max": p_max, "s_max": s_max}, checked, bad, perf_counter() - t0
-    )
-    report.params["backend"] = backends.current_backend()
-    report.params["families"] = families
-    return report
+    params = {"p_max": p_max, "s_max": s_max, "backend": backends.current_backend(),
+              "families": families}
+    return SuiteReport("bipro", params, checked, bad, perf_counter() - t0)
 
 
 def bip2_suite(s_max: int = 6) -> SuiteReport:

@@ -187,13 +187,17 @@ def test_bipro_scan_matches_reference_with_a_perturbed_tap(monkeypatch, p, s, j)
 
 def _bump_row(monkeypatch, target, k, q):
     """Raise entry k of the row C(target, .) by one mod q wherever either
-    scan writes that row by Pascal's rule."""
+    scan writes that row by Pascal's rule: the blocked scan's step from m
+    writes C(m + 1, .) on its low side and C(m + 1 + p^s, .) on its high
+    side, which starts at p^s + 1; in the warm-up m < 0, so only the high
+    side can match."""
     blocked, lockstep = backends._pascal_into, scalar_reference._pascal_step
 
-    def blocked_step(dst, src, m, q_, spare):
-        blocked(dst, src, m, q_, spare)
-        if m + 1 == target:
-            dst[k] = (int(dst[k]) + 1) % q
+    def blocked_step(dst, src, m, ps, q_, spare):
+        blocked(dst, src, m, ps, q_, spare)
+        for side, n in ((0, m + 1), (ps + 1, m + 1 + ps)):
+            if n == target:
+                dst[side + k] = (int(dst[side + k]) + 1) % q
 
     def lockstep_step(row, m, q_):
         lockstep(row, m, q_)
@@ -228,10 +232,10 @@ def test_bipro_scan_matches_reference_with_a_perturbed_low_row(monkeypatch):
     assert result == bipro_lockstep_reference(5, 3)
 
 
-@pytest.mark.parametrize("block", [2, 5, 7])
+@pytest.mark.parametrize("block", [1, 2, 5, 7, 64])
 def test_bipro_scan_block_size_changes_nothing(monkeypatch, block):
     monkeypatch.setattr(backends, "_BIPRO_BLOCK", block)
-    for p, s in ((3, 4), (5, 3), (11, 2)):
+    for p, s in ((5, 2), (3, 4), (5, 3), (11, 2)):
         assert backends.bipro_scan(p, s) == bipro_lockstep_reference(p, s)
     _bump_row(monkeypatch, 125 + 30, 9, 25)
     assert backends.bipro_scan(5, 3) == bipro_lockstep_reference(5, 3)

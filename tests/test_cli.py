@@ -599,6 +599,41 @@ def test_exit_3_names_the_routes_that_disagree_and_their_verdicts(capsys, monkey
     assert err == f"internal check failed: {routes}\n"
 
 
+def test_exit_3_names_the_derivative_residue_routes(capsys, monkeypatch):
+    # x+1 at p = 3 has d(u) = 1 and every branch term B_{r+3} = 3; the direct
+    # sweep is made to report d(4) = 2
+    ud1_check = analysis.ud1_check
+
+    def bumped(f):
+        report = ud1_check(f)
+        values = list(report.derived.values)
+        values[4] = (values[4] + 1) % 3
+        derived = dataclasses.replace(report.derived, values=tuple(values))
+        return dataclasses.replace(report, derived=derived)
+
+    monkeypatch.setattr(analysis, "ud1_check", bumped)
+    code, out, err = _run(capsys, "classify x+1 -p 3 --depth 3".split())
+    assert code == 3 and out == ""
+    assert err == ("internal check failed: derivative residue routes disagree at u=4: "
+                   "direct sweep d(u)=2, van der Put B_4/p=1\n")
+
+
+@pytest.mark.parametrize("argv, walk", [("classify x+1 -p 3 --depth 3", True),
+                                        ("classify x^2+1 -p 2 --depth 3", False)])
+def test_exit_3_names_the_closed_form_and_the_orbit_walk(capsys, monkeypatch, argv, walk):
+    closed_form = criteria.closed_form_ergodic
+
+    def flipped(f):
+        decision = closed_form(f)
+        return dataclasses.replace(decision, ergodic=not decision.ergodic)
+
+    monkeypatch.setattr(criteria, "closed_form_ergodic", flipped)
+    code, out, err = _run(capsys, argv.split())
+    assert code == 3 and out == ""
+    assert err == ("internal check failed: ergodicity routes disagree: "
+                   f"exhaustive-to-depth passed={walk}, closed-form passed={not walk}\n")
+
+
 def test_classify_builds_the_window_series_and_its_verdict_once(capsys, monkeypatch):
     # a UD1 table: the crosscheck, the Lipschitz report, measure
     # preservation and the ergodicity conditions all read the 81-term series
@@ -793,6 +828,15 @@ def test_generate_poly_route_refused_over_the_horner_budget(capsys):
 def test_generate_needs_prime(capsys):
     code, _, _ = _run(capsys, ["generate"])
     assert code == 2
+
+
+@pytest.mark.parametrize("extra", [[], ["--phi", "1,2,0"]])
+@pytest.mark.parametrize("p", ["0", "1", "9", "25"])
+def test_generate_refuses_a_prime_that_is_not_prime(capsys, p, extra):
+    # -p 0 used to end in a ZeroDivisionError traceback with exit 1, and
+    # -p 9 / -p 25 in "... is not invertible mod p"
+    code, out, err = _run(capsys, ["generate", "-p", p, *extra])
+    assert (code, out, err) == (2, "", f"error: expected a prime, got {p}\n")
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])
