@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backends
-from .errors import InputError
+from .errors import InputError, InternalCheckError
 from .funcspace import (
     CoefficientSeries,
     PadicFunction,
@@ -23,22 +23,17 @@ from .funcspace import (
     mahler_coefficients,
     powers_of,
 )
-from .verdict import CriterionVerdict, failing, passing
+from .verdict import CriterionVerdict, failing, passing, require_agreement
 
 
-@dataclass(frozen=True)
-class DerivedFunction:
-    """Pointwise derivative residues d(u) mod p^exponent for u in the window."""
-
-    prime: int
-    exponent: int
-    values: tuple[int, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UD1Report:
+    """The direct sweep's verdict and its read-only array of derivative
+    residues d(u) mod p for u < p^depth; None where some f(u + p) - f(u) is
+    not divisible by p."""
+
     verdict: CriterionVerdict
-    derived: DerivedFunction | None
+    derived: np.ndarray | None
 
     def __bool__(self) -> bool:
         return self.verdict.passed
@@ -74,36 +69,23 @@ def ud1_check(f: PadicFunction) -> UD1Report:
 
 def _ud1_sweep(f: PadicFunction) -> UD1Report:
     p = f.prime
-    window = p**f.depth
     values = f.value_array(ud1_window(p, f.depth))
-    _, first, derived = backends.ud1_table_scan(values[None, :], p, f.depth)
-    u, s, h = first[0].tolist()
-    if s == 0:
+    first, derived = backends.ud1_table_scan(values, p, f.depth)
+    if derived is None:
+        u = first[0]
+        witness = {"u": u, "difference": int(values[u + p] - values[u]) % p**f.depth}
         return UD1Report(
-            failing(
-                "ud1-direct",
-                "derivative-integrality",
-                witness={"u": u, "difference": int(values[u + p] - values[u]) % window},
-                depth=f.depth,
-            ),
-            None,
+            failing("ud1-direct", "derivative-integrality", witness=witness, depth=f.depth), None
         )
-    derived = DerivedFunction(p, 1, tuple(derived[0].tolist()))
-    if u >= 0:
-        mod = p ** (s + 1)
-        shift = p**s * h
-        lhs = int(values[u + shift]) % mod
-        rhs = (int(values[u]) + shift * derived.values[u]) % mod
-        return UD1Report(
-            failing(
-                "ud1-direct",
-                "congruence",
-                witness={"u": u, "s": s, "h": h, "lhs": lhs, "rhs": rhs},
-                depth=f.depth,
-            ),
-            derived,
-        )
-    return UD1Report(passing("ud1-direct", depth=f.depth, s_max=f.depth - 1), derived)
+    derived.flags.writeable = False
+    if first is None:
+        return UD1Report(passing("ud1-direct", depth=f.depth, s_max=f.depth - 1), derived)
+    u, s, h = first
+    mod = p ** (s + 1)
+    shift = p**s * h
+    witness = {"u": u, "s": s, "h": h, "lhs": int(values[u + shift]) % mod,
+               "rhs": (int(values[u]) + shift * int(derived[u])) % mod}
+    return UD1Report(failing("ud1-direct", "congruence", witness=witness, depth=f.depth), derived)
 
 
 def vdp_ud1_relations_check(series: CoefficientSeries) -> CriterionVerdict:
@@ -207,43 +189,37 @@ def mahler_ud1_route(f: PadicFunction, count: int) -> CriterionVerdict:
     return mahler_ud1_predicate(mahler_coefficients(f, count=count, floors=floors))
 
 
-def ud1_equivalence_crosscheck(f: PadicFunction) -> dict:
-    """Run all three routes and report whether they agree.
-
-    Also checks that the direct-sweep derivative residues match the
-    normalized level-1 van der Put terms class by class.
-    """
+def ud1_equivalence_crosscheck(f: PadicFunction):
+    """The verdicts (direct, vdp, mahler) of the three routes, which must
+    agree; so must the direct sweep's derivative residues and the
+    normalized level-1 van der Put terms, class by class, on a UD1 map.
+    Raises InternalCheckError (exit 3) naming the routes that disagree."""
     report = ud1_check(f)
     vdp = f.vdp_window
     vdp_verdict = vdp_ud1_relations_check(vdp)
     mahler_verdict = mahler_ud1_route(f, f.prime**f.depth)
-    agree = report.verdict.passed == vdp_verdict.passed == mahler_verdict.passed
-    derived_consistent = None
-    if report.verdict.passed and report.derived is not None:
-        derived_consistent = _derived_matches_branches(report.derived, vdp)
-    return {
-        "direct": report,
-        "vdp": vdp_verdict,
-        "mahler": mahler_verdict,
-        "agree": agree,
-        "derived_consistent": derived_consistent,
-    }
+    u = _derived_branch_mismatch(report.derived, vdp) if report.verdict.passed else None
+    require_agreement("differentiability", report.verdict, vdp_verdict, mahler_verdict)
+    if u is not None:
+        p = f.prime
+        raise InternalCheckError(
+            f"derivative residue routes disagree at u={u}: direct sweep d(u)={report.derived[u]}, "
+            f"van der Put B_{u % p + p}/p={vdp.normalized(u % p + p, 1)}"
+        )
+    return report.verdict, vdp_verdict, mahler_verdict
 
 
-def _derived_matches_branches(derived: DerivedFunction, vdp: CoefficientSeries) -> bool:
-    """Whether d(u) equals the normalized branch term B_{(u mod p) + p}/p
-    mod p for every u.  Branch r is normalized when class r is first
-    compared (at u = r), so a term not divisible by p raises there unless
-    an earlier class already disagreed."""
+def _derived_branch_mismatch(derived: np.ndarray, vdp: CoefficientSeries) -> int | None:
+    """The first u where d(u) differs from the normalized branch term
+    B_{(u mod p) + p}/p mod p, or None.  Branch r is normalized when class r
+    is first compared (at u = r), so a term not divisible by p raises there
+    unless an earlier class already disagreed."""
     p = vdp.prime
-    d = np.asarray(derived.values)
     branch_terms = vdp.terms[p : 2 * p]
     unnormal = branch_terms % p != 0
     branch = (branch_terms // p) % p
-    first = unnormal | (d[:p] != branch)
-    if first.any():
-        r = int(first.argmax())
-        if unnormal[r]:
-            raise vdp.normalization_error(r + p)
-        return False
-    return bool((d == branch[np.arange(len(d)) % p]).all())
+    head = unnormal | (derived[:p] != branch)
+    if unnormal[head.argmax()]:
+        raise vdp.normalization_error(int(head.argmax()) + p)
+    bad = derived != branch[np.arange(len(derived)) % p]
+    return int(bad.argmax()) if bad.any() else None

@@ -78,16 +78,15 @@ def mahler_batch(values, modulus: int, floors=None) -> np.ndarray:
 
     floors, when given, holds one divisor of modulus per column.  Each
     reduction then also checks the columns written since the last one, and
-    once every row has a column that its floor does not divide, the table
-    stops: it returns the columns up to the last row's first such column,
-    that column included.
+    the table stops at the first checked column that its floor does not
+    divide in some row: it returns the columns up to that one, included.
     """
     work = reduced_rows(values, modulus, 1)
     count, n = work.shape
     out = np.empty((count, n), dtype=work.dtype)
     spare = np.empty_like(work)
     floors = None if floors is None else np.asarray(floors, dtype=work.dtype)[:n]
-    first, checked = np.full(count, n), 0  # each row's first column off its floor
+    checked = 0  # the columns before this one are on their floors
     bound = modulus  # |entries of work| < bound
     for step in range(n):
         out[:, step] = work[:, 0]
@@ -97,12 +96,10 @@ def mahler_batch(values, modulus: int, floors=None) -> np.ndarray:
                 work[:, :live] %= modulus
                 bound = modulus
                 if floors is not None:
-                    bad = out[:, checked : step + 1] % floors[checked : step + 1] != 0
-                    hit = bad.any(axis=1) & (first == n)
-                    first[hit] = checked + bad[hit].argmax(axis=1)
+                    bad = (out[:, checked : step + 1] % floors[checked : step + 1] != 0).any(axis=0)
+                    if bad.any():
+                        return out[:, : checked + bad.argmax() + 1] % modulus
                     checked = step + 1
-                    if (first < n).all():
-                        return out[:, : first.max() + 1] % modulus
                 if not work[:, :live].any():
                     out[:, step + 1 :] = 0
                     break
@@ -144,71 +141,68 @@ def transitive_scan(tables) -> np.ndarray:
     return (returns[:, -1] & (returns.argmax(axis=1) == tables.shape[1] - 1)).astype(np.uint8)
 
 
-# -- exact value matrices for batched UD1 sweeps ----------------------
+# -- exact values of a Mahler sum and the UD1 sweep over them ----------
 
 
-def mahler_value_matrix(terms, p: int, depth: int, npoints: int) -> np.ndarray:
-    """Exact values of finite Mahler sums at x = 0..npoints-1, mod p^depth.
+def mahler_values(terms, p: int, depth: int, npoints: int) -> np.ndarray:
+    """Exact values of the finite Mahler sum with coefficients terms at
+    x = 0..npoints-1, mod p^depth.
 
-    terms is (count, length); row i holds the coefficients of one function.
     By the hockey-stick identity C(x, r) = sum_{y<x} C(y, r-1), the tail
     sums g_n(x) = sum_{j>=n} a_j C(x, j-n) obey g_n(x) = a_n + sum_{y<x}
     g_{n+1}(y), so f = g_0 follows from the last term back to the first
-    with one running sum per term and O(npoints) memory per row.
+    with one running sum per term and O(npoints) memory.
     """
     mod = p**depth
-    terms = reduced_rows(terms, mod, npoints)
-    g = np.empty((terms.shape[0], npoints), dtype=terms.dtype)
-    g[:] = terms[:, -1:]
-    for n in range(terms.shape[1] - 2, -1, -1):
-        running = np.cumsum(g, axis=1)
-        g[:, 1:] = running[:, :-1]
-        g[:, 0] = 0
-        g += terms[:, n : n + 1]
+    terms = reduced_rows([terms], mod, npoints)[0]
+    g = np.full(npoints, terms[-1], dtype=terms.dtype)
+    for n in range(len(terms) - 2, -1, -1):
+        running = np.cumsum(g)
+        g[1:] = running[:-1]
+        g[0] = 0
+        g += terms[n]
         g %= mod
     return g
 
 
-def ud1_table_scan(tables: np.ndarray, p: int, depth: int):
-    """Vectorized differentiability-mod-p sweep, at levels s = 1..depth-1,
-    over exact value tables.
+def ud1_table_scan(values: np.ndarray, p: int, depth: int):
+    """Differentiability-mod-p sweep, at levels s = 1..depth-1, over one
+    exact value array.
 
-    tables[:, x] = f(x) mod p^depth for x = 0..W-1 with
-    W >= p^depth + p^(depth-1)*(p-1).  Returns (ok, first, derived):
+    values[x] = f(x) mod p^depth for x = 0..W-1 with
+    W >= p^depth + p^(depth-1)*(p-1).  Returns (first, derived):
 
-    - ok[i] is True when row i passes;
-    - first[i] is the first failing (u, s, h) of row i in u-major, then s,
-      then h order, or (-1, -1, -1) when it passes.  (u, 0, 0) means
-      f(u + p) - f(u) is not divisible by p; that test covers every u
-      before any congruence is tried;
-    - derived[i, u] is the derivative residue d(u) = (f(u + p) - f(u))/p
-      mod p forced by s = 1, h = 1.
+    - first is the first failing (u, s, h) in u-major, then s, then h
+      order, or None when f passes.  (u, 0, 0) means f(u + p) - f(u) is not
+      divisible by p, for the first such u; that test covers every u
+      before any congruence is tried, and derived is then None;
+    - derived[u] is the derivative residue d(u) = (f(u + p) - f(u))/p mod p
+      forced by s = 1, h = 1.
+
+    Each (s, h) pair after a failure scans only the u below the failing u
+    found so far, so a failure at an equal u keeps the earlier pair.
     """
     size = p**depth
     need = size + p ** (depth - 1) * (p - 1)
-    if tables.shape[1] < need:
-        raise InputError(f"value window {tables.shape[1]} < required {need}")
-    window = tables[:, :size]
-    diff = (tables[:, p : p + size] - window) % size
+    if len(values) < need:
+        raise InputError(f"value window {len(values)} < required {need}")
+    window = values[:size]
+    diff = (values[p : p + size] - window) % size
+    broken = diff % p != 0
+    if broken.any():
+        return (int(broken.argmax()), 0, 0), None
     derived = (diff // p) % p
-    pairs = np.array([(s, h) for s in range(1, depth) for h in range(1, p)])
-    none = size * len(pairs)
-    best = np.full(tables.shape[0], none, dtype=np.int64)  # u * len(pairs) + pair
-    for j, (s, h) in enumerate(pairs.tolist()):
-        shift = p**s * h
+    first, stop = None, size
+    for s in range(1, depth):
         mod = p ** (s + 1)
-        bad = tables[:, shift : shift + size] % mod != (window + shift * derived) % mod
-        hit = bad.any(axis=1)
-        best[hit] = np.minimum(best[hit], bad[hit].argmax(axis=1) * len(pairs) + j)
-    first = np.full((tables.shape[0], 3), -1, dtype=np.int64)
-    found = best < none
-    u, j = np.divmod(best[found], len(pairs))
-    first[found] = np.column_stack([u, pairs[j]])
-    integral = diff % p == 0
-    broken = ~integral.all(axis=1)
-    first[broken] = 0
-    first[broken, 0] = integral[broken].argmin(axis=1)
-    return first[:, 0] < 0, first, derived
+        for h in range(1, p):
+            shift = p**s * h
+            rhs = (window[:stop] + shift * derived[:stop]) % mod
+            bad = values[shift : shift + stop] % mod != rhs
+            if bad.any():
+                stop = int(bad.argmax())
+                first = (stop, s, h)
+    return first, derived
 
 
 # -- exhaustive binomial congruence scan ------------------------------

@@ -323,7 +323,7 @@ class PadicFunction:
     ) -> "PadicFunction":
         coeffs = parse_ints(coeffs)
         if not coeffs:
-            coeffs = (0,)
+            raise InputError("empty polynomial")
         return cls("polynomial", prime, depth, coeffs)
 
     @classmethod
@@ -364,7 +364,17 @@ class PadicFunction:
             raise InputError(
                 f"depth {depth} exceeds series precision p^{series.exponent}"
             )
-        return cls(kind, series.prime, depth, series)
+        f = cls(kind, series.prime, depth, series)
+        # a 1-Lipschitz map has v_p(term m) >= e(m) >= depth from m = p^depth on
+        p, size = f.prime, f.prime**depth
+        tail = series.terms[size:] % size != 0
+        if tail.any():
+            m = size + int(tail.argmax())
+            raise InputError(
+                f"{kind} term {m} = {series.term(m)} lies past the window of {p}^{depth} terms "
+                f"and is not divisible by {p}^{depth}, so the map is not 1-Lipschitz"
+            )
+        return f
 
     # -- evaluation ---------------------------------------------------
 
@@ -460,7 +470,7 @@ class PadicFunction:
             return np.asarray(self.payload, dtype=np.int64)[np.arange(npoints) % mod]
         terms = self.payload.terms
         if self.kind == "mahler":
-            return backends.mahler_value_matrix([terms], p, self.depth, npoints)[0]
+            return backends.mahler_values(terms, p, self.depth, npoints)
         # vdp: add B_m over the digit chain m = x mod p^(j+1), one gather per
         # level j; a level j >= 1 counts when its digit is nonzero (m >= p^j)
         coeffs = backends.reduced_rows(terms[None, :], mod, npoints)[0]

@@ -38,7 +38,7 @@ from importlib import resources
 import numpy as np
 
 from padicdyn import backends, criteria, identities
-from padicdyn.analysis import DerivedFunction, UD1Report
+from padicdyn.analysis import UD1Report
 from padicdyn.arith import inverse_mod, m_minus, p_digits, require_prime
 from padicdyn.dynamics import cycle_structure
 from padicdyn.errors import InputError, InternalCheckError, NormalizationError
@@ -108,12 +108,9 @@ def ud1_reference(f: PadicFunction) -> UD1Report:
                             witness={"u": u, "s": s, "h": h, "lhs": lhs, "rhs": rhs},
                             depth=f.depth,
                         ),
-                        DerivedFunction(p, 1, tuple(derived)),
+                        np.array(derived),
                     )
-    return UD1Report(
-        passing("ud1-direct", depth=f.depth, s_max=s_max),
-        DerivedFunction(p, 1, tuple(derived)),
-    )
+    return UD1Report(passing("ud1-direct", depth=f.depth, s_max=s_max), np.array(derived))
 
 
 def orbit_reference(f: PadicFunction, k: int) -> tuple[int, ...]:
@@ -347,17 +344,18 @@ def measure_preserving_reference(series: CoefficientSeries, s_max: int):
     return passing(name, depth=series.exponent, s_max=s_max)
 
 
-def derived_consistent_reference(derived: DerivedFunction, vdp: CoefficientSeries) -> bool:
-    """d(u) against the normalized branch term of its class, u by u, each
-    branch normalized when its class is first met."""
+def derived_mismatch_reference(derived, vdp: CoefficientSeries):
+    """The first u where d(u) differs from the normalized branch term of its
+    class, or None, u by u, each branch normalized when its class is first
+    met."""
     branch: dict[int, int] = {}  # residue class r -> normalized B_{r+p}
-    for u, d in enumerate(derived.values):
+    for u, d in enumerate(derived):
         r = u % vdp.prime
         if r not in branch:
             branch[r] = vdp.normalized(r + vdp.prime, 1)
         if d != branch[r]:
-            return False
-    return True
+            return u
+    return None
 
 
 def larin_transitive_mod8_reference(coeffs):

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 import scalar_reference
 from padicdyn import backends
-from padicdyn.analysis import ud1_check
 from padicdyn.dynamics import transitive_mod
 from padicdyn.errors import InputError
-from padicdyn.funcspace import PadicFunction, mahler_coefficients
+from padicdyn.funcspace import CoefficientSeries, PadicFunction, mahler_coefficients
 from scalar_reference import (
     batch_transitive_polys,
     bipro_lockstep_reference,
     transitive_scan_reference,
+    ud1_reference,
 )
 
 
@@ -83,43 +83,69 @@ def test_orbit_walks_follow_each_row_step_by_step(steps):
         assert walk == want
 
 
-def test_mahler_value_matrix_matches_evaluate():
+def test_mahler_values_matches_evaluate():
     rng = random.Random(74)
-    terms = np.array(
-        [[rng.randrange(27) for _ in range(9)] for _ in range(8)], dtype=np.int64
-    )
-    values = backends.mahler_value_matrix(terms, 3, 3, 27)
-    for row, ts in zip(values, terms):
-        from padicdyn.funcspace import CoefficientSeries
-
-        f = PadicFunction.from_mahler(
-            CoefficientSeries("mahler", 3, 3, tuple(int(t) for t in ts))
-        )
-        assert list(row) == f.value_table(3)
+    for _ in range(8):
+        terms = tuple(rng.randrange(27) for _ in range(9))
+        f = PadicFunction.from_mahler(CoefficientSeries("mahler", 3, 3, terms))
+        assert backends.mahler_values(np.array(terms), 3, 3, 27).tolist() == f.value_table(3)
 
 
 def test_ud1_table_scan_matches_direct():
     rng = random.Random(75)
     p, depth = 2, 4
     window = p**depth + p ** (depth - 1) * (p - 1)
-    rows = []
     funcs = []
     for _ in range(30):
         coeffs = [rng.randrange(p**depth) for _ in range(4)]
-        f = PadicFunction.from_polynomial(coeffs, p, depth)
-        funcs.append(f)
-        rows.append([f.evaluate(x) for x in range(window)])
+        funcs.append(PadicFunction.from_polynomial(coeffs, p, depth))
     # also a few broken series that are not differentiable
-    from padicdyn.funcspace import CoefficientSeries
-
     for _ in range(10):
         terms = tuple(rng.randrange(p**depth) for _ in range(8))
-        g = PadicFunction.from_mahler(CoefficientSeries("mahler", p, depth, terms))
-        funcs.append(g)
-        rows.append([g.evaluate(x) for x in range(window)])
-    flags, _, _ = backends.ud1_table_scan(np.array(rows, dtype=np.int64), p, depth)
-    for bit, f in zip(flags, funcs):
-        assert bool(bit) == ud1_check(f).verdict.passed
+        funcs.append(PadicFunction.from_mahler(CoefficientSeries("mahler", p, depth, terms)))
+    for f in funcs:
+        values = np.array([f.evaluate(x) for x in range(window)], dtype=np.int64)
+        first, derived = backends.ud1_table_scan(values, p, depth)
+        want = ud1_reference(f)
+        w = want.verdict.witness or {}
+        assert first == (None if want.verdict.passed else (w["u"], w.get("s", 0), w.get("h", 0)))
+        assert (derived is None) == (want.derived is None)
+
+
+def _ud1_first_failure(values, p, depth):
+    """min over every failing (u, s, h), by brute force."""
+    size = p**depth
+    d = [(values[u + p] - values[u]) // p % p for u in range(size)]
+    return min(((u, s, h) for u in range(size) for s in range(1, depth) for h in range(1, p)
+                if (values[u + p**s * h] - values[u] - p**s * h * d[u]) % p ** (s + 1)),
+               default=None)
+
+
+@pytest.mark.parametrize("bumped, first", [
+    # f(20) + 9 breaks (u, s) = (11, 2) at h = 1 and the smaller u = 2 only at h = 2,
+    # which the later pair finds below the u the earlier one found
+    ([20], (2, 2, 2)),
+    # f(5) + 9 breaks u = 5 at s = 2 for both h: the earlier pair keeps it
+    ([5], (5, 2, 1)),
+    ([5, 20], (2, 2, 2)),
+    ([], None),
+])
+def test_ud1_table_scan_keeps_the_first_failure_in_u_s_h_order(bumped, first):
+    # x + 1 at p = 3, depth 3 is UD1; a multiple of 9 keeps d(u) and every s = 1 congruence
+    p, depth = 3, 3
+    values = np.array([(x + 1) % 27 for x in range(45)], dtype=np.int64)
+    values[bumped] += 9
+    got, derived = backends.ud1_table_scan(values, p, depth)
+    assert got == first == _ud1_first_failure(values.tolist(), p, depth)
+    assert derived.tolist() == [1] * 27
+
+
+def test_ud1_table_scan_returns_at_once_on_an_odd_difference():
+    values = np.array([(x + 1) % 27 for x in range(45)], dtype=np.int64)
+    # f(u + 3) - f(u) is no multiple of 3 at u = 4 and 7; that wins over the
+    # congruence failure at u = 2 that f(20) + 9 makes
+    values[[20, 7]] += [9, 1]
+    assert backends.ud1_table_scan(values, 3, 3) == ((4, 0, 0), None)
 
 
 def _bipro_brute_force(p, s, comb=math.comb):
@@ -358,26 +384,26 @@ def test_mahler_batch_stops_at_the_first_reduction_after_a_failing_column(
     assert taken == steps and steps >= column
 
 
-def test_mahler_batch_with_floors_runs_on_while_a_row_has_no_failure(monkeypatch):
-    # the second row's terms are multiples of 3 that never vanish mod 27, so
-    # the table runs to the end and returns every column of both rows
+def test_mahler_batch_with_floors_runs_on_while_no_row_fails(monkeypatch):
+    # both rows' terms are multiples of 3 that never vanish mod 27, so the
+    # table runs to the end and returns every column of both rows
     n = 150
-    failing = _mahler_sum([1, 2, 0, 5], 27, n)
-    passing = _mahler_sum([3] * n, 27, n)
-    out, steps = _mahler_steps(monkeypatch, [failing, passing], 27, [3] * n)
-    assert out == [_differences(failing, 27), [3] * n]
+    rows = [_mahler_sum([3] * n, 27, n), _mahler_sum([6, 0] * (n // 2), 27, n)]
+    out, steps = _mahler_steps(monkeypatch, rows, 27, [3] * n)
+    assert out == [[3] * n, [6, 0] * (n // 2)]
     assert steps == n - 1
 
 
-def test_mahler_batch_with_floors_returns_up_to_the_last_rows_failure(monkeypatch):
-    # the rows fail at columns 3 and 100: the table stops at the first
-    # reduction after 100 and keeps column 100 of both rows
+def test_mahler_batch_with_floors_stops_at_the_first_failure_of_any_row(monkeypatch):
+    # the rows fail at columns 100 and 3, and the other row passes: the table
+    # stops at the first reduction after column 3 and keeps columns 0..3 of every row
     n = 200
-    early = _mahler_sum([0, 0, 0, 1], 27, n)
     late = _mahler_sum([0] * 100 + [2], 27, n)
-    out, steps = _mahler_steps(monkeypatch, [early, late], 27, [3] * n)
-    assert out == [_differences(early, 27)[:101], _differences(late, 27)[:101]]
-    assert steps == 2 * _first_reduction(27) == 114
+    early = _mahler_sum([0, 0, 0, 1], 27, n)
+    passing = _mahler_sum([3] * n, 27, n)
+    out, steps = _mahler_steps(monkeypatch, [late, early, passing], 27, [3] * n)
+    assert out == [_differences(late, 27)[:4], [0, 0, 0, 1], [3] * 4]
+    assert steps == _first_reduction(27) == 57
 
 
 @pytest.mark.parametrize("p, e", [(3, 39), (2, 70)])
@@ -434,7 +460,7 @@ def test_mahler_batch_matches_the_difference_reference(mod, n, shapes, seed):
     st.lists(st.sampled_from(["polynomial", "mahler", "spike", "random"]), min_size=1, max_size=3),
     st.integers(0, 2**32),
 )
-def test_mahler_batch_with_floors_returns_a_prefix_to_the_last_first_failure(pe, n, shapes, seed):
+def test_mahler_batch_with_floors_returns_a_prefix_to_the_first_failure(pe, n, shapes, seed):
     p, e = pe
     mod = p**e
     rng = random.Random(seed)
@@ -442,10 +468,9 @@ def test_mahler_batch_with_floors_returns_a_prefix_to_the_last_first_failure(pe,
     floors = [p ** rng.choice([0, 0, 1, e]) for _ in range(n)]
     full = [_differences(row, mod) for row in rows]
     out = backends.mahler_batch(rows, mod, floors).tolist()
-    firsts = [next((i for i, a in enumerate(row) if a % floors[i]), n) for row in full]
+    first = min(next((i for i, a in enumerate(row) if a % floors[i]), n) for row in full)
     assert out == [row[: len(out[0])] for row in full]
-    if len(out[0]) < n:
-        assert len(out[0]) == max(firsts) + 1
+    assert len(out[0]) in (n, first + 1)
 
 
 def test_wide_modulus_stays_exact():
@@ -453,9 +478,9 @@ def test_wide_modulus_stays_exact():
     for p, depth in ((2, 31), (2, 40), (2147483647, 2), (3, 60)):
         mod = p**depth
         terms = [1, mod - 1, 3, 10**40]
-        values = backends.mahler_value_matrix([terms], p, depth, 6)
+        values = backends.mahler_values(terms, p, depth, 6)
         assert values.tolist() == [
-            [sum(t * math.comb(x, n) for n, t in enumerate(terms)) % mod for x in range(6)]
+            sum(t * math.comb(x, n) for n, t in enumerate(terms)) % mod for x in range(6)
         ]
         coeffs = [mod - 1, -(10**30), 1]
         table = backends.poly_tables([coeffs], 6, mod)

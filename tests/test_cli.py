@@ -606,9 +606,8 @@ def test_exit_3_names_the_derivative_residue_routes(capsys, monkeypatch):
 
     def bumped(f):
         report = ud1_check(f)
-        values = list(report.derived.values)
-        values[4] = (values[4] + 1) % 3
-        derived = dataclasses.replace(report.derived, values=tuple(values))
+        derived = report.derived.copy()
+        derived[4] = (derived[4] + 1) % 3
         return dataclasses.replace(report, derived=derived)
 
     monkeypatch.setattr(analysis, "ud1_check", bumped)
@@ -658,6 +657,40 @@ def test_classify_builds_the_window_series_and_its_verdict_once(capsys, monkeypa
     code, payload, _ = _run_json(capsys, ["classify", "-"], schema="classify.schema.json")
     assert code == 0 and payload["ud1"]["direct"]["pass"]
     assert counts == {"lipschitz_check": 1, "window series": 1}
+
+
+@pytest.mark.parametrize("blob, depth, m", [
+    ({"kind": "vdp", "p": 2, "k": 2, "terms": [1, 1, 2, 2, 1]}, [], 4),
+    ({"kind": "mahler", "p": 2, "k": 2, "terms": [1, 1, 0, 0, 1]}, [], 4),
+    ({"kind": "vdp", "p": 3, "k": 2, "terms": [1, 1, 1, 3, 3, 3, 6, 6, 6, 1]}, [], 9),
+    ({"kind": "mahler", "p": 3, "k": 2, "terms": [1, 1, 0, 0, 0, 0, 0, 0, 0, 1]}, [], 9),
+    ({"kind": "vdp", "p": 2, "k": 3, "terms": [1, 1, 2, 2, 1, 0, 0, 0]}, ["--depth", "2"], 4),
+    ({"kind": "mahler", "p": 2, "k": 3, "terms": [1, 1, 2, 2, 1, 0, 0, 0]}, ["--depth", "2"], 4),
+    ({"kind": "vdp", "p": 2, "k": 3, "terms": [1, 1, 2, 2, 2, 0, 0, 0]}, ["--depth", "2"], 4),
+    ({"kind": "mahler", "p": 2, "k": 3, "terms": [1, 1, 2, 2, 2, 0, 0, 0]}, ["--depth", "2"], 4),
+])
+def test_series_terms_past_the_depth_window_are_refused(capsys, monkeypatch, blob, depth, m):
+    # a 1-Lipschitz map needs p^depth | term m for m >= p^depth; the direct
+    # sweep read these terms and the other routes did not, which ended in exit 3
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(blob)))
+    code, out, err = _run(capsys, ["classify", "-", *depth])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {blob['kind']} term {m} = ") and err.count("\n") == 1
+    assert "is not divisible by" in err and "not 1-Lipschitz" in err
+
+
+def test_series_tail_divisible_past_the_depth_window_is_answered(capsys, monkeypatch):
+    blob = {"kind": "vdp", "p": 2, "k": 2, "terms": [1, 1, 2, 2, 4]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(blob)))
+    code, payload, _ = _run_json(capsys, ["classify", "-"], "classify.schema.json")
+    assert code == 1 and payload["ud1"]["agree"] is True
+
+
+def test_classify_refuses_an_empty_coeffs_list(capsys, monkeypatch):
+    # exit 1 once, the "criterion false" code; the text form '' is exit 2 too
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"kind":"polynomial","p":2,"coeffs":[]}'))
+    assert _run(capsys, ["classify", "-"]) == (2, "", "error: empty polynomial\n")
+    assert _run(capsys, ["classify", "", "-p", "2"]) == (2, "", "error: empty polynomial\n")
 
 
 def test_classify_stdin(capsys, monkeypatch):
@@ -844,6 +877,18 @@ def test_generate_rejects_count_below_one(capsys, count):
     code, out, err = _run(capsys, ["generate", "-p", "5", "--count", count])
     assert code == 2
     assert out == "" and "count must be >= 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "--count 3 --phi 1,2,3,4,0", "--count 2 --bvec 1,1,1,1,1", "--count 2 --lift " + "0," * 9 + "0",
+    "--route poly --phi 1,2,3,4,0", "--route poly --bvec 1,1,1,1,1", "--route poly --lift 1",
+    "--route poly --count 2 --phi 1,2,3,4,0",
+])
+def test_generate_refuses_flags_it_would_ignore(capsys, argv):
+    # the count was forced to 1, and the poly route drew its own data
+    code, out, err = _run(capsys, ["generate", "-p", "5", "--seed", "1", *argv.split()])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --phi, --bvec and --lift build ") and err.count("\n") == 1
 
 
 def test_verify_single_suite(capsys):

@@ -34,8 +34,7 @@ from hypothesis import strategies as st
 
 from padicdyn import criteria
 from padicdyn.analysis import (
-    DerivedFunction,
-    _derived_matches_branches,
+    _derived_branch_mismatch,
     mahler_ud1_predicate,
     mahler_ud1_route,
     ud1_check,
@@ -54,7 +53,7 @@ from padicdyn.funcspace import (
 )
 from scalar_reference import (
     case_table_reference,
-    derived_consistent_reference,
+    derived_mismatch_reference,
     larin_transitive_mod8_reference,
     lipschitz_reference,
     mahler_ergodic_p2_reference,
@@ -197,7 +196,7 @@ def test_mahler_route_stops_with_the_verdict_of_the_full_series(case):
     full = mahler_predicate_reference(mahler_coefficients(f, count=count))
     assert mahler_ud1_route(f, count) == full
     if count == f.prime**f.depth:
-        assert ud1_equivalence_crosscheck(f)["mahler"] == full
+        assert ud1_equivalence_crosscheck(f)[2] == full
 
 
 @route_settings
@@ -240,17 +239,16 @@ def test_derived_consistency_matches_reference(case, data):
         terms[r + p] += p**level
         series = CoefficientSeries("vdp", p, series.exponent, tuple(terms))
     if not ud1_check(f).verdict.passed:
-        values = tuple(data.draw(st.lists(st.integers(0, f.prime - 1),
-                                          min_size=f.prime**depth,
-                                          max_size=f.prime**depth)))
+        derived = np.array(data.draw(st.lists(st.integers(0, f.prime - 1),
+                                              min_size=f.prime**depth,
+                                              max_size=f.prime**depth)))
     else:
-        values = list(ud1_check(f).derived.values)
-        for u in data.draw(st.lists(st.integers(0, len(values) - 1), max_size=2)):
-            values[u] = (values[u] + 1) % f.prime
-    derived = DerivedFunction(f.prime, 1, tuple(values))
-    got = outcome(_derived_matches_branches, derived, series)
-    assert got == outcome(derived_consistent_reference, derived, series)
-    assert isinstance(got, (bool, tuple))
+        derived = ud1_check(f).derived.copy()
+        for u in data.draw(st.lists(st.integers(0, len(derived) - 1), max_size=2)):
+            derived[u] = (derived[u] + 1) % f.prime
+    got = outcome(_derived_branch_mismatch, derived, series)
+    assert got == outcome(derived_mismatch_reference, derived, series)
+    assert got is None or type(got) in (int, tuple)
 
 
 @route_settings
