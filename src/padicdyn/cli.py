@@ -237,13 +237,10 @@ def cmd_enumerate(args) -> int:
     tables = backends.poly_tables(cubics, 8, 8)
     ergodic = criteria.larin_transitive_mod8_rows(cubics)[0] < 0
     if args.crosscheck:
-        # both criteria on their first four Mahler terms, and on their vdp
-        # terms B_m = f(m) - f(m - 2) for m = 2, 3
+        # both criteria on the first four Mahler and van der Put terms
         values = tables[:, :4]
-        vdp = values.copy()
-        vdp[:, 2:] = (values[:, 2:] - values[:, :2]) % 8
         mahler_ok = criteria.mahler_ergodic_p2_rows(backends.mahler_batch(values, 8))[0] < 0
-        vdp_ok = criteria.vdp_ergodic_p2_rows(vdp)[0] < 0
+        vdp_ok = criteria.vdp_ergodic_p2_rows(funcspace.vdp_terms(values, 2) % 8)[0] < 0
         disagree = (ergodic != mahler_ok) | (ergodic != vdp_ok)
         if disagree.any():
             coeffs = tuple(cubics[disagree.argmax()].tolist())
@@ -296,6 +293,9 @@ def cmd_generate(args) -> int:
         raise InputError("--phi, --bvec and --lift build a mahler-route instance, not --route poly")
     if explicit and args.count > 1:
         raise InputError("--phi, --bvec and --lift build one instance, not --count > 1")
+    # each instance's window at depth 3 and, on the poly route, its degree
+    # 2p - 1, refused before any instance is solved
+    funcspace.check_window(p, 3, p**3, 2 * p - 1 if args.route == "poly" else None)
     rng = random.Random(args.seed)
     instances = []
     for _ in range(args.count):
@@ -345,15 +345,14 @@ def cmd_verify(args) -> int:
     names = []
     if args.suite:
         names = identities.all_suite_names() if "all" in args.suite else args.suite
+    overrides = {k: v for k, v in (("p_max", args.p_max), ("s_max", args.s_max)) if v is not None}
+    # every suite's prime bound and work limit is checked before the first
+    # one runs, and so is a range option that none of them takes
+    taken = identities.check_ranges(names, overrides).values()
+    unused = [k for k in overrides if not any(k in a for a in taken)]
+    if unused:
+        raise InputError(f"--{unused[0].replace('_', '-')} applies to none of the suites that run")
     if names:
-        overrides = {}
-        if args.p_max is not None:
-            overrides["p_max"] = args.p_max
-        if args.s_max is not None:
-            overrides["s_max"] = args.s_max
-        # every suite's prime bound and work limit is checked before the
-        # first one runs
-        identities.check_ranges(names, overrides)
         reports = []
         for name in names:
             report = identities.verify_identity_suite(name, **overrides)

@@ -30,7 +30,7 @@ from .funcspace import (
 )
 from .analysis import ud1_check
 from .dynamics import ErgodicityDecision, lambda_rows, transitive_mod
-from .verdict import CriterionVerdict, failing, passing, require_agreement
+from .verdict import CriterionVerdict, checklist_verdict, failing, passing, require_agreement
 
 # ---------------------------------------------------------------------
 # p = 2
@@ -55,13 +55,8 @@ def larin_transitive_mod8(coeffs: Sequence[int]) -> CriterionVerdict:
     coeffs = tuple(int(x) % 8 for x in coeffs)
     if len(coeffs) > 4:
         raise InputError("larin_transitive_mod8 expects a cubic (4 coefficients)")
-    first, values = larin_transitive_mod8_rows([(coeffs + (0, 0, 0, 0))[:4]])
-    check = int(first[0])
-    if check < 0:
-        return passing("cubic-ergodic-p2")
-    label, want = _LARIN_P2[check]
-    witness = {"value": int(values[0, check]), "expected": want}
-    return failing("cubic-ergodic-p2", label, witness=witness)
+    values = larin_transitive_mod8_rows([(coeffs + (0, 0, 0, 0))[:4]])[1][0]
+    return checklist_verdict("cubic-ergodic-p2", _LARIN_P2, values.tolist())
 
 
 # The p = 2 criteria in row-wise form: each row is the first four terms of
@@ -120,17 +115,12 @@ def _p2_verdict(kind, series, rows, checks) -> CriterionVerdict:
     name = f"{kind}-ergodic-p2"
     if len(series) < 4 or series.exponent < 3:
         raise InputError("need at least 4 terms at precision 2^3")
-    first, values = rows(series.terms[None, :4])
-    check = int(first[0])
-    if check < 0:
-        return passing(name, depth=series.exponent)
-    label, want = checks[check]
-    if label == "normalization":
+    values = rows(series.terms[None, :4])[1][0].tolist()
+    if checks[0][0] == "normalization" and values[0]:  # B_2 or B_3 is odd
         m = 2 if series.term(2) % 2 else 3
         witness = {"error": str(series.normalization_error(m))}
-    else:
-        witness = {"value": int(values[0, check]), "expected": want}
-    return failing(name, label, witness=witness, depth=series.exponent)
+        return failing(name, "normalization", witness=witness, depth=series.exponent)
+    return checklist_verdict(name, checks, values, series.exponent)
 
 
 def mahler_ergodic_p2(series: CoefficientSeries) -> CriterionVerdict:
@@ -408,9 +398,7 @@ def p5_conditions(f: PadicFunction) -> dict:
         if prod == 1
         else failing("branch-product-unit", "not-one", witness={"product": prod})
     )
-    if not f.lipschitz:
-        f.reduce_map(2)  # refuses f ill defined mod p^2, where the walk is no orbit
-    y = int(f.orbit_walk[p]) % (p * p)
+    y = int(f.orbit_mod(2)[p])
     if y % p == 0 and y != 0:
         out["return_valuation"] = passing("return-valuation", value=y)
     else:
@@ -506,9 +494,7 @@ def p5_linear_form(p: int, phi: Sequence[int], bvec: Sequence[int], lift: Sequen
     ))
     series = g0.vdp_window
 
-    orbit = [0]
-    for _ in range(p - 1):
-        orbit.append(g0.evaluate(orbit[-1], 1))
+    orbit = g0.orbit_mod(1)[:p].tolist()
     deriv = []
     formal = _mahler_derivative_residues(g0.payload.term_list, orbit, p)
     for x, via_formal in zip(orbit, formal):
@@ -519,9 +505,7 @@ def p5_linear_form(p: int, phi: Sequence[int], bvec: Sequence[int], lift: Sequen
             )
         deriv.append(via_branch)
 
-    y = 0
-    for _ in range(p):
-        y = g0.evaluate(y, 2)
+    y = int(g0.orbit_mod(2)[p])
     if y % p != 0:
         raise InternalCheckError("base instance does not return to 0 mod p")
     first = (y // p) % p
@@ -534,7 +518,7 @@ def p5_linear_form(p: int, phi: Sequence[int], bvec: Sequence[int], lift: Sequen
     for i in range(1, p):
         total = (total + w[i] * g1[i]) % p
 
-    yd = int(lifted.function.orbit_walk[p]) % (p * p)  # as p5_conditions read it
+    yd = int(lifted.function.orbit_mod(2)[p])  # as p5_conditions read it
     direct = (yd // p) % p if yd % p == 0 else None
     return {
         "formula": total,

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InputError, InternalCheckError, PreconditionError
 from .funcspace import CoefficientSeries, PadicFunction
 from .funcspace import mahler_coefficients, vdp_coefficients
-from .verdict import CriterionVerdict, failing, passing, require_agreement
+from .verdict import CriterionVerdict, checklist_verdict, failing, passing, require_agreement
 from .analysis import ud1_check
 
 
@@ -64,29 +64,19 @@ def cycle_structure(f: PadicFunction, k: int) -> CycleReport:
 
 
 def orbit_of(f: PadicFunction, k: int) -> tuple[int, ...]:
-    """Forward orbit of 0 mod p^k, up to (and excluding) the first repeat,
-    walked through the first p^k values of the value array."""
-    if not 1 <= k <= f.depth:
-        raise InputError(f"level {k} outside 1..{f.depth}")
-    mod = f.prime**k
-    table = (f.value_array(mod) % mod).tolist()
-    orbit: dict[int, None] = {}  # insertion-ordered
-    x = 0
-    while x not in orbit:
-        orbit[x] = None
-        x = table[x]
-    return tuple(orbit)
+    """Forward orbit of 0 mod p^k, up to (and excluding) the first repeat, a
+    prefix of `orbit_mod(k)`: the repeat comes after as many steps as the
+    walk has distinct values."""
+    walk = f.orbit_mod(k).tolist()
+    return tuple(walk[: len(set(walk))])
 
 
 def transitive_mod(f: PadicFunction, k: int) -> CriterionVerdict:
     """A single cycle mod p^k: the walk of 0 first returns to 0 mod p^k after
     p^k steps.  Only a failure runs `cycle_structure`, for its witness."""
-    if not (f.lipschitz and 1 <= k <= f.depth):
-        f.reduce_map(k)  # refuses a k out of range, or f ill defined mod p^k
-    mod = f.prime**k
-    returns = f.orbit_walk[1 : mod + 1] % mod == 0
-    if returns[-1] and returns.argmax() == mod - 1:
-        return passing("transitive-mod", depth=k, cycle_length=mod)
+    returns = f.orbit_mod(k)[1:] == 0
+    if returns[-1] and returns.argmax() == len(returns) - 1:
+        return passing("transitive-mod", depth=k, cycle_length=len(returns))
     report = cycle_structure(f, k)
     if not report.is_permutation:
         return failing("transitive-mod", "not-bijective", witness=report.collision, depth=k)
@@ -160,6 +150,12 @@ def _require_ud1(f: PadicFunction, name: str) -> None:
         raise PreconditionError(f"{name} requires a UD1 input", report.verdict)
 
 
+# the p = 2 criteria for UD1 maps as check-lists of (label, wanted value), on
+# normalized van der Put terms b_0..b_3 and on Mahler terms a_1..a_3
+_UD_VDP_P2 = (("b0+b1", 1), ("b2", 1), ("b3", 1))
+_UD_MAHLER_P2 = (("a1-odd", 1), ("a2-mod4", 0), ("a3-mod4", 0))
+
+
 def measure_preserving_ud_p2(f: PadicFunction) -> CriterionVerdict:
     """p = 2 criterion for differentiable-mod-2 maps: three parity conditions
     on normalized van der Put terms: b_0 + b_1 odd, b_2 odd, b_3 odd."""
@@ -171,17 +167,7 @@ def measure_preserving_ud_p2(f: PadicFunction) -> CriterionVerdict:
     _require_ud1(f, name)
     series = vdp_coefficients(f, count=4)
     b = [series.normalized(m) for m in range(4)]
-    checks = [
-        ("b0+b1", (b[0] + b[1]) % 2, 1),
-        ("b2", b[2] % 2, 1),
-        ("b3", b[3] % 2, 1),
-    ]
-    for label, got, want in checks:
-        if got != want:
-            return failing(
-                name, label, witness={"value": got, "expected": want}, depth=f.depth
-            )
-    return passing(name, depth=f.depth)
+    return checklist_verdict(name, _UD_VDP_P2, ((b[0] + b[1]) % 2, b[2] % 2, b[3] % 2), f.depth)
 
 
 def measure_preserving_ud_p2_mahler(f: PadicFunction) -> CriterionVerdict:
@@ -193,19 +179,8 @@ def measure_preserving_ud_p2_mahler(f: PadicFunction) -> CriterionVerdict:
         raise InputError("need depth >= 2")
     name = "measure-preserving-ud-p2-mahler"
     _require_ud1(f, name)
-    series = mahler_coefficients(f, count=4)
-    a = series.term_list
-    checks = [
-        ("a1-odd", a[1] % 2, 1),
-        ("a2-mod4", a[2] % 4, 0),
-        ("a3-mod4", a[3] % 4, 0),
-    ]
-    for label, got, want in checks:
-        if got != want:
-            return failing(
-                name, label, witness={"value": got, "expected": want}, depth=f.depth
-            )
-    return passing(name, depth=f.depth)
+    a = mahler_coefficients(f, count=4).term_list
+    return checklist_verdict(name, _UD_MAHLER_P2, (a[1] % 2, a[2] % 4, a[3] % 4), f.depth)
 
 
 def lambda_rows(p: int):
@@ -303,7 +278,8 @@ def ergodic_conditions(f: PadicFunction) -> dict[str, Any]:
 
     if not f.lipschitz:  # else the walk mod p^(s+1) is no orbit
         raise PreconditionError("ergodic_conditions needs a 1-Lipschitz map", f.lipschitz)
-    residues = [int(f.orbit_walk[p**s]) % p ** (s + 1) for s in range(1, s_max + 1)]
+    walk = f.orbit_mod(f.depth)  # f^n(0) mod p^(s+1) is this walk mod p^(s+1)
+    residues = [int(walk[p**s]) % p ** (s + 1) for s in range(1, s_max + 1)]
     returned = [s for s, y in enumerate(residues, 1) if y == 0]
     out["orbit"] = failing(
         "orbit-escape", "returns-to-zero", witness={"s": returned[0]}, depth=s_max,

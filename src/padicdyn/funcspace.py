@@ -66,17 +66,17 @@ def _check_modulus(p: int, depth: int) -> None:
         )
 
 
-def _check_window(p: int, depth: int, npoints: int) -> None:
+def check_window(p: int, depth: int, npoints: int, degree: int | None = None) -> None:
+    """Refuse a window of npoints values above the materialization limit,
+    and a polynomial of the given degree whose degree times the window
+    exceeds the Horner budget."""
     if npoints > _TABLE_LIMIT:
         raise InputError(
             f"a window of {npoints} values at p={p}, depth {depth} exceeds "
             f"the materialization limit of {_TABLE_LIMIT} points"
         )
-
-
-def _check_horner_work(p: int, depth: int, degree: int, npoints: int) -> None:
-    """Refuse a polynomial whose degree times its value window exceeds the
-    Horner budget."""
+    if degree is None:
+        return
     wide = backends.int_dtype(p**depth, npoints) is object
     limit = _WIDE_HORNER_LIMIT if wide else _HORNER_LIMIT
     if degree * npoints > limit:
@@ -429,9 +429,8 @@ class PadicFunction:
         the materialization limit, and polynomials over the degree x window
         budget, are refused.
         """
-        _check_window(self.prime, self.depth, npoints)
-        if self.kind == "polynomial":
-            _check_horner_work(self.prime, self.depth, len(self.payload) - 1, npoints)
+        degree = len(self.payload) - 1 if self.kind == "polynomial" else None
+        check_window(self.prime, self.depth, npoints, degree)
         if self._values is None or len(self._values) < npoints:
             self._values = self._compute_values(npoints)
             self._values.flags.writeable = False
@@ -439,11 +438,11 @@ class PadicFunction:
 
     @cached_property
     def vdp_window(self) -> CoefficientSeries:
-        """B_0..B_{p^depth - 1} mod p^depth by the gather of `vdp_coefficients`,
+        """B_0..B_{p^depth - 1} mod p^depth by the gather `vdp_terms`,
         built once; held to the window limit, not to the vdp length limit
         that guards expand's output."""
         size = self.prime**self.depth
-        terms = _vdp_terms(self.value_array(size), self.prime)
+        terms = vdp_terms(self.value_array(size), self.prime)
         return CoefficientSeries("vdp", self.prime, self.depth, terms)
 
     @cached_property
@@ -461,6 +460,16 @@ class PadicFunction:
         walk = backends.orbit_walks(self.value_array(size)[None, :], size)[0]
         walk.flags.writeable = False
         return walk
+
+    def orbit_mod(self, k: int) -> np.ndarray:
+        """f^n(0) mod p^k for n = 0..p^k, read from the cached walk.  Refuses,
+        as `reduce_map(k)` does, a k outside 1..depth or a map not well
+        defined mod p^k, where the reduced walk is no orbit."""
+        if not (self.lipschitz and 1 <= k <= self.depth):
+            self.reduce_map(k)
+        mod = self.prime**k
+        walk = self.orbit_walk[: mod + 1]
+        return walk if k == self.depth else walk % mod  # the walk is reduced mod p^depth
 
     def _compute_values(self, npoints: int) -> np.ndarray:
         p, mod = self.prime, self.prime**self.depth
@@ -552,17 +561,18 @@ def vdp_coefficients(
     """The van der Put terms B_0..B_{count-1} mod p^k, gathered from the
     value array."""
     count, k = _coefficient_window(f, count, k)
-    _check_window(f.prime, f.depth, count)  # an oversized window is named first
+    check_window(f.prime, f.depth, count)  # an oversized window is named first
     check_vdp_length(f.prime, f.depth, count)
-    return CoefficientSeries("vdp", f.prime, k, _vdp_terms(f.value_array(count), f.prime))
+    return CoefficientSeries("vdp", f.prime, k, vdp_terms(f.value_array(count), f.prime))
 
 
-def _vdp_terms(values: np.ndarray, p: int) -> np.ndarray:
-    """B_m from the values f(0..count-1): f(m) for m < p, else f(m) - f(m^-),
-    where m^- is m with its leading digit removed; one gather."""
-    ms = np.arange(len(values))
-    _, lead = index_levels(len(values), p)
-    return values - np.where(ms >= p, values[ms % lead], 0)
+def vdp_terms(values: np.ndarray, p: int) -> np.ndarray:
+    """B_m from the values f(0..count-1) along the last axis: f(m) for m < p,
+    else f(m) - f(m^-), where m^- is m with its leading digit removed; one
+    gather."""
+    ms = np.arange(values.shape[-1])
+    _, lead = index_levels(len(ms), p)
+    return values - np.where(ms >= p, values[..., ms % lead], 0)
 
 
 def mahler_coefficients(
@@ -574,7 +584,7 @@ def mahler_coefficients(
     at its first term that its floor does not divide (`backends.mahler_batch`).
     """
     count, k = _coefficient_window(f, count, k)
-    _check_window(f.prime, f.depth, count)  # an oversized window is named first
+    check_window(f.prime, f.depth, count)  # an oversized window is named first
     check_mahler_length(f.prime, f.depth, count)
     terms = backends.mahler_batch(f.value_array(count)[None, :], f.prime**k, floors)[0]
     return CoefficientSeries("mahler", f.prime, k, terms)

@@ -89,7 +89,7 @@ def check_p_max(suite: str, p_max: int) -> None:
         )
 
 
-def _instance_counts(suite: str, p_max: int, s_max: int, s_min: int = 2):
+def _instance_counts(suite: str, p_max: int, s_max: int):
     """Yield the instances valpro or bipro checks at each (p, s) of its
     range: l p^s - 1 for each l < p, or the n + 1 pairs of each row
     n in [p^s, 2 p^s)."""
@@ -100,7 +100,7 @@ def _instance_counts(suite: str, p_max: int, s_max: int, s_min: int = 2):
                     yield p**s * p * (p - 1) // 2 - (p - 1)
     else:
         for p in _odd_primes(suite, p_max):
-            for s in range(s_min, s_max + 1):
+            for s in range(2, s_max + 1):
                 yield p**s * (3 * p**s + 1) // 2
 
 
@@ -132,10 +132,10 @@ def _arguments(name: str, overrides: dict) -> dict:
     return args
 
 
-def check_ranges(names, overrides: dict) -> None:
+def check_ranges(names, overrides: dict) -> dict:
     """Refuse, before any suite runs, a range that one of the named suites
     caps: first a p_max above the prime bound, then a range beyond the
-    work limit."""
+    work limit.  Returns the keyword arguments each suite runs with."""
     for name in names:
         if name not in _SUITES:
             raise InputError(f"unknown suite {name!r}; choose from {sorted(_SUITES)}")
@@ -145,6 +145,7 @@ def check_ranges(names, overrides: dict) -> None:
             check_p_max(name, args[name]["p_max"])
     for name in names:
         _check_work(name, args[name])
+    return args
 
 
 def _odd_primes(suite: str, p_max: int) -> list[int]:
@@ -262,16 +263,14 @@ def valpro_suite(p_max: int = 13, s_max: int = 4) -> SuiteReport:
     return SuiteReport("valpro", params, checked, bad, perf_counter() - t0)
 
 
-def bipro_suite(p_max: int = 13, s_max: int = 4, s_min: int = 2) -> SuiteReport:
-    """Digit-shift congruences mod p^2 for odd p <= p_max, s_min <= s <= s_max."""
-    if s_min < 2:
-        raise InputError("bipro needs s >= 2")
+def bipro_suite(p_max: int = 13, s_max: int = 4) -> SuiteReport:
+    """Digit-shift congruences mod p^2 for odd p <= p_max, 2 <= s <= s_max."""
     t0 = perf_counter()
     checked = 0
     bad = []
     families = {}
     for p in _odd_primes("bipro", p_max):
-        for s in range(s_min, s_max + 1):
+        for s in range(2, s_max + 1):
             pairs, witness = backends.bipro_scan(p, s)
             checked += pairs
             base = p ** (2 * (s - 1))
@@ -330,8 +329,8 @@ _SUITES = {
 def verify_identity_suite(name: str, **overrides) -> SuiteReport:
     """Run one suite by name, after `check_ranges`.  Range overrides (p_max,
     s_max) apply only to the suites that take them; others are dropped."""
-    check_ranges([name], overrides)
-    return _SUITES[name](**_arguments(name, overrides))
+    args = check_ranges([name], overrides)[name]
+    return _SUITES[name](**args)
 
 
 def all_suite_names() -> tuple[str, ...]:

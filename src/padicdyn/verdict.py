@@ -69,6 +69,16 @@ def failing(
     )
 
 
+def checklist_verdict(criterion: str, checks, values, depth: int | None = None) -> CriterionVerdict:
+    """The verdict of a check-list: checks are (label, wanted) pairs tried in
+    order against values, and the first whose value differs fails, with the
+    value and the wanted one as its witness."""
+    for (label, want), got in zip(checks, values):
+        if got != want:
+            return failing(criterion, label, witness={"value": got, "expected": want}, depth=depth)
+    return passing(criterion, depth=depth)
+
+
 def require_agreement(quantity: str, *verdicts: CriterionVerdict) -> None:
     """Raise InternalCheckError (exit 3) naming every route and its verdict
     when routes to one quantity disagree."""

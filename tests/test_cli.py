@@ -891,6 +891,30 @@ def test_generate_refuses_flags_it_would_ignore(capsys, argv):
     assert err.startswith("error: --phi, --bvec and --lift build ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("-p 10007", "a window of 1002101470343 values at p=10007, depth 3 exceeds "
+                 "the materialization limit of 67108864 points"),
+    ("-p 409", "a window of 68417929 values at p=409, depth 3 exceeds "
+               "the materialization limit of 67108864 points"),
+    ("-p 401 --route poly", "a polynomial of degree 801 over a window of 64481201 values "
+                            "at p=401, depth 3 exceeds the degree x window budget of 100000000"),
+    ("-p 1009 --route poly", "a window of 1027243729 values at p=1009, depth 3 exceeds "
+                             "the materialization limit of 67108864 points"),
+])
+def test_generate_refuses_its_window_before_any_instance_is_drawn(capsys, monkeypatch, argv, message):
+    # these limits used to fire only once an instance was solved and built:
+    # after 5.2 s at -p 10007, 16.7 s at -p 401 --route poly, and past 100 s
+    # at -p 1009 --route poly, inside the O(p^3) solve
+    def boom(*args, **kwargs):
+        raise AssertionError("an instance was drawn or solved")
+
+    for name in ("random_transitive_permutation", "random_power_basis_poly", "solve_fp",
+                 "p5_linear_form"):
+        monkeypatch.setattr(criteria, name, boom)
+    code, out, err = _run(capsys, ["generate", *argv.split(), "--seed", "1"])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_single_suite(capsys):
     code, payload, _ = _run_json(
         capsys,
@@ -985,6 +1009,34 @@ def test_verify_refuses_bip2_beyond_s_max_9(capsys, monkeypatch):
     code, out, err = _run(capsys, ["verify", "--suite", "bip2", "--s-max", "10"])
     assert code == 2
     assert out == "" and "bip2 at s_max 10 is above s_max 9, its work limit" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    ("--suite bip2 --p-max 5", "--p-max"),
+    ("--suite abc --s-max 3", "--s-max"),
+    ("--suite abc --suite pzero --s-max 3 --counterexamples", "--s-max"),
+    ("--counterexamples --p-max 5", "--p-max"),
+    ("--counterexamples --p-max 5 --s-max 3", "--p-max"),
+])
+def test_verify_refuses_a_range_option_no_suite_takes(capsys, monkeypatch, argv, option):
+    # each exited 0 and dropped the option without a word
+    def boom(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli.identities, "verify_identity_suite", boom)
+    monkeypatch.setattr(cli.criteria, "counterexample_catalog", boom)
+    code, out, err = _run(capsys, ["verify", *argv.split()])
+    assert (code, out, err) == (2, "", f"error: {option} applies to none of the suites that run\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "--suite all --p-max 5 --s-max 2 --counterexamples",
+    "--suite bipro --p-max 13 --s-max 3",
+    "--suite bip2 --suite abc --p-max 5 --s-max 3",
+])
+def test_verify_takes_a_range_option_that_some_suite_takes(capsys, argv):
+    code, payload, _ = _run_json(capsys, ["verify", *argv.split()], schema="verify.schema.json")
+    assert code == 0 and payload["pass"] is True
 
 
 def test_global_jobs_flag_removed(capsys):

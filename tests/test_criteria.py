@@ -13,6 +13,7 @@ from padicdyn.funcspace import (
     mahler_coefficients,
     vdp_coefficients,
 )
+from padicdyn.verdict import checklist_verdict, failing, passing
 from scalar_reference import random_p5_instance
 
 
@@ -84,6 +85,13 @@ def test_catalog_members_ergodic_all_routes():
         assert cr.mahler_ergodic_p2(mahler_coefficients(f, 4)).passed
         assert cr.vdp_ergodic_p2(vdp_coefficients(f, 4)).passed
         assert ergodic_oracle(f).passed
+
+
+def test_checklist_verdict_fails_at_the_first_differing_value():
+    checks = (("first", 1), ("second", 0), ("third", 0))
+    assert checklist_verdict("c", checks, (1, 0, 0), depth=3) == passing("c", depth=3)
+    assert checklist_verdict("c", checks, (1, 2, 5)) == failing(
+        "c", "second", witness={"value": 2, "expected": 0})
 
 
 def test_larin_rejects_with_witness():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from padicdyn.arith import binomial
@@ -11,6 +12,7 @@ from padicdyn.funcspace import (
     lipschitz_check,
     mahler_coefficients,
     vdp_coefficients,
+    vdp_terms,
 )
 from scalar_reference import (
     INFINITY,
@@ -18,6 +20,7 @@ from scalar_reference import (
     indicator_mahler_coefficient,
     lipschitz_direct_check,
     valuation,
+    vdp_reference,
     vdp_to_mahler,
 )
 
@@ -194,6 +197,32 @@ def test_reduce_map_precondition():
     g = PadicFunction.from_mahler(CoefficientSeries("mahler", 2, 3, (0, 0, 1)))
     with pytest.raises(PreconditionError):
         g.reduce_map(2)  # not 1-Lipschitz, reduction ill-defined
+
+
+def test_orbit_mod_reads_the_walk_and_refuses_as_reduce_map():
+    f = PadicFunction.from_polynomial([1, 1, 2], 3, 3)  # 2x^2 + x + 1
+    for k in (1, 2, 3):
+        y, walk = 0, []
+        for _ in range(3**k + 1):
+            walk.append(y)
+            y = f.evaluate(y, k)
+        assert f.orbit_mod(k).tolist() == walk
+    for k in (0, 4):
+        with pytest.raises(InputError):
+            f.orbit_mod(k)
+    # 0 -> 2 -> 0 mod 4, but x = 1 and x = 5 differ mod 4
+    g = PadicFunction.from_table([2, 1, 0, 3, 2, 3, 0, 1], 2, 3)
+    assert g.orbit_mod(1).tolist() == [0, 0, 0]
+    with pytest.raises(PreconditionError):
+        g.orbit_mod(2)
+
+
+def test_vdp_terms_along_the_last_axis_match_row_by_row():
+    rng = random.Random(4)
+    rows = [[rng.randrange(27) for _ in range(27)] for _ in range(3)]
+    batch = vdp_terms(np.array(rows), 3) % 27
+    for row, terms in zip(rows, batch.tolist()):
+        assert tuple(terms) == vdp_reference(PadicFunction.from_table(row, 3, 3), 27, 3).term_list
 
 
 def test_from_table_length_guard():
