@@ -182,9 +182,16 @@ def cmd_classify(args) -> int:
     if f.depth < 2:
         raise InputError("classification needs depth >= 2")
     # every route reads the UD1 window, and a passing Mahler route the full
-    # Mahler series; refuse either up front when too large
+    # Mahler series; refuse either up front when too large, then a map that
+    # is not 1-Lipschitz, which no route may classify
     f.value_array(analysis.ud1_window(f.prime, f.depth))
-    funcspace.check_mahler_length(f.prime, f.depth, f.prime**f.depth)
+    funcspace.check_series_length("mahler", f.prime, f.depth, f.prime**f.depth)
+    if not f.lipschitz:
+        w = f.lipschitz.witness
+        raise PreconditionError(
+            f"vdp term {w['index']} = {w['term']} is not divisible by "
+            f"{f.prime}^{w['required_valuation']}, so the map is not 1-Lipschitz", f.lipschitz
+        )
     report: dict = {
         "p": f.prime,
         "depth": f.depth,

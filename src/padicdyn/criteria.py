@@ -108,14 +108,21 @@ def vdp_ergodic_p2_rows(terms) -> tuple[np.ndarray, np.ndarray]:
     return _first_failing(values, _VERG_P2), values
 
 
+def _criterion_terms(kind: str, p: int, count: int, series: CoefficientSeries) -> np.ndarray:
+    """The first count terms of series, which the p = 2 or p = 3 criterion on
+    the kind reads; refused unless series is of that kind over p, with at
+    least count terms known mod p^3."""
+    if series.kind != kind or series.prime != p:
+        raise InputError(f"{kind}_ergodic_p{p} expects a {kind} series over p={p}")
+    if len(series) < count or series.exponent < 3:
+        raise InputError(f"need at least {count} terms at precision {p}^3")
+    return series.terms[:count]
+
+
 def _p2_verdict(kind, series, rows, checks) -> CriterionVerdict:
     """The verdict on one series: the one-row case of a row-wise criterion."""
-    if series.kind != kind or series.prime != 2:
-        raise InputError(f"{kind}_ergodic_p2 expects a {kind} series over p=2")
+    values = rows(_criterion_terms(kind, 2, 4, series)[None, :])[1][0].tolist()
     name = f"{kind}-ergodic-p2"
-    if len(series) < 4 or series.exponent < 3:
-        raise InputError("need at least 4 terms at precision 2^3")
-    values = rows(series.terms[None, :4])[1][0].tolist()
     if checks[0][0] == "normalization" and values[0]:  # B_2 or B_3 is odd
         m = 2 if series.term(2) % 2 else 3
         witness = {"error": str(series.normalization_error(m))}
@@ -282,24 +289,16 @@ def deg8_minimal_p3(alphas: Sequence[int]) -> CriterionVerdict:
     return _p3_verdict("deg8", alphas + [0] * (9 - len(alphas)), None)
 
 
-def _p3_series_verdict(kind: str, series: CoefficientSeries) -> CriterionVerdict:
-    if series.kind != kind or series.prime != 3:
-        raise InputError(f"{kind}_ergodic_p3 expects a {kind} series over p=3")
-    if len(series) < 9 or series.exponent < 3:
-        raise InputError("need at least 9 terms at precision 3^3")
-    return _p3_verdict(kind, series.terms[:9], series)
-
-
 def mahler_ergodic_p3(series: CoefficientSeries) -> CriterionVerdict:
     """Ergodicity on Z_3 from Mahler terms: the one-row case of
     `mahler_ergodic_p3_rows`."""
-    return _p3_series_verdict("mahler", series)
+    return _p3_verdict("mahler", _criterion_terms("mahler", 3, 9, series), series)
 
 
 def vdp_ergodic_p3(series: CoefficientSeries) -> CriterionVerdict:
     """Ergodicity on Z_3 from van der Put terms: the one-row case of
     `vdp_ergodic_p3_rows`."""
-    return _p3_series_verdict("vdp", series)
+    return _p3_verdict("vdp", _criterion_terms("vdp", 3, 9, series), series)
 
 
 # ---------------------------------------------------------------------
@@ -518,7 +517,8 @@ def p5_linear_form(p: int, phi: Sequence[int], bvec: Sequence[int], lift: Sequen
     for i in range(1, p):
         total = (total + w[i] * g1[i]) % p
 
-    yd = int(lifted.function.orbit_mod(2)[p])  # as p5_conditions read it
+    returned = lifted.conditions["return_valuation"]  # f^p(0) mod p^2
+    yd = (returned.details if returned.passed else returned.witness)["value"]
     direct = (yd // p) % p if yd % p == 0 else None
     return {
         "formula": total,

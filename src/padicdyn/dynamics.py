@@ -244,14 +244,15 @@ def measure_preserving_ud_odd(f: PadicFunction) -> CriterionVerdict:
 
 
 def ergodic_conditions(f: PadicFunction) -> dict[str, Any]:
-    """The four-part finite-level ergodicity bundle for 1-Lipschitz maps, at
-    levels s = 1..depth-1.
+    """The three-part finite-level ergodicity bundle for UD1 maps, at levels
+    s = 1..depth-1.
 
-    (1) transitivity mod p; (2) measure preservation; (3) the orbit of 0
-    escapes: f^(p^s)(0) != 0 mod p^(s+1); (4) the level product of
-    normalized branch terms is 1 mod p.  (2) is implied by (1) and (4) but
-    is still evaluated and reported.  A map that is not 1-Lipschitz is
-    refused with PreconditionError, after any NormalizationError of (4).
+    (1) transitivity mod p; (2) the orbit of 0 escapes: f^(p^s)(0) != 0 mod
+    p^(s+1); (3) the level product of normalized branch terms is 1 mod p.
+    On a UD1 map b_{k + l p^s} = l d(k) mod p, so (1) and (3) imply measure
+    preservation at every level, which the bundle does not evaluate.  A map
+    that is not 1-Lipschitz is refused with PreconditionError, after any
+    NormalizationError of (3).
     """
     p = f.prime
     s_max = f.depth - 1
@@ -260,7 +261,6 @@ def ergodic_conditions(f: PadicFunction) -> dict[str, Any]:
     out: dict[str, Any] = {}
     out["transitive_mod_p"] = transitive_mod(f, 1)
     series = f.vdp_window
-    out["measure_preserving"] = measure_preserving_vdp(series)
 
     products = []
     for s in range(1, s_max + 1):
@@ -292,17 +292,9 @@ def ergodic_conditions(f: PadicFunction) -> dict[str, Any]:
         depth=s_max, products=products,
     ) if not_one else passing("branch-product", depth=s_max, products=products)
 
-    combined = all(
-        out[key].passed
-        for key in ("transitive_mod_p", "measure_preserving", "orbit", "product")
-    )
+    combined = all(v.passed for v in out.values())
     out["combined"] = CriterionVerdict(
-        combined,
-        "ergodic-conditions",
-        None if combined else "see-parts",
-        depth=s_max,
-        details={"measure_preservation_redundant": "implied by transitivity mod p "
-                 "together with the branch product condition"},
+        combined, "ergodic-conditions", None if combined else "see-parts", depth=s_max
     )
     return out
 

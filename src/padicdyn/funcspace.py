@@ -30,15 +30,13 @@ _TABLE_LIMIT = 1 << 26
 _INT_TEXT = re.compile(r"[+-]?[0-9]+")
 _INT_CHARS = re.compile(r"[0-9+-]*")
 
-# the Mahler difference table is quadratic in the series length where its
-# differences do not vanish mod p^k (tables of maps that are not polynomials,
-# van der Put series, long Mahler input); it stops early where they do
-_MAHLER_LIMIT = 1 << 18
-
-# a van der Put series is linear work, but expand holds it several times over
-# (value array, terms, JSON text); at or above the Mahler limit, so it never
-# binds classify
-_VDP_LIMIT = 1 << 20
+# the longest series of each kind, and its name: the Mahler difference table
+# is quadratic in the length where its differences do not vanish mod p^k
+# (tables of maps that are not polynomials, van der Put series, long Mahler
+# input) and stops early where they do; a van der Put series is linear work,
+# but expand holds it several times over (value array, terms, JSON text); its
+# limit is at or above the Mahler one, so it never binds classify
+_SERIES_LIMITS = {"mahler": ("Mahler", 1 << 18), "vdp": ("van der Put", 1 << 20)}
 
 # the value array of a polynomial costs one Horner pass over the window per
 # degree (`backends.poly_tables`): about 6 ns a point in int64, about 30
@@ -117,21 +115,14 @@ def parse_ints(values) -> tuple[int, ...]:
     return tuple(map(parse_int, values))
 
 
-def check_mahler_length(p: int, depth: int, count: int) -> None:
-    """Refuse a Mahler series longer than the Mahler length limit."""
-    if count > _MAHLER_LIMIT:
+def check_series_length(kind: str, p: int, depth: int, count: int) -> None:
+    """Refuse a series of the kind ("mahler" or "vdp") longer than its
+    length limit."""
+    name, limit = _SERIES_LIMITS[kind]
+    if count > limit:
         raise InputError(
-            f"a Mahler series of {count} terms at p={p}, depth {depth} exceeds "
-            f"the Mahler length limit of {_MAHLER_LIMIT} terms"
-        )
-
-
-def check_vdp_length(p: int, depth: int, count: int) -> None:
-    """Refuse a van der Put series longer than the vdp length limit."""
-    if count > _VDP_LIMIT:
-        raise InputError(
-            f"a van der Put series of {count} terms at p={p}, depth {depth} exceeds "
-            f"the van der Put length limit of {_VDP_LIMIT} terms"
+            f"a {name} series of {count} terms at p={p}, depth {depth} exceeds "
+            f"the {name} length limit of {limit} terms"
         )
 
 
@@ -539,7 +530,9 @@ class PadicFunction:
         return f"PadicFunction({self.kind}, p={self.prime}, depth={self.depth})"
 
 
-def _coefficient_window(f: PadicFunction, count, k):
+def _coefficient_window(f: PadicFunction, kind: str, count, k):
+    """count and k with their defaults, once both are within the depth window,
+    count within the materialization limit and the kind's length limit."""
     if k is None:
         k = f.depth
     if not 1 <= k <= f.depth:
@@ -552,6 +545,8 @@ def _coefficient_window(f: PadicFunction, count, k):
         raise InputError(
             f"count {count} exceeds the depth window {f.prime}^{f.depth}"
         )
+    check_window(f.prime, f.depth, count)  # an oversized window is named first
+    check_series_length(kind, f.prime, f.depth, count)
     return count, k
 
 
@@ -560,9 +555,7 @@ def vdp_coefficients(
 ) -> CoefficientSeries:
     """The van der Put terms B_0..B_{count-1} mod p^k, gathered from the
     value array."""
-    count, k = _coefficient_window(f, count, k)
-    check_window(f.prime, f.depth, count)  # an oversized window is named first
-    check_vdp_length(f.prime, f.depth, count)
+    count, k = _coefficient_window(f, "vdp", count, k)
     return CoefficientSeries("vdp", f.prime, k, vdp_terms(f.value_array(count), f.prime))
 
 
@@ -583,9 +576,7 @@ def mahler_coefficients(
     With floors (divisors of p^k, one per index), the series may end early,
     at its first term that its floor does not divide (`backends.mahler_batch`).
     """
-    count, k = _coefficient_window(f, count, k)
-    check_window(f.prime, f.depth, count)  # an oversized window is named first
-    check_mahler_length(f.prime, f.depth, count)
+    count, k = _coefficient_window(f, "mahler", count, k)
     terms = backends.mahler_batch(f.value_array(count)[None, :], f.prime**k, floors)[0]
     return CoefficientSeries("mahler", f.prime, k, terms)
 

@@ -175,7 +175,6 @@ def abc_suite(p_max: int = 97) -> SuiteReport:
     correlation.  Each sum is below p^7 < 2^63 for p <= 97, so int64 is
     exact.
     """
-    t0 = perf_counter()
     checked = 0
     bad = []
     for p in _odd_primes("abc", p_max):
@@ -188,14 +187,13 @@ def abc_suite(p_max: int = 97) -> SuiteReport:
             checked += 1
             if total % q != 0:
                 bad.append({"p": p, "r": r, "residue": total % q})
-    return SuiteReport("abc", {"p_max": p_max}, checked, bad, perf_counter() - t0)
+    return SuiteReport("abc", {"p_max": p_max}, checked, bad)
 
 
 def pzero_suite(p_max: int = 97) -> SuiteReport:
     """The complementary double sum is 0 mod p^2 for odd primes p <= p_max,
     2 <= r < p: the tap sums of row C(r, .) at l = 1..p-1, one convolution,
     with the taps cut to j < p - r."""
-    t0 = perf_counter()
     checked = 0
     bad = []
     for p in _odd_primes("pzero", p_max):
@@ -207,7 +205,7 @@ def pzero_suite(p_max: int = 97) -> SuiteReport:
             checked += 1
             if total % q != 0:
                 bad.append({"p": p, "r": r, "residue": total % q})
-    return SuiteReport("pzero", {"p_max": p_max}, checked, bad, perf_counter() - t0)
+    return SuiteReport("pzero", {"p_max": p_max}, checked, bad)
 
 
 def valpro_claim(s, vj):
@@ -227,7 +225,6 @@ def valpro_suite(p_max: int = 13, s_max: int = 4) -> SuiteReport:
     running valuation is the carried value plus a cumulative sum.  The
     sweep stops at the fifth counterexample.
     """
-    t0 = perf_counter()
     checked = 0
     bad = []
     params = {"p_max": p_max, "s_max": s_max}
@@ -255,17 +252,14 @@ def valpro_suite(p_max: int = 13, s_max: int = 4) -> SuiteReport:
                         )
                         if len(bad) > 4:
                             checked += i + 1
-                            return SuiteReport(
-                                "valpro", params, checked, bad, perf_counter() - t0
-                            )
+                            return SuiteReport("valpro", params, checked, bad)
                     checked += size
                     v = int(running[-1])
-    return SuiteReport("valpro", params, checked, bad, perf_counter() - t0)
+    return SuiteReport("valpro", params, checked, bad)
 
 
 def bipro_suite(p_max: int = 13, s_max: int = 4) -> SuiteReport:
     """Digit-shift congruences mod p^2 for odd p <= p_max, 2 <= s <= s_max."""
-    t0 = perf_counter()
     checked = 0
     bad = []
     families = {}
@@ -286,12 +280,11 @@ def bipro_suite(p_max: int = 13, s_max: int = 4) -> SuiteReport:
                 bad.append(witness)
     params = {"p_max": p_max, "s_max": s_max, "backend": backends.current_backend(),
               "families": families}
-    return SuiteReport("bipro", params, checked, bad, perf_counter() - t0)
+    return SuiteReport("bipro", params, checked, bad)
 
 
 def bip2_suite(s_max: int = 6) -> SuiteReport:
     """The five p = 2 digit-shift congruences mod 4, exhaustive in s <= s_max."""
-    t0 = perf_counter()
     checked = 0
     bad = []
     C = math.comb
@@ -314,7 +307,7 @@ def bip2_suite(s_max: int = 6) -> SuiteReport:
                             {"case": tag, "s": s, "alpha": a, "beta": b,
                              "lhs_mod4": lhs % 4, "rhs_mod4": rhs % 4}
                         )
-    return SuiteReport("bip2", {"s_max": s_max}, checked, bad, perf_counter() - t0)
+    return SuiteReport("bip2", {"s_max": s_max}, checked, bad)
 
 
 _SUITES = {
@@ -327,10 +320,14 @@ _SUITES = {
 
 
 def verify_identity_suite(name: str, **overrides) -> SuiteReport:
-    """Run one suite by name, after `check_ranges`.  Range overrides (p_max,
-    s_max) apply only to the suites that take them; others are dropped."""
+    """Run one suite by name, after `check_ranges`, and time it: a suite run
+    directly reports 0.0 seconds.  Range overrides (p_max, s_max) apply only
+    to the suites that take them; others are dropped."""
     args = check_ranges([name], overrides)[name]
-    return _SUITES[name](**args)
+    t0 = perf_counter()
+    report = _SUITES[name](**args)
+    report.elapsed = perf_counter() - t0
+    return report
 
 
 def all_suite_names() -> tuple[str, ...]:

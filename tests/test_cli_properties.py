@@ -1,0 +1,147 @@
+"""Properties of `classify` on generated input, run through `cli.main` in
+process.
+
+The contract: every JSON function object gets exit 0, 1 or 2.  Exit 2
+writes nothing to stdout and exactly one `error:` line to stderr, with no
+traceback; exit 0 or 1 writes a report that validates against the classify
+schema, and only for a 1-Lipschitz map, since 1 means "criterion false".
+Objects of every kind are drawn at p in {2, 3, 5, 7}, with series shorter
+than, as long as and longer than p^depth, and terms on both sides of their
+Lipschitz floors.
+
+Cross-kind invariance: one polynomial at depth >= mu, given as polynomial,
+value table, van der Put and Mahler series, gets the same verdicts and the
+same exit code.  Hypothesis runs derandomized with a bounded number of
+examples.
+"""
+
+import contextlib
+import io
+import json
+from importlib import resources
+
+import jsonschema
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from padicdyn import cli
+from padicdyn.dynamics import transitivity_threshold
+from padicdyn.funcspace import (
+    CoefficientSeries,
+    PadicFunction,
+    floor_log,
+    mahler_coefficients,
+    vdp_coefficients,
+)
+from scalar_reference import required_ud1_valuation
+
+with resources.files("padicdyn.schemas").joinpath("classify.schema.json").open() as fh:
+    CLASSIFY_SCHEMA = json.load(fh)
+
+MAX_DEPTH = {2: 4, 3: 4, 5: 3, 7: 3}
+
+cli_settings = settings(
+    derandomize=True,
+    database=None,
+    max_examples=250,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def classify(obj):
+    """(exit code, stdout, stderr) of `classify -` on the JSON object."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("sys.stdin", io.StringIO(json.dumps(obj)))
+            code = cli.main(["classify", "-"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def function_objects(draw):
+    """JSON function objects of every kind.  Series terms and the Mahler
+    terms behind a table sit at their Lipschitz floors e(m) or at the
+    higher floors of the Mahler UD1 predicate, times a random residue; one
+    term may be drawn a power of p below its Lipschitz floor."""
+    p = draw(st.sampled_from(sorted(MAX_DEPTH)))
+    depth = draw(st.integers(1, MAX_DEPTH[p]))
+    size = p**depth
+    kind = draw(st.sampled_from(["table", "vdp", "mahler", "polynomial"]))
+    if kind == "polynomial":
+        coeffs = draw(st.lists(st.integers(-size, size), max_size=6))
+        return {"kind": kind, "p": p, "depth": depth, "coeffs": coeffs}
+    if kind == "table":
+        length = size
+    else:
+        length = draw(st.sampled_from(sorted({1, max(1, size // p), size - 1 or 1, size,
+                                              size + 1, p * size})))
+    rng = draw(st.randoms(use_true_random=False))
+    floor = required_ud1_valuation if draw(st.booleans()) else floor_log
+    terms = [p ** min(floor(m, p), depth) * rng.randrange(size) for m in range(length)]
+    if length > p and draw(st.booleans()):
+        m = rng.randrange(p, length)
+        unit = rng.randrange(1, p) + p * rng.randrange(size)
+        terms[m] = p ** (min(floor_log(m, p), depth) - 1) * unit
+    if kind == "table":
+        series = CoefficientSeries("mahler", p, depth, terms)
+        values = PadicFunction.from_mahler(series).value_table(depth)
+        return {"kind": kind, "p": p, "depth": depth, "values": values}
+    return {"kind": kind, "p": p, "k": depth, "terms": terms}
+
+
+@cli_settings
+@given(function_objects())
+@example({"kind": "table", "p": 2, "depth": 3, "values": [7, 3, 1, 5, 7, 1, 5, 7]})
+def test_classify_answers_a_lipschitz_map_or_refuses_with_one_error_line(obj):
+    code, out, err = classify(obj)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return
+    assert err == ""
+    report = json.loads(out)
+    jsonschema.validate(report, CLASSIFY_SCHEMA)
+    assert report["lipschitz"]["pass"]
+
+
+@st.composite
+def polynomials_past_mu(draw):
+    """(p, depth, coeffs) with depth >= mu; half of them x + 1 + p g(x),
+    transitive mod p, so that both exit codes occur at every prime."""
+    p = draw(st.sampled_from(sorted(MAX_DEPTH)))
+    mu = transitivity_threshold(p)
+    depth = draw(st.integers(mu, mu + 1))
+    coeffs = draw(st.lists(st.integers(0, p**depth - 1), min_size=2, max_size=6))
+    if draw(st.booleans()):
+        coeffs = [p * c + (i < 2) for i, c in enumerate(coeffs)]
+    return p, depth, coeffs
+
+
+def _verdicts(obj):
+    code, out, _ = classify(obj)
+    report = json.loads(out)
+    ud1 = report["ud1"]
+    return (code, report["lipschitz"]["pass"], ud1["direct"]["pass"], ud1["vdp"]["pass"],
+            ud1["mahler"]["pass"], report["measure_preserving"]["pass"],
+            report["ergodicity"]["ergodic"])
+
+
+@cli_settings
+@given(polynomials_past_mu())
+def test_every_kind_of_one_map_gets_the_same_verdicts(case):
+    p, depth, coeffs = case
+    f = PadicFunction.from_polynomial(coeffs, p, depth)
+    objects = [
+        {"kind": "polynomial", "p": p, "depth": depth, "coeffs": coeffs},
+        {"kind": "table", "p": p, "depth": depth, "values": f.value_table(depth)},
+        vdp_coefficients(f).to_json_dict(),
+        mahler_coefficients(f).to_json_dict(),
+    ]
+    verdicts = [_verdicts(obj) for obj in objects]
+    assert verdicts[0][0] in (0, 1)
+    assert verdicts == [verdicts[0]] * 4

@@ -219,16 +219,17 @@ def test_branch_product_refuses_the_first_unnormalized_term():
 def test_ergodic_conditions_bundle():
     f = PadicFunction.from_polynomial([1, 1], 3, 3)
     bundle = ergodic_conditions(f)
+    assert set(bundle) == {"transitive_mod_p", "orbit", "product", "combined"}
     assert bundle["combined"].passed
     assert bundle["transitive_mod_p"].passed
-    assert bundle["measure_preserving"].passed
+    assert measure_preserving_vdp(f.vdp_window).passed
     assert all(r == 1 for r in bundle["product"].details["products"])
 
     g = PadicFunction.from_polynomial([1, 3, 0, 2], 2, 3)
     gb = ergodic_conditions(g)
     assert not gb["combined"].passed
     # the failure is in the orbit condition, not measure preservation
-    assert gb["measure_preserving"].passed
+    assert measure_preserving_vdp(g.vdp_window).passed
     assert not gb["orbit"].passed
 
 

@@ -115,6 +115,8 @@ def test_dispatcher_and_overrides():
     report = verify_identity_suite("abc", p_max=7)
     assert report.passed
     assert report.params["p_max"] == 7
+    # the dispatcher times the suite; a suite run directly is not timed
+    assert report.elapsed > 0.0 and abc_suite(p_max=7).elapsed == 0.0
     # irrelevant overrides are dropped rather than raising
     report = verify_identity_suite("bip2", p_max=97, s_max=3)
     assert report.passed and report.params["s_max"] == 3

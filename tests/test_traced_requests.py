@@ -7,8 +7,8 @@ of a series, the size of a cycle report and the count of a suite.  An
 exception there is a wrong answer to the benchmark, though untraced runs
 never meet it.  This module loads the tracer by path, without changing
 it, runs one request of each kind the benchmark sends through `cli.main`
-in process, traced and untraced, and requires the same exit code and
-stdout, with the suites' `elapsed_seconds` masked.
+in process, traced and untraced, and requires the same exit code, stdout
+and stderr, with the suites' `elapsed_seconds` masked.
 """
 
 import contextlib
@@ -44,11 +44,15 @@ def _table(values, p, depth):
 # x + 1 mod 27 with 9 added at x = 0: 1-Lipschitz, not UD1
 _KINK = [(x + 1 + 9 * (x == 0)) % 27 for x in range(27)]
 
+# f(5) - f(1) = 6 mod 8 is not divisible by 4: not 1-Lipschitz, refused with exit 2
+_NOT_LIPSCHITZ = _table([7, 3, 1, 5, 7, 1, 5, 7], 2, 3)
+
 REQUESTS = [
     ("classify 1+x+2x^2+4x^3 -p 2 --depth 5", None),
     ("classify 1+x+5x^5 -p 5 --depth 3", None),
     ("classify -", _table([(x + 1) % 27 for x in range(27)], 3, 3)),
     ("classify -", _table(_KINK, 3, 3)),
+    ("classify -", _NOT_LIPSCHITZ),
     ("classify -", _series(vdp_coefficients, [1, 5, 2, 4], 2, 6)),
     ("classify -", _series(mahler_coefficients, [1, 1, 3, 9], 3, 3)),
     ("expand 1,2,3,4 -p 3 --depth 3 --basis mahler --count 27 --normalized", None),
@@ -66,12 +70,17 @@ def _call(argv, stdin):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("sys.stdin", io.StringIO(stdin or ""))
             code = cli.main(argv)
-    return code, re.sub(r'"elapsed_seconds": [0-9.e+-]+', '"elapsed_seconds": 0', out.getvalue())
+    out = re.sub(r'"elapsed_seconds": [0-9.e+-]+', '"elapsed_seconds": 0', out.getvalue())
+    return code, out, err.getvalue()
 
 
 def test_traced_requests_answer_as_untraced():
     untraced = [_call(argv.split(), stdin) for argv, stdin in REQUESTS]
-    assert all(code in (0, 1) for code, _ in untraced)
+    for (code, _, err), (_, stdin) in zip(untraced, REQUESTS):
+        if stdin == _NOT_LIPSCHITZ:
+            assert code == 2 and "not 1-Lipschitz" in err
+        else:
+            assert code in (0, 1) and err == ""
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
@@ -83,4 +92,4 @@ def test_traced_requests_answer_as_untraced():
     finally:
         tracer.uninstall()
     assert traced == untraced
-    assert tracer.calls["cli.classify"] == 6 and tracer.calls["dynamics.ergodic_oracle"] >= 6
+    assert tracer.calls["cli.classify"] == 7 and tracer.calls["dynamics.ergodic_oracle"] >= 6
