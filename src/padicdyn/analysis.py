@@ -100,11 +100,9 @@ def vdp_ud1_relations_check(series: CoefficientSeries) -> CriterionVerdict:
     if series.kind != "vdp":
         raise InputError("vdp_ud1_relations_check expects a vdp series")
     p = series.prime
-    if series.exponent < 2 or p * p > len(series):
+    s_max = series.top_level
+    if s_max < 1:
         raise InputError("series too short or too coarse for any level s >= 1")
-    s_max = 1
-    while p ** (s_max + 2) <= len(series) and s_max + 1 < series.exponent:
-        s_max += 1
     name = "ud1-vdp-relations"
     # one row per (s, r), in that order: the reference index q = r + p^s
     # runs over the indices p <= q < p^(s_max+1) whose leading digit is 1
@@ -204,7 +202,7 @@ def ud1_equivalence_crosscheck(f: PadicFunction):
         p = f.prime
         raise InternalCheckError(
             f"derivative residue routes disagree at u={u}: direct sweep d(u)={report.derived[u]}, "
-            f"van der Put B_{u % p + p}/p={vdp.normalized(u % p + p, 1)}"
+            f"van der Put B_{u % p + p}/p={vdp.normals(p, 2 * p)[u % p] % p}"
         )
     return report.verdict, vdp_verdict, mahler_verdict
 

@@ -170,7 +170,7 @@ def cmd_expand(args) -> int:
     series = extract(f, count=count)
     out = series.to_json_dict()
     if args.normalized:
-        out["normalized"] = [str(x) for x in series.normalized_terms()]
+        out["normalized"] = [str(x) for x in series.normals(0, len(series)).tolist()]
     lip = funcspace.lipschitz_check(series)
     out["lipschitz"] = lip.to_json_dict()
     _emit(out)

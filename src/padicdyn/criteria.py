@@ -24,7 +24,7 @@ from .errors import InputError, InternalCheckError, PreconditionError
 from .funcspace import (
     CoefficientSeries,
     PadicFunction,
-    floor_log,
+    index_levels,
     mahler_coefficients,
     vdp_coefficients,
 )
@@ -97,7 +97,7 @@ def vdp_ergodic_p2_rows(terms) -> tuple[np.ndarray, np.ndarray]:
     normalized terms b_m = B_m / 2^e(m), row by row; the first check is that
     B_2 and B_3 are even, so that b_2 and b_3 exist."""
     terms = np.asarray(terms)[:, :4]
-    b = (terms // np.array([1, 1, 2, 2])) % 4
+    b = (terms // index_levels(4, 2)[1]) % 4
     values = np.column_stack([
         (terms[:, 2:] % 2 != 0).any(axis=1),
         b[:, 0] % 2,
@@ -220,7 +220,7 @@ def deg8_minimal_p3_rows(coeffs):
     return (*case_table_rows("deg8", selectors, a, never, never), selectors, a)
 
 
-_LEAD = np.array([1, 1, 1, 3, 3, 3, 3, 3, 3])  # 3^e(n) for n < 9
+_LEAD = index_levels(9, 3)[1]  # 3^e(n) for n < 9
 
 
 def _nine_normals(terms):
@@ -391,7 +391,7 @@ def p5_conditions(f: PadicFunction) -> dict:
         raise InputError("need depth >= 2")
     out = {}
     out["transitive_mod_p"] = transitive_mod(f, 1)
-    prod = math.prod(f.vdp_window.normalized(j + p, 1) for j in range(p)) % p
+    prod = math.prod((f.vdp_window.normals(p, 2 * p) % p).tolist()) % p
     out["branch_product"] = (
         passing("branch-product-unit", product=prod)
         if prod == 1
@@ -439,14 +439,15 @@ def _p5_function(p, phi, bvec, lift):
         raise InputError(f"lift must list {2 * p} values")
     e_base = p5_solve_base(p, phi)
     e = e_base + p5_solve_branch(p, e_base, bvec)
-    terms = [p ** floor_log(m, p) * (e[m] + p * lift[m]) for m in range(2 * p)]
+    terms = [(p if m >= p else 1) * (e[m] + p * lift[m]) for m in range(2 * p)]
     series = CoefficientSeries("mahler", p, 3, tuple(terms))
     f = PadicFunction.from_mahler(series)
     # re-extract the targets from the built function
+    branch = (f.vdp_window.normals(p, 2 * p) % p).tolist()
     for i in range(p):
         if f.evaluate(i, 1) != phi[i]:
             raise InternalCheckError(f"instance missed phi at {i}")
-        if f.vdp_window.normalized(i + p, 1) != bvec[i]:
+        if branch[i] != bvec[i]:
             raise InternalCheckError(f"instance missed branch residue at {i}")
     return phi, bvec, lift, series, f
 
@@ -491,13 +492,13 @@ def p5_linear_form(p: int, phi: Sequence[int], bvec: Sequence[int], lift: Sequen
     g0 = PadicFunction.from_mahler(CoefficientSeries(
         "mahler", p, 2, [t - p * z for t, z in zip(a[:p], lift)] + list(a[p:])
     ))
-    series = g0.vdp_window
 
     orbit = g0.orbit_mod(1)[:p].tolist()
     deriv = []
     formal = _mahler_derivative_residues(g0.payload.term_list, orbit, p)
+    branch = (g0.vdp_window.normals(p, 2 * p) % p).tolist()
     for x, via_formal in zip(orbit, formal):
-        via_branch = series.normalized((x % p) + p, 1)
+        via_branch = branch[x % p]
         if via_branch != via_formal:
             raise InternalCheckError(
                 f"derivative routes disagree at x={x}: {via_branch} vs {via_formal}"

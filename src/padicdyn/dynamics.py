@@ -119,9 +119,7 @@ def measure_preserving_vdp(series: CoefficientSeries) -> CriterionVerdict:
         return failing(
             name, "complete-residues", witness={"residues": base}, depth=series.exponent
         )
-    s_max = 0
-    while p ** (s_max + 2) <= len(series) and s_max + 2 <= series.exponent:
-        s_max += 1
+    s_max = series.top_level
     for s in range(1, s_max + 1):
         step = p**s
         # block[k, l - 1] = B_{k + l p^s}: row k holds base k's branch terms
@@ -133,7 +131,7 @@ def measure_preserving_vdp(series: CoefficientSeries) -> CriterionVerdict:
         bad = unnormal.any(axis=1) | broken
         if bad.any():
             k = int(bad.argmax())
-            if unnormal[k].any():  # normalized(k + l p^s, 1) refuses the first such l
+            if unnormal[k].any():  # base k is judged at its first unnormal term, if any
                 raise series.normalization_error(k + (int(unnormal[k].argmax()) + 1) * step)
             return failing(
                 name,
@@ -166,7 +164,7 @@ def measure_preserving_ud_p2(f: PadicFunction) -> CriterionVerdict:
     name = "measure-preserving-ud-p2"
     _require_ud1(f, name)
     series = vdp_coefficients(f, count=4)
-    b = [series.normalized(m) for m in range(4)]
+    b = series.normals(0, 4).tolist()
     return checklist_verdict(name, _UD_VDP_P2, ((b[0] + b[1]) % 2, b[2] % 2, b[3] % 2), f.depth)
 
 
@@ -224,10 +222,10 @@ def measure_preserving_ud_odd(f: PadicFunction) -> CriterionVerdict:
         )
     vdp = vdp_coefficients(f, count=2 * p)
     mahler = mahler_coefficients(f, count=2 * p)
-    c = np.array([a % p for a in mahler.term_list[:p]], dtype=np.int64)
-    cp = np.array([mahler.normalized(n + p, 1) for n in range(p)], dtype=np.int64)
+    c, cp = (mahler.normals(0, 2 * p) % p).astype(np.int64).reshape(2, p)
+    branch = (vdp.normals(p, 2 * p) % p).tolist()
     for i, (lam_row, binom_row) in enumerate(lambda_rows(p)):
-        b = vdp.normalized(i + p, 1)
+        b = branch[i]
         lam = int(lam_row @ c + binom_row @ cp) % p
         if lam != b:
             raise InternalCheckError(
@@ -264,13 +262,8 @@ def ergodic_conditions(f: PadicFunction) -> dict[str, Any]:
 
     products = []
     for s in range(1, s_max + 1):
-        step = p**s
-        block = series.terms[step : 2 * step]
-        unnormal = block % step != 0
-        if unnormal.any():  # normalized(j + p^s, 1) refuses the first such j
-            raise series.normalization_error(step + int(unnormal.argmax()))
         # the product of the residues b_{j + p^s} mod p, from how often each occurs
-        counts = np.bincount(((block // step) % p).astype(np.int64), minlength=p)
+        counts = np.bincount((series.normals(p**s, 2 * p**s) % p).astype(np.int64), minlength=p)
         acc = 1
         for r in np.flatnonzero(counts).tolist():
             acc = acc * pow(r, int(counts[r]), p) % p

@@ -126,30 +126,14 @@ def check_series_length(kind: str, p: int, depth: int, count: int) -> None:
         )
 
 
-def floor_log(m: int, p: int) -> int:
-    """Exponent e(m) of the leading base-p digit of m, with e(0) = 0."""
-    require_prime(p)
-    require_nonnegative(m, "m")
-    return _lead_exponent(m, p)
-
-
-def _lead_exponent(m: int, p: int) -> int:
-    """floor_log without re-validating p and m, for per-term loops."""
-    e = 0
-    while m >= p:
-        m //= p
-        e += 1
-    return e
-
-
-def index_levels(count: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """e(i) and p^e(i) for i = 0..count-1, as two int64 arrays."""
-    level = np.zeros(count, dtype=np.int64)
-    lead = np.ones(count, dtype=np.int64)
+def index_levels(stop: int, p: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """e(i) and p^e(i) for start <= i < stop, as two int64 arrays."""
+    level = np.zeros(stop - start, dtype=np.int64)
+    lead = np.ones(stop - start, dtype=np.int64)
     power = p
-    while power < count:
-        level[power:] += 1
-        lead[power:] = power
+    while power < stop:
+        level[max(power - start, 0) :] += 1
+        lead[max(power - start, 0) :] = power
         power *= p
     return level, lead
 
@@ -217,54 +201,45 @@ class CoefficientSeries:
     def term(self, i: int) -> int:
         return int(self.terms[i])
 
+    @property
+    def top_level(self) -> int:
+        """The highest level s whose terms the series holds (p^(s+1) <= its
+        length) with a residue mod p left (s < its exponent), else 0."""
+        level = int(index_levels(len(self) + 1, self.prime, len(self))[0][0])
+        return max(min(level, self.exponent) - 1, 0)
+
     def normalization_error(self, i: int) -> NormalizationError:
-        """What normalized(i) raises when term i is not divisible by p^e(i)."""
-        e = _lead_exponent(i, self.prime)
+        """What `normals` raises when term i is not divisible by p^e(i)."""
+        e = int(index_levels(i + 1, self.prime, i)[0][0])
         return NormalizationError(
             f"{self.kind} term {i} = {self.term(i)} is not divisible by {self.prime}^{e}"
         )
 
-    def normalized(self, i: int, exponent: int | None = None) -> int:
-        """Term i divided by p^e(i), as a residue mod p^(self.exponent - e(i)).
+    def normals(self, start: int, stop: int) -> np.ndarray:
+        """The normalized terms b_i = B_i / p^e(i) for start <= i < stop, as
+        one array (int64, or Python integers where the terms are); b_i is a
+        residue mod p^(exponent - e(i)).
 
-        Raises NormalizationError when the stored term is not divisible by
-        p^e(i), and InputError when more precision is requested than the
-        series carries.
+        Raises at the first index it refuses: NormalizationError where p^e(i)
+        does not divide the term, and InputError where e(i) >= exponent, so
+        that no residue is left.
         """
-        e = _lead_exponent(i, self.prime)
-        avail = self.exponent - e
-        if avail < 1:
+        p = self.prime
+        fine = min(stop, self.modulus)  # e(i) < exponent exactly where i < p^exponent
+        lead = int(index_levels(start + 1, p, start)[1][0])  # one divisor within a level
+        if fine > lead * p:
+            lead = index_levels(fine, p, start)[1]
+        terms = self.terms[start:fine]
+        unnormal = terms % lead != 0
+        if unnormal.any():
+            raise self.normalization_error(start + int(unnormal.argmax()))
+        if stop > fine:
             raise InputError(
-                f"term {i} has no residual precision at exponent {self.exponent}"
+                f"term {max(start, fine)} has no residual precision at exponent {self.exponent}"
             )
-        if exponent is None:
-            exponent = avail
-        elif exponent > avail:
-            raise InputError(
-                f"requested precision p^{exponent} for term {i}, only p^{avail} known"
-            )
-        t = self.term(i)
-        scale = self.prime**e
-        if t % scale != 0:
-            raise self.normalization_error(i)
-        return (t // scale) % self.prime**exponent
-
-    def normalized_terms(self) -> list[int]:
-        """normalized(i) for every index i, raising at the first index that
-        normalized(i) would refuse."""
-        level, lead = index_levels(len(self.terms), self.prime)
-        coarse = level >= self.exponent
-        refused = coarse | (self.terms % np.where(coarse, 1, lead) != 0)
-        if refused.any():
-            i = int(refused.argmax())
-            if coarse[i]:
-                raise InputError(
-                    f"term {i} has no residual precision at exponent {self.exponent}"
-                )
-            raise self.normalization_error(i)
         # a canonical term divisible by p^e(i) is below p^exponent, so its
         # quotient is already reduced mod p^(exponent - e(i))
-        return (self.terms // lead).tolist()
+        return terms // lead
 
     def to_json_dict(self) -> dict:
         return {

@@ -10,7 +10,9 @@ the power basis once for all points, and before the coefficient routes,
 Larin's cubic criterion and the p = 3 case tables became mask passes over a
 term array: every value comes from
 `PadicFunction.evaluate`, from exact rationals or from one term at a time
-(`CoefficientSeries.term` and `normalized`), every loop is plain Python.
+(`CoefficientSeries.term`, and `normalized` with `floor_log` below, which
+the package's `CoefficientSeries.normals` replaced), every loop is plain
+Python.
 They are slow on purpose and serve only as independent references in
 tests.
 
@@ -39,11 +41,46 @@ import numpy as np
 
 from padicdyn import backends, criteria, identities
 from padicdyn.analysis import UD1Report
-from padicdyn.arith import inverse_mod, m_minus, p_digits, require_prime
+from padicdyn.arith import inverse_mod, m_minus, p_digits, require_nonnegative, require_prime
 from padicdyn.dynamics import cycle_structure
 from padicdyn.errors import InputError, InternalCheckError, NormalizationError
-from padicdyn.funcspace import CoefficientSeries, PadicFunction, floor_log
+from padicdyn.funcspace import CoefficientSeries, PadicFunction
 from padicdyn.verdict import CriterionVerdict, failing, passing
+
+
+def floor_log(m: int, p: int) -> int:
+    """Exponent e(m) of the leading base-p digit of m, with e(0) = 0."""
+    require_prime(p)
+    require_nonnegative(m, "m")
+    e = 0
+    while m >= p:
+        m //= p
+        e += 1
+    return e
+
+
+def normalized(series: CoefficientSeries, i: int, exponent: int | None = None) -> int:
+    """Term i divided by p^e(i), as a residue mod p^exponent, by default
+    mod p^(series.exponent - e(i)).
+
+    Raises NormalizationError when the stored term is not divisible by
+    p^e(i), and InputError when more precision is requested than the
+    series carries.
+    """
+    e = floor_log(i, series.prime)
+    avail = series.exponent - e
+    if avail < 1:
+        raise InputError(f"term {i} has no residual precision at exponent {series.exponent}")
+    if exponent is None:
+        exponent = avail
+    elif exponent > avail:
+        raise InputError(f"requested precision p^{exponent} for term {i}, only p^{avail} known")
+    t = series.term(i)
+    if t % series.prime**e != 0:
+        raise NormalizationError(
+            f"{series.kind} term {i} = {t} is not divisible by {series.prime}^{e}"
+        )
+    return (t // series.prime**e) % series.prime**exponent
 
 
 def mahler_reference(f: PadicFunction, count: int, k: int) -> CoefficientSeries:
@@ -173,13 +210,13 @@ def transitive_scan_reference(tables) -> np.ndarray:
 def branch_products_reference(series: CoefficientSeries, s_max: int) -> list[int]:
     """The level products of `ergodic_conditions`: prod over j < p^s of the
     normalized vdp term j + p^s mod p, for s = 1..s_max, one term at a time;
-    normalized() raises at the first term it refuses."""
+    `normalized` raises at the first term it refuses."""
     p = series.prime
     out = []
     for s in range(1, s_max + 1):
         acc = 1
         for j in range(p**s):
-            acc = acc * series.normalized(j + p**s, 1) % p
+            acc = acc * normalized(series, j + p**s, 1) % p
         out.append(acc)
     return out
 
@@ -222,8 +259,8 @@ def mahler_derivative_residue_reference(terms, x: int, p: int) -> int:
 # -- coefficient routes, one term at a time --------------------------
 
 
-def normalized_terms_reference(series: CoefficientSeries) -> list[int]:
-    return [series.normalized(i) for i in range(len(series))]
+def normals_reference(series: CoefficientSeries, start: int, stop: int) -> list[int]:
+    return [normalized(series, i) for i in range(start, stop)]
 
 
 def lipschitz_reference(series: CoefficientSeries):
@@ -256,7 +293,7 @@ def vdp_relations_reference(series: CoefficientSeries, s_max: int):
         step = p**s
         for r in range(step):
             try:
-                ref_norm = series.normalized(r + step, 1)
+                ref_norm = normalized(series, r + step, 1)
             except NormalizationError:
                 return failing(
                     name,
@@ -276,7 +313,7 @@ def vdp_relations_reference(series: CoefficientSeries, s_max: int):
                         depth=series.exponent,
                     )
             if s >= 2:
-                base_norm = series.normalized((r % p) + p, 1)
+                base_norm = normalized(series, (r % p) + p, 1)
                 if ref_norm != base_norm:
                     return failing(
                         name,
@@ -319,21 +356,21 @@ def mahler_predicate_reference(series: CoefficientSeries):
 
 def measure_preserving_reference(series: CoefficientSeries, s_max: int):
     """Complete residues at level 0, then distinct nonzero branch residues for
-    each base k at levels 1..s_max; normalized() raises on the way."""
+    each base k at levels 1..s_max; `normalized` raises on the way."""
     p = series.prime
     name = "measure-preserving-vdp"
-    base = sorted(series.normalized(m, 1) for m in range(p))
+    base = sorted(normalized(series, m, 1) for m in range(p))
     if base != list(range(p)):
         return failing(
             name,
             "complete-residues",
-            witness={"residues": [series.normalized(m, 1) for m in range(p)]},
+            witness={"residues": [normalized(series, m, 1) for m in range(p)]},
             depth=series.exponent,
         )
     for s in range(1, s_max + 1):
         step = p**s
         for k in range(step):
-            residues = [series.normalized(k + ell * step, 1) for ell in range(1, p)]
+            residues = [normalized(series, k + ell * step, 1) for ell in range(1, p)]
             if 0 in residues or len(set(residues)) != p - 1:
                 return failing(
                     name,
@@ -352,7 +389,7 @@ def derived_mismatch_reference(derived, vdp: CoefficientSeries):
     for u, d in enumerate(derived):
         r = u % vdp.prime
         if r not in branch:
-            branch[r] = vdp.normalized(r + vdp.prime, 1)
+            branch[r] = normalized(vdp, r + vdp.prime, 1)
         if d != branch[r]:
             return u
     return None
@@ -385,7 +422,7 @@ def mahler_ergodic_p2_reference(series: CoefficientSeries):
 def vdp_ergodic_p2_reference(series: CoefficientSeries):
     name = "vdp-ergodic-p2"
     try:
-        b = [series.normalized(m, 2) for m in range(4)]
+        b = [normalized(series, m, 2) for m in range(4)]
     except NormalizationError as exc:
         return failing(name, "normalization", witness={"error": str(exc)},
                        depth=series.exponent)
@@ -421,7 +458,7 @@ def case_table_reference(kind: str, row):
         if len(row) < 9 or row.exponent < 3:
             raise InputError("need at least 9 terms at precision 3^3")
         try:
-            variables = c = [row.normalized(i, 2) for i in range(9)]
+            variables = c = [normalized(row, i, 2) for i in range(9)]
         except NormalizationError as exc:
             return failing(name, "normalization", witness={"error": str(exc)}, depth=row.exponent)
         for m in (3, 4, 5):

@@ -1,5 +1,5 @@
-"""Properties of `classify` on generated input, run through `cli.main` in
-process.
+"""Properties of `classify` and `expand` on generated input, run through
+`cli.main` in process.
 
 The contract: every JSON function object gets exit 0, 1 or 2.  Exit 2
 writes nothing to stdout and exactly one `error:` line to stderr, with no
@@ -8,6 +8,13 @@ schema, and only for a 1-Lipschitz map, since 1 means "criterion false".
 Objects of every kind are drawn at p in {2, 3, 5, 7}, with series shorter
 than, as long as and longer than p^depth, and terms on both sides of their
 Lipschitz floors.
+
+`expand -` of the same objects, in either basis, with or without
+`--count` (up to p^depth, and past it for polynomials), `--depth` (at or
+below the object's) and `--normalized`, gets exit 0 or 2.  Exit 2 is one
+`error:` line as above; exit 0 writes a series that validates against the
+series schema, whose normalized terms, when asked for, are the scalar
+reference's on the printed terms.
 
 Cross-kind invariance: one polynomial at depth >= mu, given as polynomial,
 value table, van der Put and Mahler series, gets the same verdicts and the
@@ -30,14 +37,14 @@ from padicdyn.dynamics import transitivity_threshold
 from padicdyn.funcspace import (
     CoefficientSeries,
     PadicFunction,
-    floor_log,
     mahler_coefficients,
     vdp_coefficients,
 )
-from scalar_reference import required_ud1_valuation
+from scalar_reference import floor_log, normals_reference, required_ud1_valuation
 
-with resources.files("padicdyn.schemas").joinpath("classify.schema.json").open() as fh:
-    CLASSIFY_SCHEMA = json.load(fh)
+SCHEMAS = resources.files("padicdyn.schemas")
+CLASSIFY_SCHEMA = json.loads(SCHEMAS.joinpath("classify.schema.json").read_text())
+SERIES_SCHEMA = json.loads(SCHEMAS.joinpath("series.schema.json").read_text())
 
 MAX_DEPTH = {2: 4, 3: 4, 5: 3, 7: 3}
 
@@ -50,14 +57,30 @@ cli_settings = settings(
 )
 
 
-def classify(obj):
-    """(exit code, stdout, stderr) of `classify -` on the JSON object."""
+def run(argv, obj):
+    """(exit code, stdout, stderr) of the command line argv with the JSON
+    object on stdin."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("sys.stdin", io.StringIO(json.dumps(obj)))
-            code = cli.main(["classify", "-"])
+            code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def classify(obj):
+    return run(["classify", "-"], obj)
+
+
+def refused_with_one_line(code, out, err):
+    """Exit 2 with no stdout and one `error:` line, or another exit code
+    with no traceback."""
+    assert "Traceback" not in err
+    if code != 2:
+        return False
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return True
 
 
 @st.composite
@@ -98,15 +121,51 @@ def function_objects(draw):
 def test_classify_answers_a_lipschitz_map_or_refuses_with_one_error_line(obj):
     code, out, err = classify(obj)
     assert code in (0, 1, 2)
-    assert "Traceback" not in err
-    if code == 2:
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+    if refused_with_one_line(code, out, err):
         return
     assert err == ""
     report = json.loads(out)
     jsonschema.validate(report, CLASSIFY_SCHEMA)
     assert report["lipschitz"]["pass"]
+
+
+@st.composite
+def expand_requests(draw):
+    """(argv, obj): `expand -` of a function object in either basis, at a
+    --depth at or below the object's, with a --count up to p^depth (past it
+    for a polynomial), with and without --normalized."""
+    obj = draw(function_objects())
+    p, depth = obj["p"], obj.get("depth", obj.get("k"))
+    argv = ["expand", "-", "--basis", draw(st.sampled_from(["mahler", "vdp"]))]
+    if draw(st.booleans()):
+        depth = draw(st.integers(1, depth))
+        argv += ["--depth", str(depth)]
+    if draw(st.booleans()):
+        limit = p ** (depth + (obj["kind"] == "polynomial"))
+        argv += ["--count", str(draw(st.integers(1, limit)))]
+    if draw(st.booleans()):
+        argv.append("--normalized")
+    return argv, obj
+
+
+@settings(cli_settings, max_examples=100)
+@given(expand_requests())
+@example((["expand", "-", "--basis", "vdp", "--count", "5", "--normalized"],
+          {"kind": "polynomial", "p": 2, "depth": 2, "coeffs": [1, 1]}))
+def test_expand_prints_a_series_or_refuses_with_one_error_line(request):
+    argv, obj = request
+    code, out, err = run(argv, obj)
+    assert code in (0, 2)
+    if refused_with_one_line(code, out, err):
+        return
+    assert err == ""
+    report = json.loads(out)
+    jsonschema.validate(report, SERIES_SCHEMA)
+    if "--normalized" in argv:
+        series = CoefficientSeries.from_json_dict(report)
+        assert report["normalized"] == [str(b) for b in normals_reference(series, 0, len(series))]
+    else:
+        assert "normalized" not in report
 
 
 @st.composite

@@ -8,7 +8,6 @@ from padicdyn.errors import InputError, NormalizationError, PreconditionError
 from padicdyn.funcspace import (
     CoefficientSeries,
     PadicFunction,
-    floor_log,
     lipschitz_check,
     mahler_coefficients,
     vdp_coefficients,
@@ -17,6 +16,7 @@ from padicdyn.funcspace import (
 from scalar_reference import (
     INFINITY,
     chi,
+    floor_log,
     indicator_mahler_coefficient,
     lipschitz_direct_check,
     valuation,
@@ -49,10 +49,10 @@ def test_known_cubic_coefficients():
     f = PadicFunction.from_polynomial([1, 3, 0, 2], 2, 6)
     a = mahler_coefficients(f, count=4)
     assert [a.term(i) for i in range(4)] == [1, 5, 12, 12]
-    assert [a.normalized(i) for i in range(4)] == [1, 5, 6, 6]
+    assert a.normals(0, 4).tolist() == [1, 5, 6, 6]
     B = vdp_coefficients(f, count=4)
     assert [B.term(i) for i in range(4)] == [1, 6, 22, 58]
-    assert [B.normalized(i) for i in range(4)] == [1, 6, 11, 29]
+    assert B.normals(0, 4).tolist() == [1, 6, 11, 29]
 
 
 def test_vdp_coefficient_definition():
@@ -167,9 +167,9 @@ def test_binomial_vdp_coefficient():
 
 def test_normalized_requires_divisibility():
     series = CoefficientSeries("vdp", 2, 4, (1, 1, 1, 2))  # B_2 = 1 not div by 2
-    with pytest.raises(NormalizationError):
-        series.normalized(2)
-    assert series.normalized(3) == 1
+    with pytest.raises(NormalizationError, match="vdp term 2 = 1 is not divisible by 2"):
+        series.normals(0, 4)
+    assert series.normals(3, 4).tolist() == [1]
 
 
 def test_lipschitz_check_routes_agree():

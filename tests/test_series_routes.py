@@ -2,8 +2,9 @@
 
 Each route of `classify` that reads a coefficient series (the 1-Lipschitz
 test, the van der Put relations, the Mahler UD1 predicate, measure
-preservation, the derivative consistency check, normalized terms, the p = 2
-criteria and the p = 3 case tables) is a mask pass over the series' term array.  Here each must
+preservation, the derivative consistency check, the p = 2 criteria and the
+p = 3 case tables) is a mask pass over the series' term array, and
+normalized terms are read through `CoefficientSeries.normals`.  Here each must
 give the same verdict, the same first witness and the same exception as the
 term-by-term loop in `tests/scalar_reference.py`.
 
@@ -59,7 +60,7 @@ from scalar_reference import (
     mahler_ergodic_p2_reference,
     mahler_predicate_reference,
     measure_preserving_reference,
-    normalized_terms_reference,
+    normals_reference,
     outcome,
     random_ud1_mahler_series,
     required_ud1_valuation,
@@ -214,16 +215,37 @@ def test_measure_preserving_matches_reference(case, data):
         assert _ints_only(got)
 
 
-@route_settings
-@given(polynomial_series("vdp"), st.data())
-def test_normalized_terms_match_reference(case, data):
-    series, _, _ = case
-    length = data.draw(st.integers(1, len(series)))
-    series = CoefficientSeries("vdp", series.prime, series.exponent, series.terms[:length])
-    got = outcome(series.normalized_terms)
-    assert got == outcome(normalized_terms_reference, series)
-    if not isinstance(got, tuple):
-        assert all(type(t) is int for t in got)
+def test_normals_match_reference():
+    # ranges [start, stop) from level s to level t: prefixes (start = 0, as
+    # expand reads them), ranges inside one level and ranges across levels;
+    # a coarser copy of the series has levels t >= k, where no residue is left
+    seen = set()
+
+    @route_settings
+    @given(st.sampled_from(["vdp", "mahler"]).flatmap(polynomial_series), st.data())
+    def check(case, data):
+        series, depth, _ = case
+        p = series.prime
+        if data.draw(st.booleans()):
+            series = CoefficientSeries(series.kind, p, data.draw(st.integers(1, depth - 1)),
+                                       series.terms)
+        s, t = sorted(data.draw(st.lists(st.integers(0, depth - 1), min_size=2, max_size=2)))
+        first = [0, *(p**level for level in range(1, depth))]  # the first index of each level
+        start = 0 if data.draw(st.booleans()) else data.draw(st.integers(first[s], p ** (s + 1) - 1))
+        stop = data.draw(st.integers(max(start, first[t]) + 1, p ** (t + 1)))
+        got = outcome(series.normals, start, stop)
+        if isinstance(got, np.ndarray):
+            assert got.dtype == series.terms.dtype
+            got = got.tolist()
+            assert all(type(b) is int for b in got)
+        assert got == outcome(normals_reference, series, start, stop)
+        if isinstance(got, tuple):
+            seen.add(got[0].__name__)
+        else:
+            seen.add("across" if stop > p ** ((s if start else 0) + 1) else "within")
+
+    check()
+    assert {"within", "across", "InputError", "NormalizationError"} <= seen
 
 
 @route_settings
