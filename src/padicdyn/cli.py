@@ -300,9 +300,10 @@ def cmd_generate(args) -> int:
         raise InputError("--phi, --bvec and --lift build a mahler-route instance, not --route poly")
     if explicit and args.count > 1:
         raise InputError("--phi, --bvec and --lift build one instance, not --count > 1")
-    # each instance's window at depth 3 and, on the poly route, its degree
-    # 2p - 1, refused before any instance is solved
-    funcspace.check_window(p, 3, p**3, 2 * p - 1 if args.route == "poly" else None)
+    # each instance's window at depth 3 and its 2p Mahler terms or, on the
+    # poly route, its degree 2p - 1, refused before any instance is solved
+    poly = args.route == "poly"
+    funcspace.check_window(p, 3, p**3, 2 * p - 1 if poly else None, None if poly else 2 * p)
     rng = random.Random(args.seed)
     instances = []
     for _ in range(args.count):

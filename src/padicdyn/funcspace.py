@@ -44,6 +44,9 @@ _SERIES_LIMITS = {"mahler": ("Mahler", 1 << 18), "vdp": ("van der Put", 1 << 20)
 _HORNER_LIMIT = 10**8
 _WIDE_HORNER_LIMIT = 1 << 22
 
+# generate's 2p Mahler terms over p^3 points: 9.5 s at p = 149 (9.9e8), 2-vCPU Xeon
+_MAHLER_WORK_LIMIT = 10**9
+
 # residues live below p^depth; every modulus below this bound, (2^31 - 1)^12
 # among them, keeps a residue short enough to compute with and to print
 _MODULUS_BITS = 372
@@ -64,14 +67,20 @@ def _check_modulus(p: int, depth: int) -> None:
         )
 
 
-def check_window(p: int, depth: int, npoints: int, degree: int | None = None) -> None:
-    """Refuse a window of npoints values above the materialization limit,
-    and a polynomial of the given degree whose degree times the window
-    exceeds the Horner budget."""
+def check_window(p: int, depth: int, npoints: int, degree: int | None = None,
+                 terms: int | None = None) -> None:
+    """Refuse a window of npoints values above the materialization limit, and
+    a Mahler series of `terms` terms or a polynomial of the given degree whose
+    terms or degree times the window exceeds its budget."""
     if npoints > _TABLE_LIMIT:
         raise InputError(
             f"a window of {npoints} values at p={p}, depth {depth} exceeds "
             f"the materialization limit of {_TABLE_LIMIT} points"
+        )
+    if terms is not None and terms * npoints > _MAHLER_WORK_LIMIT:
+        raise InputError(
+            f"a Mahler series of {terms} terms over a window of {npoints} values at "
+            f"p={p}, depth {depth} exceeds the terms x window budget of {_MAHLER_WORK_LIMIT}"
         )
     if degree is None:
         return

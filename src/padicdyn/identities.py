@@ -2,19 +2,17 @@
 
 Each suite sweeps a stated parameter range and reports the number of
 instances checked plus any counterexamples found (expected: none).  Every
-suite is exact integer arithmetic, in int64 numpy passes or Python ints:
+suite is exact integer arithmetic in whole-array numpy passes:
 
-- valpro walks each row n = l p^s in chunks of j and keeps the valuation
-  of C(n, j) as a running sum of v_p(n-j+1) - v_p(j), each valuation a
-  count of strided hits p^e | j.  Legendre's digit-sum formula is never
-  used, so the suite checks the lemma instead of restating it.
-- abc and pzero weigh, for each r, the tap sums of the row C(r, .) mod
-  p^2 against C(p, j) mod p^2: one convolution (and for abc's third sum
-  one correlation) per r, over row and weight tables built once per p.
+- valpro keeps v_p(C(l p^s, j)) along each row as a running sum of
+  v_p(n-j+1) - v_p(j), counted from strided hits p^e | j in int8, never
+  from Legendre's formula, so it checks the lemma instead of restating it.
+- abc and pzero weigh one table of rows C(r, .) mod p^2 against one table
+  of running tap sums per p: one product per p for all r.
 - bipro keeps the Pascal rows C(m, .) and C(m + p^s, .) mod p^2 side by
   side in one uint16 row, advances both with one Pascal step, and compares
   16 rows at a time with their tap sums (`backends.bipro_scan`).
-- bip2 evaluates the five p = 2 congruences with `math.comb`.
+- bip2 reads the five congruences of each s from one Pascal table mod 4.
 
 The abc, pzero and bipro sweeps stop at p = 97, which keeps every int64
 sum below p^7 < 2^63; a larger p_max is refused.  valpro and bipro also
@@ -41,13 +39,13 @@ _P_LIMIT = 97
 _ODD_PRIMES_97 = [p for p in range(3, _P_LIMIT + 1) if is_prime(p)]
 
 # valpro takes each row in chunks of at most this many j
-_VALPRO_CHUNK = 1 << 13
+_VALPRO_CHUNK = 1 << 16
 
 # most instances a range of valpro or bipro may hold
 _WORK_LIMITS = {"valpro": 10**9, "bipro": 1 << 31}
 
-# largest s_max bip2 takes: each step of s costs it about 14 times the last,
-# as math.comb works on ever longer integers
+# largest s_max bip2 takes: s_max 9 takes milliseconds, but its Pascal table
+# holds 4^(s_max + 1) bytes, 1 MB at 9 and four times more at each step
 _BIP2_S_LIMIT = 9
 
 
@@ -153,59 +151,48 @@ def _odd_primes(suite: str, p_max: int) -> list[int]:
     return [p for p in _ODD_PRIMES_97 if p <= p_max]
 
 
-def _binomial_rows(p: int):
-    """Yield (r, C(r, .) mod p^2, taps, weights) for r = 1..p-1, as int64
-    arrays: taps[j] = C(p, j) mod p^2 for j = 1..p-1 with taps[0] = 0, and
-    weights[l] = (-1)^(r-l+1) l for l = 0..p-1, each a row of one table per p."""
+def _double_sums(p: int, tail: bool) -> np.ndarray:
+    """The abc (tail) or pzero double sum of each row r = 0..p-1.  Its weight
+    (-1)^(r-l+1) l is (-1)^(r+1) u(l), u(l) = (-1)^l l, so the sum of row r is
+    (-1)^(r+1) sum_t C(r, t) K(t, .), with K(t, c) the running sum of
+    C(p, j) u(t + j) over 1 <= j < c, t + j < p: pzero reads K(t, p - r),
+    abc K(t, p) less the correlation sum_{j=1}^{t-1} C(p, j) u(t - j).  Each
+    sum is below p^7 < 2^63 for p <= 97, so int64 is exact."""
     q = p * p
     taps = np.array([0] + [math.comb(p, j) % q for j in range(1, p)], dtype=np.int64)
     rows = np.zeros((p, p), dtype=np.int64)
     rows[np.tril_indices(p)] = [math.comb(r, t) % q for r in range(p) for t in range(r + 1)]
     ls = np.arange(p, dtype=np.int64)
-    weights = np.where((ls[:, None] - ls + 1) % 2 == 0, ls, -ls)
-    for r in range(1, p):
-        yield r, rows[r, : r + 1], taps, weights[r]
+    u = np.concatenate([np.where(ls % 2 == 0, ls, -ls), np.zeros_like(ls)])  # 0 past l = p - 1
+    running = np.cumsum(taps * u[ls[:, None] + ls], axis=1)  # K(t, c) at column c - 1
+    if tail:
+        sums = rows @ (running[:, p - 1] - np.convolve(taps, u[:p])[:p])
+    else:
+        sums = np.einsum("rt,tr->r", rows, running[:, ::-1])
+    return np.where(ls % 2 == 1, sums, -sums)
+
+
+def _double_sum_suite(name: str, p_max: int, r_min: int) -> SuiteReport:
+    checked = 0
+    bad = []
+    for p in _odd_primes(name, p_max):
+        residues = _double_sums(p, name == "abc")[r_min:] % (p * p)
+        checked += len(residues)
+        bad += [{"p": p, "r": r_min + i, "residue": int(residues[i])}
+                for i in np.flatnonzero(residues).tolist()]
+    return SuiteReport(name, {"p_max": p_max}, checked, bad)
 
 
 def abc_suite(p_max: int = 97) -> SuiteReport:
-    """(A + B + C)(p, r) = 0 mod p^2 for odd primes p <= p_max, 1 <= r < p.
-
-    A + B is, for each l = 1..p-1, the tap sum of row C(r, .) at l, which
-    is one convolution; C reads the row from l upward, which is one
-    correlation.  Each sum is below p^7 < 2^63 for p <= 97, so int64 is
-    exact.
-    """
-    checked = 0
-    bad = []
-    for p in _odd_primes("abc", p_max):
-        q = p * p
-        for r, row, taps, weights in _binomial_rows(p):
-            # A + B: l = 1..p-1, j >= 1 with 0 <= l - j <= r
-            total = int(weights[1:] @ np.convolve(row, taps)[1:p])
-            # C: l = 1..r-1, j = 1..r-l, with the opposite sign
-            total -= int(weights[1:r] @ np.correlate(row, taps[:r], "full")[r : 2 * r - 1])
-            checked += 1
-            if total % q != 0:
-                bad.append({"p": p, "r": r, "residue": total % q})
-    return SuiteReport("abc", {"p_max": p_max}, checked, bad)
+    """(A + B + C)(p, r) = 0 mod p^2 for odd primes p <= p_max, 1 <= r < p,
+    from the running sums K(t, p) less one correlation (`_double_sums`)."""
+    return _double_sum_suite("abc", p_max, 1)
 
 
 def pzero_suite(p_max: int = 97) -> SuiteReport:
     """The complementary double sum is 0 mod p^2 for odd primes p <= p_max,
-    2 <= r < p: the tap sums of row C(r, .) at l = 1..p-1, one convolution,
-    with the taps cut to j < p - r."""
-    checked = 0
-    bad = []
-    for p in _odd_primes("pzero", p_max):
-        q = p * p
-        for r, row, taps, weights in _binomial_rows(p):
-            if r < 2:
-                continue
-            total = int(weights[1:] @ np.convolve(row, taps[: p - r])[1:p])
-            checked += 1
-            if total % q != 0:
-                bad.append({"p": p, "r": r, "residue": total % q})
-    return SuiteReport("pzero", {"p_max": p_max}, checked, bad)
+    2 <= r < p, from the running sums K(t, p - r) (`_double_sums`)."""
+    return _double_sum_suite("pzero", p_max, 2)
 
 
 def valpro_claim(s, vj):
@@ -217,13 +204,13 @@ def valpro_claim(s, vj):
 def valpro_suite(p_max: int = 13, s_max: int = 4) -> SuiteReport:
     """v_p(C(l p^s, j)) = s - v_p(j) for 1 <= j < l p^s, 1 <= l <= p-1.
 
-    The valuation of the binomial is maintained incrementally along the
-    row, v_p(C(n, j)) = v_p(C(n, j-1)) + v_p(n-j+1) - v_p(j), which keeps
-    the sweep independent of the digit-sum formula used elsewhere.  Each
-    row is taken in chunks of j: v_p(j) and v_p(n-j+1) come from strided
-    adds of 1 at j = 0 and j = n+1 mod p^e for every p^e <= n, and the
-    running valuation is the carried value plus a cumulative sum.  The
-    sweep stops at the fifth counterexample.
+    Along each row, v_p(C(n, j)) = v_p(C(n, j-1)) + v_p(n-j+1) - v_p(j),
+    taken in chunks of j: v_p(j) and v_p(n-j+1) are strided adds of 1 at
+    j = 0 and j = n+1 mod p^e for every p^e <= n, and the running valuation
+    is the carried value plus a cumulative sum, all in int8: a valuation in
+    row l p^s is at most s, and the work limit admits s <= 28 (p = 2 up to
+    s_max 28), so none passes 29.  The sweep stops at the fifth
+    counterexample.
     """
     checked = 0
     bad = []
@@ -238,18 +225,16 @@ def valpro_suite(p_max: int = 13, s_max: int = 4) -> SuiteReport:
                 v = 0
                 for start in range(1, n, _VALPRO_CHUNK):
                     size = min(_VALPRO_CHUNK, n - start)
-                    vj = np.zeros(size, dtype=np.int64)  # v_p(j), j = start + i
-                    vnum = np.zeros(size, dtype=np.int64)  # v_p(n - j + 1)
+                    vj = np.zeros(size, dtype=np.int8)  # v_p(j), j = start + i
+                    vnum = np.zeros(size, dtype=np.int8)  # v_p(n - j + 1)
                     for pe in powers:
                         vj[-start % pe :: pe] += 1
                         vnum[(n + 1 - start) % pe :: pe] += 1
-                    running = v + np.cumsum(vnum - vj)
+                    running = np.cumsum(vnum - vj, dtype=np.int8) + v
                     claim = valpro_claim(s, vj)
                     for i in np.flatnonzero(running != claim).tolist():
-                        bad.append(
-                            {"p": p, "s": s, "l": l, "j": start + i,
-                             "got": int(running[i]), "expected": int(claim[i])}
-                        )
+                        bad.append({"p": p, "s": s, "l": l, "j": start + i,
+                                    "got": int(running[i]), "expected": int(claim[i])})
                         if len(bad) > 4:
                             checked += i + 1
                             return SuiteReport("valpro", params, checked, bad)
@@ -283,30 +268,33 @@ def bipro_suite(p_max: int = 13, s_max: int = 4) -> SuiteReport:
     return SuiteReport("bipro", params, checked, bad)
 
 
+def _pascal_mod4(size: int) -> np.ndarray:
+    """C(n, k) mod 4 for 0 <= n, k < size, one uint8 row per n."""
+    table = np.zeros((size, size), dtype=np.uint8)
+    table[:, 0] = 1
+    for n in range(1, size):
+        table[n, 1:] = (table[n - 1, 1:] + table[n - 1, :-1]) & 3
+    return table
+
+
 def bip2_suite(s_max: int = 6) -> SuiteReport:
-    """The five p = 2 digit-shift congruences mod 4, exhaustive in s <= s_max."""
+    """The five p = 2 digit-shift congruences mod 4, exhaustive in s <= s_max,
+    as one (alpha, beta, case) array per s over one Pascal table mod 4: its
+    failures come out in the order of a loop over alpha, beta, case."""
     checked = 0
     bad = []
-    C = math.comb
+    C = _pascal_mod4(2 ** (s_max + 1)) if s_max >= 2 else None
     for s in range(2, s_max + 1):
         h = 2 ** (s - 1)
-        f = 2**s
-        for a in range(h):
-            for b in range(h):
-                cases = [
-                    ("1", C(a + f, b + h), 2 * C(a, b)),
-                    ("2", C(a + f, b + f), C(a, b)),
-                    ("3", C(a + h + f, b + h), C(a + h, b + h) + 2 * C(a + h, b)),
-                    ("4", C(a + h + f, b + f), C(a + h, b) + 2 * C(a + h, b + h)),
-                    ("5", C(a + h + f, b + h + f), C(a + h, b + h)),
-                ]
-                for tag, lhs, rhs in cases:
-                    checked += 1
-                    if (lhs - rhs) % 4 != 0:
-                        bad.append(
-                            {"case": tag, "s": s, "alpha": a, "beta": b,
-                             "lhs_mod4": lhs % 4, "rhs_mod4": rhs % 4}
-                        )
+        # T[alpha, beta, n, k] = C(alpha + n h, beta + k h) for alpha, beta < h; f = 2h
+        T = C[: 4 * h, : 4 * h].reshape(4, h, 4, h).transpose(1, 3, 0, 2)
+        lhs = T[:, :, [2, 2, 3, 3, 3], [1, 2, 1, 2, 3]]
+        rhs = np.stack([2 * T[:, :, 0, 0], T[:, :, 0, 0], T[:, :, 1, 1] + 2 * T[:, :, 1, 0],
+                        T[:, :, 1, 0] + 2 * T[:, :, 1, 1], T[:, :, 1, 1]], axis=-1) & 3
+        checked += lhs.size
+        for a, b, c in zip(*(i.tolist() for i in np.nonzero(lhs != rhs))):
+            bad.append({"case": str(c + 1), "s": s, "alpha": a, "beta": b,
+                        "lhs_mod4": int(lhs[a, b, c]), "rhs_mod4": int(rhs[a, b, c])})
     return SuiteReport("bip2", {"s_max": s_max}, checked, bad)
 
 

@@ -16,13 +16,16 @@ Python.
 They are slow on purpose and serve only as independent references in
 tests.
 
-The identity suites valpro, abc and pzero keep their scalar sweeps here
-too, before they became chunked prefix sums and one convolution per r.
-Each returns (checked, counterexamples) and reads the prime list,
-`math.comb` and valpro's claimed valuation through the same names the
-package does, so a test that perturbs one of those perturbs both sides
-alike.  The bipro scan keeps its row-by-row lockstep loop, which reads its
-taps through `backends.comb` as the blocked scan does.
+The identity suites valpro, abc, pzero and bip2 keep their scalar sweeps
+here too, before they became int8 chunked prefix sums, one product per
+prime and one Pascal table mod 4. Each returns (checked,
+counterexamples). The first three read the prime list, `math.comb` and
+valpro's claimed valuation through the same names the package does, so a
+test that perturbs one of those perturbs both sides alike; bip2's takes
+its binomial as an argument, so that a test can perturb the same (n, k)
+there and in the package's table. The bipro scan keeps its row-by-row
+lockstep loop, which reads its taps through `backends.comb` as the
+blocked scan does.
 
 Last come the references and samplers that only tests use: the p-adic
 valuation with its INFINITY at 0, Legendre's
@@ -588,6 +591,34 @@ def pzero_reference(p_max: int):
             checked += 1
             if total % q != 0:
                 bad.append({"p": p, "r": r, "residue": total % q})
+    return checked, bad
+
+
+def bip2_reference(s_max: int, comb=math.comb):
+    """The five p = 2 digit-shift congruences mod 4 one (alpha, beta, case)
+    at a time, every binomial an exact comb(n, k)."""
+    checked = 0
+    bad = []
+    C = comb
+    for s in range(2, s_max + 1):
+        h = 2 ** (s - 1)
+        f = 2**s
+        for a in range(h):
+            for b in range(h):
+                cases = [
+                    ("1", C(a + f, b + h), 2 * C(a, b)),
+                    ("2", C(a + f, b + f), C(a, b)),
+                    ("3", C(a + h + f, b + h), C(a + h, b + h) + 2 * C(a + h, b)),
+                    ("4", C(a + h + f, b + f), C(a + h, b) + 2 * C(a + h, b + h)),
+                    ("5", C(a + h + f, b + h + f), C(a + h, b + h)),
+                ]
+                for tag, lhs, rhs in cases:
+                    checked += 1
+                    if (lhs - rhs) % 4 != 0:
+                        bad.append(
+                            {"case": tag, "s": s, "alpha": a, "beta": b,
+                             "lhs_mod4": lhs % 4, "rhs_mod4": rhs % 4}
+                        )
     return checked, bad
 
 

@@ -900,6 +900,10 @@ def test_generate_refuses_flags_it_would_ignore(capsys, argv):
                             "at p=401, depth 3 exceeds the degree x window budget of 100000000"),
     ("-p 1009 --route poly", "a window of 1027243729 values at p=1009, depth 3 exceeds "
                              "the materialization limit of 67108864 points"),
+    ("-p 401", "a Mahler series of 802 terms over a window of 64481201 values at p=401, "
+               "depth 3 exceeds the terms x window budget of 1000000000"),
+    ("-p 151", "a Mahler series of 302 terms over a window of 3442951 values at p=151, "
+               "depth 3 exceeds the terms x window budget of 1000000000"),
 ])
 def test_generate_refuses_its_window_before_any_instance_is_drawn(capsys, monkeypatch, argv, message):
     # these limits used to fire only once an instance was solved and built:
@@ -913,6 +917,14 @@ def test_generate_refuses_its_window_before_any_instance_is_drawn(capsys, monkey
         monkeypatch.setattr(criteria, name, boom)
     code, out, err = _run(capsys, ["generate", *argv.split(), "--seed", "1"])
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("p", ["5", "7", "11", "89"])
+def test_generate_answers_below_the_mahler_budget(capsys, p):
+    # p = 89 holds 2p x p^3 = 1.25e8 term-points, an eighth of the budget
+    code, payload, _ = _run_json(capsys, ["generate", "-p", p, "--seed", "1"],
+                                 schema="generate.schema.json")
+    assert code == 0 and payload["count"] == 1
 
 
 def test_verify_single_suite(capsys):

@@ -18,8 +18,13 @@ reference's on the printed terms.
 
 Cross-kind invariance: one polynomial at depth >= mu, given as polynomial,
 value table, van der Put and Mahler series, gets the same verdicts and the
-same exit code.  Hypothesis runs derandomized with a bounded number of
-examples.
+same exit code.
+
+`verify` with a subset of the identity suites (or `all`), `--p-max` up to
+31 and `--s-max` up to 3, each given or left at its default, gets exit 0
+or 2: exit 0 reports every suite passing with a positive `checked`, exit 2
+is one `error:` line.  Where bipro runs, the range keeps its scan small.
+Hypothesis runs derandomized with a bounded number of examples.
 """
 
 import contextlib
@@ -32,7 +37,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from padicdyn import cli
+from padicdyn import cli, identities
 from padicdyn.dynamics import transitivity_threshold
 from padicdyn.funcspace import (
     CoefficientSeries,
@@ -45,6 +50,7 @@ from scalar_reference import floor_log, normals_reference, required_ud1_valuatio
 SCHEMAS = resources.files("padicdyn.schemas")
 CLASSIFY_SCHEMA = json.loads(SCHEMAS.joinpath("classify.schema.json").read_text())
 SERIES_SCHEMA = json.loads(SCHEMAS.joinpath("series.schema.json").read_text())
+VERIFY_SCHEMA = json.loads(SCHEMAS.joinpath("verify.schema.json").read_text())
 
 MAX_DEPTH = {2: 4, 3: 4, 5: 3, 7: 3}
 
@@ -204,3 +210,40 @@ def test_every_kind_of_one_map_gets_the_same_verdicts(case):
     verdicts = [_verdicts(obj) for obj in objects]
     assert verdicts[0][0] in (0, 1)
     assert verdicts == [verdicts[0]] * 4
+
+
+@st.composite
+def verify_argv(draw):
+    """`verify` with one to three --suite options and the range options.
+    valpro and bipro always get an --s-max, and bipro at s_max 3 a p_max
+    of at most 7, since their defaults (13, 4) and bipro at (31, 3) take
+    seconds to minutes."""
+    names = draw(st.lists(st.sampled_from(identities.all_suite_names() + ("all",)),
+                          min_size=1, max_size=3))
+    runs = set(identities.all_suite_names()) if "all" in names else set(names)
+    s_max = draw(st.integers(-1, 3) if runs & {"valpro", "bipro"}
+                 else st.none() | st.integers(-1, 3))
+    small = "bipro" in runs and s_max == 3
+    p_max = draw(st.integers(-2, 7) if small else st.none() | st.integers(-2, 31))
+    argv = ["verify"] + [arg for name in names for arg in ("--suite", name)]
+    for flag, value in (("--p-max", p_max), ("--s-max", s_max)):
+        if value is not None:
+            argv += [flag, str(value)]
+    return argv
+
+
+@settings(cli_settings, max_examples=60)
+@given(verify_argv())
+@example(["verify", "--suite", "abc", "--suite", "bip2", "--p-max", "31", "--s-max", "3"])
+@example(["verify", "--suite", "pzero", "--s-max", "2"])
+def test_verify_passes_every_suite_or_refuses_with_one_error_line(argv):
+    code, out, err = run(argv, None)
+    assert code in (0, 2)
+    if refused_with_one_line(code, out, err):
+        return
+    assert err == ""
+    report = json.loads(out)
+    jsonschema.validate(report, VERIFY_SCHEMA)
+    assert report["pass"] and report["suites"]
+    for suite in report["suites"]:
+        assert suite["pass"] and int(suite["checked"]) > 0

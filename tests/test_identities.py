@@ -5,6 +5,7 @@ import pytest
 from scalar_reference import (
     abc_components,
     abc_reference,
+    bip2_reference,
     legendre_binomial_valuation,
     pzero_component,
     pzero_reference,
@@ -141,6 +142,8 @@ def test_work_limits_admit_the_defaults_and_the_benchmark_ranges():
         ("valpro", (36, 4), (37, 4)),  # 854137114 and 2136999490
         ("bipro", (29, 3), (31, 3)),  # 1233060831 and 2565717010
         ("bipro", (3, 9), (3, 10)),  # 653786820 and 5883992946
+        ("valpro", (2, 28), (2, 29)),  # 536870882 and 1073741793: s, and so
+        # every valuation valpro holds in int8, stays at most 28
     ],
 )
 def test_work_limits_on_both_sides(name, admitted, refused):
@@ -188,6 +191,27 @@ def _outcome(report):
 def test_abc_and_pzero_match_scalar_sweeps(p_max):
     assert _outcome(abc_suite(p_max)) == abc_reference(p_max)
     assert _outcome(pzero_suite(p_max)) == pzero_reference(p_max)
+
+
+@pytest.mark.parametrize("s_max", range(2, 8))
+def test_bip2_matches_scalar_sweep(s_max):
+    assert _outcome(bip2_suite(s_max)) == bip2_reference(s_max)
+
+
+@pytest.mark.parametrize("entry", [(5, 2), (12, 6), (3, 0), (31, 15)])
+def test_perturbed_pascal_table_gives_the_same_counterexamples(monkeypatch, entry):
+    pascal = identities._pascal_mod4
+
+    def flipped(size):
+        table = pascal(size)
+        table[entry] = (table[entry] + 1) % 4
+        return table
+
+    monkeypatch.setattr(identities, "_pascal_mod4", flipped)
+    report = bip2_suite(5)
+    comb = lambda n, k: math.comb(n, k) + ((n, k) == entry)  # noqa: E731
+    assert _outcome(report) == bip2_reference(5, comb)
+    assert not report.passed
 
 
 @pytest.mark.parametrize("p_max, s_max", [(2, 1), (3, 2), (5, 3), (7, 3), (13, 1)])
