@@ -184,8 +184,10 @@ def cmd_classify(args) -> int:
     # every route reads the UD1 window, and a passing Mahler route the full
     # Mahler series; refuse either up front when too large, then a map that
     # is not 1-Lipschitz, which no route may classify
-    f.value_array(analysis.ud1_window(f.prime, f.depth))
+    window = analysis.ud1_window(f.prime, f.depth)
+    f.check_budget(window)
     funcspace.check_series_length("mahler", f.prime, f.depth, f.prime**f.depth)
+    f.value_array(window)  # the widest window any route reads, built once
     if not f.lipschitz:
         w = f.lipschitz.witness
         raise PreconditionError(
@@ -301,39 +303,34 @@ def cmd_generate(args) -> int:
     if explicit and args.count > 1:
         raise InputError("--phi, --bvec and --lift build one instance, not --count > 1")
     # each instance's window at depth 3 and its 2p Mahler terms or, on the
-    # poly route, its degree 2p - 1, refused before any instance is solved
+    # poly route, its degree 2p - 1, alone and --count times over, refused
+    # before any instance is solved
     poly = args.route == "poly"
-    funcspace.check_window(p, 3, p**3, 2 * p - 1 if poly else None, None if poly else 2 * p)
+    funcspace.check_window(p, 3, p**3, 2 * p - 1 if poly else None, None if poly else 2 * p,
+                           args.count)
     rng = random.Random(args.seed)
     instances = []
     for _ in range(args.count):
-        if args.route == "poly":
+        if poly:
             alphas, Bvec, Dvec = criteria.random_power_basis_poly(p, rng)
             f = PadicFunction.from_polynomial(alphas, p, 3)
             conds = criteria.p5_conditions(f)
-            require_agreement("ergodicity", conds["combined"], dynamics.ergodic_oracle(f))
-            instances.append(
-                {
-                    "route": "poly",
-                    "alphas": [str(x) for x in alphas],
-                    "B": [str(x) for x in Bvec],
-                    "D": [str(x) for x in Dvec],
-                    "conditions": {k: v.to_json_dict() for k, v in conds.items()},
-                    "ergodic": conds["combined"].passed,
-                }
-            )
+            entry = {
+                "route": "poly",
+                "alphas": [str(x) for x in alphas],
+                "B": [str(x) for x in Bvec],
+                "D": [str(x) for x in Dvec],
+                "conditions": {k: v.to_json_dict() for k, v in conds.items()},
+            }
         else:
             # an omitted lift is zero once any of the three is given
             phi = args.phi or criteria.random_transitive_permutation(p, rng)
-            bvec = args.bvec or criteria.random_unit_product_one(p, p, rng)
+            bvec = args.bvec or criteria.random_unit_product_one(p, rng)
             lift = args.lift or ((0,) * (2 * p) if explicit
                                  else tuple(rng.randrange(p) for _ in range(2 * p)))
             form = criteria.p5_linear_form(p, phi, bvec, lift)
             inst = form["instance"]
-            oracle = dynamics.ergodic_oracle(inst.function)
-            require_agreement("ergodicity", inst.conditions["combined"], oracle)
-            if not form["agree"]:
-                raise InternalCheckError("linear form missed the return residue")
+            f, conds = inst.function, inst.conditions
             entry = inst.to_json_dict()
             entry["route"] = "mahler"
             entry["linear_form"] = {
@@ -341,8 +338,11 @@ def cmd_generate(args) -> int:
                 "direct": str(form["direct"]),
                 "agree": form["agree"],
             }
-            entry["ergodic"] = inst.passed
-            instances.append(entry)
+        require_agreement("ergodicity", conds["combined"], dynamics.ergodic_oracle(f))
+        if "linear_form" in entry and not entry["linear_form"]["agree"]:
+            raise InternalCheckError("linear form missed the return residue")
+        entry["ergodic"] = conds["combined"].passed
+        instances.append(entry)
     _emit({"p": p, "count": len(instances), "instances": instances})
     return 0
 

@@ -367,7 +367,10 @@ class P5Instance:
     series: CoefficientSeries
     function: PadicFunction
     conditions: dict
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.conditions["combined"].passed
 
     def to_json_dict(self) -> dict:
         return {
@@ -416,25 +419,15 @@ def p5_instance(p: int, phi: Sequence[int], bvec: Sequence[int],
     phi fixes the reduction mod p, bvec the branch residues; lift adds
     p * z_m to each Mahler residue (only z_0..z_{p-1} can influence the
     outcome mod p^2).  The resulting finite Mahler sum is automatically in
-    the differentiable class, and the built-in targets are re-extracted and
-    cross-checked.
+    the differentiable class, and phi and bvec are re-extracted from the
+    built function and cross-checked.
     """
-    phi, bvec, lift, series, f = _p5_function(p, phi, bvec, lift)
-    conditions = p5_conditions(f)
-    return P5Instance(p, phi, bvec, lift, series, f, conditions, conditions["combined"].passed)
-
-
-def _p5_function(p, phi, bvec, lift):
-    """The validated data, the Mahler series and the function of p5_instance,
-    with phi and bvec re-extracted from the function and cross-checked."""
     require_prime(p)
     if p < 5:
         raise InputError("p5_instance needs p >= 5")
     phi = _validate_phi(p, phi)
     bvec = _validate_bvec(p, bvec)
-    if lift is None:
-        lift = (0,) * (2 * p)
-    lift = tuple(int(x) % p for x in lift)
+    lift = (0,) * (2 * p) if lift is None else tuple(int(x) % p for x in lift)
     if len(lift) != 2 * p:
         raise InputError(f"lift must list {2 * p} values")
     e_base = p5_solve_base(p, phi)
@@ -442,14 +435,13 @@ def _p5_function(p, phi, bvec, lift):
     terms = [(p if m >= p else 1) * (e[m] + p * lift[m]) for m in range(2 * p)]
     series = CoefficientSeries("mahler", p, 3, tuple(terms))
     f = PadicFunction.from_mahler(series)
-    # re-extract the targets from the built function
     branch = (f.vdp_window.normals(p, 2 * p) % p).tolist()
     for i in range(p):
         if f.evaluate(i, 1) != phi[i]:
             raise InternalCheckError(f"instance missed phi at {i}")
         if branch[i] != bvec[i]:
             raise InternalCheckError(f"instance missed branch residue at {i}")
-    return phi, bvec, lift, series, f
+    return P5Instance(p, phi, bvec, lift, series, f, p5_conditions(f))
 
 
 def _mahler_derivative_residues(terms: Sequence[int], xs: Sequence[int], p: int) -> list[int]:
@@ -494,16 +486,14 @@ def p5_linear_form(p: int, phi: Sequence[int], bvec: Sequence[int], lift: Sequen
     ))
 
     orbit = g0.orbit_mod(1)[:p].tolist()
-    deriv = []
-    formal = _mahler_derivative_residues(g0.payload.term_list, orbit, p)
     branch = (g0.vdp_window.normals(p, 2 * p) % p).tolist()
-    for x, via_formal in zip(orbit, formal):
-        via_branch = branch[x % p]
+    deriv = [branch[x] for x in orbit]
+    formal = _mahler_derivative_residues(g0.payload.term_list, orbit, p)
+    for x, via_branch, via_formal in zip(orbit, deriv, formal):
         if via_branch != via_formal:
             raise InternalCheckError(
                 f"derivative routes disagree at x={x}: {via_branch} vs {via_formal}"
             )
-        deriv.append(via_branch)
 
     y = int(g0.orbit_mod(2)[p])
     if y % p != 0:
@@ -511,15 +501,13 @@ def p5_linear_form(p: int, phi: Sequence[int], bvec: Sequence[int], lift: Sequen
     first = (y // p) % p
 
     g1 = [sum(lift[m] * binomial(x, m) for m in range(p)) % p for x in orbit]
-    w = [1] * p
-    for i in range(p - 2, 0, -1):
-        w[i] = (w[i + 1] * deriv[i + 1]) % p
-    total = (first + g1[0] * inverse_mod(deriv[0], p)) % p
-    for i in range(1, p):
-        total = (total + w[i] * g1[i]) % p
+    total, w = first + g1[0] * inverse_mod(deriv[0], p), 1
+    for i in range(p - 1, 0, -1):  # w = w_i, the product of deriv[i+1..p-1]
+        total += w * g1[i]
+        w = w * deriv[i] % p
+    total %= p
 
-    returned = lifted.conditions["return_valuation"]  # f^p(0) mod p^2
-    yd = (returned.details if returned.passed else returned.witness)["value"]
+    yd = int(lifted.function.orbit_mod(2)[p])  # f^p(0) mod p^2
     direct = (yd // p) % p if yd % p == 0 else None
     return {
         "formula": total,
@@ -532,39 +520,40 @@ def p5_linear_form(p: int, phi: Sequence[int], bvec: Sequence[int], lift: Sequen
 # power-basis route: solve for polynomial coefficients from reduced data
 
 
-def solve_power_basis_system(p: int, Bvec: Sequence[int], Dvec: Sequence[int]) -> tuple[int, ...]:
-    """Coefficients alpha_0..alpha_{2p-1} mod p of a polynomial whose
-    reduction mod (x^p - x, p) is sum B_j x^j and whose derivative takes the
-    values D_k at k = 0..p-1."""
+def solve_power_basis_system(p: int, phi: Sequence[int],
+                             Dvec: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Coefficients alpha_0..alpha_{2p-1} mod p of a polynomial that takes
+    the values phi and whose derivative takes the values D at k = 0..p-1,
+    with its reduction B_0..B_{p-1} mod (x^p - x, p)."""
     require_prime(p)
     if p < 5:
         raise InputError("solve_power_basis_system needs p >= 5")
-    Bvec = [int(x) % p for x in Bvec]
+    phi = [int(x) % p for x in phi]
     Dvec = [int(x) % p for x in Dvec]
-    if len(Bvec) != p or len(Dvec) != p:
-        raise InputError("Bvec and Dvec must each list p values")
-    # x^i reduces to x^(i - (p-1)) for i >= p: B_j collects alpha_j and
-    # alpha_{p+j-1}, and B_1 also alpha_{2p-1}; the derivative at k is
+    if len(phi) != p or len(Dvec) != p:
+        raise InputError("phi and Dvec must each list p values")
+    # the value at k is sum alpha_i k^i (0^0 = 1), the derivative
     # sum i alpha_i k^(i-1)
     n = 2 * p
-    rows = [[int(i == 0) for i in range(n)], [int(i in (1, p, n - 1)) for i in range(n)]]
-    rows += [[int(i in (j, p + j - 1)) for i in range(n)] for j in range(2, p)]
+    rows = [[pow(k, i, p) for i in range(n)] for k in range(p)]
     rows += [[i * pow(k, i - 1, p) % p if i else 0 for i in range(n)] for k in range(p)]
-    result = solve_fp(rows, Bvec + Dvec, p)
+    result = solve_fp(rows, phi + Dvec, p)
     if result.status != "unique":
         raise InternalCheckError(f"power-basis system is {result.status}")
     alphas = result.solution
-    # independent validation: pointwise agreement with the reduced form and
-    # with the prescribed derivative values
+    # x^i reduces to x^(i - (p-1)) for i >= p: B_j collects alpha_j and
+    # alpha_{p+j-1}, and B_1 also alpha_{2p-1}
+    B = [alphas[0], alphas[1] + alphas[p] + alphas[n - 1]]
+    B = tuple(b % p for b in B + [alphas[j] + alphas[p + j - 1] for j in range(2, p)])
+    # independent validation: the reduced form takes the values phi, and the
+    # derivative of alphas the values D
     for x in range(p):
-        full = sum(a * pow(x, i, p) for i, a in enumerate(alphas)) % p
-        red = sum(B * pow(x, j, p) for j, B in enumerate(Bvec)) % p
-        if full != red:
+        if sum(b * pow(x, j, p) for j, b in enumerate(B)) % p != phi[x]:
             raise InternalCheckError(f"reduced polynomial mismatch at {x}")
         der = sum(i * a * pow(x, i - 1, p) for i, a in enumerate(alphas) if i) % p
         if der != Dvec[x]:
             raise InternalCheckError(f"derivative value mismatch at {x}")
-    return alphas
+    return alphas, B
 
 
 def random_transitive_permutation(p: int, rng) -> tuple[int, ...]:
@@ -578,32 +567,18 @@ def random_transitive_permutation(p: int, rng) -> tuple[int, ...]:
     return tuple(phi)
 
 
-def random_unit_product_one(p: int, length: int, rng) -> tuple[int, ...]:
-    """Uniform vector of units mod p whose product is 1."""
-    vec = [rng.randrange(1, p) for _ in range(length - 1)]
+def random_unit_product_one(p: int, rng) -> tuple[int, ...]:
+    """Uniform vector of p units mod p whose product is 1."""
+    vec = [rng.randrange(1, p) for _ in range(p - 1)]
     return tuple(vec + [inverse_mod(math.prod(vec) % p, p)])
-
-
-def interpolate_reduced_p(p: int, values: Sequence[int]) -> tuple[int, ...]:
-    """Coefficients mod p of the degree < p polynomial through the given
-    values at x = 0..p-1 (Vandermonde solve)."""
-    values = [int(v) % p for v in values]
-    if len(values) != p:
-        raise InputError(f"expected {p} values")
-    rows = [[pow(x, j, p) for j in range(p)] for x in range(p)]
-    result = solve_fp(rows, values, p)
-    if result.status != "unique":
-        raise InternalCheckError("Vandermonde system not invertible")
-    return result.solution
 
 
 def random_power_basis_poly(p: int, rng) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Random degree < 2p polynomial hitting a transitive reduction and a
     unit-product derivative profile; returns (alphas, Bvec, Dvec)."""
     phi = random_transitive_permutation(p, rng)
-    Bvec = interpolate_reduced_p(p, phi)
-    Dvec = random_unit_product_one(p, p, rng)
-    return solve_power_basis_system(p, Bvec, Dvec), Bvec, Dvec
+    Dvec = random_unit_product_one(p, rng)
+    return *solve_power_basis_system(p, phi, Dvec), Dvec
 
 
 # ---------------------------------------------------------------------

@@ -68,30 +68,34 @@ def _check_modulus(p: int, depth: int) -> None:
 
 
 def check_window(p: int, depth: int, npoints: int, degree: int | None = None,
-                 terms: int | None = None) -> None:
+                 terms: int | None = None, count: int = 1) -> None:
     """Refuse a window of npoints values above the materialization limit, and
-    a Mahler series of `terms` terms or a polynomial of the given degree whose
-    terms or degree times the window exceeds its budget."""
+    a Mahler series of `terms` terms or else a polynomial of the given degree
+    whose terms or degree times the window exceeds its budget, once or
+    `count` times over (generate's --count)."""
     if npoints > _TABLE_LIMIT:
         raise InputError(
             f"a window of {npoints} values at p={p}, depth {depth} exceeds "
             f"the materialization limit of {_TABLE_LIMIT} points"
         )
-    if terms is not None and terms * npoints > _MAHLER_WORK_LIMIT:
-        raise InputError(
-            f"a Mahler series of {terms} terms over a window of {npoints} values at "
-            f"p={p}, depth {depth} exceeds the terms x window budget of {_MAHLER_WORK_LIMIT}"
-        )
-    if degree is None:
+    if terms is not None:
+        size, limit, budget = terms, _MAHLER_WORK_LIMIT, "terms x window"
+    elif degree is not None:
+        wide = backends.int_dtype(p**depth, npoints) is object
+        size, budget = degree, "degree x window"
+        limit = _WIDE_HORNER_LIMIT if wide else _HORNER_LIMIT
+    else:
         return
-    wide = backends.int_dtype(p**depth, npoints) is object
-    limit = _WIDE_HORNER_LIMIT if wide else _HORNER_LIMIT
-    if degree * npoints > limit:
-        raise InputError(
-            f"a polynomial of degree {degree} over a window of {npoints} values "
-            f"at p={p}, depth {depth} exceeds the degree x window budget of "
-            f"{limit}" + (" for residues beyond int64" if wide else "")
-        )
+    if count * size * npoints <= limit:
+        return
+    what = (f"a Mahler series of {terms} terms" if terms is not None
+            else f"a polynomial of degree {degree}")
+    what += f" over a window of {npoints} values at p={p}, depth {depth}"
+    budget = f"the {budget} budget of {limit}" + (
+        " for residues beyond int64" if terms is None and wide else "")
+    if size * npoints > limit:
+        raise InputError(f"{what} exceeds {budget}")
+    raise InputError(f"--count {count} instances of {what} exceed {budget}")
 
 
 def parse_int(value) -> int:
@@ -401,15 +405,23 @@ class PadicFunction:
         int64, or Python integers (dtype object) where p^depth * npoints
         would overflow int64.  Built once per form by a vectorized pass and
         cached; a shorter window is a prefix of a longer one.  Windows above
-        the materialization limit, and polynomials over the degree x window
-        budget, are refused.
+        the materialization limit, and Mahler series and polynomials over
+        their budgets, are refused by `check_budget` before any work.
         """
-        degree = len(self.payload) - 1 if self.kind == "polynomial" else None
-        check_window(self.prime, self.depth, npoints, degree)
+        self.check_budget(npoints)
         if self._values is None or len(self._values) < npoints:
             self._values = self._compute_values(npoints)
             self._values.flags.writeable = False
         return self._values[:npoints]
+
+    def check_budget(self, npoints: int) -> None:
+        """Refuse a window of npoints values that this form may not evaluate,
+        without computing: `check_window` with the terms of a Mahler series
+        or the degree of a polynomial."""
+        size = len(self.payload)
+        check_window(self.prime, self.depth, npoints,
+                     size - 1 if self.kind == "polynomial" else None,
+                     size if self.kind == "mahler" else None)
 
     @cached_property
     def vdp_window(self) -> CoefficientSeries:

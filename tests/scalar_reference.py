@@ -33,7 +33,9 @@ digit-sum valuation of a binomial, the exact double sums behind abc and
 pzero, the ball indicator, the Mahler coefficients of the ball indicator
 and the van der Put to Mahler conversion built on them, the definition-level 1-Lipschitz test, the
 Mahler valuation profile of a UD1 map with its uniform sampler, a random
-prescribed p >= 5 instance, and transitivity of a batch of polynomials.
+prescribed p >= 5 instance, the power-basis solve in its two steps
+(interpolate the reduction, then solve for the coefficients) from before
+it became one system, and transitivity of a batch of polynomials.
 """
 
 import math
@@ -44,7 +46,9 @@ import numpy as np
 
 from padicdyn import backends, criteria, identities
 from padicdyn.analysis import UD1Report
-from padicdyn.arith import inverse_mod, m_minus, p_digits, require_nonnegative, require_prime
+from padicdyn.arith import (
+    inverse_mod, m_minus, p_digits, require_nonnegative, require_prime, solve_fp,
+)
 from padicdyn.dynamics import cycle_structure
 from padicdyn.errors import InputError, InternalCheckError, NormalizationError
 from padicdyn.funcspace import CoefficientSeries, PadicFunction
@@ -850,9 +854,37 @@ def random_ud1_mahler_series(p: int, depth: int, count: int, rng) -> Coefficient
 
 def random_p5_instance(p: int, rng, with_lift: bool = True) -> criteria.P5Instance:
     phi = criteria.random_transitive_permutation(p, rng)
-    bvec = criteria.random_unit_product_one(p, p, rng)
+    bvec = criteria.random_unit_product_one(p, rng)
     lift = tuple(rng.randrange(p) for _ in range(2 * p)) if with_lift else None
     return criteria.p5_instance(p, phi, bvec, lift)
+
+
+def interpolate_reduced_p(p: int, values) -> tuple[int, ...]:
+    """Coefficients mod p of the degree < p polynomial through the given
+    values at x = 0..p-1 (Vandermonde solve)."""
+    values = [int(v) % p for v in values]
+    if len(values) != p:
+        raise InputError(f"expected {p} values")
+    rows = [[pow(x, j, p) for j in range(p)] for x in range(p)]
+    result = solve_fp(rows, values, p)
+    if result.status != "unique":
+        raise InternalCheckError("Vandermonde system not invertible")
+    return result.solution
+
+
+def power_basis_reference(p: int, phi, Dvec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(alphas, B) of `criteria.solve_power_basis_system` in two solves: B
+    interpolated through phi, then alpha_0..alpha_{2p-1} from the rows that
+    fold them into B and the derivative rows at k = 0..p-1."""
+    B = interpolate_reduced_p(p, phi)
+    n = 2 * p
+    rows = [[int(i == 0) for i in range(n)], [int(i in (1, p, n - 1)) for i in range(n)]]
+    rows += [[int(i in (j, p + j - 1)) for i in range(n)] for j in range(2, p)]
+    rows += [[i * pow(k, i - 1, p) % p if i else 0 for i in range(n)] for k in range(p)]
+    result = solve_fp(rows, list(B) + [int(d) % p for d in Dvec], p)
+    if result.status != "unique":
+        raise InternalCheckError(f"power-basis system is {result.status}")
+    return result.solution, B
 
 
 def batch_transitive_polys(coeffs, p: int, k: int) -> np.ndarray:

@@ -244,7 +244,7 @@ def test_c08_prescribed_instances():
         passing = 0
         for _ in range(100):
             phi = criteria.random_transitive_permutation(p, py)
-            bvec = criteria.random_unit_product_one(p, p, py)
+            bvec = criteria.random_unit_product_one(p, py)
             lift = tuple(py.randrange(p) for _ in range(2 * p))
             form = criteria.p5_linear_form(p, phi, bvec, lift)
             inst = form["instance"]

@@ -318,6 +318,30 @@ def test_oversized_mahler_series_refused(capsys, argv, message):
     assert out == "" and err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("argv, terms, depth, message", [
+    (["classify"], 1024, 19, "a Mahler series of 524288 terms at p=2, depth 19 exceeds "
+                             "the Mahler length limit of 262144 terms"),
+    (["classify"], 1 << 15, 15, "a Mahler series of 32768 terms over a window of 49152 values "
+                                "at p=2, depth 15 exceeds the terms x window budget of 1000000000"),
+    (["expand", "--basis", "vdp", "--count", "32768"], 1 << 15, 15,
+     "a Mahler series of 32768 terms over a window of 32768 values at p=2, depth 15 "
+     "exceeds the terms x window budget of 1000000000"),
+])
+def test_mahler_input_is_refused_before_any_value_is_computed(
+        capsys, monkeypatch, tmp_path, argv, terms, depth, message):
+    # classify used to evaluate the UD1 window first: 6.7 s in mahler_values
+    # before the length limit at depth 19, and 13.5 s to answer 1.6e9
+    # term-points at depth 15
+    def boom(*args, **kwargs):
+        raise AssertionError("a Mahler sum was evaluated")
+
+    monkeypatch.setattr(backends, "mahler_values", boom)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"kind": "mahler", "p": 2, "k": depth, "terms": ["1"] * terms}))
+    code, out, err = _run(capsys, [argv[0], f"@{path}", *argv[1:]])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # no depth ceiling: the window, Mahler, vdp, degree and modulus limits bind
 _DENSE_P2 = "7+3x+10x^2+6x^3+x^4+12x^5+1234567x^7"
 
@@ -904,6 +928,13 @@ def test_generate_refuses_flags_it_would_ignore(capsys, argv):
                "depth 3 exceeds the terms x window budget of 1000000000"),
     ("-p 151", "a Mahler series of 302 terms over a window of 3442951 values at p=151, "
                "depth 3 exceeds the terms x window budget of 1000000000"),
+    # one instance fits its budget, --count of them do not
+    ("-p 149 --count 2", "--count 2 instances of a Mahler series of 298 terms over a window "
+                         "of 3307949 values at p=149, depth 3 exceed the terms x window "
+                         "budget of 1000000000"),
+    ("-p 83 --route poly --count 2", "--count 2 instances of a polynomial of degree 165 over "
+                                     "a window of 571787 values at p=83, depth 3 exceed the "
+                                     "degree x window budget of 100000000"),
 ])
 def test_generate_refuses_its_window_before_any_instance_is_drawn(capsys, monkeypatch, argv, message):
     # these limits used to fire only once an instance was solved and built:
@@ -925,6 +956,12 @@ def test_generate_answers_below_the_mahler_budget(capsys, p):
     code, payload, _ = _run_json(capsys, ["generate", "-p", p, "--seed", "1"],
                                  schema="generate.schema.json")
     assert code == 0 and payload["count"] == 1
+
+
+def test_generate_answers_a_count_within_the_budget(capsys):
+    code, payload, _ = _run_json(capsys, ["generate", "-p", "11", "--count", "3", "--seed", "1"],
+                                 schema="generate.schema.json")
+    assert code == 0 and payload["count"] == 3
 
 
 def test_verify_single_suite(capsys):

@@ -14,7 +14,7 @@ from padicdyn.funcspace import (
     vdp_coefficients,
 )
 from padicdyn.verdict import checklist_verdict, failing, passing
-from scalar_reference import random_p5_instance
+from scalar_reference import power_basis_reference, random_p5_instance
 
 
 # -- p = 2 ------------------------------------------------------------
@@ -291,7 +291,7 @@ def test_p5_linear_form_agreement():
     for p in (5, 7):
         for _ in range(10):
             phi = cr.random_transitive_permutation(p, rng)
-            bvec = cr.random_unit_product_one(p, p, rng)
+            bvec = cr.random_unit_product_one(p, rng)
             lift = tuple(rng.randrange(p) for _ in range(2 * p))
             rep = cr.p5_linear_form(p, phi, bvec, lift)
             assert rep["agree"]
@@ -316,7 +316,7 @@ def test_p5_fiber_structure_in_z0():
     rng = random.Random(54)
     p = 5
     phi = cr.random_transitive_permutation(p, rng)
-    bvec = cr.random_unit_product_one(p, p, rng)
+    bvec = cr.random_unit_product_one(p, rng)
     tail = [rng.randrange(p) for _ in range(2 * p - 1)]
     outcomes = []
     for z0 in range(p):
@@ -339,13 +339,15 @@ def test_power_basis_solver_and_checks():
             assert conds["combined"].passed == ergodic_oracle(f).passed
 
 
-def test_interpolate_reduced_p():
+def test_power_basis_system_matches_the_two_step_reference():
+    # one 2p x 2p solve from the values gives the alphas and the folded B of
+    # interpolating B through phi and then solving the B system
     rng = random.Random(56)
-    for p in (5, 7):
-        values = [rng.randrange(p) for _ in range(p)]
-        coeffs = cr.interpolate_reduced_p(p, values)
-        for x in range(p):
-            assert sum(c * pow(x, j, p) for j, c in enumerate(coeffs)) % p == values[x]
+    for p in (5, 7, 11, 13):
+        for _ in range(4):
+            phi = [rng.randrange(p) for _ in range(p)]
+            Dvec = [rng.randrange(p) for _ in range(p)]
+            assert cr.solve_power_basis_system(p, phi, Dvec) == power_basis_reference(p, phi, Dvec)
 
 
 # -- catalog and dispatch ---------------------------------------------

@@ -241,7 +241,7 @@ def test_the_benchmark_tracers_names_resolve():
 
 
 # the package's line ceiling: new code is paid for by code moved out or cut
-LINE_CEILING = 3240
+LINE_CEILING = 3227
 
 
 def test_package_stays_under_its_line_ceiling():
