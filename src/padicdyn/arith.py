@@ -7,6 +7,8 @@ prime fields.  No floats anywhere.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -15,20 +17,16 @@ from .errors import InputError
 
 _PRIME_LIMIT = 2**31
 
-_small_primes: list[int] | None = None
 
-
+@functools.cache
 def _sieve_primes() -> list[int]:
-    global _small_primes
-    if _small_primes is None:
-        limit = 46341  # floor(sqrt(2^31)) + 1
-        flags = bytearray([1]) * limit
-        flags[0] = flags[1] = 0
-        for i in range(2, int(limit**0.5) + 1):
-            if flags[i]:
-                flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-        _small_primes = [i for i in range(limit) if flags[i]]
-    return _small_primes
+    limit = 46341  # floor(sqrt(2^31)) + 1
+    flags = bytearray([1]) * limit
+    flags[0] = flags[1] = 0
+    for i in range(2, int(limit**0.5) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
+    return list(itertools.compress(range(limit), flags))
 
 
 def is_prime(n: int) -> bool:

@@ -18,6 +18,7 @@ import os
 import random
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -151,8 +152,26 @@ def resolve_function(args, default_depth: int) -> PadicFunction:
     )
 
 
+def _json(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2) byte for byte where every key is a string, with
+    strings through the C escaper; pad is the newline and indent of obj's line."""
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        items = [_quote(v) if type(v) is str else _json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    if isinstance(obj, dict):
+        items = [_quote(k) + ": " + (_quote(v) if type(v) is str else _json(v, inner))
+                 for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    return json.dumps(obj)  # floats, and strings of a str subclass
+
+
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(_json(payload) + "\n")
 
 
 # ---------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import binomial, inverse_mod, require_prime, solve_fp
+from .arith import binomial, inverse_mod, require_prime
 from .errors import InputError, InternalCheckError, PreconditionError
 from .funcspace import (
     CoefficientSeries,
@@ -524,7 +524,9 @@ def solve_power_basis_system(p: int, phi: Sequence[int],
                              Dvec: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Coefficients alpha_0..alpha_{2p-1} mod p of a polynomial that takes
     the values phi and whose derivative takes the values D at k = 0..p-1,
-    with its reduction B_0..B_{p-1} mod (x^p - x, p)."""
+    with its reduction B_0..B_{p-1} mod (x^p - x, p): alphas = R + (x^p - x) Q
+    with R through phi and Q through R'(k) - D_k, as alphas' derivative at k
+    is R'(k) - Q(k) mod p."""
     require_prime(p)
     if p < 5:
         raise InputError("solve_power_basis_system needs p >= 5")
@@ -532,18 +534,19 @@ def solve_power_basis_system(p: int, phi: Sequence[int],
     Dvec = [int(x) % p for x in Dvec]
     if len(phi) != p or len(Dvec) != p:
         raise InputError("phi and Dvec must each list p values")
-    # the value at k is sum alpha_i k^i (0^0 = 1), the derivative
-    # sum i alpha_i k^(i-1)
-    n = 2 * p
-    rows = [[pow(k, i, p) for i in range(n)] for k in range(p)]
-    rows += [[i * pow(k, i - 1, p) % p if i else 0 for i in range(n)] for k in range(p)]
-    result = solve_fp(rows, phi + Dvec, p)
-    if result.status != "unique":
-        raise InternalCheckError(f"power-basis system is {result.status}")
-    alphas = result.solution
+    ks = np.arange(p)
+    powers = np.array([[pow(k, e, p) for k in range(p)] for e in range(p)])  # k^e, 0^0 = 1
+    # through the values v at k = 0..p-1: the indicator of k is 1 - (x - k)^(p-1)
+    # = 1 - sum_j k^(p-1-j) x^j at odd p, so c_0 = v_0, c_j = -sum_k v_k k^(p-1-j)
+    interpolate = -powers[::-1] % p
+    interpolate[0] = ks == 0
+    R = interpolate @ phi % p
+    slopes = (ks[1:] * R[1:]) @ powers[:-1]  # R'(k)
+    Q = interpolate @ ((slopes - Dvec) % p) % p
+    alphas = tuple(((np.concatenate((R, Q)) - np.pad(Q, (1, p - 1))) % p).tolist())
     # x^i reduces to x^(i - (p-1)) for i >= p: B_j collects alpha_j and
     # alpha_{p+j-1}, and B_1 also alpha_{2p-1}
-    B = [alphas[0], alphas[1] + alphas[p] + alphas[n - 1]]
+    B = [alphas[0], alphas[1] + alphas[p] + alphas[-1]]
     B = tuple(b % p for b in B + [alphas[j] + alphas[p + j - 1] for j in range(2, p)])
     # independent validation: the reduced form takes the values phi, and the
     # derivative of alphas the values D

@@ -416,12 +416,12 @@ class PadicFunction:
 
     def check_budget(self, npoints: int) -> None:
         """Refuse a window of npoints values that this form may not evaluate,
-        without computing: `check_window` with the terms of a Mahler series
-        or the degree of a polynomial."""
+        without computing: `check_window` with the degree of a polynomial or
+        the first p^depth terms of a Mahler series, the rest being 0 mod p^depth."""
         size = len(self.payload)
         check_window(self.prime, self.depth, npoints,
                      size - 1 if self.kind == "polynomial" else None,
-                     size if self.kind == "mahler" else None)
+                     min(size, self.prime**self.depth) if self.kind == "mahler" else None)
 
     @cached_property
     def vdp_window(self) -> CoefficientSeries:
@@ -466,7 +466,7 @@ class PadicFunction:
             return np.asarray(self.payload, dtype=np.int64)[np.arange(npoints) % mod]
         terms = self.payload.terms
         if self.kind == "mahler":
-            return backends.mahler_values(terms, p, self.depth, npoints)
+            return backends.mahler_values(terms[:mod], p, self.depth, npoints)
         # vdp: add B_m over the digit chain m = x mod p^(j+1), one gather per
         # level j; a level j >= 1 counts when its digit is nonzero (m >= p^j)
         coeffs = backends.reduced_rows(terms[None, :], mod, npoints)[0]

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import contextlib
 import dataclasses
 import io
 import json
@@ -14,6 +15,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import padicdyn
 from padicdyn import analysis, backends, cli, criteria, dynamics, funcspace, identities
@@ -710,11 +713,46 @@ def test_series_tail_divisible_past_the_depth_window_is_answered(capsys, monkeyp
     assert code == 1 and payload["ud1"]["agree"] is True
 
 
+@pytest.mark.parametrize("depth, length", [(10, 1 << 16), (12, 1 << 18)])
+def test_mahler_series_padded_past_the_window_reads_as_unpadded(capsys, monkeypatch, depth, length):
+    # terms past p^depth are 0 mod p^depth, so the value pass and the terms x
+    # window budget read only the first p^depth: x + 1 zero-padded to 2^16
+    # terms took 1.2 s at depth 10, and padded to 2^18 terms at depth 12 was
+    # refused by the budget
+    reports = []
+    for terms in ([1, 1], [1, 1] + [0] * (length - 2)):
+        blob = {"kind": "mahler", "p": 2, "k": depth, "terms": terms}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(blob)))
+        reports.append(_run(capsys, ["classify", "-"]))
+    assert reports[0] == reports[1] and reports[0][0] == 0
+
+
 def test_classify_refuses_an_empty_coeffs_list(capsys, monkeypatch):
     # exit 1 once, the "criterion false" code; the text form '' is exit 2 too
     monkeypatch.setattr(sys, "stdin", io.StringIO('{"kind":"polynomial","p":2,"coeffs":[]}'))
     assert _run(capsys, ["classify", "-"]) == (2, "", "error: empty polynomial\n")
     assert _run(capsys, ["classify", "", "-p", "2"]) == (2, "", "error: empty polynomial\n")
+
+
+# strings with quotes, backslashes, control characters and non-ASCII text
+_JSON_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001d11e')
+                     | st.characters(), max_size=6)
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200)
+                 | st.floats() | _JSON_TEXT)
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4)), max_leaves=20)
+
+
+@settings(derandomize=True, database=None, max_examples=150)
+@given(_JSON_VALUES)
+@example({"p": 3, "empty": {}, "none": [], "pair": (True, None), "nested": [[{"k": "\u00e9\""}]],
+          "elapsed_seconds": 0.125, "big": -(10**40)})
+def test_report_writer_is_json_dumps_with_indent_2(obj):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(obj)
+    assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
 
 
 def test_classify_stdin(capsys, monkeypatch):
@@ -939,12 +977,12 @@ def test_generate_refuses_flags_it_would_ignore(capsys, argv):
 def test_generate_refuses_its_window_before_any_instance_is_drawn(capsys, monkeypatch, argv, message):
     # these limits used to fire only once an instance was solved and built:
     # after 5.2 s at -p 10007, 16.7 s at -p 401 --route poly, and past 100 s
-    # at -p 1009 --route poly, inside the O(p^3) solve
+    # at -p 1009 --route poly, inside the O(p^3) solve that interpolation replaced
     def boom(*args, **kwargs):
         raise AssertionError("an instance was drawn or solved")
 
-    for name in ("random_transitive_permutation", "random_power_basis_poly", "solve_fp",
-                 "p5_linear_form"):
+    for name in ("random_transitive_permutation", "random_power_basis_poly",
+                 "solve_power_basis_system", "p5_linear_form"):
         monkeypatch.setattr(criteria, name, boom)
     code, out, err = _run(capsys, ["generate", *argv.split(), "--seed", "1"])
     assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from padicdyn import criteria as cr
+from padicdyn.arith import is_prime
 from padicdyn.dynamics import ergodic_oracle, transitive_mod
 from padicdyn.errors import InputError, PreconditionError
 from padicdyn.funcspace import (
@@ -340,14 +341,19 @@ def test_power_basis_solver_and_checks():
 
 
 def test_power_basis_system_matches_the_two_step_reference():
-    # one 2p x 2p solve from the values gives the alphas and the folded B of
-    # interpolating B through phi and then solving the B system
+    # interpolation over F_p gives the alphas and the folded B of two
+    # eliminations, B through phi and then the B system, at every prime the
+    # poly route's budget admits: phi a transitive permutation at every other
+    # prime, and at the rest a phi that is no permutation (two equal values)
     rng = random.Random(56)
-    for p in (5, 7, 11, 13):
-        for _ in range(4):
+    for i, p in enumerate(q for q in range(5, 84) if is_prime(q)):
+        if i % 2:
             phi = [rng.randrange(p) for _ in range(p)]
-            Dvec = [rng.randrange(p) for _ in range(p)]
-            assert cr.solve_power_basis_system(p, phi, Dvec) == power_basis_reference(p, phi, Dvec)
+            phi[-1] = phi[0]
+        else:
+            phi = list(cr.random_transitive_permutation(p, rng))
+        Dvec = [rng.randrange(p) for _ in range(p)]
+        assert cr.solve_power_basis_system(p, phi, Dvec) == power_basis_reference(p, phi, Dvec)
 
 
 # -- catalog and dispatch ---------------------------------------------
