@@ -20,12 +20,14 @@ from typing import Sequence
 import numpy as np
 
 from .arith import binomial, inverse_mod, require_prime
+from .backends import mahler_batch
 from .errors import InputError, InternalCheckError, PreconditionError
 from .funcspace import (
     CoefficientSeries,
     PadicFunction,
     index_levels,
     mahler_coefficients,
+    parse_ints,
     vdp_coefficients,
 )
 from .analysis import ud1_check
@@ -307,7 +309,7 @@ def vdp_ergodic_p3(series: CoefficientSeries) -> CriterionVerdict:
 
 
 def _validate_phi(p: int, phi: Sequence[int]) -> tuple[int, ...]:
-    phi = tuple(int(x) % p for x in phi)
+    phi = tuple(x % p for x in parse_ints(phi))
     if len(phi) != p:
         raise InputError(f"phi must list {p} values")
     if sorted(phi) != list(range(p)):
@@ -321,7 +323,7 @@ def _validate_phi(p: int, phi: Sequence[int]) -> tuple[int, ...]:
 
 
 def _validate_bvec(p: int, bvec: Sequence[int]) -> tuple[int, ...]:
-    bvec = tuple(int(x) % p for x in bvec)
+    bvec = tuple(x % p for x in parse_ints(bvec))
     if len(bvec) != p:
         raise InputError(f"bvec must list {p} values")
     if any(v == 0 for v in bvec):
@@ -329,33 +331,6 @@ def _validate_bvec(p: int, bvec: Sequence[int]) -> tuple[int, ...]:
     if math.prod(bvec) % p != 1:
         raise InputError("bvec must have product 1 mod p")
     return bvec
-
-
-def p5_solve_base(p: int, phi: Sequence[int]) -> tuple[int, ...]:
-    """First p Mahler residues from the level-1 target: solve the unit
-    lower-triangular Pascal system C(i, n) e_n = phi(i) mod p."""
-    phi = _validate_phi(p, phi)
-    e = np.zeros(p, dtype=np.int64)
-    for i, (_, binom_row) in enumerate(lambda_rows(p)):
-        e[i] = (phi[i] - binom_row[:i] @ e[:i]) % p
-    # independent route: iterated differences of the value table mod p
-    diffs = list(phi)
-    for n in range(p):
-        if diffs[0] % p != e[n]:
-            raise InternalCheckError("Pascal solve disagrees with differences")
-        diffs = [(diffs[i + 1] - diffs[i]) % p for i in range(len(diffs) - 1)]
-    return tuple(e.tolist())
-
-
-def p5_solve_branch(p: int, e_base: Sequence[int], bvec: Sequence[int]) -> tuple[int, ...]:
-    """Next p Mahler residues from branch targets via the lambda form:
-    sum_n lambda_n^i e_n + sum_{n<=i} C(i,n) e_{p+n} = b_i mod p."""
-    bvec = _validate_bvec(p, bvec)
-    base = np.array(e_base, dtype=np.int64) % p
-    e2 = np.zeros(p, dtype=np.int64)
-    for i, (lam_row, binom_row) in enumerate(lambda_rows(p)):
-        e2[i] = (bvec[i] - lam_row @ base - binom_row[:i] @ e2[:i]) % p
-    return tuple(e2.tolist())
 
 
 @dataclass(frozen=True)
@@ -401,12 +376,11 @@ def p5_conditions(f: PadicFunction) -> dict:
         else failing("branch-product-unit", "not-one", witness={"product": prod})
     )
     y = int(f.orbit_mod(2)[p])
-    if y % p == 0 and y != 0:
-        out["return_valuation"] = passing("return-valuation", value=y)
-    else:
-        out["return_valuation"] = failing(
-            "return-valuation", "not-exactly-p", witness={"value": y}
-        )
+    out["return_valuation"] = (
+        passing("return-valuation", value=y)
+        if y % p == 0 and y != 0
+        else failing("return-valuation", "not-exactly-p", witness={"value": y})
+    )
     ok = all(v.passed for v in out.values())
     out["combined"] = CriterionVerdict(ok, "ergodic-p5", None if ok else "see-parts")
     return out
@@ -427,11 +401,14 @@ def p5_instance(p: int, phi: Sequence[int], bvec: Sequence[int],
         raise InputError("p5_instance needs p >= 5")
     phi = _validate_phi(p, phi)
     bvec = _validate_bvec(p, bvec)
-    lift = (0,) * (2 * p) if lift is None else tuple(int(x) % p for x in lift)
+    lift = (0,) * (2 * p) if lift is None else tuple(x % p for x in parse_ints(lift))
     if len(lift) != 2 * p:
         raise InputError(f"lift must list {2 * p} values")
-    e_base = p5_solve_base(p, phi)
-    e = e_base + p5_solve_branch(p, e_base, bvec)
+    # the Mahler residues mod p of phi, then of b_i - lambda_i . e_base, since
+    # b_i = sum_n lambda(i, n) e_n + sum_{n<=i} C(i, n) e_{p+n} mod p
+    e_base = mahler_batch([phi], p)[0]
+    lam = np.array([row for row, _ in lambda_rows(p)])
+    e = np.append(e_base, mahler_batch([(np.array(bvec) - lam @ e_base) % p], p)[0]).tolist()
     terms = [(p if m >= p else 1) * (e[m] + p * lift[m]) for m in range(2 * p)]
     series = CoefficientSeries("mahler", p, 3, tuple(terms))
     f = PadicFunction.from_mahler(series)
@@ -530,8 +507,7 @@ def solve_power_basis_system(p: int, phi: Sequence[int],
     require_prime(p)
     if p < 5:
         raise InputError("solve_power_basis_system needs p >= 5")
-    phi = [int(x) % p for x in phi]
-    Dvec = [int(x) % p for x in Dvec]
+    phi, Dvec = ([x % p for x in parse_ints(v)] for v in (phi, Dvec))
     if len(phi) != p or len(Dvec) != p:
         raise InputError("phi and Dvec must each list p values")
     ks = np.arange(p)
@@ -548,14 +524,16 @@ def solve_power_basis_system(p: int, phi: Sequence[int],
     # alpha_{p+j-1}, and B_1 also alpha_{2p-1}
     B = [alphas[0], alphas[1] + alphas[p] + alphas[-1]]
     B = tuple(b % p for b in B + [alphas[j] + alphas[p + j - 1] for j in range(2, p)])
-    # independent validation: the reduced form takes the values phi, and the
-    # derivative of alphas the values D
-    for x in range(p):
-        if sum(b * pow(x, j, p) for j, b in enumerate(B)) % p != phi[x]:
-            raise InternalCheckError(f"reduced polynomial mismatch at {x}")
-        der = sum(i * a * pow(x, i - 1, p) for i, a in enumerate(alphas) if i) % p
-        if der != Dvec[x]:
-            raise InternalCheckError(f"derivative value mismatch at {x}")
+    # independent validation by Horner's rule: the reduced form takes the
+    # values phi, and the derivative of alphas the values D, at k = 0..p-1
+    for k in range(p):
+        value = slope = 0
+        for b in reversed(B):
+            value = (value * k + b) % p
+        for i in range(2 * p - 1, 0, -1):
+            slope = (slope * k + i * alphas[i]) % p
+        if (value, slope) != (phi[k], Dvec[k]):
+            raise InternalCheckError(f"power-basis solve misses phi or D at k={k}")
     return alphas, B
 
 

@@ -139,16 +139,21 @@ def check_series_length(kind: str, p: int, depth: int, count: int) -> None:
         )
 
 
-def index_levels(stop: int, p: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """e(i) and p^e(i) for start <= i < stop, as two int64 arrays."""
-    level = np.zeros(stop - start, dtype=np.int64)
-    lead = np.ones(stop - start, dtype=np.int64)
+def index_levels(stop: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """e(i) and p^e(i) for 0 <= i < stop, as two int64 arrays."""
+    level = np.zeros(stop, dtype=np.int64)
+    lead = np.ones(stop, dtype=np.int64)
     power = p
     while power < stop:
-        level[max(power - start, 0) :] += 1
-        lead[max(power - start, 0) :] = power
+        level[power:] += 1
+        lead[power:] = power
         power *= p
     return level, lead
+
+
+def _index_level(i: int, p: int) -> int:
+    """e(i) for one index i, by a scalar loop."""
+    return next(e for e in range(i + 1) if p ** (e + 1) > i)
 
 
 def powers_of(p: int, exponents: np.ndarray, dtype) -> np.ndarray:
@@ -218,15 +223,12 @@ class CoefficientSeries:
     def top_level(self) -> int:
         """The highest level s whose terms the series holds (p^(s+1) <= its
         length) with a residue mod p left (s < its exponent), else 0."""
-        level = int(index_levels(len(self) + 1, self.prime, len(self))[0][0])
-        return max(min(level, self.exponent) - 1, 0)
+        return max(min(_index_level(len(self), self.prime), self.exponent) - 1, 0)
 
     def normalization_error(self, i: int) -> NormalizationError:
         """What `normals` raises when term i is not divisible by p^e(i)."""
-        e = int(index_levels(i + 1, self.prime, i)[0][0])
-        return NormalizationError(
-            f"{self.kind} term {i} = {self.term(i)} is not divisible by {self.prime}^{e}"
-        )
+        return NormalizationError(f"{self.kind} term {i} = {self.term(i)} is not divisible by "
+                                  f"{self.prime}^{_index_level(i, self.prime)}")
 
     def normals(self, start: int, stop: int) -> np.ndarray:
         """The normalized terms b_i = B_i / p^e(i) for start <= i < stop, as
@@ -239,9 +241,9 @@ class CoefficientSeries:
         """
         p = self.prime
         fine = min(stop, self.modulus)  # e(i) < exponent exactly where i < p^exponent
-        lead = int(index_levels(start + 1, p, start)[1][0])  # one divisor within a level
+        lead = p ** _index_level(start, p)  # one divisor within a level
         if fine > lead * p:
-            lead = index_levels(fine, p, start)[1]
+            lead = index_levels(fine, p)[1][start:]
         terms = self.terms[start:fine]
         unnormal = terms % lead != 0
         if unnormal.any():

@@ -33,9 +33,11 @@ digit-sum valuation of a binomial, the exact double sums behind abc and
 pzero, the ball indicator, the Mahler coefficients of the ball indicator
 and the van der Put to Mahler conversion built on them, the definition-level 1-Lipschitz test, the
 Mahler valuation profile of a UD1 map with its uniform sampler, a random
-prescribed p >= 5 instance, the power-basis solve in its two steps
-(interpolate the reduction, then solve for the coefficients) from before
-it became one system, and transitivity of a batch of polynomials.
+prescribed p >= 5 instance with the Pascal forward substitution that solved
+for its Mahler residues before `backends.mahler_batch` gave them, the
+power-basis solve in its two steps (interpolate the reduction, then solve
+for the coefficients) from before it became one system, and transitivity
+of a batch of polynomials.
 """
 
 import math
@@ -857,6 +859,22 @@ def random_p5_instance(p: int, rng, with_lift: bool = True) -> criteria.P5Instan
     bvec = criteria.random_unit_product_one(p, rng)
     lift = tuple(rng.randrange(p) for _ in range(2 * p)) if with_lift else None
     return criteria.p5_instance(p, phi, bvec, lift)
+
+
+def p5_series_reference(p: int, phi, bvec, lift) -> CoefficientSeries:
+    """The Mahler series of `criteria.p5_instance(p, phi, bvec, lift)` by
+    forward substitution down Pascal's triangle: e_0..e_{p-1} from
+    sum_{n<=i} C(i, n) e_n = phi(i), then e_p..e_{2p-1} from
+    sum_n lambda(i, n) e_n + sum_{n<=i} C(i, n) e_{p+n} = b_i mod p; term m is
+    e_m + p z_m, times p from m = p on."""
+    e = []
+    for i in range(p):
+        e.append((phi[i] - sum(math.comb(i, n) * e[n] for n in range(i))) % p)
+    for i in range(p):
+        lam = sum(lambda_coefficient(i, n, p) * e[n] for n in range(p))
+        e.append((bvec[i] - lam - sum(math.comb(i, n) * e[p + n] for n in range(i))) % p)
+    terms = [(p if m >= p else 1) * (e[m] + p * lift[m]) for m in range(2 * p)]
+    return CoefficientSeries("mahler", p, 3, terms)
 
 
 def interpolate_reduced_p(p: int, values) -> tuple[int, ...]:

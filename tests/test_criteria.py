@@ -4,10 +4,11 @@ import random
 import numpy as np
 import pytest
 
+from padicdyn import cli
 from padicdyn import criteria as cr
 from padicdyn.arith import is_prime
 from padicdyn.dynamics import ergodic_oracle, transitive_mod
-from padicdyn.errors import InputError, PreconditionError
+from padicdyn.errors import InputError, InternalCheckError, PreconditionError
 from padicdyn.funcspace import (
     CoefficientSeries,
     PadicFunction,
@@ -15,7 +16,7 @@ from padicdyn.funcspace import (
     vdp_coefficients,
 )
 from padicdyn.verdict import checklist_verdict, failing, passing
-from scalar_reference import power_basis_reference, random_p5_instance
+from scalar_reference import p5_series_reference, power_basis_reference, random_p5_instance
 
 
 # -- p = 2 ------------------------------------------------------------
@@ -251,16 +252,61 @@ def test_mmp_matches_extraction_random():
 # -- p >= 5 -----------------------------------------------------------
 
 
-def test_p5_solve_base_hits_targets():
+def test_p5_instance_matches_the_pascal_forward_substitution(monkeypatch):
+    # the two Mahler-residue passes against the scalar solve they replaced,
+    # one random phi, bvec and lift at every prime up to 89; the instance is
+    # built at depth 2, all that its re-extraction check and conditions read,
+    # so that the p^3-point value arrays of the larger primes are not built
+    from_mahler = PadicFunction.from_mahler
+    monkeypatch.setattr(PadicFunction, "from_mahler",
+                        classmethod(lambda cls, series, depth=None: from_mahler(series, 2)))
     rng = random.Random(51)
-    for p in (5, 7):
+    for p in (q for q in range(5, 90) if is_prime(q)):
         phi = cr.random_transitive_permutation(p, rng)
-        e = cr.p5_solve_base(p, phi)
-        from padicdyn.arith import binomial
+        bvec = cr.random_unit_product_one(p, rng)
+        lift = [rng.randrange(p) for _ in range(2 * p)]
+        assert cr.p5_instance(p, phi, bvec, lift).series == p5_series_reference(p, phi, bvec, lift)
 
-        for i in range(p):
-            acc = sum(binomial(i, n) * e[n] for n in range(p)) % p
-            assert acc == phi[i]
+
+@pytest.mark.parametrize("call, message", [(0, "instance missed phi"),
+                                           (1, "instance missed branch residue")])
+def test_p5_instance_catches_a_wrong_mahler_residue(capsys, monkeypatch, call, message):
+    # one residue of the base (call 0) or branch (call 1) Mahler pass off by
+    # one: the function rebuilt from them misses phi or bvec, in the library
+    # and through generate, which exits 3
+    batch = cr.mahler_batch
+    for n in range(7):
+        calls = []
+
+        def bumped(values, modulus):
+            out = batch(values, modulus)
+            if len(calls) == call:
+                out[0, n] = (out[0, n] + 1) % modulus
+            calls.append(values)
+            return out
+
+        monkeypatch.setattr(cr, "mahler_batch", bumped)
+        with pytest.raises(InternalCheckError, match=f"{message} at {n}$"):
+            cr.p5_instance(7, (1, 2, 3, 4, 5, 6, 0), (1,) * 7)
+        calls.clear()
+        argv = ["generate", "-p", "7", "--phi", "1,2,3,4,5,6,0", "--bvec", "1,1,1,1,1,1,1"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == f"internal check failed: {message} at {n}\n"
+
+
+@pytest.mark.parametrize("bad", [1.9, True, "1.5"])
+def test_generator_entry_points_refuse_non_integers(bad):
+    # int() used to read 1.9 and True as 1; integer text stays accepted, as in
+    # PadicFunction.from_polynomial
+    phi, bvec, lift = [1, 2, 3, 4, 0], [1] * 5, [0] * 10
+    for args in ([[bad, *phi[1:]], bvec, lift], [phi, [bad, *bvec[1:]], lift],
+                 [phi, bvec, [bad, *lift[1:]]]):
+        with pytest.raises(InputError, match="not an integer"):
+            cr.p5_instance(5, *args)
+    for args in ([[bad, *phi[1:]], bvec], [phi, [bad, *bvec[1:]]]):
+        with pytest.raises(InputError, match="not an integer"):
+            cr.solve_power_basis_system(5, *args)
+    assert cr.p5_instance(5, phi, bvec, ["0"] * 10).series == cr.p5_instance(5, phi, bvec).series
 
 
 def test_p5_instance_construction_and_conditions():

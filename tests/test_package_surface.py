@@ -243,8 +243,9 @@ def test_the_benchmark_tracers_names_resolve():
 
 
 # the package's line ceiling: new code is paid for by code moved out or cut;
-# raised by 20 for cli's JSON writer (19 lines) and the closed-form power-basis solve
-LINE_CEILING = 3247
+# lowered by 20 when the p >= 5 generator took its Mahler residues from
+# backends.mahler_batch in place of two Pascal solves and their re-solve
+LINE_CEILING = 3227
 
 
 def test_package_stays_under_its_line_ceiling():
