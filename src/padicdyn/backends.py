@@ -47,6 +47,17 @@ def reduced_rows(rows, modulus: int, npoints: int) -> np.ndarray:
     return array.astype(int_dtype(modulus, npoints), copy=False) % modulus
 
 
+def pascal_rows(first, count: int, modulus: int) -> np.ndarray:
+    """count rows mod modulus from the row first, each the one before plus
+    its shift right by one (Pascal's rule), so from 1, 0, 0, ... row i is
+    C(i, .); in the narrowest unsigned dtype that holds two residues' sum."""
+    rows = np.empty((count, len(first)), dtype=np.min_scalar_type(2 * (modulus - 1)))
+    rows[:] = np.asarray(first) % modulus  # column 0 never changes
+    for i in range(1, count):
+        rows[i, 1:] = (rows[i - 1, 1:] + rows[i - 1, :-1]) % modulus
+    return rows
+
+
 # -- polynomial value tables ------------------------------------------
 
 

@@ -314,6 +314,8 @@ def cmd_generate(args) -> int:
     if p is None:
         raise InputError("-p/--prime is required")
     require_prime(p)
+    if p < 5:
+        raise InputError(f"generate builds p >= 5 instances; p = {p} is below that")
     if args.count < 1:
         raise InputError("count must be >= 1")
     explicit = args.phi is not None or args.bvec is not None or args.lift is not None

@@ -407,7 +407,7 @@ def p5_instance(p: int, phi: Sequence[int], bvec: Sequence[int],
     # the Mahler residues mod p of phi, then of b_i - lambda_i . e_base, since
     # b_i = sum_n lambda(i, n) e_n + sum_{n<=i} C(i, n) e_{p+n} mod p
     e_base = mahler_batch([phi], p)[0]
-    lam = np.array([row for row, _ in lambda_rows(p)])
+    lam = lambda_rows(p)[0]
     e = np.append(e_base, mahler_batch([(np.array(bvec) - lam @ e_base) % p], p)[0]).tolist()
     terms = [(p if m >= p else 1) * (e[m] + p * lift[m]) for m in range(2 * p)]
     series = CoefficientSeries("mahler", p, 3, tuple(terms))

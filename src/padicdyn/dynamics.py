@@ -13,6 +13,7 @@ from typing import Any
 
 import numpy as np
 
+from . import backends
 from .errors import InputError, InternalCheckError, PreconditionError
 from .funcspace import CoefficientSeries, PadicFunction
 from .funcspace import mahler_coefficients, vdp_coefficients
@@ -181,22 +182,17 @@ def measure_preserving_ud_p2_mahler(f: PadicFunction) -> CriterionVerdict:
     return checklist_verdict(name, _UD_MAHLER_P2, (a[1] % 2, a[2] % 4, a[3] % 4), f.depth)
 
 
-def lambda_rows(p: int):
-    """Rows i = 0..p-1 of the lambda form mod p, each with C(i, .) mod p.
+def lambda_rows(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two (p, p) int64 arrays mod p: rows i of the lambda form and of C(i, .).
 
     lambda(i, n) = (C(i + p, n) - C(i, n)) / p is an integer (Lucas).  Row 0
     is lambda(0, 0) = 0 and lambda(0, n) = C(p, n) / p = (-1)^(n-1) / n mod p
     for n >= 1, against C(0, .) = 1, 0, 0, ...; both obey Pascal's rule in
-    i, so each row is the last plus its shift by one.  Yields the pair as
-    two int64 arrays over n = 0..p-1.
+    i, so `backends.pascal_rows` builds each from its row 0.
     """
-    rows = np.zeros((2, p), dtype=np.int64)
-    rows[0, 1:] = [pow(n, -1, p) if n % 2 else p - pow(n, -1, p) for n in range(1, p)]
-    rows[1, 0] = 1
-    for _ in range(p):
-        yield rows[0], rows[1]
-        rows = rows.copy()
-        rows[:, 1:] = (rows[:, 1:] + rows[:, :-1]) % p
+    lam = [0] + [pow(n, -1, p) if n % 2 else p - pow(n, -1, p) for n in range(1, p)]
+    return tuple(backends.pascal_rows(first, p, p).astype(np.int64)
+                 for first in (lam, [1] + [0] * (p - 1)))
 
 
 def measure_preserving_ud_odd(f: PadicFunction) -> CriterionVerdict:
@@ -221,12 +217,11 @@ def measure_preserving_ud_odd(f: PadicFunction) -> CriterionVerdict:
             name, "complete-residues", witness={"residues": residues}, depth=f.depth
         )
     vdp = vdp_coefficients(f, count=2 * p)
-    mahler = mahler_coefficients(f, count=2 * p)
-    c, cp = (mahler.normals(0, 2 * p) % p).astype(np.int64).reshape(2, p)
+    c = (mahler_coefficients(f, count=2 * p).normals(0, 2 * p) % p).astype(np.int64)
     branch = (vdp.normals(p, 2 * p) % p).tolist()
-    for i, (lam_row, binom_row) in enumerate(lambda_rows(p)):
-        b = branch[i]
-        lam = int(lam_row @ c + binom_row @ cp) % p
+    # b_i = sum_n lambda(i, n) c_n + sum_n C(i, n) c_(p+n) mod p
+    via_lambda = (np.hstack(lambda_rows(p)) @ c % p).tolist()
+    for i, (lam, b) in enumerate(zip(via_lambda, branch)):
         if lam != b:
             raise InternalCheckError(
                 f"lambda form disagrees with branch term at i={i}: {lam} vs {b}"

@@ -497,16 +497,17 @@ class PadicFunction:
     def reduce_map(self, k: int) -> list[int]:
         """The induced map on Z/p^k, verified to be well defined.
 
-        A map that passes the cached Lipschitz verdict is well defined at
-        every level: its first p^k values are the map.  Otherwise every row
-        of p^k values of the depth window is compared with the first row in
-        one pass; a mismatch means the input is not 1-Lipschitz down to
-        level k and raises PreconditionError naming the first mismatching x.
+        A polynomial, or a map that passes the cached Lipschitz verdict, is
+        well defined at every level: its first p^k values are the map.
+        Otherwise every row of p^k values of the depth window is compared
+        with the first row in one pass; a mismatch means the input is not
+        1-Lipschitz down to level k and raises PreconditionError naming the
+        first mismatching x.
         """
         if not 1 <= k <= self.depth:
             raise InputError(f"reduction depth {k} outside 1..{self.depth}")
         mod = self.prime**k
-        if self.lipschitz:
+        if self.kind == "polynomial" or self.lipschitz:
             return (self.value_array(mod) % mod).tolist()
         rows = (self.value_array(self.prime**self.depth) % mod).reshape(-1, mod)
         mismatch = rows[1:] != rows[0]

@@ -24,7 +24,6 @@ s_max above 9.
 from __future__ import annotations
 
 import inspect
-import math
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -158,11 +157,10 @@ def _double_sums(p: int, tail: bool) -> np.ndarray:
     C(p, j) u(t + j) over 1 <= j < c, t + j < p: pzero reads K(t, p - r),
     abc K(t, p) less the correlation sum_{j=1}^{t-1} C(p, j) u(t - j).  Each
     sum is below p^7 < 2^63 for p <= 97, so int64 is exact."""
-    q = p * p
-    taps = np.array([0] + [math.comb(p, j) % q for j in range(1, p)], dtype=np.int64)
-    rows = np.zeros((p, p), dtype=np.int64)
-    rows[np.tril_indices(p)] = [math.comb(r, t) % q for r in range(p) for t in range(r + 1)]
     ls = np.arange(p, dtype=np.int64)
+    # rows 0..p-1 of one Pascal table mod p^2 are C(r, .), row p the taps C(p, j)
+    table = backends.pascal_rows([1] + [0] * (p - 1), p + 1, p * p).astype(np.int64)
+    rows, taps = table[:p], np.where(ls > 0, table[p], 0)
     u = np.concatenate([np.where(ls % 2 == 0, ls, -ls), np.zeros_like(ls)])  # 0 past l = p - 1
     running = np.cumsum(taps * u[ls[:, None] + ls], axis=1)  # K(t, c) at column c - 1
     if tail:
@@ -268,22 +266,14 @@ def bipro_suite(p_max: int = 13, s_max: int = 4) -> SuiteReport:
     return SuiteReport("bipro", params, checked, bad)
 
 
-def _pascal_mod4(size: int) -> np.ndarray:
-    """C(n, k) mod 4 for 0 <= n, k < size, one uint8 row per n."""
-    table = np.zeros((size, size), dtype=np.uint8)
-    table[:, 0] = 1
-    for n in range(1, size):
-        table[n, 1:] = (table[n - 1, 1:] + table[n - 1, :-1]) & 3
-    return table
-
-
 def bip2_suite(s_max: int = 6) -> SuiteReport:
     """The five p = 2 digit-shift congruences mod 4, exhaustive in s <= s_max,
     as one (alpha, beta, case) array per s over one Pascal table mod 4: its
     failures come out in the order of a loop over alpha, beta, case."""
     checked = 0
     bad = []
-    C = _pascal_mod4(2 ** (s_max + 1)) if s_max >= 2 else None
+    size = 2 ** max(s_max + 1, 0)  # C(n, k) mod 4 for n, k < size, one byte each
+    C = backends.pascal_rows([1] + [0] * (size - 1), size, 4)
     for s in range(2, s_max + 1):
         h = 2 ** (s - 1)
         # T[alpha, beta, n, k] = C(alpha + n h, beta + k h) for alpha, beta < h; f = 2h

@@ -543,11 +543,11 @@ def valpro_reference(p_max: int, s_max: int):
     return checked, bad
 
 
-def _modular_abc_reference(p: int) -> list[tuple[int, int]]:
-    """(r, (A+B+C) mod p^2) for r = 1..p-1, via reduced tables."""
+def _modular_abc_reference(p: int, comb=math.comb) -> list[tuple[int, int]]:
+    """(r, (A+B+C) mod p^2) for r = 1..p-1, via reduced tables of comb."""
     q = p * p
-    crow = [[math.comb(r, t) % q for t in range(r + 1)] for r in range(p)]
-    cp = [math.comb(p, j) % q for j in range(p + 1)]
+    crow = [[comb(r, t) % q for t in range(r + 1)] for r in range(p)]
+    cp = [comb(p, j) % q for j in range(p + 1)]
     out = []
     for r in range(1, p):
         total = 0
@@ -565,28 +565,28 @@ def _modular_abc_reference(p: int) -> list[tuple[int, int]]:
     return out
 
 
-def abc_reference(p_max: int):
+def abc_reference(p_max: int, comb=math.comb):
     checked = 0
     bad = []
     for p in identities._ODD_PRIMES_97:
         if p > p_max:
             break
-        for r, residue in _modular_abc_reference(p):
+        for r, residue in _modular_abc_reference(p, comb):
             checked += 1
             if residue != 0:
                 bad.append({"p": p, "r": r, "residue": residue})
     return checked, bad
 
 
-def pzero_reference(p_max: int):
+def pzero_reference(p_max: int, comb=math.comb):
     checked = 0
     bad = []
     for p in identities._ODD_PRIMES_97:
         if p > p_max:
             break
         q = p * p
-        cp = [math.comb(p, j) % q for j in range(p + 1)]
-        ctab = [[math.comb(r, t) % q for t in range(r + 1)] for r in range(p)]
+        cp = [comb(p, j) % q for j in range(p + 1)]
+        ctab = [[comb(r, t) % q for t in range(r + 1)] for r in range(p)]
         for r in range(2, p):
             total = 0
             for j in range(1, p - r):

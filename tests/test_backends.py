@@ -19,6 +19,20 @@ from scalar_reference import (
 )
 
 
+@pytest.mark.parametrize("modulus", [4, 3, 9, 13, 169, 97, 97 * 97])
+def test_pascal_rows_are_the_binomials(modulus):
+    size = 98
+    rows = backends.pascal_rows([1] + [0] * (size - 1), size, modulus)
+    assert rows.tolist() == [[math.comb(n, k) % modulus for k in range(size)] for n in range(size)]
+
+
+def test_pascal_rows_keep_a_sum_of_two_residues_in_the_narrowest_word():
+    assert backends.pascal_rows([1, 0], 2, 4).dtype == np.uint8
+    assert backends.pascal_rows([1, 0], 2, 97 * 97).dtype == np.uint16
+    # the row first is reduced, and every row follows from it by Pascal's rule
+    assert backends.pascal_rows([5, 7, 0], 3, 4).tolist() == [[1, 3, 0], [1, 0, 3], [1, 1, 3]]
+
+
 def test_poly_tables_matches_scalar():
     rng = random.Random(71)
     coeffs = [[rng.randrange(27) for _ in range(4)] for _ in range(20)]

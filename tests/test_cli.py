@@ -934,6 +934,16 @@ def test_generate_refuses_a_prime_that_is_not_prime(capsys, p, extra):
     assert (code, out, err) == (2, "", f"error: expected a prime, got {p}\n")
 
 
+@pytest.mark.parametrize("argv", ["-p 2", "-p 3", "-p 3 --phi 1,2,0", "-p 3 --route poly"])
+def test_generate_refuses_a_prime_below_5_by_name(capsys, argv):
+    # these named the library check that refused them, p5_instance or
+    # solve_power_basis_system
+    code, out, err = _run(capsys, ["generate", *argv.split()])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: generate ") and err.count("\n") == 1
+    assert "p5_instance" not in err and "solve_power_basis_system" not in err
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_generate_rejects_count_below_one(capsys, count):
     code, out, err = _run(capsys, ["generate", "-p", "5", "--count", count])

@@ -5,6 +5,7 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -169,11 +170,11 @@ def test_mp_ud_odd_with_lambda_crosscheck():
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 31])
 def test_lambda_rows_match_the_exact_coefficients(p):
-    rows = list(lambda_rows(p))
-    assert len(rows) == p
-    for i, (lam, binom) in enumerate(rows):
-        assert lam.tolist() == [lambda_coefficient(i, n, p) % p for n in range(p)]
-        assert binom.tolist() == [math.comb(i, n) % p for n in range(p)]
+    lam, binom = lambda_rows(p)
+    assert lam.shape == binom.shape == (p, p)
+    assert lam.dtype == binom.dtype == np.int64
+    assert lam.tolist() == [[lambda_coefficient(i, n, p) % p for n in range(p)] for i in range(p)]
+    assert binom.tolist() == [[math.comb(i, n) % p for n in range(p)] for i in range(p)]
 
 
 def test_mp_ud_odd_requires_odd_prime():

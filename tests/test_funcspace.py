@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from padicdyn.arith import binomial
+from padicdyn.dynamics import cycle_structure
 from padicdyn.errors import InputError, NormalizationError, PreconditionError
 from padicdyn.funcspace import (
     CoefficientSeries,
@@ -197,6 +198,13 @@ def test_reduce_map_precondition():
     g = PadicFunction.from_mahler(CoefficientSeries("mahler", 2, 3, (0, 0, 1)))
     with pytest.raises(PreconditionError):
         g.reduce_map(2)  # not 1-Lipschitz, reduction ill-defined
+
+
+def test_reduce_map_of_a_polynomial_reads_only_its_first_values():
+    # the depth-30 window holds 2^30 values, over the materialization limit
+    f = PadicFunction.from_polynomial([1, 1], 2, 30)
+    assert f.reduce_map(3) == [(x + 1) % 8 for x in range(8)]
+    assert cycle_structure(f, 3).transitive
 
 
 def test_orbit_mod_reads_the_walk_and_refuses_as_reduce_map():

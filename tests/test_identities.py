@@ -13,7 +13,7 @@ from scalar_reference import (
     valuation,
 )
 
-from padicdyn import identities
+from padicdyn import backends, identities
 from padicdyn.errors import InputError
 from padicdyn.identities import (
     abc_suite,
@@ -198,16 +198,23 @@ def test_bip2_matches_scalar_sweep(s_max):
     assert _outcome(bip2_suite(s_max)) == bip2_reference(s_max)
 
 
+def _flip_pascal_entry(monkeypatch, entry):
+    """Make every table of `backends.pascal_rows` that holds entry hold it
+    one too large, mod the table's modulus."""
+    build = backends.pascal_rows
+
+    def flipped(first, count, modulus):
+        rows = build(first, count, modulus)
+        if entry[0] < rows.shape[0] and entry[1] < rows.shape[1]:
+            rows[entry] = (rows[entry] + 1) % modulus
+        return rows
+
+    monkeypatch.setattr(backends, "pascal_rows", flipped)
+
+
 @pytest.mark.parametrize("entry", [(5, 2), (12, 6), (3, 0), (31, 15)])
 def test_perturbed_pascal_table_gives_the_same_counterexamples(monkeypatch, entry):
-    pascal = identities._pascal_mod4
-
-    def flipped(size):
-        table = pascal(size)
-        table[entry] = (table[entry] + 1) % 4
-        return table
-
-    monkeypatch.setattr(identities, "_pascal_mod4", flipped)
+    _flip_pascal_entry(monkeypatch, entry)
     report = bip2_suite(5)
     comb = lambda n, k: math.comb(n, k) + ((n, k) == entry)  # noqa: E731
     assert _outcome(report) == bip2_reference(5, comb)
@@ -253,20 +260,22 @@ def test_perturbed_valpro_below_five_counterexamples_sweeps_everything(monkeypat
 
 
 def test_perturbed_binomials_give_the_same_counterexamples(monkeypatch):
-    comb = math.comb
-    # C(5, 2) one too large: it is a row entry for every p > 5
-    monkeypatch.setattr(math, "comb", lambda n, k: comb(n, k) + ((n, k) == (5, 2)))
+    # C(5, 2) one too large: it is a row entry for every p > 5 and a tap of p = 5
+    _flip_pascal_entry(monkeypatch, (5, 2))
+    comb = lambda n, k: math.comb(n, k) + ((n, k) == (5, 2))  # noqa: E731
     abc, pzero = abc_suite(13), pzero_suite(13)
-    assert _outcome(abc) == abc_reference(13)
-    assert _outcome(pzero) == pzero_reference(13)
+    assert _outcome(abc) == abc_reference(13, comb)
+    assert _outcome(pzero) == pzero_reference(13, comb)
     assert pzero.counterexamples == [{"p": 7, "r": 5, "residue": 28},
                                      {"p": 11, "r": 5, "residue": 44},
                                      {"p": 13, "r": 5, "residue": 13}]
     assert [(c["p"], c["r"]) for c in abc.counterexamples][:3] == [(5, 1), (5, 3), (5, 4)]
     assert not abc.passed and abc.checked == 34
     # C(7, 2) one too large: a tap of p = 7 only
-    monkeypatch.setattr(math, "comb", lambda n, k: comb(n, k) + ((n, k) == (7, 2)))
-    assert _outcome(abc_suite(7)) == abc_reference(7)
+    monkeypatch.undo()
+    _flip_pascal_entry(monkeypatch, (7, 2))
+    comb = lambda n, k: math.comb(n, k) + ((n, k) == (7, 2))  # noqa: E731
+    assert _outcome(abc_suite(7)) == abc_reference(7, comb)
     assert abc_suite(7).counterexamples[:2] == [{"p": 7, "r": 1, "residue": 48},
                                                 {"p": 7, "r": 3, "residue": 1}]
 
