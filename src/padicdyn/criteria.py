@@ -149,158 +149,91 @@ def vdp_ergodic_p2(series: CoefficientSeries) -> CriterionVerdict:
 # ---------------------------------------------------------------------
 
 
-_BASE3 = 3 ** np.arange(6)
-
-
 @functools.cache
-def _case_tables() -> dict[str, tuple]:
-    """Each case table of data/ergodic_cases_p3.txt as (names, cases,
-    constants, coefficients): cases[s] is the case whose selector, read as
-    base-3 digits s_0 + 3 s_1 + ..., is s (-1: none), and case i passes when
-    constants[i, j] + coefficients[i, j] . variables is nonzero mod 9 for
-    both of its conditions j."""
+def _case_tables() -> dict[str, dict]:
+    """Each case table of data/ergodic_cases_p3.txt as {selector: (case,
+    conditions)}: the case whose selector, residues mod 3, is the key, and
+    its conditions (const, coefs), each of which must leave const +
+    coefs . variables nonzero mod 9.  Refused unless each table has eight
+    lines with eight distinct selectors."""
     text = importlib.resources.files("padicdyn").joinpath("data/ergodic_cases_p3.txt")
     lines = {}
     for line in map(str.strip, text.read_text().splitlines()):
         if line and not line.startswith("#"):
             table, case, selector, *conditions = line.split("|")
-            lines.setdefault(table, []).append(
-                (case, selector.split(","), [c.split(":") for c in conditions])
-            )
-    tables = {}
-    for table, cases in lines.items():
-        names, selectors, conditions = zip(*cases)
-        lookup = np.full(3**6, -1)
-        lookup[np.array(selectors, dtype=np.int64) @ _BASE3] = np.arange(len(names))
-        constants = np.array([[const for const, _ in case] for case in conditions], dtype=np.int64)
-        coefficients = np.array([[coefs.split(",") for _, coefs in case] for case in conditions],
-                                dtype=np.int64)
-        tables[table] = (names, lookup, constants, coefficients)
+            conditions = [(int(const), tuple(map(int, coefs.split(","))))
+                          for const, coefs in (c.split(":") for c in conditions)]
+            lines.setdefault(table, []).append((tuple(map(int, selector.split(","))),
+                                                (case, conditions)))
+    tables = {table: dict(cases) for table, cases in lines.items()}
     for table in ("deg8", "ergbm", "ergbm2"):
-        if table not in tables or len(tables[table][0]) != 8:
-            raise InternalCheckError(f"case table {table} is incomplete")
+        if len(lines.get(table, ())) != 8 or len(tables[table]) != 8:
+            raise InternalCheckError(f"case table {table} needs 8 cases with distinct selectors")
     return tables
 
 
-# The p = 3 criteria in row-wise form: each row is the coefficients
-# alpha_0..alpha_8 of one polynomial or the first nine terms of one series.
-# Each returns (first, case, selectors, variables): first[i] indexes
-# _P3_CHECKS at row i's first failing check (-1 when every check holds),
-# case[i] is the case its selector matches (-1: none), and the selectors
-# mod 3 and the variables mod 9 are what the case table read.
-
-_P3_CHECKS = ("normalization", "ud1-precondition", "no-case", "cond1", "cond2")
-
-
-def case_table_rows(table: str, selectors, variables, refused, outside):
-    """(first, case) over a case table, row by row: a row refused by
-    normalization, then one outside the differentiable-mod-3 class, then one
-    whose selector (mod 3) matches no case fails; a matched case fails at
-    its first condition that vanishes mod 9 on the variables (mod 9)."""
-    _, cases, constants, coefficients = _case_tables()[table]
-    case = cases[selectors @ _BASE3]
-    vanish = (constants[case] + (coefficients[case] @ variables[:, :, None])[:, :, 0]) % 9 == 0
-    first = np.where(vanish[:, 0], 3, np.where(vanish[:, 1], 4, -1))
-    for check, bad in ((2, case < 0), (1, outside), (0, refused)):  # last wins
-        first = np.where(bad, check, first)
-    return first, case
-
-
-# the deg8 selector as columns over alpha_0..alpha_8
-_DEG8_SELECTOR = np.array([
-    [i == 0, i % 2, i > 0 and i % 2 == 0, i == 1, i, i if i % 2 else -i] for i in range(9)
-], dtype=np.int64)
-
-
-def deg8_minimal_p3_rows(coeffs):
-    """The deg8 table on alpha_i mod 9 with selector [alpha_0, A1, A2,
-    alpha_1, D1, D2] mod 3, where A1 = alpha_1 + alpha_3 + alpha_5 + alpha_7,
-    A2 = alpha_2 + alpha_4 + alpha_6 + alpha_8, D1 = sum i alpha_i and
-    D2 = sum (-1)^(i-1) i alpha_i, row by row."""
-    a = (np.asarray(coeffs) % 9).astype(np.int64)
-    selectors, never = a @ _DEG8_SELECTOR % 3, np.zeros(len(a), dtype=bool)
-    return (*case_table_rows("deg8", selectors, a, never, never), selectors, a)
-
-
-_LEAD = index_levels(9, 3)[1]  # 3^e(n) for n < 9
-
-
-def _nine_normals(terms):
-    """(refused, normals): whether one of terms 3..8 is not divisible by 3,
-    and the normalized terms t_n / 3^e(n) mod 9 of terms known mod 3^3."""
-    t = (np.asarray(terms)[:, :9] % 27).astype(np.int64)
-    return (t % _LEAD).any(axis=1), t // _LEAD % 9
-
-
-def mahler_ergodic_p3_rows(terms):
-    """Normalized Mahler terms c_0..c_8 mod 9, in the differentiable-mod-3
-    class when 3 divides c_6, c_7 and c_8, on the ergbm table with selector
-    c_0..c_5 mod 3, row by row."""
-    refused, c = _nine_normals(terms)
-    selectors, outside = c[:, :6] % 3, (c[:, 6:] % 3 != 0).any(axis=1)
-    return (*case_table_rows("ergbm", selectors, c, refused, outside), selectors, c)
-
-
-def vdp_ergodic_p3_rows(terms):
-    """Normalized van der Put terms b_0..b_8 mod 9, in the differentiable-mod-3
-    class when b_{m+3} = 2 b_m mod 3 for m = 3..5, on the ergbm2 table with
-    selector b_0..b_5 mod 3, row by row."""
-    refused, b = _nine_normals(terms)
-    selectors, outside = b[:, :6] % 3, ((b[:, 6:] - 2 * b[:, 3:6]) % 3 != 0).any(axis=1)
-    return (*case_table_rows("ergbm2", selectors, b, refused, outside), selectors, b)
-
-
-# kind: (its case table, its row form)
-_P3 = {
-    "deg8": ("deg8", deg8_minimal_p3_rows),
-    "mahler": ("ergbm", mahler_ergodic_p3_rows),
-    "vdp": ("ergbm2", vdp_ergodic_p3_rows),
-}
-
-
-def _p3_verdict(kind: str, row, series: CoefficientSeries | None) -> CriterionVerdict:
-    """The verdict on one row, the one-row case of a row-wise p = 3
-    criterion; series is the row's series, None for polynomial coefficients."""
-    table, rows = _P3[kind]
-    first, case, selectors, c = (x[0].tolist() for x in rows(np.asarray([row])))
-    name, names = f"{kind}-ergodic-p3", _case_tables()[table][0]
-    if first < 0:
-        return passing(name, case=names[case])
-    if first == 2:
-        return failing(name, "no-case", witness={"selector": selectors})
-    if first > 2:
-        return failing(name, f"case-{names[case]}-{_P3_CHECKS[first]}",
-                       witness={"selector": selectors, "value": 0})
-    if first == 0:
-        i = next(i for i in range(3, 9) if series.term(i) % 3)
-        witness = {"error": str(series.normalization_error(i))}
-    elif kind == "mahler":
-        witness = {"c6": c[6], "c7": c[7], "c8": c[8]}
-    else:
-        m = next(m for m in (3, 4, 5) if (c[m + 3] - 2 * c[m]) % 3)
-        witness = {"m": m, "b_m": c[m], "b_m3": c[m + 3]}
-    return failing(name, _P3_CHECKS[first], witness=witness, depth=series.exponent)
+def _case_verdict(name: str, table: str, selector: list[int], variables: list[int]) -> CriterionVerdict:
+    """A case table's verdict: no case matches the selector (mod 3), a
+    condition of the matched case vanishes mod 9 on the variables, or the
+    case passes."""
+    found = _case_tables()[table].get(tuple(selector))
+    if found is None:
+        return failing(name, "no-case", witness={"selector": selector})
+    case, conditions = found
+    for j, (const, coefs) in enumerate(conditions, start=1):
+        if (const + sum(k * x for k, x in zip(coefs, variables))) % 9 == 0:
+            return failing(name, f"case-{case}-cond{j}", witness={"selector": selector, "value": 0})
+    return passing(name, case=case)
 
 
 def deg8_minimal_p3(alphas: Sequence[int]) -> CriterionVerdict:
-    """Ergodicity on Z_3 of a degree <= 8 integer polynomial from its
-    coefficients: the one-row case of `deg8_minimal_p3_rows`."""
-    alphas = [int(x) % 9 for x in alphas]
-    if len(alphas) > 9:
+    """Ergodicity on Z_3 of a degree <= 8 integer polynomial: the deg8 table
+    on alpha_i mod 9 with selector [alpha_0, A1, A2, alpha_1, D1, D2] mod 3,
+    where A1 = alpha_1 + alpha_3 + alpha_5 + alpha_7, A2 = alpha_2 + alpha_4
+    + alpha_6 + alpha_8, D1 = sum i alpha_i and D2 = sum (-1)^(i-1) i alpha_i."""
+    a = [int(x) % 9 for x in alphas]
+    if len(a) > 9:
         raise InputError("deg8_minimal_p3 expects at most 9 coefficients")
-    return _p3_verdict("deg8", alphas + [0] * (9 - len(alphas)), None)
+    a += [0] * (9 - len(a))
+    selector = [x % 3 for x in (a[0], sum(a[1::2]), sum(a[2::2]), a[1],
+                                sum(i * x for i, x in enumerate(a)),
+                                sum(i * x if i % 2 else -i * x for i, x in enumerate(a)))]
+    return _case_verdict("deg8-ergodic-p3", "deg8", selector, a)
+
+
+def _p3_series_verdict(kind: str, series: CoefficientSeries) -> CriterionVerdict:
+    """The ergbm (Mahler) or ergbm2 (van der Put) table on the normalized
+    terms c_n = t_n / 3^e(n) mod 9 of the first nine terms, with selector
+    c_0..c_5 mod 3: refused by normalization where 3 does not divide one of
+    t_3..t_8, and outside the differentiable-mod-3 class unless 3 divides
+    c_6, c_7 and c_8 (Mahler) or c_{m+3} = 2 c_m mod 3 for m = 3..5 (van
+    der Put)."""
+    name, depth = f"{kind}-ergodic-p3", series.exponent
+    t = _criterion_terms(kind, 3, 9, series).tolist()
+    for i in range(3, 9):
+        if t[i] % 3:
+            witness = {"error": str(series.normalization_error(i))}
+            return failing(name, "normalization", witness=witness, depth=depth)
+    c = [x % 9 for x in t[:3]] + [x // 3 % 9 for x in t[3:]]
+    if kind == "mahler":
+        outside = any(x % 3 for x in c[6:]) and {"c6": c[6], "c7": c[7], "c8": c[8]}
+    else:
+        m = next((m for m in (3, 4, 5) if (c[m + 3] - 2 * c[m]) % 3), None)
+        outside = m is not None and {"m": m, "b_m": c[m], "b_m3": c[m + 3]}
+    if outside:
+        return failing(name, "ud1-precondition", witness=outside, depth=depth)
+    return _case_verdict(name, "ergbm" if kind == "mahler" else "ergbm2",
+                         [x % 3 for x in c[:6]], c)
 
 
 def mahler_ergodic_p3(series: CoefficientSeries) -> CriterionVerdict:
-    """Ergodicity on Z_3 from Mahler terms: the one-row case of
-    `mahler_ergodic_p3_rows`."""
-    return _p3_verdict("mahler", _criterion_terms("mahler", 3, 9, series), series)
+    """Ergodicity on Z_3 from Mahler terms, on the ergbm table."""
+    return _p3_series_verdict("mahler", series)
 
 
 def vdp_ergodic_p3(series: CoefficientSeries) -> CriterionVerdict:
-    """Ergodicity on Z_3 from van der Put terms: the one-row case of
-    `vdp_ergodic_p3_rows`."""
-    return _p3_verdict("vdp", _criterion_terms("vdp", 3, 9, series), series)
+    """Ergodicity on Z_3 from van der Put terms, on the ergbm2 table."""
+    return _p3_series_verdict("vdp", series)
 
 
 # ---------------------------------------------------------------------
@@ -452,7 +385,8 @@ def p5_linear_form(p: int, phi: Sequence[int], bvec: Sequence[int], lift: Sequen
     w_i the tail products of derivative residues, equals f^p(0)/p mod p for
     the lifted f.  Ergodicity of f is then equivalent to l != 0 together
     with the two level-1 conditions.  Derivative residues are computed both
-    from branch terms and from the formal derivative, and must agree.  The
+    from branch terms and from the formal derivative, and must agree, as
+    must the form and the residue of the lifted f's own orbit.  The
     form reads g mod p^2 only, where the lift adds p z_m to a_m for m < p and
     nothing else: g is built from the lifted series at that precision.
     """
@@ -486,12 +420,9 @@ def p5_linear_form(p: int, phi: Sequence[int], bvec: Sequence[int], lift: Sequen
 
     yd = int(lifted.function.orbit_mod(2)[p])  # f^p(0) mod p^2
     direct = (yd // p) % p if yd % p == 0 else None
-    return {
-        "formula": total,
-        "direct": direct,
-        "agree": direct is not None and total == direct,
-        "instance": lifted,
-    }
+    if total != direct:
+        raise InternalCheckError("linear form missed the return residue")
+    return {"formula": total, "direct": direct, "agree": True, "instance": lifted}
 
 
 # power-basis route: solve for polynomial coefficients from reduced data

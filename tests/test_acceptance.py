@@ -112,17 +112,20 @@ def test_c04_degree8_sweep_p3():
     tables = backends.poly_tables(coeffs, 27, 27)
     oracle = backends.transitive_scan(tables).astype(bool)
 
-    # the row forms the closed form reads one row at a time, on the
-    # coefficients, the Mahler terms a_0..a_8 and the van der Put terms
-    # B_0..B_8 mod 27; every polynomial is in the differentiable-mod-3 class
+    # the three verdicts the closed form reads, on the coefficients, the
+    # Mahler terms a_0..a_8 and the van der Put terms B_0..B_8 mod 27;
+    # every polynomial is in the differentiable-mod-3 class
     mahler = backends.mahler_batch(tables[:, :9], 27)
     branch = tables[:, :9].copy()
     for m in range(3, 9):
         branch[:, m] = (tables[:, m] - tables[:, m % 3]) % 27
-    firsts = [criteria.deg8_minimal_p3_rows(coeffs)[0], criteria.mahler_ergodic_p3_rows(mahler)[0],
-              criteria.vdp_ergodic_p3_rows(branch)[0]]
-    assert not any(np.isin(first, (0, 1)).any() for first in firsts)  # normalization, UD1
-    exact = all(((first < 0) == oracle).all() for first in firsts)
+    exact = True
+    for row, a, b, ergodic in zip(coeffs.tolist(), mahler.tolist(), branch.tolist(), oracle.tolist()):
+        verdicts = [criteria.deg8_minimal_p3(row),
+                    criteria.mahler_ergodic_p3(CoefficientSeries("mahler", 3, 3, a)),
+                    criteria.vdp_ergodic_p3(CoefficientSeries("vdp", 3, 3, b))]
+        assert not any(v.condition in ("normalization", "ud1-precondition") for v in verdicts)
+        exact &= all(v.passed == ergodic for v in verdicts)
     elapsed = time.perf_counter() - t0
     _report(4, "degree-8 sweep over Z_3", exact and elapsed < 60.0,
             f"{n} polynomials, {int(oracle.sum())} ergodic, "

@@ -963,6 +963,33 @@ def test_generate_refuses_flags_it_would_ignore(capsys, argv):
     assert err.startswith("error: --phi, --bvec and --lift build ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("lift", [[], ["--lift", ",".join("0" * 10)]])
+def test_generate_refuses_a_seed_it_would_not_draw_from(capsys, lift):
+    # with --phi and --bvec given, and an omitted --lift zero, nothing is
+    # drawn: --seed 1 and --seed 2 printed the same bytes
+    for seed in ("1", "2"):
+        argv = ["generate", "-p", "5", "--phi", "1,2,3,4,0", "--bvec", "1,1,1,1,1", "--seed", seed]
+        code, out, err = _run(capsys, argv + lift)
+        assert (code, out, err) == (2, "", "error: --seed draws nothing once --phi and --bvec "
+                                           "are both given\n")
+
+
+def test_generate_exits_3_where_the_linear_form_misses_the_return_residue(capsys, monkeypatch):
+    # C(x_4, 0) reads one too many at x_4 = phi^-1(0) = 4, the last point of
+    # the orbit before 0, whose g_1 term has weight 1: with z_0 = 1 the
+    # formula comes out one above the residue of the lifted map's orbit
+    phi, bvec, lift = (1, 2, 3, 4, 0), (1,) * 5, (1,) + (0,) * 9
+    argv = ["generate", "-p", "5", "--phi", "1,2,3,4,0", "--bvec", "1,1,1,1,1",
+            "--lift", ",".join(map(str, lift))]
+    assert criteria.p5_linear_form(5, phi, bvec, lift)["agree"]
+    binomial = criteria.binomial
+    monkeypatch.setattr(criteria, "binomial", lambda x, m: binomial(x, m) + (x == 4 and m == 0))
+    with pytest.raises(InternalCheckError, match="^linear form missed the return residue$"):
+        criteria.p5_linear_form(5, phi, bvec, lift)
+    code, out, err = _run(capsys, argv)
+    assert (code, out, err) == (3, "", "internal check failed: linear form missed the return residue\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     ("-p 10007", "a window of 1002101470343 values at p=10007, depth 3 exceeds "
                  "the materialization limit of 67108864 points"),

@@ -1,5 +1,7 @@
+import importlib.resources
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,9 +123,48 @@ def test_p2_criteria_match_oracle_random():
 
 def test_case_tables_load_complete():
     for table in ("deg8", "ergbm", "ergbm2"):
-        names, cases, constants, coefficients = cr._case_tables()[table]
-        assert len(names) == 8 and sorted(cases[cases >= 0]) == list(range(8))
-        assert constants.shape == (8, 2) and coefficients.shape == (8, 2, 9)
+        cases = cr._case_tables()[table]
+        assert len(cases) == 8 and len({case for case, _ in cases.values()}) == 8
+        assert all(len(selector) == 6 and set(selector) <= {0, 1, 2} for selector in cases)
+        for _, conditions in cases.values():
+            assert len(conditions) == 2 and all(len(coefs) == 9 for _, coefs in conditions)
+
+
+@pytest.fixture
+def case_text(monkeypatch, tmp_path):
+    """Serve the case tables from a rewritten data file: call it with a
+    function of the shipped file's lines."""
+    shipped = (Path(cr.__file__).parent / "data" / "ergodic_cases_p3.txt").read_text()
+
+    def serve(rewrite):
+        (tmp_path / "data").mkdir(exist_ok=True)
+        (tmp_path / "data" / "ergodic_cases_p3.txt").write_text("\n".join(rewrite(shipped.splitlines())))
+        monkeypatch.setattr(importlib.resources, "files", lambda package: tmp_path)
+        cr._case_tables.cache_clear()
+
+    yield serve
+    cr._case_tables.cache_clear()
+
+
+def _drop_line(lines):
+    return [line for line in lines if not line.startswith("ergbm|iv|")]
+
+
+def _repeat_selector(lines):
+    # case ii of ergbm2 takes case i's selector, so one of them is unreachable
+    selector = next(line.split("|")[2] for line in lines if line.startswith("ergbm2|i|"))
+    return [f"ergbm2|ii|{selector}|" + line.split("|", 3)[3] if line.startswith("ergbm2|ii|") else line
+            for line in lines]
+
+
+@pytest.mark.parametrize("rewrite, table", [(_drop_line, "ergbm"), (_repeat_selector, "ergbm2")])
+def test_case_tables_refuse_a_missing_line_or_a_repeated_selector(case_text, rewrite, table):
+    case_text(lambda lines: lines)
+    assert cr.deg8_minimal_p3([1, 1]).passed  # the file as shipped, served the same way
+    case_text(rewrite)
+    with pytest.raises(InternalCheckError,
+                       match=f"^case table {table} needs 8 cases with distinct selectors$"):
+        cr.deg8_minimal_p3([1, 1])
 
 
 def test_translation_passes_case_i_everywhere():
@@ -225,11 +266,22 @@ def test_relpis3_round_trip_random():
         assert (np.array(RELPIS3) @ _relpis3_inputs(alphas) % 9).tolist() == [a % 9 for a in alphas]
 
 
+def _deg8_selector(alphas):
+    """The selector the deg8 verdict read: its witness where it fails, the
+    key of its case where it passes."""
+    v = cr.deg8_minimal_p3(alphas)
+    if not v.passed:
+        return v.witness["selector"]
+    return next(list(key) for key, (case, _) in cr._case_tables()["deg8"].items()
+                if case == v.details["case"])
+
+
 def test_selector_matrix_consistent_with_alpha_route():
     rng = random.Random(46)
-    alphas = [[rng.randrange(27) for _ in range(9)] for _ in range(100)]
-    for row, selector in zip(alphas, cr.deg8_minimal_p3_rows(alphas)[2].tolist()):
-        assert (np.array(SELECTOR_FROM_MAHLER_P3) @ _relpis3_inputs(row)[:6] % 3).tolist() == selector
+    for _ in range(100):
+        row = [rng.randrange(27) for _ in range(9)]
+        selector = (np.array(SELECTOR_FROM_MAHLER_P3) @ _relpis3_inputs(row)[:6] % 3).tolist()
+        assert selector == _deg8_selector(row)
 
 
 def test_mmp_frozen_and_random_round_trip():

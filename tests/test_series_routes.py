@@ -319,13 +319,23 @@ def test_larin_matches_reference_on_any_integers(coeffs):
 
 
 # every residue vector mod 3, as normalized terms or coefficients; per kind,
-# the ones whose selector matches a case of the kind's table
+# the ones whose selector matches a key of the kind's table.  The selector
+# is a linear form mod 3 of the row: [alpha_0, A1, A2, alpha_1, D1, D2] of
+# the coefficients for deg8 (see criteria.deg8_minimal_p3), c_0..c_5 of the
+# normalized terms for the series
 _MOD3 = np.indices((3,) * 9).reshape(9, -1).T
 _LEAD = (1, 1, 1, 3, 3, 3, 3, 3, 3)
-_P3 = {"deg8": (criteria.deg8_minimal_p3, 1), "mahler": (criteria.mahler_ergodic_p3, _LEAD),
-       "vdp": (criteria.vdp_ergodic_p3, _LEAD)}
-_CASE_HITS = {kind: [tuple(r) for r in _MOD3[criteria._P3[kind][1](_MOD3 * lead)[1] >= 0].tolist()]
-              for kind, (_, lead) in _P3.items()}
+_P3 = {"deg8": criteria.deg8_minimal_p3, "mahler": criteria.mahler_ergodic_p3,
+       "vdp": criteria.vdp_ergodic_p3}
+_SELECTORS = {
+    "deg8": ("deg8", [[i == 0, i % 2, i > 0 and i % 2 == 0, i == 1, i, i if i % 2 else -i]
+                      for i in range(9)]),
+    "mahler": ("ergbm", np.eye(9, 6, dtype=int)),
+    "vdp": ("ergbm2", np.eye(9, 6, dtype=int)),
+}
+_CASE_HITS = {kind: [tuple(r) for r, s in zip(_MOD3.tolist(), (_MOD3 @ np.array(columns) % 3).tolist())
+                     if tuple(s) in criteria._case_tables()[table]]
+              for kind, (table, columns) in _SELECTORS.items()}
 
 
 @st.composite
@@ -358,7 +368,7 @@ def test_p3_criteria_match_reference():
     @given(p3_inputs())
     def check(args):
         kind, row = args
-        got = outcome(_P3[kind][0], row)
+        got = outcome(_P3[kind], row)
         assert got == outcome(case_table_reference, kind, row)
         if isinstance(got, CriterionVerdict):
             assert _ints_only(got)
