@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backends
-from .errors import InputError, InternalCheckError
+from .errors import InputError, InternalCheckError, PreconditionError
 from .funcspace import (
     CoefficientSeries,
     PadicFunction,
@@ -67,6 +67,14 @@ def ud1_check(f: PadicFunction) -> UD1Report:
     return report
 
 
+def require_ud1(f: PadicFunction, name: str) -> None:
+    """Refuse, with the sweep's failing verdict, to run the criterion `name`
+    on a map that is not UD1."""
+    report = ud1_check(f)
+    if not report:
+        raise PreconditionError(f"{name} requires a UD1 input", report.verdict)
+
+
 def _ud1_sweep(f: PadicFunction) -> UD1Report:
     p = f.prime
     values = f.value_array(ud1_window(p, f.depth))
@@ -104,44 +112,33 @@ def vdp_ud1_relations_check(series: CoefficientSeries) -> CriterionVerdict:
     if s_max < 1:
         raise InputError("series too short or too coarse for any level s >= 1")
     name = "ud1-vdp-relations"
-    # one row per (s, r), in that order: the reference index q = r + p^s
-    # runs over the indices p <= q < p^(s_max+1) whose leading digit is 1
-    level, lead = index_levels(p ** (s_max + 1), p)
-    q = np.flatnonzero((level >= 1) & (np.arange(len(level)) < 2 * lead))
-    levels, steps = level[q], lead[q]
-    bases = q - steps
-    terms = series.terms
-    refs = terms[q]
-    ells = np.arange(2, p)
-    ref_norms = (refs // steps) % p
-    base_norms = (terms[bases % p + p] // p) % p
-    # columns in the order the conditions are tried: normalization of the
-    # reference, level-linearity for l = 2..p-1, cross-level
-    fails = np.column_stack([
-        refs % steps != 0,
-        (terms[bases[:, None] + ells * steps[:, None]] - ells * refs[:, None])
-        % (steps * p)[:, None] != 0,
-        (levels >= 2) & (ref_norms != base_norms),
-    ])
-    bad = fails.any(axis=1)
-    if not bad.any():
-        return passing(name, depth=series.exponent, s_max=s_max)
-    row = int(bad.argmax())
-    column = int(fails[row].argmax())
-    r, s, ref = int(bases[row]), int(levels[row]), int(refs[row])
-    if column == 0:
-        condition = "normalization"
-        witness = {"index": r + int(steps[row]), "term": ref}
-    elif column < p - 1:
-        ell = column + 1
-        condition = "level-linearity"
-        witness = {"r": r, "s": s, "l": ell,
-                   "term": series.term(r + ell * int(steps[row])), "reference": ref}
-    else:
-        condition = "cross-level"
-        witness = {"r": r, "s": s,
-                   "normalized": int(ref_norms[row]), "base": int(base_norms[row])}
-    return failing(name, condition, witness=witness, depth=series.exponent)
+    base_norms = (series.terms[p : 2 * p] // p) % p  # B_{r + p}/p mod p, one per r < p
+    for s in range(1, s_max + 1):
+        step = p**s
+        # block[l - 1, r] = B_{r + l p^s}; a column per base r holds its
+        # conditions in the order tried: normalization of the reference
+        # B_{r + p^s}, level-linearity for l = 2..p-1, cross-level (met at s = 1)
+        block = series.terms[step : p * step].reshape(p - 1, step)
+        norms = (block[0] // step) % p
+        fails = np.empty((p, step), dtype=bool)
+        fails[0] = block[0] % step != 0
+        fails[1:-1] = (block[1:] - np.arange(2, p)[:, None] * block[0]) % (step * p) != 0
+        fails[-1] = (norms.reshape(-1, p) != base_norms).ravel()
+        bad = fails.any(axis=0)
+        if not bad.any():
+            continue
+        r = int(bad.argmax())
+        row, ref = int(fails[:, r].argmax()), int(block[0, r])
+        if row == 0:
+            condition, witness = "normalization", {"index": r + step, "term": ref}
+        elif row < p - 1:
+            condition = "level-linearity"
+            witness = {"r": r, "s": s, "l": row + 1, "term": int(block[row, r]), "reference": ref}
+        else:
+            condition = "cross-level"
+            witness = {"r": r, "s": s, "normalized": int(norms[r]), "base": int(base_norms[r % p])}
+        return failing(name, condition, witness=witness, depth=series.exponent)
+    return passing(name, depth=series.exponent, s_max=s_max)
 
 
 def mahler_ud1_valuations(count: int, p: int, exponent: int):
@@ -215,9 +212,9 @@ def _derived_branch_mismatch(derived: np.ndarray, vdp: CoefficientSeries) -> int
     p = vdp.prime
     branch_terms = vdp.terms[p : 2 * p]
     unnormal = branch_terms % p != 0
-    branch = (branch_terms // p) % p
-    head = unnormal | (derived[:p] != branch)
+    # bad[j, r]: d(j p + r) differs from branch r's residue
+    bad = derived.reshape(-1, p) != (branch_terms // p) % p
+    head = unnormal | bad[0]
     if unnormal[head.argmax()]:
         raise vdp.normalization_error(int(head.argmax()) + p)
-    bad = derived != branch[np.arange(len(derived)) % p]
     return int(bad.argmax()) if bad.any() else None

@@ -99,6 +99,8 @@ def function_from_json(
     """The function a JSON object describes, at depth (from --depth) when
     given.  A polynomial or table object's own depth must agree with it; a
     series may be taken at any depth up to its precision k."""
+    if not isinstance(data, dict):
+        raise InputError("a function must be given as one JSON object with a 'kind' key")
     try:
         kind = data["kind"]
         p = funcspace.parse_int(data["p"])
@@ -238,7 +240,7 @@ def cmd_classify(args) -> int:
     # the closed forms rest on "transitive mod p^mu implies ergodic", known for
     # polynomials only: they must agree with a verdict on Z_p, else are evidence
     closed = None
-    if is_ud1 and (f.prime in (2, 3) and f.depth >= 3 or f.prime >= 5):
+    if is_ud1 and f.depth >= dynamics.transitivity_threshold(f.prime):
         closed = criteria.closed_form_ergodic(f)
     decision = dynamics.decide_ergodicity(f)
     if closed is not None and decision.scope == closed.scope and decision.ergodic != closed.ergodic:
@@ -371,9 +373,10 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     out: dict = {}
     ok = True
-    names = []
-    if args.suite:
-        names = identities.all_suite_names() if "all" in args.suite else args.suite
+    names = args.suite or []
+    if len(names) > 1 and ("all" in names or len(set(names)) < len(names)):
+        raise InputError("--suite names each suite at most once, and all only alone")
+    names = identities.all_suite_names() if "all" in names else names
     overrides = {k: v for k, v in (("p_max", args.p_max), ("s_max", args.s_max)) if v is not None}
     # every suite's prime bound and work limit is checked before the first
     # one runs, and so is a range option that none of them takes

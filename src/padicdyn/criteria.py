@@ -21,7 +21,7 @@ import numpy as np
 
 from .arith import binomial, inverse_mod, require_prime
 from .backends import mahler_batch
-from .errors import InputError, InternalCheckError, PreconditionError
+from .errors import InputError, InternalCheckError
 from .funcspace import (
     CoefficientSeries,
     PadicFunction,
@@ -30,8 +30,8 @@ from .funcspace import (
     parse_ints,
     vdp_coefficients,
 )
-from .analysis import ud1_check
-from .dynamics import ErgodicityDecision, lambda_rows, transitive_mod
+from .analysis import require_ud1
+from .dynamics import ErgodicityDecision, lambda_rows, transitive_mod, transitivity_threshold
 from .verdict import CriterionVerdict, checklist_verdict, failing, passing, require_agreement
 
 # ---------------------------------------------------------------------
@@ -540,10 +540,7 @@ def closed_form_ergodic(f: PadicFunction) -> ErgodicityDecision:
     used.  The input must be in the differentiable-mod-p class.
     """
     p = f.prime
-    report = ud1_check(f)
-    if not report.verdict.passed:
-        raise PreconditionError("closed-form criteria need a differentiable-mod-p input",
-                                report.verdict)
+    require_ud1(f, "closed-form-ergodic")
     # p: (terms read, Mahler criterion, van der Put criterion, the criterion on
     # the coefficients of a polynomial of at most that many, its evidence key)
     forms = {
@@ -553,7 +550,7 @@ def closed_form_ergodic(f: PadicFunction) -> ErgodicityDecision:
     evidence = {}
     if p in forms:
         count, mahler, vdp, polynomial, key = forms[p]
-        if f.depth < 3:
+        if f.depth < transitivity_threshold(p):
             raise InputError(f"need depth >= 3 for the p={p} criteria")
         evidence["mahler"] = mahler(mahler_coefficients(f, count=count, k=3))
         evidence["vdp"] = vdp(vdp_coefficients(f, count=count, k=3))

@@ -18,7 +18,7 @@ from .errors import InputError, InternalCheckError, PreconditionError
 from .funcspace import CoefficientSeries, PadicFunction
 from .funcspace import mahler_coefficients, vdp_coefficients
 from .verdict import CriterionVerdict, checklist_verdict, failing, passing, require_agreement
-from .analysis import ud1_check
+from .analysis import require_ud1, ud1_check
 
 
 @dataclass(frozen=True)
@@ -143,12 +143,6 @@ def measure_preserving_vdp(series: CoefficientSeries) -> CriterionVerdict:
     return passing(name, depth=series.exponent, s_max=s_max)
 
 
-def _require_ud1(f: PadicFunction, name: str) -> None:
-    report = ud1_check(f)
-    if not report.verdict.passed:
-        raise PreconditionError(f"{name} requires a UD1 input", report.verdict)
-
-
 # the p = 2 criteria for UD1 maps as check-lists of (label, wanted value), on
 # normalized van der Put terms b_0..b_3 and on Mahler terms a_1..a_3
 _UD_VDP_P2 = (("b0+b1", 1), ("b2", 1), ("b3", 1))
@@ -163,7 +157,7 @@ def measure_preserving_ud_p2(f: PadicFunction) -> CriterionVerdict:
     if f.depth < 2:
         raise InputError("need depth >= 2")
     name = "measure-preserving-ud-p2"
-    _require_ud1(f, name)
+    require_ud1(f, name)
     series = vdp_coefficients(f, count=4)
     b = series.normals(0, 4).tolist()
     return checklist_verdict(name, _UD_VDP_P2, ((b[0] + b[1]) % 2, b[2] % 2, b[3] % 2), f.depth)
@@ -177,7 +171,7 @@ def measure_preserving_ud_p2_mahler(f: PadicFunction) -> CriterionVerdict:
     if f.depth < 2:
         raise InputError("need depth >= 2")
     name = "measure-preserving-ud-p2-mahler"
-    _require_ud1(f, name)
+    require_ud1(f, name)
     a = mahler_coefficients(f, count=4).term_list
     return checklist_verdict(name, _UD_MAHLER_P2, (a[1] % 2, a[2] % 4, a[3] % 4), f.depth)
 
@@ -208,7 +202,7 @@ def measure_preserving_ud_odd(f: PadicFunction) -> CriterionVerdict:
     if f.depth < 2:
         raise InputError("need depth >= 2")
     name = "measure-preserving-ud-odd"
-    _require_ud1(f, name)
+    require_ud1(f, name)
     # evaluated point by point, not read from the value array: this route
     # cross-checks the vdp verdict, whose series the array gives
     residues = [f.evaluate(i, 1) for i in range(p)]

@@ -427,9 +427,9 @@ class PadicFunction:
 
     @cached_property
     def vdp_window(self) -> CoefficientSeries:
-        """B_0..B_{p^depth - 1} mod p^depth by the gather `vdp_terms`,
-        built once; held to the window limit, not to the vdp length limit
-        that guards expand's output."""
+        """B_0..B_{p^depth - 1} mod p^depth by `vdp_terms`, built once; held
+        to the window limit, not to the vdp length limit that guards expand's
+        output."""
         size = self.prime**self.depth
         terms = vdp_terms(self.value_array(size), self.prime)
         return CoefficientSeries("vdp", self.prime, self.depth, terms)
@@ -469,21 +469,15 @@ class PadicFunction:
         terms = self.payload.terms
         if self.kind == "mahler":
             return backends.mahler_values(terms[:mod], p, self.depth, npoints)
-        # vdp: add B_m over the digit chain m = x mod p^(j+1), one gather per
-        # level j; a level j >= 1 counts when its digit is nonzero (m >= p^j)
-        coeffs = backends.reduced_rows(terms[None, :], mod, npoints)[0]
-        xs = np.arange(npoints)
-        total = np.zeros(npoints, dtype=coeffs.dtype)
-        m = xs % p
-        use = m < len(terms)
-        total[use] = coeffs[m[use]]
+        # vdp: f(m) = B_m below p, else B_m + f(m mod p^s) on level s
+        # (p^s <= m < p^(s+1)), one block per level; absent terms are 0
+        coeffs = backends.reduced_rows(terms[None, :npoints], mod, npoints)[0]
+        values = np.pad(coeffs, (0, npoints - len(coeffs)))
         power = p
-        while power < min(npoints, len(terms)):
-            m = xs % (power * p)
-            use = (m >= power) & (m < len(terms))
-            total[use] += coeffs[m[use]]
+        while power < npoints:
+            values[power : p * power] += _level_base(values, power, p)
             power *= p
-        return total % mod
+        return values % mod
 
     def value_table(self, k: int) -> list[int]:
         """Values at 0..p^depth-1, reduced mod p^k: the value array reduced,
@@ -552,19 +546,29 @@ def _coefficient_window(f: PadicFunction, kind: str, count, k):
 def vdp_coefficients(
     f: PadicFunction, count: int | None = None, k: int | None = None
 ) -> CoefficientSeries:
-    """The van der Put terms B_0..B_{count-1} mod p^k, gathered from the
-    value array."""
+    """The van der Put terms B_0..B_{count-1} mod p^k, read level by level
+    from the value array."""
     count, k = _coefficient_window(f, "vdp", count, k)
     return CoefficientSeries("vdp", f.prime, k, vdp_terms(f.value_array(count), f.prime))
 
 
 def vdp_terms(values: np.ndarray, p: int) -> np.ndarray:
-    """B_m from the values f(0..count-1) along the last axis: f(m) for m < p,
-    else f(m) - f(m^-), where m^- is m with its leading digit removed; one
-    gather."""
-    ms = np.arange(values.shape[-1])
-    _, lead = index_levels(len(ms), p)
-    return values - np.where(ms >= p, values[..., ms % lead], 0)
+    """B_m from the values f(0..count-1) along the last axis: f(m) below p,
+    else f(m) - f(m mod p^s) on level s (p^s <= m < p^(s+1)), one block per
+    level."""
+    terms = np.array(values)
+    power = p
+    while power < values.shape[-1]:
+        terms[..., power : p * power] -= _level_base(values, power, p)
+        power *= p
+    return terms
+
+
+def _level_base(values: np.ndarray, power: int, p: int) -> np.ndarray:
+    """f(m mod p^s) over the level block p^s = power <= m < p^(s+1) of the
+    last axis, cut where the values end: f below p^s once per leading digit."""
+    size = min((p - 1) * power, values.shape[-1] - power)
+    return np.tile(values[..., :power], -(-size // power))[..., :size]
 
 
 def mahler_coefficients(

@@ -118,6 +118,16 @@ def test_function_from_json_malformed():
             cli.function_from_json({"kind": "polynomial", "p": 2, "coeffs": coeffs}, 3)
 
 
+@pytest.mark.parametrize("command", ["classify", "expand"])
+@pytest.mark.parametrize("blob", ["[1, 2]", "null", "5", "true", '"x+1"'])
+def test_json_function_input_must_be_an_object(capsys, monkeypatch, command, blob):
+    # each was refused with a message from Python's indexing of the value
+    monkeypatch.setattr(sys, "stdin", io.StringIO(blob))
+    code, out, err = _run(capsys, [command, "-"])
+    assert (code, out) == (2, "")
+    assert err == "error: a function must be given as one JSON object with a 'kind' key\n"
+
+
 @pytest.mark.parametrize(
     "blob, key",
     [
@@ -1151,6 +1161,19 @@ def test_verify_refuses_a_range_option_no_suite_takes(capsys, monkeypatch, argv,
     monkeypatch.setattr(cli.criteria, "counterexample_catalog", boom)
     code, out, err = _run(capsys, ["verify", *argv.split()])
     assert (code, out, err) == (2, "", f"error: {option} applies to none of the suites that run\n")
+
+
+@pytest.mark.parametrize("argv", ["--suite abc --suite abc --p-max 5", "--suite all --suite abc"])
+def test_verify_refuses_a_repeated_suite(capsys, monkeypatch, argv):
+    # the first printed two identical abc reports, the second dropped abc
+    # without a word; both are refused before any suite runs
+    def boom(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli.identities, "verify_identity_suite", boom)
+    code, out, err = _run(capsys, ["verify", *argv.split()])
+    message = "--suite names each suite at most once, and all only alone"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [

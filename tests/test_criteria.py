@@ -8,6 +8,7 @@ import pytest
 
 from padicdyn import cli
 from padicdyn import criteria as cr
+from padicdyn.analysis import ud1_check
 from padicdyn.arith import is_prime
 from padicdyn.dynamics import ergodic_oracle, transitive_mod
 from padicdyn.errors import InputError, InternalCheckError, PreconditionError
@@ -481,8 +482,13 @@ def test_closed_form_dispatch_and_precondition():
     bad = PadicFunction.from_mahler(
         CoefficientSeries("mahler", 2, 4, (0, 0, 0, 0, 4))
     )
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^closed-form-ergodic requires a UD1 input$") as info:
         cr.closed_form_ergodic(bad)
+    assert info.value.verdict == ud1_check(bad).verdict
+    # below the transitivity threshold the p = 2, 3 criteria are refused
+    for p in (2, 3):
+        with pytest.raises(InputError, match=f"need depth >= 3 for the p={p} criteria"):
+            cr.closed_form_ergodic(PadicFunction.from_polynomial([1, 1], p, 2))
 
 
 def test_closed_form_agrees_with_oracle_p5():

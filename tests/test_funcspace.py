@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from padicdyn.arith import binomial
+from padicdyn import backends
+from padicdyn.arith import binomial, m_minus
 from padicdyn.dynamics import cycle_structure
 from padicdyn.errors import InputError, NormalizationError, PreconditionError
 from padicdyn.funcspace import (
@@ -231,6 +232,16 @@ def test_vdp_terms_along_the_last_axis_match_row_by_row():
     batch = vdp_terms(np.array(rows), 3) % 27
     for row, terms in zip(rows, batch.tolist()):
         assert tuple(terms) == vdp_reference(PadicFunction.from_table(row, 3, 3), 27, 3).term_list
+    # enumerate's shape, the values at 0..3 of all 4096 cubics mod 8, and one
+    # row of Python integers beyond int64 that ends inside its top level:
+    # B_m = f(m) - f(m^-) index by index, unreduced, in the dtype of the values
+    cubics = np.indices((8, 8, 8, 8), dtype=np.int8).reshape(4, -1)[::-1].T
+    wide = np.array([[rng.randrange(5**30) for _ in range(40)]], dtype=object)
+    for values, p in ((backends.poly_tables(cubics, 8, 8)[:, :4], 2), (wide, 5)):
+        got = vdp_terms(values, p)
+        assert got.shape == values.shape and got.dtype == values.dtype
+        assert got.tolist() == [[v - (row[m_minus(m, p)] if m >= p else 0)
+                                 for m, v in enumerate(row)] for row in values.tolist()]
 
 
 def test_from_table_length_guard():

@@ -91,20 +91,26 @@ def functions(draw):
         return PadicFunction.from_table(values, p, depth)
     # series terms p^v r.  Half the series keep v >= e(n), the 1-Lipschitz
     # floor, with 0-2 digits to spare, so UD1 holds or fails a congruence;
-    # the others take any v and mostly fail integrality.
+    # the others take any v and mostly fail integrality.  A series may run
+    # past p^depth, often past the UD1 window, with terms there multiples
+    # of p^depth, so value arrays are cut at the window and read levels
+    # past the depth window.
     exponent = depth + draw(st.integers(0, 1))
-    if kind == "mahler":  # at least p terms; short vdp series stay in play
-        length = draw(st.integers(p, min(mod, 40)))
-    else:
-        length = draw(st.integers(1, mod))
+    past = st.integers(mod + 1, 2 * ud1_window(p, depth))
+    if kind == "mahler":  # at least p terms, and past p^depth only where p^depth is small
+        length = draw(st.integers(p, min(mod, 40)) | (past if mod <= 40 else st.nothing()))
+    else:  # short vdp series stay in play
+        length = draw(st.integers(1, mod) | past)
     lipschitz = draw(st.booleans())
     spare = st.integers(0, 2) if lipschitz else st.integers(0, exponent)
     term = st.tuples(spare, st.integers(0, p**exponent - 1))
-    drawn = draw(st.lists(term, min_size=length, max_size=length))
+    drawn = draw(st.lists(term, min_size=min(length, mod), max_size=min(length, mod)))
     terms = [
         p ** min(exponent, v + (len(_digits(n, p)) - 1 if lipschitz and n else 0)) * r
         for n, (v, r) in enumerate(drawn)
     ]
+    rng = draw(st.randoms(use_true_random=False))
+    terms += [p**depth * rng.randrange(p) for _ in range(length - mod)]
     series = CoefficientSeries(kind, p, exponent, tuple(terms))
     ctor = PadicFunction.from_mahler if kind == "mahler" else PadicFunction.from_vdp
     return ctor(series, depth)
@@ -112,6 +118,11 @@ def functions(draw):
 
 @core_settings
 @given(functions())
+# series past p^depth and past the UD1 window (15 and 12 points), cut there
+@example(PadicFunction.from_vdp(
+    CoefficientSeries("vdp", 3, 3, (5, 1, 7, 3, 8, 2, 4, 6, 0) + (0, 9, 18) * 7), 2))
+@example(PadicFunction.from_mahler(
+    CoefficientSeries("mahler", 2, 4, (1, 3, 2, 6, 4, 12, 8, 5) + (8, 0) * 6), 3))
 def test_value_array_matches_evaluate(f):
     window = ud1_window(f.prime, f.depth)
     assert f.value_array(window).tolist() == [f.evaluate(x) for x in range(window)]
