@@ -247,18 +247,14 @@ def _pascal_into(dst: np.ndarray, src: np.ndarray, m: int, ps: int, q: int, spar
     np.minimum(new, spare[: stop - start], out=new)
 
 
-def _reduce(block: np.ndarray, q: int, spare: np.ndarray) -> None:
-    """block %= q in place for non-negative int32 entries, as block minus q
-    times the quotient (numpy divides by a constant far faster than it
-    takes a remainder); spare holds the quotient, in pieces as wide as it
-    is."""
-    rows = block.shape[0]
-    for start in range(0, block.shape[1], spare.shape[1]):
-        piece = block[:, start : start + spare.shape[1]]
-        quotient = spare[:rows, : piece.shape[1]]
-        np.floor_divide(piece, q, out=quotient)
-        np.multiply(quotient, q, out=quotient)
-        np.subtract(piece, quotient, out=piece)
+def _reduce(words: np.ndarray, modulus: int, spare: np.ndarray, out=None) -> np.ndarray:
+    """words mod modulus for a 2-D uint16 array, into out or else in place,
+    as words minus modulus times the quotient, which spare holds: numpy
+    divides by a constant far faster than it takes a remainder."""
+    quotient = spare[: words.shape[0], : words.shape[1]]
+    np.floor_divide(words, modulus, out=quotient)
+    np.multiply(quotient, modulus, out=quotient)
+    return np.subtract(words, quotient, out=words if out is None else out)
 
 
 def bipro_scan(p: int, s: int):
@@ -266,14 +262,15 @@ def bipro_scan(p: int, s: int):
 
     Row m = 0..p^s-1 holds C(m, .) and C(m + p^s, .) mod p^2 in one uint16
     row, and one Pascal step moves both (_pascal_into), into fixed blocks of
-    _BIPRO_BLOCK consecutive rows; row m + 1 is written from row m, and the
-    first row of a block from the last row of the one before.  Once per
-    block the (p+1)-tap sums over the low rows are formed in int32, with one
-    product per distinct tap value (C(p, j) = C(p, p - j)) and a reduction
-    only when the next tap could pass 2^31, and compared with the high rows
-    in one pass.  Returns (pairs_checked, witness_or_None), the witness
-    being the first failing (n, k) in ascending n, then k; pairs_checked
-    counts every pair of the rows before it and its own row.
+    _BIPRO_BLOCK consecutive rows; once per block the (p+1)-tap sums over
+    the low rows L are formed on uint16 words and compared with the high
+    rows in one pass.  With each tap in base-p digits, t = lo + p hi, the
+    sum is sum lo L + p ((sum hi L) mod p) mod p^2: the p-part is summed
+    over L while that fits in 16 bits, else over L mod p, and a sum is
+    reduced only when its next term could pass 2^16.  Returns
+    (pairs_checked, witness_or_None), the witness being the first failing
+    (n, k) in ascending n, then k; pairs_checked counts every pair of the
+    rows before it and its own row.
     """
     if p < 3 or p % 2 == 0:
         raise InputError("bipro_scan needs an odd prime")
@@ -285,6 +282,13 @@ def bipro_scan(p: int, s: int):
     ps = p**s
     delta = p ** (s - 1)
     taps = [comb(p, j) % q for j in range(p + 1)]
+    whole = sum(t // p for t in taps) * (q - 1) < 1 << 16
+    high_top = q - 1 if whole else p - 1  # bounds the entries of L, or of L mod p
+    highs, units = {}, {}  # digit -> starts j p^(s-1) of the taps with that high or low digit
+    for j, digits in enumerate(divmod(t, p) for t in taps):
+        for groups, digit in zip((highs, units), digits):
+            if digit:
+                groups.setdefault(digit, []).append(j * delta)
     pascal = np.zeros((_BIPRO_BLOCK, 3 * ps + 2), dtype=np.uint16)
     pascal[:, 0] = pascal[:, ps + 1] = 1
     spare = np.empty(3 * ps, dtype=np.uint16)
@@ -293,42 +297,44 @@ def bipro_scan(p: int, s: int):
     ends = (pascal[0], pascal[-1])
     for m in range(-ps, 0):
         _pascal_into(ends[(m + 1) % 2], ends[m % 2], m, ps, q, spare)
-    acc = np.empty((_BIPRO_BLOCK, 2 * ps + 1), dtype=np.int32)
-    product = np.empty((_BIPRO_BLOCK, ps), dtype=np.int32)
-    shifts = {}  # tap -> starts j p^(s-1) of the taps equal to it
-    for j, tap in enumerate(taps):
-        shifts.setdefault(tap, []).append(j * delta)
-    pairs = 0
+    acc, quotient = np.empty((2, _BIPRO_BLOCK, 2 * ps + 1), dtype=np.uint16)
+    product, residues = np.empty((2, _BIPRO_BLOCK, ps), dtype=np.uint16)
     for m0 in range(0, ps, _BIPRO_BLOCK):
         rows = min(_BIPRO_BLOCK, ps - m0)
         for i in range(0 if m0 else 1, rows):
             _pascal_into(pascal[i], pascal[i - 1], m0 + i - 1, ps, q, spare)
         width = m0 + rows  # of the block's widest low row
+        low = part = pascal[:rows, :width]
+        if not whole:  # the p-part needs only L mod p
+            part = _reduce(low, p, quotient, out=residues[:rows, :width])
         block = acc[:rows, : width + ps]
         block.fill(0)
         bound = 0  # entries of block are at most bound
-        for tap, starts in shifts.items():
-            terms = pascal[:rows, :width]
-            if tap != 1:
-                terms = np.multiply(terms, tap, out=product[:rows, :width], dtype=np.int32)
-            for start in starts:
-                if bound + tap * (q - 1) >= 1 << 31:
-                    # product holds the terms, so no _reduce here; with
-                    # the true taps this happens only from p = 83 on
-                    np.remainder(block, q, out=block)
-                    bound = q - 1
-                block[:, start : start + width] += terms
-                bound += tap * (q - 1)
-        _reduce(block, q, product)
+        for modulus, groups, source, top in ((p, highs, part, high_top), (q, units, low, q - 1)):
+            if modulus == q:  # p times the p-part mod p, below p^2
+                if bound * p >= 1 << 16:
+                    _reduce(block, p, quotient)
+                    bound = p - 1
+                block *= p
+                bound *= p
+            for digit, starts in groups.items():
+                terms = source
+                if top * digit + modulus > 1 << 16:  # never with the taps C(p, j)
+                    terms, digit = (terms * np.uint32(digit) % modulus).astype(np.uint16), 1
+                elif digit != 1:
+                    terms = np.multiply(terms, digit, out=product[:rows, :width])
+                for start in starts:
+                    if bound + digit * top >= 1 << 16:
+                        _reduce(block, modulus, quotient)
+                        bound = modulus - 1
+                    block[:, start : start + width] += terms
+                    bound += digit * top
+        _reduce(block, q, quotient)
         high = pascal[:rows, ps + 1 : 2 * ps + 1 + width]
         bad = block != high
-        witness = None
         if bad.any():
             i, k = divmod(int(bad.argmax()), width + ps)
-            witness = {"n": m0 + i + ps, "k": k, "lhs": int(high[i, k]), "rhs": int(block[i, k])}
-            rows = i + 1
-        # row m holds m + p^s + 1 pairs
-        pairs += rows * (m0 + ps + 1) + rows * (rows - 1) // 2
-        if witness:
-            return pairs, witness
-    return pairs, None
+            n = m0 + i + ps  # each row n' = p^s..n holds n' + 1 pairs
+            witness = {"n": n, "k": k, "lhs": int(high[i, k]), "rhs": int(block[i, k])}
+            return (n + 1) * (n + 2) // 2 - ps * (ps + 1) // 2, witness
+    return ps * (3 * ps + 1) // 2, None

@@ -104,8 +104,8 @@ def function_from_json(
     try:
         kind = data["kind"]
         p = funcspace.parse_int(data["p"])
-    except (KeyError, TypeError, InputError) as exc:
-        raise InputError(f"malformed function object: {exc}") from None
+    except KeyError as exc:
+        raise InputError(f"function object has no {exc.args[0]!r} key") from None
     keys = _JSON_KEYS.get(kind) if isinstance(kind, str) else None
     if keys is None:
         raise InputError(f"unknown function kind {kind!r}")

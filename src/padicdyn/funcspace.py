@@ -272,7 +272,9 @@ class CoefficientSeries:
             p = parse_int(data["p"])
             k = parse_int(data["k"])
             terms = parse_ints(data["terms"])
-        except (KeyError, TypeError, InputError) as exc:
+        except KeyError as exc:
+            raise InputError(f"series object has no {exc.args[0]!r} key") from None
+        except (TypeError, InputError) as exc:
             raise InputError(f"malformed series object: {exc}") from exc
         if "length" in data and parse_int(data["length"]) != len(terms):
             raise InputError("series length field disagrees with terms")
@@ -299,18 +301,14 @@ class PadicFunction:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_polynomial(
-        cls, coeffs: Sequence[int], prime: int, depth: int
-    ) -> "PadicFunction":
+    def from_polynomial(cls, coeffs: Sequence[int], prime: int, depth: int) -> "PadicFunction":
         coeffs = parse_ints(coeffs)
         if not coeffs:
             raise InputError("empty polynomial")
         return cls("polynomial", prime, depth, coeffs)
 
     @classmethod
-    def from_table(
-        cls, values: Sequence[int], prime: int, depth: int
-    ) -> "PadicFunction":
+    def from_table(cls, values: Sequence[int], prime: int, depth: int) -> "PadicFunction":
         require_prime(prime)
         _check_depth(prime, depth)
         size = prime**depth
@@ -324,15 +322,11 @@ class PadicFunction:
         return cls("table", prime, depth, values)
 
     @classmethod
-    def from_mahler(
-        cls, series: CoefficientSeries, depth: int | None = None
-    ) -> "PadicFunction":
+    def from_mahler(cls, series: CoefficientSeries, depth: int | None = None) -> "PadicFunction":
         return cls._from_series(series, "mahler", depth)
 
     @classmethod
-    def from_vdp(
-        cls, series: CoefficientSeries, depth: int | None = None
-    ) -> "PadicFunction":
+    def from_vdp(cls, series: CoefficientSeries, depth: int | None = None) -> "PadicFunction":
         return cls._from_series(series, "vdp", depth)
 
     @classmethod

@@ -281,13 +281,71 @@ def test_bipro_scan_block_size_changes_nothing(monkeypatch, block):
     assert backends.bipro_scan(5, 3) == bipro_lockstep_reference(5, 3)
 
 
-# from p = 17 a product of two residues mod p^2 leaves uint16; p = 79 is the
-# first p with (p - 1)(p^2 - 1)^2 >= 2^31, and from p = 83 the taps' own
-# bound, (p^2 - 1) times the sum of C(p, j) mod p^2, passes 2^31, so the
-# int32 sums are reduced on the way (without that, (97, 2) fails)
-@pytest.mark.parametrize("p, s", [(17, 2), (17, 3), (79, 2), (97, 2)])
+# the tap sums run on uint16 words: up to p = 19 the high base-p digits of
+# the taps C(p, j) times whole low rows sum below 2^16; from p = 23 the
+# p-part is summed over the low rows mod p, and from p = 53 it passes 2^16
+# on the way and is reduced there.  (79, 2) and (97, 2) stay from the int32
+# sums' edges; 97 is the largest p the suite sweeps.  From p = 149 the units
+# pass 2^16 on top of p times the p-part as well, but (149, 2) takes about
+# 15 s and (181, 2), the largest p taken, about a minute, so neither runs
+# here.
+@pytest.mark.parametrize("p, s", [(17, 2), (17, 3), (23, 2), (53, 2), (79, 2), (97, 2)])
 def test_bipro_scan_exact_at_the_dtype_edges(p, s):
     assert backends.bipro_scan(p, s) == (_passing_pairs(p, s), None)
+
+
+# each amount changes the tap's low base-p digit (1), its high digit (p) or
+# both (p^2 - 1); (23, 2) sums the p-part over the low rows mod p, the
+# others over whole rows
+@pytest.mark.parametrize("amount", ["1", "p", "p^2 - 1"])
+@pytest.mark.parametrize("p, s, j", [(p, s, j) for p, s in ((5, 3), (13, 2), (23, 2)) for j in (0, p // 2, p)])
+def test_bipro_scan_matches_reference_with_a_tap_raised(monkeypatch, p, s, j, amount):
+    added = {"1": 1, "p": p, "p^2 - 1": p * p - 1}[amount]
+    monkeypatch.setattr(backends, "comb", lambda n, k: math.comb(n, k) + added * (n == p and k == j))
+    result = backends.bipro_scan(p, s)
+    assert result[1] is not None
+    assert result == bipro_lockstep_reference(p, s)
+
+
+def _predict_high_rows(monkeypatch, taps, p, s):
+    """Give the scan taps as C(p, .) and overwrite every high row
+    C(m + p^s, .) its Pascal step writes with the tap sum over the low row
+    C(m, .), in int64.  The scan then passes exactly when each of its own
+    tap sums is exact at every entry, not only up to its first mismatch."""
+    q, ps, delta = p * p, p**s, p ** (s - 1)
+    blocked = backends._pascal_into
+
+    def predicted_step(dst, src, m, ps_, q_, spare):
+        blocked(dst, src, m, ps_, q_, spare)
+        if m >= -1:  # dst now holds C(m + 1, .) on its low side
+            low = dst[: ps + 1].astype(np.int64)
+            rhs = np.zeros(2 * ps + 1, dtype=np.int64)
+            for j, tap in enumerate(taps):
+                rhs[j * delta : j * delta + ps + 1] += tap * low
+            dst[ps + 1 :] = rhs % q
+
+    monkeypatch.setattr(backends, "_pascal_into", predicted_step)
+    monkeypatch.setattr(backends, "comb", lambda n, k: taps[k] if n == p else math.comb(n, k))
+
+
+# random taps at (13, 2) and (23, 2), the p-part over whole rows and over
+# rows mod p; taps p - 1 at (19, 2), whose units pass 2^16; taps p - 2 at
+# (41, 2), where p - 2 times a row fits in 16 bits but not on top of a
+# reduced sum, so each product is reduced first; taps p^2 - 1 at (41, 2),
+# where the p-part and the units both pass 2^16
+@pytest.mark.parametrize(
+    "p, taps",
+    [
+        (13, random.Random(13).choices(range(169), k=14)),
+        (19, [18] * 20),
+        (23, random.Random(23).choices(range(529), k=24)),
+        (41, [39] * 42),
+        (41, [41 * 41 - 1] * 42),
+    ],
+)
+def test_bipro_scan_tap_sums_exact_for_arbitrary_taps(monkeypatch, p, taps):
+    _predict_high_rows(monkeypatch, taps, p, 2)
+    assert backends.bipro_scan(p, 2) == (_passing_pairs(p, 2), None)
 
 
 def test_bipro_scan_refuses_p_beyond_16_bit_rows():

@@ -129,6 +129,21 @@ def test_json_function_input_must_be_an_object(capsys, monkeypatch, command, blo
 
 
 @pytest.mark.parametrize(
+    "blob, message",
+    [
+        ({"p": 2}, "function object has no 'kind' key"),
+        ({"kind": "table", "depth": 1, "values": [1, 0]}, "function object has no 'p' key"),
+        ({"kind": "vdp", "p": 2, "terms": [0, 1]}, "series object has no 'k' key"),
+        ({"kind": "mahler", "p": 2, "k": 3}, "series object has no 'terms' key"),
+    ],
+)
+def test_json_function_input_names_its_missing_key(capsys, monkeypatch, blob, message):
+    # each named the key through Python's KeyError text, as "malformed ...: 'kind'"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(blob)))
+    assert _run(capsys, ["classify", "-"]) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "blob, key",
     [
         ({"kind": "polynomial", "p": 3, "coeffs": [1, 1], "k": 4}, "k"),
