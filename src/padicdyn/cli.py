@@ -209,12 +209,7 @@ def cmd_classify(args) -> int:
     f.check_budget(window)
     funcspace.check_series_length("mahler", f.prime, f.depth, f.prime**f.depth)
     f.value_array(window)  # the widest window any route reads, built once
-    if not f.lipschitz:
-        w = f.lipschitz.witness
-        raise PreconditionError(
-            f"vdp term {w['index']} = {w['term']} is not divisible by "
-            f"{f.prime}^{w['required_valuation']}, so the map is not 1-Lipschitz", f.lipschitz
-        )
+    f.require_lipschitz()
     report: dict = {
         "p": f.prime,
         "depth": f.depth,

@@ -294,7 +294,7 @@ class P5Instance:
 
 def p5_conditions(f: PadicFunction) -> dict:
     """The three-part criterion for p >= 5: transitivity mod p, unit branch
-    product, and v_p(f^p(0)) = 1; refused for a map not well defined mod p^2."""
+    product, and v_p(f^p(0)) = 1; refused for a map that is not 1-Lipschitz."""
     p = f.prime
     if p < 5:
         raise InputError("p5_conditions needs p >= 5")

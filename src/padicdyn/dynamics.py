@@ -14,9 +14,9 @@ from typing import Any
 import numpy as np
 
 from . import backends
-from .errors import InputError, InternalCheckError, PreconditionError
+from .errors import InputError, InternalCheckError
 from .funcspace import CoefficientSeries, PadicFunction
-from .funcspace import mahler_coefficients, vdp_coefficients
+from .funcspace import mahler_coefficients
 from .verdict import CriterionVerdict, checklist_verdict, failing, passing, require_agreement
 from .analysis import require_ud1, ud1_check
 
@@ -158,8 +158,7 @@ def measure_preserving_ud_p2(f: PadicFunction) -> CriterionVerdict:
         raise InputError("need depth >= 2")
     name = "measure-preserving-ud-p2"
     require_ud1(f, name)
-    series = vdp_coefficients(f, count=4)
-    b = series.normals(0, 4).tolist()
+    b = f.vdp_window.normals(0, 4).tolist()
     return checklist_verdict(name, _UD_VDP_P2, ((b[0] + b[1]) % 2, b[2] % 2, b[3] % 2), f.depth)
 
 
@@ -210,9 +209,8 @@ def measure_preserving_ud_odd(f: PadicFunction) -> CriterionVerdict:
         return failing(
             name, "complete-residues", witness={"residues": residues}, depth=f.depth
         )
-    vdp = vdp_coefficients(f, count=2 * p)
     c = (mahler_coefficients(f, count=2 * p).normals(0, 2 * p) % p).astype(np.int64)
-    branch = (vdp.normals(p, 2 * p) % p).tolist()
+    branch = (f.vdp_window.normals(p, 2 * p) % p).tolist()
     # b_i = sum_n lambda(i, n) c_n + sum_n C(i, n) c_(p+n) mod p
     via_lambda = (np.hstack(lambda_rows(p)) @ c % p).tolist()
     for i, (lam, b) in enumerate(zip(via_lambda, branch)):
@@ -238,15 +236,13 @@ def ergodic_conditions(f: PadicFunction) -> dict[str, Any]:
     p^(s+1); (3) the level product of normalized branch terms is 1 mod p.
     On a UD1 map b_{k + l p^s} = l d(k) mod p, so (1) and (3) imply measure
     preservation at every level, which the bundle does not evaluate.  A map
-    that is not 1-Lipschitz is refused with PreconditionError, after any
-    NormalizationError of (3).
+    that is not 1-Lipschitz is refused by (1), with `require_lipschitz`'s
+    PreconditionError, after any NormalizationError of (3).
     """
     p = f.prime
     s_max = f.depth - 1
     if s_max < 1:
         raise InputError("ergodic_conditions needs depth >= 2")
-    out: dict[str, Any] = {}
-    out["transitive_mod_p"] = transitive_mod(f, 1)
     series = f.vdp_window
 
     products = []
@@ -258,8 +254,7 @@ def ergodic_conditions(f: PadicFunction) -> dict[str, Any]:
             acc = acc * pow(r, int(counts[r]), p) % p
         products.append(acc)
 
-    if not f.lipschitz:  # else the walk mod p^(s+1) is no orbit
-        raise PreconditionError("ergodic_conditions needs a 1-Lipschitz map", f.lipschitz)
+    out: dict[str, Any] = {"transitive_mod_p": transitive_mod(f, 1)}
     walk = f.orbit_mod(f.depth)  # f^n(0) mod p^(s+1) is this walk mod p^(s+1)
     residues = [int(walk[p**s]) % p ** (s + 1) for s in range(1, s_max + 1)]
     returned = [s for s, y in enumerate(residues, 1) if y == 0]

@@ -444,10 +444,18 @@ class PadicFunction:
         walk.flags.writeable = False
         return walk
 
+    def require_lipschitz(self) -> None:
+        """Refuse, carrying the cached verdict, a map that is not 1-Lipschitz."""
+        if not self.lipschitz:
+            w = self.lipschitz.witness
+            raise PreconditionError(f"vdp term {w['index']} = {w['term']} is not divisible by "
+                                    f"{self.prime}^{w['required_valuation']}, so the map is not "
+                                    "1-Lipschitz", self.lipschitz)
+
     def orbit_mod(self, k: int) -> np.ndarray:
         """f^n(0) mod p^k for n = 0..p^k, read from the cached walk.  Refuses,
-        as `reduce_map(k)` does, a k outside 1..depth or a map not well
-        defined mod p^k, where the reduced walk is no orbit."""
+        as `reduce_map(k)` does, a k outside 1..depth or a map that is not
+        1-Lipschitz, where the reduced walk need be no orbit."""
         if not (self.lipschitz and 1 <= k <= self.depth):
             self.reduce_map(k)
         mod = self.prime**k
@@ -483,35 +491,15 @@ class PadicFunction:
     # -- reductions and conversions -----------------------------------
 
     def reduce_map(self, k: int) -> list[int]:
-        """The induced map on Z/p^k, verified to be well defined.
-
-        A polynomial, or a map that passes the cached Lipschitz verdict, is
-        well defined at every level: its first p^k values are the map.
-        Otherwise every row of p^k values of the depth window is compared
-        with the first row in one pass; a mismatch means the input is not
-        1-Lipschitz down to level k and raises PreconditionError naming the
-        first mismatching x.
-        """
+        """The induced map on Z/p^k, its first p^k values mod p^k, which a
+        1-Lipschitz map (a polynomial is one) takes at every level; any other
+        form is held to `require_lipschitz` first."""
         if not 1 <= k <= self.depth:
             raise InputError(f"reduction depth {k} outside 1..{self.depth}")
+        if self.kind != "polynomial":
+            self.require_lipschitz()
         mod = self.prime**k
-        if self.kind == "polynomial" or self.lipschitz:
-            return (self.value_array(mod) % mod).tolist()
-        rows = (self.value_array(self.prime**self.depth) % mod).reshape(-1, mod)
-        mismatch = rows[1:] != rows[0]
-        if mismatch.any():
-            x = mod + int(mismatch.argmax())
-            verdict = failing(
-                "reduction-well-defined",
-                "consistency",
-                witness={"x": x, "x_mod": x % mod,
-                         "fx": int(rows.flat[x]), "fx_mod": int(rows[0, x % mod])},
-                depth=k,
-            )
-            raise PreconditionError(
-                f"map is not well defined mod {self.prime}^{k}", verdict
-            )
-        return rows[0].tolist()
+        return (self.value_array(mod) % mod).tolist()
 
     def __repr__(self):
         return f"PadicFunction({self.kind}, p={self.prime}, depth={self.depth})"

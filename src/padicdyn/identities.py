@@ -120,23 +120,18 @@ def _check_work(suite: str, args: dict) -> None:
             )
 
 
-def _arguments(name: str, overrides: dict) -> dict:
-    """The keyword arguments suite name runs with: its defaults, updated by
-    the overrides it takes."""
-    params = inspect.signature(_SUITES[name]).parameters
-    args = {k: v.default for k, v in params.items()}
-    args.update({k: v for k, v in overrides.items() if k in params})
-    return args
-
-
 def check_ranges(names, overrides: dict) -> dict:
     """Refuse, before any suite runs, a range that one of the named suites
     caps: first a p_max above the prime bound, then a range beyond the
-    work limit.  Returns the keyword arguments each suite runs with."""
+    work limit.  Returns the keyword arguments each suite runs with: its
+    defaults, updated by the overrides it takes."""
+    args = {}
     for name in names:
         if name not in _SUITES:
             raise InputError(f"unknown suite {name!r}; choose from {sorted(_SUITES)}")
-    args = {name: _arguments(name, overrides) for name in names}
+        params = inspect.signature(_SUITES[name]).parameters
+        args[name] = {k: v.default for k, v in params.items()}
+        args[name].update({k: v for k, v in overrides.items() if k in params})
     for name in names:
         if "p_max" in args[name]:
             check_p_max(name, args[name]["p_max"])

@@ -18,7 +18,15 @@ reference's on the printed terms.
 
 Cross-kind invariance: one polynomial at depth >= mu, given as polynomial,
 value table, van der Put and Mahler series, gets the same verdicts and the
-same exit code.
+same exit code.  One 1-Lipschitz table drawn digit by digit, given as the
+table, its van der Put series and its Mahler series, gets the same exit
+code and the same report apart from `kind`.
+
+`generate` with -p in {2, 3, 4, 5, 7, 11, 13}, --count 0..3, --seed and
+--route each given or not, and --phi, --bvec and --lift each absent, valid
+or one entry off, gets exit 0 or 2: exit 0 writes a report that validates
+against the generate schema and holds --count instances, exit 2 is one
+`error:` line.
 
 `verify` with a subset of the identity suites (or `all`), `--p-max` up to
 31 and `--s-max` up to 3, each given or left at its default, gets exit 0
@@ -30,6 +38,7 @@ Hypothesis runs derandomized with a bounded number of examples.
 import contextlib
 import io
 import json
+import math
 from importlib import resources
 
 import jsonschema
@@ -51,6 +60,7 @@ SCHEMAS = resources.files("padicdyn.schemas")
 CLASSIFY_SCHEMA = json.loads(SCHEMAS.joinpath("classify.schema.json").read_text())
 SERIES_SCHEMA = json.loads(SCHEMAS.joinpath("series.schema.json").read_text())
 VERIFY_SCHEMA = json.loads(SCHEMAS.joinpath("verify.schema.json").read_text())
+GENERATE_SCHEMA = json.loads(SCHEMAS.joinpath("generate.schema.json").read_text())
 
 MAX_DEPTH = {2: 4, 3: 4, 5: 3, 7: 3}
 
@@ -210,6 +220,103 @@ def test_every_kind_of_one_map_gets_the_same_verdicts(case):
     verdicts = [_verdicts(obj) for obj in objects]
     assert verdicts[0][0] in (0, 1)
     assert verdicts == [verdicts[0]] * 4
+
+
+@st.composite
+def lipschitz_tables(draw):
+    """(p, depth, values): a 1-Lipschitz table mod p^depth, p in {2, 3, 5},
+    depth 2..4, drawn digit by digit: digit k of f(x) depends on x mod
+    p^(k+1) only.  Either every digit is drawn at random, or digit 0 is a
+    permutation of the residues and digit k is x's digit k plus a drawn
+    shift of x mod p^k, a UD1 bijection that is ergodic or not."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    depth = draw(st.integers(2, 4))
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        digits = [[rng.randrange(p) for _ in range(p ** (k + 1))] for k in range(depth)]
+    else:
+        shifts = [[rng.randrange(p) for _ in range(p**k)] for k in range(depth)]
+        digits = [rng.sample(range(p), p)] + [
+            [(x // p**k + shifts[k][x % p**k]) % p for x in range(p ** (k + 1))]
+            for k in range(1, depth)
+        ]
+    values = [sum(digits[k][x % p ** (k + 1)] * p**k for k in range(depth))
+              for x in range(p**depth)]
+    return p, depth, values
+
+
+@cli_settings
+@given(lipschitz_tables())
+def test_a_lipschitz_table_gets_one_report_in_every_kind(case):
+    p, depth, values = case
+    f = PadicFunction.from_table(values, p, depth)
+    objects = [
+        {"kind": "table", "p": p, "depth": depth, "values": values},
+        vdp_coefficients(f).to_json_dict(),
+        mahler_coefficients(f).to_json_dict(),
+    ]
+    answers = []
+    for obj in objects:
+        code, out, err = classify(obj)
+        assert code in (0, 1) and err == ""
+        report = json.loads(out)
+        assert report.pop("kind") == obj["kind"]
+        answers.append((code, report))
+    assert answers == [answers[0]] * 3
+
+
+@st.composite
+def generate_argv(draw):
+    """`generate` argv: -p from {2, 3, 4, 5, 7, 11, 13}, --count 0..3, --seed
+    and --route each given or not, and --phi, --bvec and --lift each
+    absent, valid (a p-cycle, p units of product 1, 2p residues) or one
+    entry off (one value moved by one, one entry dropped or one added)."""
+    p = draw(st.sampled_from([2, 3, 4, 5, 7, 11, 13]))
+    argv = ["generate", "-p", str(p)]
+    count = draw(st.none() | st.integers(0, 3))
+    seed = draw(st.none() | st.integers(-5, 10**6))
+    route = draw(st.none() | st.sampled_from(["mahler", "poly"]))
+    for flag, value in (("--count", count), ("--seed", seed), ("--route", route)):
+        if value is not None:
+            argv += [flag, str(value)]
+    order = draw(st.permutations(range(1, p)))
+    cycle = [0, *order]
+    phi = [0] * p
+    for i in range(p):
+        phi[cycle[i]] = cycle[(i + 1) % p]
+    units = draw(st.lists(st.integers(1, p - 1), min_size=p - 1, max_size=p - 1))
+    prod = math.prod(units) % p
+    bvec = units + [pow(prod, -1, p) if math.gcd(prod, p) == 1 else 1]
+    lift = draw(st.lists(st.integers(0, p - 1), min_size=2 * p, max_size=2 * p))
+    for flag, vec in (("--phi", phi), ("--bvec", bvec), ("--lift", lift)):
+        mode = draw(st.sampled_from(["absent", "valid", "moved", "dropped", "added"]))
+        if mode == "absent":
+            continue
+        i = draw(st.integers(0, len(vec) - 1))
+        if mode == "moved":
+            vec = vec[:i] + [vec[i] + 1] + vec[i + 1:]
+        elif mode == "dropped":
+            vec = vec[:i] + vec[i + 1:]
+        elif mode == "added":
+            vec = vec + [vec[i]]
+        argv += [flag, ",".join(map(str, vec))]
+    return argv, count
+
+
+@settings(cli_settings, max_examples=150)
+@given(generate_argv())
+@example((["generate", "-p", "7", "--count", "3", "--route", "poly"], 3))
+@example((["generate", "-p", "5", "--phi", "1,2,3,4,0", "--lift", "0,0,0,0,0,0,0,0,0,1"], None))
+def test_generate_prints_its_instances_or_refuses_with_one_error_line(request):
+    argv, count = request
+    code, out, err = run(argv, None)
+    assert code in (0, 2)
+    if refused_with_one_line(code, out, err):
+        return
+    assert err == ""
+    report = json.loads(out)
+    jsonschema.validate(report, GENERATE_SCHEMA)
+    assert report["count"] == len(report["instances"]) == (1 if count is None else count)
 
 
 @st.composite

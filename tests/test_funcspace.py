@@ -219,11 +219,16 @@ def test_orbit_mod_reads_the_walk_and_refuses_as_reduce_map():
     for k in (0, 4):
         with pytest.raises(InputError):
             f.orbit_mod(k)
-    # 0 -> 2 -> 0 mod 4, but x = 1 and x = 5 differ mod 4
+    # 0 -> 2 -> 0 mod 4, but x = 1 and x = 5 differ mod 4: B_5 = 2 is not
+    # divisible by 4, so both readers refuse at every level, as classify does
     g = PadicFunction.from_table([2, 1, 0, 3, 2, 3, 0, 1], 2, 3)
-    assert g.orbit_mod(1).tolist() == [0, 0, 0]
-    with pytest.raises(PreconditionError):
-        g.orbit_mod(2)
+    for k in (1, 2, 3):
+        for read in (g.orbit_mod, g.reduce_map):
+            with pytest.raises(PreconditionError) as info:
+                read(k)
+            assert info.value.verdict is g.lipschitz
+            assert str(info.value) == (
+                "vdp term 5 = 2 is not divisible by 2^2, so the map is not 1-Lipschitz")
 
 
 def test_vdp_terms_along_the_last_axis_match_row_by_row():

@@ -6,27 +6,34 @@ number of examples, so the suite stays deterministic and fast; a failure
 shrinks to a small disagreeing function.
 
 Also pinned here: every level table, reduced map and orbit walk reads the
-value array and calls `evaluate` at no point, with the same witnesses and
-orbits as the per-point references; transitivity read from the cached
-walk of 0 gives the verdict of the full cycle decomposition, and the
-walk's other readers refuse exactly the maps not well defined where they
-read; a map passes its cached Lipschitz verdict exactly where it is well
-defined at every level, so reduce_map reads only the first row there,
-also past the vdp length limit; the level products of the ergodicity
-conditions match the term-by-term products; and the formal derivative of
-a Mahler sum, computed in integers from D = log(1 + Delta), matches the
-per-point power-basis reference, refusals included.
+value array and calls `evaluate` at no point, with the same orbits as the
+per-point references; transitivity read from the cached walk of 0 gives
+the verdict of the full cycle decomposition; a map passes its cached
+Lipschitz verdict exactly where the per-x loop finds it well defined at
+every level, and that verdict is the one well-definedness rule: every
+reduced map and every reader of the walk refuses a map that fails it, at
+every level, with classify's message, while reduce_map reads only the
+first p^k values of a map that passes, also past the vdp length limit;
+the level products of the ergodicity conditions match the term-by-term
+products; and the formal derivative of a Mahler sum, computed in integers
+from D = log(1 + Delta), matches the per-point power-basis reference,
+refusals included.
 """
 
+import io
+import json
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from padicdyn import cli
 from padicdyn.analysis import ud1_check, ud1_window
 from padicdyn.criteria import _mahler_derivative_residues, p5_conditions
 from padicdyn.dynamics import (
+    cycle_structure,
     decide_ergodicity,
     ergodic_conditions,
     ergodic_oracle,
@@ -44,6 +51,7 @@ from scalar_reference import (
     branch_products_reference,
     mahler_derivative_residue_reference,
     mahler_reference,
+    normals_reference,
     orbit_reference,
     orbit_residues_reference,
     random_p5_instance,
@@ -243,46 +251,70 @@ def _first_mismatch(f, k):
     return None
 
 
+def _lipschitz_refusal(f):
+    """classify's message for a map that fails its Lipschitz verdict."""
+    w = f.lipschitz.witness
+    return (f"vdp term {w['index']} = {w['term']} is not divisible by "
+            f"{f.prime}^{w['required_valuation']}, so the map is not 1-Lipschitz")
+
+
+def _assert_refused(f, read, *args):
+    """read(*args) raises PreconditionError carrying f.lipschitz, with
+    classify's message."""
+    with pytest.raises(PreconditionError) as info:
+        read(*args)
+    assert info.value.verdict is f.lipschitz
+    assert str(info.value) == _lipschitz_refusal(f)
+
+
+def _level_products_refusal(f):
+    """The message of the first NormalizationError that the level products
+    of ergodic_conditions meet, by the scalar references, or None."""
+    series = vdp_reference(f, f.prime**f.depth, f.depth)
+    try:
+        for s in range(1, f.depth):
+            normals_reference(series, f.prime**s, 2 * f.prime**s)
+    except NormalizationError as exc:
+        return str(exc)
+    return None
+
+
 @core_settings
 @given(functions().filter(lambda f: f.kind != "polynomial"))
 def test_reduce_map_matches_per_x_reference(f):
-    for k in range(1, f.depth + 1):
-        witness = _first_mismatch(f, k)
-        if witness is None:
+    mismatches = [_first_mismatch(f, k) for k in range(1, f.depth + 1)]
+    assert f.lipschitz.passed == (mismatches == [None] * f.depth)
+    if f.lipschitz:
+        for k in range(1, f.depth + 1):
             assert f.reduce_map(k) == [f.evaluate(x, k) for x in range(f.prime**k)]
-            continue
-        with pytest.raises(PreconditionError) as info:
-            f.reduce_map(k)
-        assert info.value.verdict.witness == witness
+        return
+    # the verdict names the first x that the per-x loop finds at any level
+    assert f.lipschitz.witness["index"] == min(w["x"] for w in mismatches if w)
+    for k in range(1, f.depth + 1):
+        _assert_refused(f, f.reduce_map, k)
 
 
 @core_settings
 @given(functions())
 def test_orbit_walks_match_scalar_walks(f):
-    # the cached walk reduced mod p^k is the orbit only where the map is
-    # well defined mod p^k; its readers, orbit_of among them, refuse every
-    # other map
+    # the cached walk reduced mod p^k is the orbit of a 1-Lipschitz map; its
+    # readers, orbit_of among them, refuse every other map at every level
     defined = [_first_mismatch(f, k) is None for k in range(1, f.depth + 1)]
-    for k, ok in enumerate(defined, 1):
-        if ok:
-            assert orbit_of(f, k) == orbit_reference(f, k)
-        else:
-            with pytest.raises(PreconditionError):
-                orbit_of(f, k)
-    assert f.lipschitz.passed == all(defined)  # what lets reduce_map skip its compare
-    if f.prime >= 5 and not (defined[0] and defined[1]):
-        with pytest.raises(PreconditionError):
-            p5_conditions(f)
-    elif f.prime >= 5:
+    assert f.lipschitz.passed == all(defined)  # the per-level oracle of the verdict
+    if not f.lipschitz:
+        for k in range(1, f.depth + 1):
+            _assert_refused(f, orbit_of, f, k)
+        if f.prime >= 5:
+            _assert_refused(f, p5_conditions, f)
+        return
+    for k in range(1, f.depth + 1):
+        assert orbit_of(f, k) == orbit_reference(f, k)
+    if f.prime >= 5:
         y = 0
         for _ in range(f.prime):
             y = f.evaluate(y, 2)
         verdict = p5_conditions(f)["return_valuation"]
         assert (verdict.details or verdict.witness) == {"value": y}
-    if not all(defined):
-        with pytest.raises((PreconditionError, NormalizationError)):
-            ergodic_conditions(f)
-        return
     conditions = ergodic_conditions(f)
     assert conditions["orbit"].details["residues"] == orbit_residues_reference(
         f, f.depth - 1
@@ -290,6 +322,31 @@ def test_orbit_walks_match_scalar_walks(f):
     assert conditions["product"].details["products"] == branch_products_reference(
         vdp_coefficients(f), f.depth - 1
     )
+
+
+@core_settings
+@given(functions())
+# 0 -> 2 -> 0 mod 4, a walk that was read at level 1 although x = 1 and
+# x = 5 differ mod 4
+@example(PadicFunction.from_table([2, 1, 0, 3, 2, 3, 0, 1], 2, 3))
+def test_every_level_reader_refuses_a_map_that_is_not_lipschitz(f):
+    if f.lipschitz:
+        return
+    for k in range(1, f.depth + 1):
+        for read in (f.reduce_map, f.orbit_mod):
+            _assert_refused(f, read, k)
+        for read in (orbit_of, cycle_structure, transitive_mod):
+            _assert_refused(f, read, f, k)
+    _assert_refused(f, ergodic_oracle, f)
+    message = _level_products_refusal(f)
+    if message is None:
+        _assert_refused(f, ergodic_conditions, f)
+    else:
+        with pytest.raises(NormalizationError) as info:
+            ergodic_conditions(f)
+        assert str(info.value) == message
+    if f.prime >= 5:
+        _assert_refused(f, p5_conditions, f)
 
 
 @core_settings
@@ -310,18 +367,30 @@ def test_transitive_mod_matches_the_cycle_decomposition(f):
         assert transitive_mod(f, k).to_json_dict() == want.to_json_dict()
 
 
-def test_reduce_map_witness_is_first_late_mismatch():
-    # x + 1 mod 81 with two late entries moved by 3: well defined mod 3 only
+def test_reduce_map_witness_is_first_late_mismatch(capsys, monkeypatch):
+    # x + 1 mod 81 with two late entries moved by 3: well defined mod 3 only,
+    # and refused at every level by its verdict, whose witness B_70 is the
+    # first x that the per-x loop finds at any level
     values = [(x + 1) % 81 for x in range(81)]
     values[70] = (values[70] + 3) % 81
     values[80] = (values[80] + 3) % 81
     f = PadicFunction.from_table(values, 3, 4)
-    assert f.reduce_map(1) == [1, 2, 0]
-    for k, witness in ((2, {"x": 70, "x_mod": 7, "fx": 2, "fx_mod": 8}),
-                       (3, {"x": 70, "x_mod": 16, "fx": 20, "fx_mod": 17})):
-        with pytest.raises(PreconditionError) as info:
-            f.reduce_map(k)
-        assert info.value.verdict.witness == witness == _first_mismatch(f, k)
+    assert [_first_mismatch(f, k) for k in range(1, 5)] == [
+        None,
+        {"x": 70, "x_mod": 7, "fx": 2, "fx_mod": 8},
+        {"x": 70, "x_mod": 16, "fx": 20, "fx_mod": 17},
+        None,
+    ]
+    message = "vdp term 70 = 57 is not divisible by 3^3, so the map is not 1-Lipschitz"
+    assert _lipschitz_refusal(f) == message
+    for k in range(1, 5):
+        _assert_refused(f, f.reduce_map, k)
+    assert f.value_table(1) == [(x + 1) % 3 for x in range(81)]  # read unchecked
+    blob = {"kind": "table", "p": 3, "depth": 4, "values": values}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(blob)))
+    assert cli.main(["classify", "-"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_lipschitz_maps_reduce_without_the_row_compare(monkeypatch):
