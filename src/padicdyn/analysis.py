@@ -50,15 +50,15 @@ _UD1_REPORTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def ud1_check(f: PadicFunction) -> UD1Report:
-    """Definition sweep over the full depth window, at levels s = 1..depth-1.
+    """Definition check over the full depth window, at levels s = 1..depth-1.
 
     The candidate derivative at u is forced by the s = 1, h = 1 congruence;
-    the sweep then verifies every (u, s, h) against it and reports the first
-    failure in u-major, then s, then h order.  Arguments u + p^s h are
-    evaluated exactly (no folding), so a non-Lipschitz input fails here
-    rather than being masked.  The report is kept for as long as f lives,
-    so every criterion that requires UD1 input reads the same sweep.
-    """
+    h = 1 checks that imply every (u, s, h) decide, and a failure is named
+    by the first failing (u, s, h) in u-major, then s, then h order
+    (`backends.ud1_table_scan`).  Arguments u + p^s h are evaluated exactly
+    (no folding), so a non-Lipschitz input fails here rather than being
+    masked.  The report is kept for as long as f lives, so every criterion
+    that requires UD1 input reads the same sweep."""
     if f.depth < 2:
         raise InputError("ud1_check needs depth >= 2")
     report = _UD1_REPORTS.get(f)
@@ -82,9 +82,8 @@ def _ud1_sweep(f: PadicFunction) -> UD1Report:
     if derived is None:
         u = first[0]
         witness = {"u": u, "difference": int(values[u + p] - values[u]) % p**f.depth}
-        return UD1Report(
-            failing("ud1-direct", "derivative-integrality", witness=witness, depth=f.depth), None
-        )
+        verdict = failing("ud1-direct", "derivative-integrality", witness=witness, depth=f.depth)
+        return UD1Report(verdict, None)
     derived.flags.writeable = False
     if first is None:
         return UD1Report(passing("ud1-direct", depth=f.depth, s_max=f.depth - 1), derived)
@@ -166,19 +165,16 @@ def mahler_ud1_predicate(series: CoefficientSeries) -> CriterionVerdict:
         return passing(name, depth=series.exponent, checked_terms=len(series))
     n = int(bad.argmax())
     need = int(required[n])
-    return failing(
-        name,
-        "lipschitz" if need <= s[n] else "leading-digit",
-        witness={"n": n, "term": series.term(n), "required_valuation": need},
-        depth=series.exponent,
-    )
+    condition = "lipschitz" if need <= s[n] else "leading-digit"
+    witness = {"n": n, "term": series.term(n), "required_valuation": need}
+    return failing(name, condition, witness=witness, depth=series.exponent)
 
 
 def mahler_ud1_route(f: PadicFunction, count: int) -> CriterionVerdict:
-    """The Mahler predicate on a_0..a_{count-1} of f mod p^depth.  The
-    difference table stops soon after the first term that fails it, so a
-    failing verdict costs the terms up to its witness; a passing one reads
-    all count terms."""
+    """The Mahler predicate on a_0..a_{count-1} of f mod p^depth, from the
+    differences of f(0..count-1) alone.  The difference table stops soon
+    after the first term that fails it, so a failing verdict costs the terms
+    up to its witness; a passing one reads all count terms."""
     _, required = mahler_ud1_valuations(count, f.prime, f.depth)
     floors = powers_of(f.prime, required, backends.int_dtype(f.prime**f.depth, 1))
     return mahler_ud1_predicate(mahler_coefficients(f, count=count, floors=floors))
@@ -188,15 +184,24 @@ def ud1_equivalence_crosscheck(f: PadicFunction):
     """The verdicts (direct, vdp, mahler) of the three routes, which must
     agree; so must the direct sweep's derivative residues and the
     normalized level-1 van der Put terms, class by class, on a UD1 map.
-    Raises InternalCheckError (exit 3) naming the routes that disagree."""
+    Raises InternalCheckError (exit 3) naming the routes that disagree.
+
+    A failing direct witness reads f at no point past m = u + p^s h (u + p
+    for (u, 0, 0)), and sum_{n<=m} a_n C(x, n) = f on 0..m would pass it if
+    a_0..a_m all met the predicate; so the Mahler route reads those first,
+    and all p^depth terms only if they do."""
     report = ud1_check(f)
     vdp = f.vdp_window
     vdp_verdict = vdp_ud1_relations_check(vdp)
-    mahler_verdict = mahler_ud1_route(f, f.prime**f.depth)
+    p, size = f.prime, f.prime**f.depth
+    w = report.verdict.witness or {"u": size}  # a passing sweep bounds no term
+    count = min(w["u"] + p ** w.get("s", 1) * w.get("h", 1) + 1, size)
+    mahler_verdict = mahler_ud1_route(f, count)
+    if mahler_verdict.passed and count < size:
+        mahler_verdict = mahler_ud1_route(f, size)
     u = _derived_branch_mismatch(report.derived, vdp) if report.verdict.passed else None
     require_agreement("differentiability", report.verdict, vdp_verdict, mahler_verdict)
     if u is not None:
-        p = f.prime
         raise InternalCheckError(
             f"derivative residue routes disagree at u={u}: direct sweep d(u)={report.derived[u]}, "
             f"van der Put B_{u % p + p}/p={vdp.normals(p, 2 * p)[u % p] % p}"

@@ -79,13 +79,15 @@ def mahler_batch(values, modulus: int, floors=None) -> np.ndarray:
     """Iterated forward differences along axis 1: column n holds the n-th
     Mahler coefficient of each row's value sequence, mod modulus.
 
-    Differences are taken between two alternating buffers and reduced only
-    when the next one could leave int64: entries stay below a bound that
-    doubles with each difference.  Where a reduction leaves every live
-    difference of every row at 0, every later coefficient is 0 mod modulus
-    and the table stops there.  So the work is quadratic in the row length
-    only where the differences do not vanish mod modulus; a tabulated
-    polynomial stops at the latest at the first reduction past its degree.
+    The step-th differences go in place from column step on, into work at
+    even steps and spare at odd ones, where column j stays; the odd ones are
+    gathered into work as the floors read them, or at the end.  Entries are
+    reduced only when the next difference could leave int64: they stay below
+    a bound that doubles with each difference.  Where a reduction leaves
+    every live difference of every row at 0, every later coefficient is 0
+    mod modulus and the table stops there.  So the work is quadratic in the
+    row length only where the differences do not vanish mod modulus; a
+    tabulated polynomial stops at the first reduction past its degree.
 
     floors, when given, holds one divisor of modulus per column.  Each
     reduction then also checks the columns written since the last one, and
@@ -93,31 +95,32 @@ def mahler_batch(values, modulus: int, floors=None) -> np.ndarray:
     divide in some row: it returns the columns up to that one, included.
     """
     work = reduced_rows(values, modulus, 1)
-    count, n = work.shape
-    out = np.empty((count, n), dtype=work.dtype)
+    n = work.shape[1]
     spare = np.empty_like(work)
     floors = None if floors is None else np.asarray(floors, dtype=work.dtype)[:n]
-    checked = 0  # the columns before this one are on their floors
-    bound = modulus  # |entries of work| < bound
-    for step in range(n):
-        out[:, step] = work[:, 0]
-        live = n - step  # work[:, :live] holds the step-th differences
-        if live > 1:
-            if bound > 1 << 61:
-                work[:, :live] %= modulus
-                bound = modulus
-                if floors is not None:
-                    bad = (out[:, checked : step + 1] % floors[checked : step + 1] != 0).any(axis=0)
-                    if bad.any():
-                        return out[:, : checked + bad.argmax() + 1] % modulus
-                    checked = step + 1
-                if not work[:, :live].any():
-                    out[:, step + 1 :] = 0
-                    break
-            np.subtract(work[:, 1:live], work[:, : live - 1], out=spare[:, : live - 1])
-            work, spare = spare, work
-            bound *= 2
-    return out % modulus
+    checked = 0  # the columns before this one are on their floors, and in work
+    bound = modulus  # |live entries| < bound
+    done = n  # the columns past this one are 0
+    for step in range(n - 1):
+        live = (spare if step % 2 else work)[:, step:]  # the step-th differences
+        if bound > 1 << 61:
+            live %= modulus
+            bound = modulus
+            if floors is not None:
+                odd = slice(checked | 1, step + 1, 2)  # gathered from spare
+                work[:, odd] = spare[:, odd]
+                bad = (work[:, checked : step + 1] % floors[checked : step + 1] != 0).any(axis=0)
+                if bad.any():
+                    return work[:, : checked + bad.argmax() + 1] % modulus
+                checked = step + 1
+            if not live.any():
+                done = step
+                break
+        np.subtract(live[:, 1:], live[:, :-1], out=(work if step % 2 else spare)[:, step + 1 :])
+        bound *= 2
+    work[:, checked | 1 : done : 2] = spare[:, checked | 1 : done : 2]
+    work[:, done:] = 0
+    return work % modulus
 
 
 # -- transitivity scans ----------------------------------------------
@@ -178,42 +181,64 @@ def mahler_values(terms, p: int, depth: int, npoints: int) -> np.ndarray:
 
 def ud1_table_scan(values: np.ndarray, p: int, depth: int):
     """Differentiability-mod-p sweep, at levels s = 1..depth-1, over one
-    exact value array.
+    exact value array, in O(depth * window).
 
-    values[x] = f(x) mod p^depth for x = 0..W-1 with
-    W >= p^depth + p^(depth-1)*(p-1).  Returns (first, derived):
+    values[x] = f(x) mod p^depth for x < W, N = p^depth and
+    W >= N + (p-1)p^(depth-1).  Returns (first, derived):
 
-    - first is the first failing (u, s, h) in u-major, then s, then h
-      order, or None when f passes.  (u, 0, 0) means f(u + p) - f(u) is not
-      divisible by p, for the first such u; that test covers every u
-      before any congruence is tried, and derived is then None;
+    - first is the first u < N, s, h failing f(u + p^s h) = f(u) + p^s h d(u)
+      mod p^(s+1), in u-major, then s, then h order, or None when f passes;
+      (u, 0, 0) when f(u + p) - f(u) is not divisible by p, for the first
+      such u < N, which every u is tested for first; derived is then None;
     - derived[u] is the derivative residue d(u) = (f(u + p) - f(u))/p mod p
       forced by s = 1, h = 1.
 
-    Each (s, h) pair after a failure scans only the u below the failing u
-    found so far, so a failure at an equal u keeps the earlier pair.
+    With T = N + (p-2)p^(depth-1), it checks that e(x) = f(x + p) - f(x) is
+    divisible by p for x < T; for p >= 3, that d(x) = e(x)/p mod p equals
+    d(x + p) for x + p < T; and h = 1 at s = 2..depth-1 over x < N + (p-2)p^s
+    (at s = 1 it is the definition of d).  None reads past W.  If all pass,
+    so does every (u, s, h): for j < h, x_j = u + j p^s < N + (p-2)p^s <= T,
+    so d(x_j) = d(u), and h = 1 at the x_j telescopes to f(u + p^s h) - f(u)
+    = p^s h d(u).  A check failing at x < N is a failing (x, s, 1), or for a
+    periodicity break (x, 1, 2), as f(x + 2p) - f(x) = e(x) + e(x + p); so the
+    literal sweep (_first_failure) runs only on failure, over u <= x for the
+    least such x, else (checks failing only past N) over every u.
     """
-    size = p**depth
-    need = size + p ** (depth - 1) * (p - 1)
-    if len(values) < need:
-        raise InputError(f"value window {len(values)} < required {need}")
-    window = values[:size]
-    diff = (values[p : p + size] - window) % size
+    size, top = p**depth, p ** (depth - 1)
+    if len(values) < size + top * (p - 1):
+        raise InputError(f"value window {len(values)} < required {size + top * (p - 1)}")
+    reach = size + top * (p - 2)  # T
+    diff = (values[p : p + reach] - values[:reach]) % size
     broken = diff % p != 0
-    if broken.any():
+    if broken[:size].any():
         return (int(broken.argmax()), 0, 0), None
-    derived = (diff // p) % p
-    first, stop = None, size
+    d = (diff // p) % p
+    derived = d[:size]
+    if broken.any():  # past N only, where d is not defined
+        return _first_failure(values, p, depth, derived, size), derived
+    fails = [d[p:] != d[:-p]] if p > 2 else []
+    for s in range(2, depth):
+        mod, step, span = p ** (s + 1), p**s, size + (p - 2) * p**s
+        fails.append(values[step : step + span] % mod != (values[:span] + step * d[:span]) % mod)
+    bad = [int(fail.argmax()) for fail in fails if fail.any()]
+    stop = min(bad + [size - 1]) + 1
+    return (_first_failure(values, p, depth, derived, stop) if bad else None), derived
+
+
+def _first_failure(values: np.ndarray, p: int, depth: int, derived: np.ndarray, stop: int):
+    """The first failing (u, s, h) with u < stop, or None, by the literal sweep:
+    each (s, h) scans only the u below the last failure, so ties keep the earlier pair."""
+    first = None
     for s in range(1, depth):
         mod = p ** (s + 1)
         for h in range(1, p):
             shift = p**s * h
-            rhs = (window[:stop] + shift * derived[:stop]) % mod
+            rhs = (values[:stop] + shift * derived[:stop]) % mod
             bad = values[shift : shift + stop] % mod != rhs
             if bad.any():
                 stop = int(bad.argmax())
                 first = (stop, s, h)
-    return first, derived
+    return first
 
 
 # -- exhaustive binomial congruence scan ------------------------------

@@ -71,26 +71,21 @@ def parse_polynomial_text(text: str) -> list[int]:
         parts = text.split(",")
         _check_degree(len(parts) - 1)
         return list(funcspace.parse_ints(parts))
-    chunks = re.findall(r"[+-]?[^+-]+", text)
+    chunks = re.findall(r"[+-]?(?:[^+-]|(?<=\^)[+-]+)+", text)  # x^-1 is one term
     if "".join(chunks) != text:
         raise InputError(f"empty term in polynomial {text!r}")
     coeffs: dict[int, int] = {}
     for chunk in chunks:
         m = _TERM_RE.match(chunk)
         if not m or (not m.group(2) and "x" not in chunk):
-            raise InputError(f"cannot parse term {chunk!r}")
+            signed = "; exponents are non-negative integers" if re.search(r"\^[+-]", chunk) else ""
+            raise InputError(f"cannot parse term {chunk!r}{signed}")
         sign = -1 if m.group(1) == "-" else 1
         coef = funcspace.parse_int(m.group(2)) if m.group(2) else 1
-        if "x" not in chunk:
-            exp = 0
-        elif m.group(3) is not None:
-            exp = funcspace.parse_int(m.group(3))
-        else:
-            exp = 1
+        exp = funcspace.parse_int(m.group(3)) if m.group(3) else int("x" in chunk)
         _check_degree(exp)
         coeffs[exp] = coeffs.get(exp, 0) + sign * coef
-    top = max(coeffs)
-    return [coeffs.get(i, 0) for i in range(top + 1)]
+    return [coeffs.get(i, 0) for i in range(max(coeffs) + 1)]
 
 
 def function_from_json(

@@ -2,9 +2,11 @@
 
 These are the point-by-point computations the package used before its
 series, the direct UD1 sweep and its orbit walks were derived from one
-value array, before transitivity and the escape residues were read from
-one cached walk of 0, before the level products of the ergodicity conditions were
-counted per residue, before the lambda form came from Pascal rows mod p
+value array (the literal array sweep over every (u, s, h) that came next,
+before the sweep decided by h = 1 checks, is kept here too), before
+transitivity and the escape residues were read from one cached walk of 0,
+before the level products of the ergodicity conditions were counted per
+residue, before the lambda form came from Pascal rows mod p
 (its exact coefficients are kept here), before the formal derivative of a Mahler sum was converted to
 the power basis once for all points, and before the coefficient routes,
 Larin's cubic criterion and the p = 3 case tables became mask passes over a
@@ -157,6 +159,32 @@ def ud1_reference(f: PadicFunction) -> UD1Report:
                         np.array(derived),
                     )
     return UD1Report(passing("ud1-direct", depth=f.depth, s_max=s_max), np.array(derived))
+
+
+def ud1_table_scan_reference(values: np.ndarray, p: int, depth: int):
+    """The literal array sweep that `backends.ud1_table_scan` ran before it
+    decided by h = 1 checks: integrality of f(u + p) - f(u) for every
+    u < p^depth, then every (s, h) over every u, each pair after a failure
+    only below the failing u found so far.  Returns (first, derived) as the
+    kernel does."""
+    size = p**depth
+    window = values[:size]
+    diff = (values[p : p + size] - window) % size
+    broken = diff % p != 0
+    if broken.any():
+        return (int(broken.argmax()), 0, 0), None
+    derived = (diff // p) % p
+    first, stop = None, size
+    for s in range(1, depth):
+        mod = p ** (s + 1)
+        for h in range(1, p):
+            shift = p**s * h
+            rhs = (window[:stop] + shift * derived[:stop]) % mod
+            bad = values[shift : shift + stop] % mod != rhs
+            if bad.any():
+                stop = int(bad.argmax())
+                first = (stop, s, h)
+    return first, derived
 
 
 def orbit_reference(f: PadicFunction, k: int) -> tuple[int, ...]:

@@ -1,12 +1,16 @@
+import dataclasses
 import gc
 import random
 import weakref
 
+import numpy as np
 import pytest
 
-from padicdyn import backends
+from padicdyn import analysis, backends
 from padicdyn.analysis import (
+    UD1Report,
     mahler_ud1_predicate,
+    mahler_ud1_route,
     ud1_check,
     ud1_equivalence_crosscheck,
     vdp_ud1_relations_check,
@@ -19,7 +23,11 @@ from padicdyn.funcspace import (
     mahler_coefficients,
     vdp_coefficients,
 )
-from scalar_reference import random_ud1_mahler_series, required_ud1_valuation
+from scalar_reference import (
+    mahler_predicate_reference,
+    random_ud1_mahler_series,
+    required_ud1_valuation,
+)
 
 
 def test_polynomials_are_ud1_with_formal_derivative():
@@ -156,3 +164,58 @@ def test_window_series_is_the_full_vdp_series():
     assert window == vdp_coefficients(f, count=27)
     assert not window.terms.flags.writeable
     assert f.lipschitz == lipschitz_check(window)
+
+
+def _top_level_perturbed(p, depth, seed):
+    """x + 1 + p^(depth-1) g with random digits g: 1-Lipschitz, not UD1."""
+    size = p**depth
+    g = np.random.default_rng(seed).integers(0, p, size)
+    values = (np.arange(size) + 1 + size // p * g) % size
+    return PadicFunction.from_table(values.tolist(), p, depth)
+
+
+def _counted_mahler_batch(monkeypatch):
+    """The shapes of the value arrays that mahler_batch differences."""
+    shapes = []
+    batch = backends.mahler_batch
+    monkeypatch.setattr(backends, "mahler_batch",
+                        lambda rows, *args: shapes.append(rows.shape) or batch(rows, *args))
+    return shapes
+
+
+def test_a_failing_mahler_route_differences_up_to_the_direct_witness(monkeypatch):
+    f = _top_level_perturbed(3, 5, 35)
+    shapes = _counted_mahler_batch(monkeypatch)
+    direct, _, mahler = ud1_equivalence_crosscheck(f)
+    w = direct.witness
+    m = w["u"] + 3 ** w["s"] * w["h"]
+    assert (w["u"], w["s"], w["h"], m) == (0, 4, 2, 162)
+    assert shapes == [(1, m + 1)]
+    # the verdict of the full series, whose first failing term lies below m
+    assert mahler == mahler_predicate_reference(mahler_coefficients(f)) == mahler_ud1_route(f, 243)
+    assert not mahler.passed and mahler.witness["n"] == 82
+
+
+@pytest.mark.parametrize("p, depth", [(2, 7), (3, 5), (5, 3), (7, 3)])
+def test_the_mahler_verdict_does_not_depend_on_the_direct_witness(monkeypatch, p, depth):
+    # the direct report patched to a witness that ends too early (a_0..a_p
+    # all meet their floors, so the full table runs next), too late, or past
+    # p^depth: the Mahler verdict is the unbounded route's every time
+    f = _top_level_perturbed(p, depth, p)
+    report = ud1_check(f)
+    size = p**depth
+    full = mahler_ud1_route(f, size)
+    assert not report and not full
+    true_u = report.verdict.witness["u"]
+    shapes = _counted_mahler_batch(monkeypatch)
+    for witness, tables in (
+        ({"u": 0, "difference": 1}, [p + 1, size]),
+        ({"u": true_u + size // p, "s": 1, "h": 1}, [true_u + size // p + p + 1]),
+        ({"u": size + 1, "s": depth - 1, "h": p - 1}, [size]),
+    ):
+        verdict = dataclasses.replace(report.verdict, witness=witness)
+        patched = UD1Report(verdict, report.derived)
+        monkeypatch.setattr(analysis, "ud1_check", lambda g: patched)
+        shapes.clear()
+        assert ud1_equivalence_crosscheck(f)[2] == full
+        assert [n for _, n in shapes] == tables

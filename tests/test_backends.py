@@ -10,12 +10,19 @@ import scalar_reference
 from padicdyn import backends
 from padicdyn.dynamics import transitive_mod
 from padicdyn.errors import InputError
-from padicdyn.funcspace import CoefficientSeries, PadicFunction, mahler_coefficients
+from padicdyn.funcspace import (
+    CoefficientSeries,
+    PadicFunction,
+    mahler_coefficients,
+    vdp_coefficients,
+)
 from scalar_reference import (
     batch_transitive_polys,
     bipro_lockstep_reference,
+    random_ud1_mahler_series,
     transitive_scan_reference,
     ud1_reference,
+    ud1_table_scan_reference,
 )
 
 
@@ -160,6 +167,110 @@ def test_ud1_table_scan_returns_at_once_on_an_odd_difference():
     # congruence failure at u = 2 that f(20) + 9 makes
     values[[20, 7]] += [9, 1]
     assert backends.ud1_table_scan(values, 3, 3) == ((4, 0, 0), None)
+
+
+def _lipschitz_digits(p, depth, npoints, rng):
+    """g(x) = sum_j c_j(x mod p^(j+1)) p^j with random digit tables c_j: a
+    random 1-Lipschitz map mod p^depth at x = 0..npoints-1."""
+    xs = np.arange(npoints)
+    g = np.zeros(npoints, dtype=np.int64)
+    for j in range(depth):
+        g += np.array([rng.randrange(p) for _ in range(p ** (j + 1))])[xs % p ** (j + 1)] * p**j
+    return g
+
+
+def _ud1_scan_values(kind, p, depth, rng):
+    """The sweep's value window of a map of the given kind, most of them UD1
+    or close to it.  "periodic" is x + 1 + p c(x mod p^2) with c p-periodic
+    but at one point, so d(x) = 1 + c(x + p) - c(x) breaks its period first."""
+    size, top = p**depth, p ** (depth - 1)
+    window = size + (p - 1) * top
+    xs = np.arange(window)
+    if kind == "periodic":
+        c = np.array([rng.randrange(p) for _ in range(p)] * p)
+        c[rng.randrange(p * p)] += rng.randrange(1, p)
+        return (xs + 1 + p * c[xs % (p * p)]) % size
+    if kind == "polynomial":
+        coeffs = [rng.randrange(size) for _ in range(rng.randint(1, 5))]
+        f = PadicFunction.from_polynomial(coeffs, p, depth)
+    elif kind == "table":
+        c = rng.choice([1, 2, depth - 1])
+        g = _lipschitz_digits(p, depth, size, rng)
+        f = PadicFunction.from_table(((xs[:size] + 1 + p**c * g) % size).tolist(), p, depth)
+    elif kind == "mahler":
+        series = random_ud1_mahler_series(p, depth, p * p, rng)
+        if rng.random() < 0.5:  # a term off its floor
+            terms = list(series.terms)
+            terms[rng.randrange(len(terms))] += p ** rng.randrange(depth)
+            series = CoefficientSeries("mahler", p, depth, tuple(terms))
+        f = PadicFunction.from_mahler(series)
+    else:  # vdp: the terms of a UD1 polynomial, one of them moved on or off its level
+        poly = PadicFunction.from_polynomial([rng.randrange(size) for _ in range(4)], p, depth)
+        terms = vdp_coefficients(poly).terms.tolist()
+        if rng.random() < 0.5:
+            m = rng.randrange(p, size)
+            terms[m] += p ** rng.randrange(1, depth)
+        f = PadicFunction.from_vdp(CoefficientSeries("vdp", p, depth, tuple(terms)))
+    return f.value_array(window).copy()
+
+
+@settings(derandomize=True, database=None, max_examples=250, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(2, 4),
+    st.sampled_from(["polynomial", "table", "mahler", "vdp", "periodic"]),
+    st.sampled_from(["none", "anywhere", "past N", "top level"]),
+    st.integers(0, 2**32),
+)
+def test_ud1_table_scan_matches_the_literal_sweep(p, depth, kind, perturb, seed):
+    # the h = 1 and periodicity checks give the literal sweep's first failing
+    # (u, s, h) and its derivative residues, and run the literal narrowing
+    # only on a map that fails
+    rng = random.Random(seed)
+    values = _ud1_scan_values(kind, p, depth, rng)
+    size, top = p**depth, p ** (depth - 1)
+    if perturb == "top level":  # a random digit at p^(depth-1) for each x mod N
+        digits = np.array([rng.randrange(p) for _ in range(size)])
+        values = (values + top * digits[np.arange(len(values)) % size]) % size
+    elif perturb != "none":
+        low = size if perturb == "past N" else 0
+        for x in rng.sample(range(low, len(values)), rng.randint(1, 2)):
+            values[x] = (values[x] + p ** rng.randrange(depth) * rng.randrange(1, p)) % size
+    want, want_derived = ud1_table_scan_reference(values, p, depth)
+    literal = backends._first_failure
+    calls = []
+    backends._first_failure = lambda *args: calls.append(args[-1]) or literal(*args)
+    try:
+        first, derived = backends.ud1_table_scan(values, p, depth)
+    finally:
+        backends._first_failure = literal
+    assert first == want
+    assert (derived is None) == (want_derived is None)
+    if derived is not None:
+        assert derived.tolist() == want_derived.tolist()
+    if want is None:
+        assert calls == []
+    elif kind == "periodic" and perturb == "none" and p > 2:
+        # the first failure comes from the break in d's period: s = 1, h >= 2
+        assert want[1] == 1 and want[2] >= 2
+
+
+@pytest.mark.parametrize("p, depth, bumped, added", [
+    # x + 1 with values in [N, W) moved: f(x + p) - f(x) not divisible by p
+    # at some x >= N only (3, 3, [35]; 5, 2, [31]); an s = 2 check (3, 3, [44],
+    # [38]) or a break in d's period (5, 2, [44]; 7, 2, [90]) failing past N
+    # only, so the whole literal sweep runs; and checks failing below N
+    (3, 3, [35], 1), (3, 3, [44], 1), (3, 3, [38], 9), (5, 2, [31], 1), (5, 2, [44], 5),
+    (7, 2, [90], 7), (2, 4, [20], 1), (5, 3, [130, 140], 25),
+])
+def test_ud1_table_scan_on_values_moved_past_n(p, depth, bumped, added):
+    size = p**depth
+    values = np.array([(x + 1) % size for x in range(size + (p - 1) * p ** (depth - 1))])
+    values[bumped] = (values[bumped] + added) % size
+    first, derived = backends.ud1_table_scan(values, p, depth)
+    assert first == ud1_table_scan_reference(values, p, depth)[0]
+    assert first == _ud1_first_failure(values.tolist(), p, depth) is not None
+    assert derived.tolist() == [1] * size
 
 
 def _bipro_brute_force(p, s, comb=math.comb):

@@ -759,6 +759,15 @@ def test_classify_refuses_an_empty_coeffs_list(capsys, monkeypatch):
     assert _run(capsys, ["classify", "", "-p", "2"]) == (2, "", "error: empty polynomial\n")
 
 
+@pytest.mark.parametrize("text, term", [
+    ("x^-1", "x^-1"), ("2x^+3", "2x^+3"), ("1+x^-2+x", "+x^-2"), ("x^+1x", "x^+1x"),
+])
+def test_classify_refuses_a_signed_exponent_by_its_whole_term(capsys, text, term):
+    # the sign after ^ once split the term, so the error named 'x^' or '2x^'
+    message = f"error: cannot parse term {term!r}; exponents are non-negative integers\n"
+    assert _run(capsys, ["classify", text, "-p", "3"]) == (2, "", message)
+
+
 # strings with quotes, backslashes, control characters and non-ASCII text
 _JSON_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001d11e')
                      | st.characters(), max_size=6)
@@ -1228,6 +1237,21 @@ def test_classify_sweeps_ud1_once(capsys, monkeypatch, p, text):
     _, payload, _ = _run_json(capsys, ["classify", text, "-p", str(p)])
     assert payload["ud1"]["direct"]["pass"] and "closed_form" in payload
     assert calls == [(p, 4)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["1+x+509x^3", "-p", "509", "--depth", "2"], ["x+1", "-p", "3"], ["1+3x+2x^3", "-p", "2"],
+    ["x^2+x+1", "-p", "5", "--depth", "3"], ["1+x+7x^2", "-p", "7", "--depth", "3"],
+])
+def test_classify_runs_no_literal_sweep_on_a_ud1_map(capsys, monkeypatch, argv):
+    # the direct sweep decides a UD1 map by its h = 1 and periodicity checks
+    # alone; at p = 509 the literal sweep took over a second
+    def literal(*args):
+        raise AssertionError("the literal sweep ran on a UD1 map")
+
+    monkeypatch.setattr(backends, "_first_failure", literal)
+    _, payload, _ = _run_json(capsys, ["classify", *argv])
+    assert payload["ud1"]["direct"]["pass"] and payload["ud1"]["mahler"]["pass"]
 
 
 def test_verify_without_flags(capsys):
